@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from starsym import equator_rule, equator_transform, fourier_field, make_frame, multiplier_table
+from starsym import equator_rule, fourier_field, multiplier_table, transform_sweep
 
 
 def double_factorial(k):
@@ -50,8 +50,6 @@ for k in range(1, 8):
     f = fourier_field(0.0, coeffs, ())
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=12)
     basis = np.cos(k * thetas)
-    ts = np.array([
-        equator_transform(f, make_frame([math.cos(t), math.sin(t)], seed=101), rule)
-        for t in thetas])
+    ts = transform_sweep(f, [(math.cos(t), math.sin(t)) for t in thetas], rule)
     lam = float(ts @ basis) / float(basis @ basis)
     print(f"{k:3d} {lam:16.10f} {2.0 * k * math.sin(k * math.pi / 2.0):16.10f}")

@@ -14,6 +14,7 @@ values without sharing any quadrature code.
 from .sphere_geom import (
     DIM_MAX,
     DIM_MIN,
+    FRAME_SEED,
     Direction,
     EquatorFrame,
     EquatorQuadrature,
@@ -43,7 +44,6 @@ from .star_body import (
     linear_field,
     odd_part,
     rotate_body,
-    rotate_field,
     scale_body,
     strip_gradient,
     to_scalar_field,
@@ -59,6 +59,7 @@ from .slice_transforms import (
     richardson_limit,
     section_curve,
     slice_integral,
+    transform_sweep,
 )
 from .harmonics import (
     LMAX,
@@ -84,7 +85,7 @@ from .verify import CheckResult, VerifyConfig, check_names, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "DIM_MAX", "DIM_MIN", "Direction", "EquatorFrame", "EquatorQuadrature",
+    "DIM_MAX", "DIM_MIN", "FRAME_SEED", "Direction", "EquatorFrame", "EquatorQuadrature",
     "default_resolution", "embed", "equator_rule", "exact_monomial_integral",
     "fibonacci_sphere", "geodesic_distance", "make_frame", "probe_directions",
     "random_directions", "random_rotation", "sphere_rule", "unit_vector",
@@ -92,10 +93,10 @@ __all__ = [
     "RadialField", "ScalarField", "body_ball", "body_ellipsoid",
     "body_harmonic_perturbed_ball", "body_shifted_ball", "even_part",
     "hyperplane_profile_field", "linear_field", "odd_part", "rotate_body",
-    "rotate_field", "scale_body", "strip_gradient", "to_scalar_field",
+    "scale_body", "strip_gradient", "to_scalar_field",
     "DerivativeAtZero", "FdOptions", "SectionCurve", "conical_section",
     "derivative_at_zero", "equator_transform", "hyperplane_section",
-    "richardson_limit", "section_curve", "slice_integral",
+    "richardson_limit", "section_curve", "slice_integral", "transform_sweep",
     "LMAX", "MultiplierTable", "estimate_multiplier", "fourier_check_n2",
     "fourier_field", "harmonic_field", "injectivity_probe", "multiplier_table",
     "real_harmonic",

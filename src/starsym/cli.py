@@ -25,19 +25,17 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere_geom import default_resolution, equator_rule, make_frame, unit_vector
+from .sphere_geom import FRAME_SEED, default_resolution, equator_rule, make_frame, unit_vector
 from .star_body import (
     body_ball,
     body_ellipsoid,
     body_harmonic_perturbed_ball,
     body_shifted_ball,
 )
-from .slice_transforms import derivative_at_zero, equator_transform, section_curve
+from .slice_transforms import derivative_at_zero, section_curve, transform_sweep
 from .symmetry_detector import detect
 from .harmonics import LMAX, fourier_field, multiplier_table
 from .verify import VerifyConfig, run_checks
-
-_FRAME_SEED = 101
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def cmd_sections(cfg):
     else:
         pole = np.zeros(n)
         pole[-1] = 1.0
-    frame = make_frame(pole, seed=_FRAME_SEED)
+    frame = make_frame(pole, seed=FRAME_SEED)
     rule = equator_rule(n, cfg.resolution)
     zs = parse_z_values(cfg.z_spec)
     os.makedirs(cfg.out, exist_ok=True)
@@ -445,15 +443,13 @@ def cmd_harmonics(cfg):
         rule = equator_rule(2, resolution)
         rng = np.random.default_rng(cfg.seed)
         thetas = rng.uniform(0.0, 2.0 * math.pi, size=max(cfg.num_xi, 12))
+        poles = [(math.cos(t), math.sin(t)) for t in thetas]
         for k in range(1, cfg.lmax + 1):
             coeffs = tuple(1.0 if j == k - 1 else 0.0 for j in range(k))
             for order, f, basis in (
                     (k, fourier_field(0.0, coeffs, ()), np.cos(k * thetas)),
                     (-k, fourier_field(0.0, (), coeffs), np.sin(k * thetas))):
-                ts = np.array([
-                    equator_transform(f, make_frame(
-                        np.array([math.cos(t), math.sin(t)]), seed=_FRAME_SEED), rule)
-                    for t in thetas])
+                ts = transform_sweep(f, poles, rule)
                 lam = float(ts @ basis) / float(basis @ basis)
                 res = float(np.max(np.abs(ts - lam * basis)))
                 rows.append((k, order, lam, res))

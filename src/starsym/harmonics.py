@@ -22,14 +22,13 @@ import numpy as np
 
 from .sphere_geom import (
     fibonacci_sphere,
-    make_frame,
     probe_directions,
     random_directions,
     sphere_rule,
     equator_rule,
 )
 from .star_body import ScalarField
-from .slice_transforms import equator_transform
+from .slice_transforms import transform_sweep
 
 LMAX = 10
 
@@ -196,15 +195,6 @@ class MultiplierTable:
     seed: int
 
 
-def _transform_samples(field, xis, resolution, frame_seed=101):
-    rule = equator_rule(3, resolution)
-    out = np.empty(len(xis))
-    for i, xi in enumerate(xis):
-        frame = make_frame(xi, seed=frame_seed)
-        out[i] = equator_transform(field, frame, rule)
-    return out
-
-
 def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
     """Least-squares multiplier of the transform on one harmonic.
 
@@ -215,7 +205,7 @@ def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
     if resolution is None:
         resolution = 512
     xis = random_directions(3, num_xi, seed=seed)
-    t = _transform_samples(y, xis, resolution)
+    t = transform_sweep(y, xis, equator_rule(3, resolution))
     vals = y.evaluate(xis)
     denom = float(vals @ vals)
     if denom < 1e-12:
@@ -233,12 +223,13 @@ def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
     if resolution is None:
         resolution = 512
     xis = random_directions(3, num_xi, seed=seed)
+    rule = equator_rule(3, resolution)
     degrees, lams, residuals, orders = [], [], [], []
     for l in range(lmax + 1):
         ts, vs = [], []
         for m in range(-l, l + 1):
             y = real_harmonic(l, m)
-            t = _transform_samples(y, xis, resolution)
+            t = transform_sweep(y, xis, rule)
             v = y.evaluate(xis)
             lam_m = float(t @ v) / float(v @ v)
             orders.append((l, m, lam_m, float(np.max(np.abs(t - lam_m * v)))))
@@ -355,10 +346,7 @@ def injectivity_probe(coefficients, num_xi=50, resolution=None,
         if abs(lam.get(l, 0.0)) < 1e-6:
             raise ValueError(f"near-kernel degree {l}: estimated multiplier below 1e-6")
     proj = sphere_rule(3, projection_resolution)
-    t_vals = np.empty(proj.size)
-    rule = equator_rule(3, resolution)
-    for i, xi in enumerate(proj.nodes):
-        t_vals[i] = equator_transform(g, make_frame(xi, seed=101), rule)
+    t_vals = transform_sweep(g, proj.nodes, equator_rule(3, resolution))
     recovered = {}
     for l in range(1, lmax + 1, 2):
         for m in range(-l, l + 1):

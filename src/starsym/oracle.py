@@ -42,7 +42,6 @@ class SlabEstimate:
     samples: int
     slab_half_width: float
     seed: int
-    workers: int = 1
 
 
 def _check_body(body):

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere_geom import EquatorQuadrature, EquatorFrame, embed
+from .sphere_geom import FRAME_SEED, EquatorFrame, embed, make_frame
 from .star_body import (
     RadialField,
     ScalarField,
@@ -243,11 +243,43 @@ def equator_transform(f, frame, rule, fd_step=1e-4):
     """A(xi): integral of the meridian derivative of f over the equator.
 
     Uses the field's analytic gradient when present, otherwise central
-    differences along meridians with one Richardson level.
+    differences along meridians at latitudes +-fd_step and +-fd_step/2
+    with one Richardson level.  The rule nodes are lifted into the frame
+    once and used without `embed`'s checks: only the rule's dimension
+    is validated against the frame, since the nodes of an
+    EquatorQuadrature are unit vectors by construction.
     """
     _check_rule(frame, rule)
-    d = f.meridian_derivative(frame, rule.nodes, np.zeros(rule.size), fd_step=fd_step)
+    pole = frame.pole
+    lifted = rule.nodes @ frame.basis
+    if f.gradient is not None:
+        # the meridian tangent at psi = 0 is the pole itself
+        d = np.sum(f.gradient(lifted) * pole, axis=-1)
+    else:
+        if 3 * fd_step > math.pi / 2:
+            raise ValueError("finite-difference meridian derivative too close to a pole")
+        lat = np.array([fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0])
+        up, down, up2, down2 = (f.evaluate(s * pole + c * lifted)
+                                for s, c in zip(np.sin(lat), np.cos(lat)))
+        d1 = (up - down) / (2.0 * fd_step)
+        d2 = (up2 - down2) / (2.0 * (fd_step / 2.0))
+        d = (4.0 * d2 - d1) / 3.0
     return float(rule.weights @ d)
+
+
+def transform_sweep(f, frames, rule, fd_step=1e-4):
+    """A(xi) for a sequence of poles: one `equator_transform` per pole.
+
+    `frames` holds EquatorFrame objects or bare poles; a bare pole is
+    completed with make_frame(pole, seed=FRAME_SEED), the frame every
+    sweep in the package uses.  Returns the values as a 1-d array.
+    """
+    values = []
+    for frame in frames:
+        if not isinstance(frame, EquatorFrame):
+            frame = make_frame(frame, seed=FRAME_SEED)
+        values.append(equator_transform(f, frame, rule, fd_step=fd_step))
+    return np.array(values, dtype=float)
 
 
 _KINDS = ("slice", "conical", "hyperplane")

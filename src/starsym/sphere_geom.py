@@ -25,6 +25,10 @@ DIM_MAX = 6
 
 _DEFAULT_RESOLUTION = {2: 2, 3: 512, 4: 64, 5: 32, 6: 16}
 
+# seed of the frame completion behind every pole sweep, so that sweeps,
+# CLI artifacts and verify checks agree on the basis of each xi-perp
+FRAME_SEED = 101
+
 
 def check_dim(n):
     if not (DIM_MIN <= int(n) <= DIM_MAX):
@@ -172,6 +176,11 @@ def make_frame(pole, seed=0):
 
 def embed(frame, eta, psi):
     """Latitude parameterization: xi sin(psi) + lift(eta) cos(psi).
+
+    Validates its input: raises ValueError for a latitude outside
+    [-pi/2, pi/2] or equator coordinates that are not unit vectors.
+    The pole sweep in `slice_transforms.equator_transform` lifts trusted
+    rule nodes itself and skips these checks.
 
     Parameters
     ----------

@@ -33,6 +33,9 @@ from .sphere_geom import (
 
 FD_STEP = 1e-4  # meridian fallback step
 _PROBE_COUNT = 2048
+# relative slack of the declared-bounds check: a probe along an axis can
+# round rho an ulp past an exact bound such as an ellipsoid's semiaxis
+_BOUND_SLACK = 4 * np.finfo(float).eps
 
 
 def _fd_meridian(evaluate, frame, eta, psi, step):
@@ -145,7 +148,6 @@ class RadialField:
     radius_bound: Optional[float] = None
     radius_floor: Optional[float] = None
     label: str = ""
-    smoothness: str = "C1"
     sections_star_shaped: bool = True
     probe_min: float = 0.0
     probe_max: float = 0.0
@@ -166,7 +168,8 @@ class RadialField:
             object.__setattr__(self, "radius_bound", pmax * 1.05)
         if self.radius_floor is None:
             object.__setattr__(self, "radius_floor", pmin * 0.95)
-        if self.radius_bound < pmax or self.radius_floor > pmin:
+        if (pmax > self.radius_bound * (1.0 + _BOUND_SLACK)
+                or pmin < self.radius_floor * (1.0 - _BOUND_SLACK)):
             raise ValueError("declared radius bounds contradict probed values")
         rng = np.random.default_rng(1234 + 7 * self.dim)
         if self.lipschitz_bound is not None:
@@ -203,8 +206,7 @@ def body_ball(dim, radius=1.0):
 
     return RadialField(dim=dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=0.0, radius_bound=radius,
-                       radius_floor=radius, label=f"ball(r={radius:g})",
-                       smoothness="analytic")
+                       radius_floor=radius, label=f"ball(r={radius:g})")
 
 
 def body_shifted_ball(dim, radius=1.0, center=None):
@@ -240,8 +242,7 @@ def body_shifted_ball(dim, radius=1.0, center=None):
     return RadialField(dim=dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip, radius_bound=radius + cnorm,
                        radius_floor=radius - cnorm,
-                       label=f"shifted_ball(r={radius:g}, |c|={cnorm:g})",
-                       smoothness="analytic")
+                       label=f"shifted_ball(r={radius:g}, |c|={cnorm:g})")
 
 
 def body_ellipsoid(dim, semiaxes):
@@ -269,8 +270,7 @@ def body_ellipsoid(dim, semiaxes):
     axes = ",".join(f"{x:g}" for x in a)
     return RadialField(dim=dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip, radius_bound=amax,
-                       radius_floor=amin, label=f"ellipsoid({axes})",
-                       smoothness="analytic")
+                       radius_floor=amin, label=f"ellipsoid({axes})")
 
 
 def body_harmonic_perturbed_ball(epsilon, degree, order):
@@ -297,8 +297,7 @@ def body_harmonic_perturbed_ball(epsilon, degree, order):
                        lipschitz_bound=lip,
                        radius_bound=1.0 + abs(epsilon) * y.sup_bound,
                        radius_floor=1.0 - abs(epsilon) * y.sup_bound,
-                       label=f"harmonic_ball(eps={epsilon:g}, l={degree}, m={order})",
-                       smoothness="analytic")
+                       label=f"harmonic_ball(eps={epsilon:g}, l={degree}, m={order})")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +445,6 @@ def scale_body(body, factor):
                        radius_bound=factor * body.radius_bound,
                        radius_floor=factor * body.radius_floor,
                        label=f"scaled({factor:g})[{body.label}]",
-                       smoothness=body.smoothness,
                        sections_star_shaped=body.sections_star_shaped)
 
 
@@ -472,31 +470,7 @@ def rotate_body(body, rotation):
                        radius_bound=body.radius_bound,
                        radius_floor=body.radius_floor,
                        label=f"rotated[{body.label}]",
-                       smoothness=body.smoothness,
                        sections_star_shaped=body.sections_star_shaped)
-
-
-def rotate_field(field, rotation):
-    """Rotate a scalar field: f_R(u) = f(R^T u)."""
-    r = np.asarray(rotation, dtype=float)
-    n = field.dim
-    if r.shape != (n, n) or not np.allclose(r @ r.T, np.eye(n), atol=1e-10):
-        raise ValueError("rotation must be an orthogonal matrix of matching size")
-    ev = field.evaluate
-    gr = field.gradient
-
-    def evaluate(u):
-        return ev(np.asarray(u, dtype=float) @ r)
-
-    gradient = None
-    if gr is not None:
-        def gradient(u):
-            return gr(np.asarray(u, dtype=float) @ r) @ r.T
-
-    return ScalarField(dim=n, evaluate=evaluate, gradient=gradient,
-                       lipschitz_bound=field.lipschitz_bound,
-                       sup_bound=field.sup_bound,
-                       label=f"rotated[{field.label}]")
 
 
 def linear_field(dim, direction):

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .sphere_geom import (
+    FRAME_SEED,
     check_dim,
     default_resolution,
     equator_rule,
@@ -33,9 +34,7 @@ from .star_body import (
     strip_gradient,
     to_scalar_field,
 )
-from .slice_transforms import equator_transform
-
-_FRAME_SEED = 101
+from .slice_transforms import transform_sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +94,15 @@ def sample_poles(n, count, sampler="antipodal", seed=0):
 
 
 @lru_cache(maxsize=64)
+def _pole_frames(n, num_dirs, sampler, seed):
+    # sample_poles is deterministic, so each pole set and its seeded
+    # frames are built once per process and shared by every sweep
+    xis = sample_poles(n, num_dirs, sampler=sampler, seed=seed)
+    xis.setflags(write=False)
+    return xis, tuple(make_frame(xi, seed=FRAME_SEED) for xi in xis)
+
+
+@lru_cache(maxsize=64)
 def _even_battery(n):
     bodies = [
         body_ball(n, 1.0),
@@ -122,13 +130,11 @@ def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
     n = check_dim(n)
     resolution = rule_resolution or default_resolution(n)
     rule = equator_rule(n, resolution)
-    xis = sample_poles(n, num_dirs, sampler="antipodal", seed=seed)
+    _, frames = _pole_frames(n, num_dirs, "antipodal", seed)
     worst = 0.0
     for body in _even_battery(n):
-        f = to_scalar_field(body)
-        for xi in xis:
-            frame = make_frame(xi, seed=_FRAME_SEED)
-            worst = max(worst, abs(equator_transform(f, frame, rule, fd_step=fd_step)))
+        values = transform_sweep(to_scalar_field(body), frames, rule, fd_step=fd_step)
+        worst = max(worst, float(np.max(np.abs(values))))
     # floor at the roundoff scale of the weighted sums; claiming to
     # resolve asymmetry below that would be noise-reading
     return 10.0 * max(worst, 1e-13)
@@ -154,11 +160,9 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     if threshold is None:
         threshold = calibrate(n, rule_resolution=resolution, fd_step=fd_step)
     rule = equator_rule(n, resolution)
-    xis = sample_poles(n, num_dirs, sampler=sampler, seed=seed)
-    values = np.empty(xis.shape[0])
-    for i, xi in enumerate(xis):
-        frame = make_frame(xi, seed=_FRAME_SEED)
-        values[i] = equator_transform(f, frame, rule, fd_step=fd_step)
+    xis, frames = _pole_frames(n, num_dirs, sampler, seed)
+    xis = xis.copy()
+    values = transform_sweep(f, frames, rule, fd_step=fd_step)
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
     odd_sup = float(np.max(np.abs(odd_part(f).evaluate(probe_directions(n, 2000)))))

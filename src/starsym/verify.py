@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .sphere_geom import (
+    FRAME_SEED,
     check_dim,
     default_resolution,
     embed,
@@ -53,6 +54,7 @@ from .slice_transforms import (
     equator_transform,
     hyperplane_section,
     slice_integral,
+    transform_sweep,
 )
 from .harmonics import (
     fourier_check_n2,
@@ -63,8 +65,6 @@ from .harmonics import (
 )
 from .symmetry_detector import detect
 from . import oracle
-
-_FRAME_SEED = 101
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def _check_set_identity(cfg):
     worst = 0.0
     for n in (2, 3, 4):
         rule = equator_rule(n, min(cfg.resolved(n), 64))
-        frame = make_frame(_poles(n, cfg)[0], seed=_FRAME_SEED)
+        frame = make_frame(_poles(n, cfg)[0], seed=FRAME_SEED)
         for z in (-0.9, -0.3, 0.0, 0.45, 0.95):
             psi = math.asin(z)
             u = embed(frame, rule.nodes, psi)
@@ -174,7 +174,7 @@ def _check_slope_decomposition(cfg):
         rule = equator_rule(n, cfg.resolved(n))
         for body in (_bodies(n)[1], _bodies(n)[-1]):
             f = to_scalar_field(body)
-            frame = make_frame(_poles(n, cfg)[0], seed=_FRAME_SEED)
+            frame = make_frame(_poles(n, cfg)[0], seed=FRAME_SEED)
             f0 = f.evaluate(embed(frame, rule.nodes, 0.0))
             for z in (-0.45, 0.08, 0.3):
                 psi = math.asin(z)
@@ -194,7 +194,7 @@ def _check_z0_coincidence(cfg):
         rule = equator_rule(n, cfg.resolved(n))
         for body in _bodies(n):
             for xi in _poles(n, cfg):
-                frame = make_frame(xi, seed=_FRAME_SEED)
+                frame = make_frame(xi, seed=FRAME_SEED)
                 c = conical_section(body, frame, 0.0, rule)
                 h = hyperplane_section(body, frame, 0.0, rule)
                 worst = max(worst, abs(c - h) / max(1.0, abs(c)))
@@ -210,7 +210,7 @@ def _check_slope_agreement(cfg):
         cur = equator_rule(n, cfg.resolved(n))
         for body in _bodies(n):
             for xi in _poles(n, cfg):
-                frame = make_frame(xi, seed=_FRAME_SEED)
+                frame = make_frame(xi, seed=FRAME_SEED)
                 d = derivative_at_zero("conical", body, frame, ref,
                                        transform_rule=cur)
                 if d.agreement_residual > worst:
@@ -218,7 +218,7 @@ def _check_slope_agreement(cfg):
                     detail = f"conical {body.label} n={n}"
         for body in (_bodies(n)[1], _bodies(n)[2]):
             for xi in _poles(n, cfg)[:2]:
-                frame = make_frame(xi, seed=_FRAME_SEED)
+                frame = make_frame(xi, seed=FRAME_SEED)
                 d = derivative_at_zero("hyperplane", body, frame, ref,
                                        transform_rule=cur)
                 if d.agreement_residual > worst:
@@ -229,7 +229,7 @@ def _check_slope_agreement(cfg):
     ref = equator_rule(3, cfg.reference_resolution)
     cur = equator_rule(3, cfg.resolved(3))
     for f in fields:
-        frame = make_frame(_poles(3, cfg)[0], seed=_FRAME_SEED)
+        frame = make_frame(_poles(3, cfg)[0], seed=FRAME_SEED)
         d = derivative_at_zero("slice", f, frame, ref, transform_rule=cur)
         if d.agreement_residual > worst:
             worst = d.agreement_residual
@@ -262,7 +262,7 @@ def _check_majorant(cfg):
         nodes = equator_rule(f.dim, 16 if f.dim > 2 else None).nodes
         for k in range(4):
             frame = make_frame(random_directions(f.dim, 1, seed=cfg.seed + k)[0],
-                               seed=_FRAME_SEED)
+                               seed=FRAME_SEED)
             f0 = f.evaluate(frame.embed(nodes, np.zeros(len(nodes))))
             for psi in psis:
                 fp = f.evaluate(frame.embed(nodes, np.full(len(nodes), psi)))
@@ -280,7 +280,7 @@ def _check_tail_term(cfg):
         body = _bodies(n)[1]
         f = to_scalar_field(body)
         cbound = vol_sphere(n - 2) * f.sup_bound * (n - 2) * math.pi / 4.0
-        frame = make_frame(_poles(n, cfg)[0], seed=_FRAME_SEED)
+        frame = make_frame(_poles(n, cfg)[0], seed=FRAME_SEED)
         for psi in psis:
             fp = f.evaluate(embed(frame, rule.nodes, psi))
             actual = abs((math.cos(psi) ** (n - 2) - 1.0) / math.sin(psi)
@@ -298,10 +298,10 @@ def _check_xi_oddness(cfg):
     for n in (2, 3):
         rule = equator_rule(n, cfg.resolved(n))
         f = to_scalar_field(_bodies(n)[1])
-        for xi in _poles(n, cfg):
-            a = equator_transform(f, make_frame(xi, seed=_FRAME_SEED), rule)
-            b = equator_transform(f, make_frame(-xi, seed=_FRAME_SEED), rule)
-            worst = max(worst, abs(a + b))
+        xis = _poles(n, cfg)
+        a = transform_sweep(f, xis, rule)
+        b = transform_sweep(f, -xis, rule)
+        worst = max(worst, float(np.max(np.abs(a + b))))
     return CheckResult("xi_oddness", worst <= 1e-8, worst, 1e-8,
                        "A(-xi) = -A(xi)")
 
@@ -311,11 +311,9 @@ def _check_odd_part(cfg):
     for n in (2, 3):
         rule = equator_rule(n, cfg.resolved(n))
         f = to_scalar_field(_bodies(n)[1])
-        g = odd_part(f)
-        for xi in _poles(n, cfg):
-            frame = make_frame(xi, seed=_FRAME_SEED)
-            worst = max(worst, abs(equator_transform(f, frame, rule)
-                                   - equator_transform(g, frame, rule)))
+        xis = _poles(n, cfg)
+        diff = transform_sweep(f, xis, rule) - transform_sweep(odd_part(f), xis, rule)
+        worst = max(worst, float(np.max(np.abs(diff))))
     return CheckResult("odd_part", worst <= 1e-8, worst, 1e-8,
                        "the transform only sees the odd part of the field")
 
@@ -325,13 +323,10 @@ def _check_linearity(cfg):
     f = to_scalar_field(_bodies(3)[1])
     g = harmonic_field({(1, 0): 0.4, (3, -2): 0.3})
     combo = _lin_comb(0.7, f, -1.3, g)
-    worst = 0.0
-    for xi in _poles(3, cfg):
-        frame = make_frame(xi, seed=_FRAME_SEED)
-        lhs = equator_transform(combo, frame, rule)
-        rhs = (0.7 * equator_transform(f, frame, rule)
-               - 1.3 * equator_transform(g, frame, rule))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    xis = _poles(3, cfg)
+    lhs = transform_sweep(combo, xis, rule)
+    rhs = 0.7 * transform_sweep(f, xis, rule) - 1.3 * transform_sweep(g, xis, rule)
+    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
     return CheckResult("linearity", worst <= 1e-10, worst, 1e-10,
                        "A is linear in the field")
 
@@ -345,10 +340,10 @@ def _check_rotation(cfg):
         rbody = rotate_body(body, rot)
         f = to_scalar_field(body)
         rf = to_scalar_field(rbody)
-        for xi in _poles(n, cfg):
-            a = equator_transform(f, make_frame(xi, seed=_FRAME_SEED), rule)
-            b = equator_transform(rf, make_frame(rot @ xi, seed=_FRAME_SEED), rule)
-            worst = max(worst, abs(a - b))
+        xis = _poles(n, cfg)
+        a = transform_sweep(f, xis, rule)
+        b = transform_sweep(rf, [rot @ xi for xi in xis], rule)
+        worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("rotation", worst <= 1e-8, worst, 1e-8,
                        "A(R K, R xi) = A(K, xi)")
 
@@ -361,11 +356,10 @@ def _check_scaling(cfg):
         body = _bodies(n)[1]
         f = to_scalar_field(body)
         g = to_scalar_field(scale_body(body, lam))
-        for xi in _poles(n, cfg):
-            frame = make_frame(xi, seed=_FRAME_SEED)
-            a = lam ** (n - 1) * equator_transform(f, frame, rule)
-            b = equator_transform(g, frame, rule)
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-12))
+        xis = _poles(n, cfg)
+        a = lam ** (n - 1) * transform_sweep(f, xis, rule)
+        b = transform_sweep(g, xis, rule)
+        worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12))))
     return CheckResult("scaling", worst <= 1e-8, worst, 1e-8,
                        "scaling the body by t scales A by t^(n-1)")
 
@@ -374,15 +368,13 @@ def _check_even_annihilation(cfg):
     worst = 0.0
     rule = equator_rule(3, cfg.resolved(3))
     for (l, m) in ((0, 0), (2, 1), (4, -2), (6, 3)):
-        y = real_harmonic(l, m)
-        for xi in _poles(3, cfg):
-            worst = max(worst, abs(equator_transform(y, make_frame(xi, seed=_FRAME_SEED), rule)))
+        values = transform_sweep(real_harmonic(l, m), _poles(3, cfg), rule)
+        worst = max(worst, float(np.max(np.abs(values))))
     rule2 = equator_rule(2, cfg.resolved(2))
     # even-frequency terms only, so the field is antipodally even
     even2 = fourier_field(0.3, (0.0, 0.5, 0.0, 0.2), (0.0, 0.1))
-    for xi in _poles(2, cfg):
-        worst = max(worst, abs(equator_transform(even2,
-                                                 make_frame(xi, seed=_FRAME_SEED), rule2)))
+    values = transform_sweep(even2, _poles(2, cfg), rule2)
+    worst = max(worst, float(np.max(np.abs(values))))
     return CheckResult("even_annihilation", worst <= 1e-8, worst, 1e-8,
                        "even fields are sent to zero")
 
@@ -421,7 +413,7 @@ def _check_n2_oracle(cfg):
         theta0 = float(rng.uniform(0, 2 * math.pi))
         xi = np.array([math.cos(theta0), math.sin(theta0)])
         f = fourier_field(a0, a, b)
-        got = equator_transform(f, make_frame(xi, seed=_FRAME_SEED), rule)
+        got = equator_transform(f, make_frame(xi, seed=FRAME_SEED), rule)
         want = fourier_check_n2(a0, a, b, theta0)
         worst = max(worst, abs(got - want))
     return CheckResult("n2_oracle", worst <= 1e-10, worst, 1e-10,
@@ -435,7 +427,7 @@ def _check_mc_agreement(cfg):
                (_bodies(3)[3], (0.6, 0.8, 0.0), -0.4)]
     rule = equator_rule(3, cfg.resolved(3))
     for i, (body, xi, z) in enumerate(queries):
-        frame = make_frame(np.asarray(xi), seed=_FRAME_SEED)
+        frame = make_frame(np.asarray(xi), seed=FRAME_SEED)
         hq = hyperplane_section(body, frame, z, rule)
         hm = oracle.mc_hyperplane_section(body, xi, z, delta=0.02,
                                           samples=cfg.mc_samples, seed=cfg.seed + i)

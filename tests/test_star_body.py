@@ -233,3 +233,12 @@ def test_strip_gradient_on_field():
     assert g.gradient is None
     u = _probes(3)
     assert np.array_equal(f.evaluate(u), g.evaluate(u))
+
+
+def test_ellipsoid_axis_probe_rounding_past_the_semiaxis_is_accepted():
+    # a probe along an axis rounds 1/sqrt(1/a^2) an ulp above a_max
+    a = (0.019079902023824848, 0.03081318670646727, 0.015634100081178607,
+         0.01212833028991379)
+    body = body_ellipsoid(4, a)
+    assert body.radius_bound == max(a)
+    assert body.probe_max > max(a)

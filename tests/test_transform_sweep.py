@@ -1,0 +1,95 @@
+"""The shared pole sweep reproduces the per-pole transform bit for bit."""
+
+import numpy as np
+import pytest
+
+from starsym import (
+    FRAME_SEED,
+    body_ball,
+    body_ellipsoid,
+    body_shifted_ball,
+    calibrate,
+    detect,
+    embed,
+    equator_rule,
+    equator_transform,
+    make_frame,
+    sample_poles,
+    strip_gradient,
+    to_scalar_field,
+    transform_sweep,
+)
+from starsym.star_body import _fd_meridian
+
+# calibrate(n) at its defaults, recorded before the sweep was shared
+_SEED_THRESHOLDS = {
+    2: 1e-12,
+    3: 6.221847008511672e-12,
+    4: 1.1046106345603644e-11,
+    5: 1.1170994684839286e-11,
+    6: 8.922168559521992e-12,
+}
+
+
+def _reference_transform(f, frame, rule, fd_step=1e-4):
+    # the original formula: validated embed plus meridian tangent, or
+    # the finite-difference meridian derivative, at psi = 0
+    psi = np.zeros(rule.size)
+    if f.gradient is None:
+        d = _fd_meridian(f.evaluate, frame, rule.nodes, psi, fd_step)
+    else:
+        x = embed(frame, rule.nodes, psi)
+        t = frame.meridian_tangent(rule.nodes, psi)
+        d = np.sum(f.gradient(x) * t, axis=-1)
+    return float(rule.weights @ d)
+
+
+def _bodies(n):
+    center = np.linspace(0.25, -0.15, n)
+    bodies = [body_ball(n, 1.3), body_shifted_ball(n, 1.0, center),
+              body_ellipsoid(n, tuple(np.linspace(1.5, 0.7, n)))]
+    return bodies + [strip_gradient(b) for b in bodies]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sweep_equals_reference_formula(n):
+    rule = equator_rule(n)
+    xis = sample_poles(n, 8, seed=n)
+    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
+    for body in _bodies(n):
+        f = to_scalar_field(body)
+        want = np.array([_reference_transform(f, fr, rule) for fr in frames])
+        assert np.array_equal(transform_sweep(f, frames, rule), want), body.label
+        # bare poles are completed with the same seeded frames
+        assert np.array_equal(transform_sweep(f, xis, rule), want), body.label
+    f = to_scalar_field(strip_gradient(_bodies(n)[1]))
+    want = [_reference_transform(f, fr, rule, fd_step=1e-3) for fr in frames]
+    assert np.array_equal(transform_sweep(f, frames, rule, fd_step=1e-3), want)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_detect_values_equal_reference_formula(n):
+    body = strip_gradient(body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)))
+    f = to_scalar_field(body)
+    rule = equator_rule(n)
+    first = detect(body, num_dirs=10, seed=3)
+    want = [_reference_transform(f, make_frame(xi, seed=FRAME_SEED), rule)
+            for xi in first.xis]
+    assert np.array_equal(first.values, want)
+    # the second sweep reuses the cached frames; its poles are a fresh copy
+    first.xis[:] = 0.0
+    second = detect(body, num_dirs=10, seed=3)
+    assert np.array_equal(second.values, want)
+    assert np.array_equal(second.xis, sample_poles(n, 10, seed=3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_calibrate_matches_recorded_thresholds(n):
+    assert calibrate(n) == _SEED_THRESHOLDS[n]
+
+
+def test_equator_transform_fd_step_must_leave_room_below_the_pole():
+    f = strip_gradient(to_scalar_field(body_ball(3)))
+    frame = make_frame([0.0, 0.0, 1.0], seed=FRAME_SEED)
+    with pytest.raises(ValueError):
+        equator_transform(f, frame, equator_rule(3, 16), fd_step=0.6)
