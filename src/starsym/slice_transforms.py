@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere_geom import FRAME_SEED, EquatorFrame, embed, make_frame
+from .sphere_geom import FRAME_SEED, EquatorFrame, make_frame
 from .star_body import (
     RadialField,
     ScalarField,
@@ -35,7 +35,8 @@ from .star_body import (
 )
 
 _SCAN_POINTS = 64
-_BISECT_WIDTH = 1e-12
+_ROOT_WIDTH = 1e-12
+_MAX_REFINE = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,13 +126,20 @@ def _check_rule(frame, rule):
         raise ValueError("quadrature rule dimension does not match the frame")
 
 
+def _latitude_points(pole, lifted, psi):
+    # embed() without its checks, for rule nodes already lifted into the
+    # frame; the same sin/cos expressions, so the points are bit-identical
+    psi = np.asarray(psi, dtype=float)
+    return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
+
+
 def slice_integral(f, frame, z, rule):
     """Integral of a field over the latitude sphere at height z.
 
     Computes cos^{n-2}(psi) * sum_i w_i f(embed(eta_i, psi)) with
     psi = arcsin(z); the cosine power is the measure ratio between the
     latitude sphere of radius cos(psi) and the unit equator carrying the
-    rule.
+    rule.  The rule nodes are lifted without `embed`'s checks.
 
     Parameters
     ----------
@@ -145,7 +153,7 @@ def slice_integral(f, frame, z, rule):
     if not (-1.0 < z < 1.0):
         raise ValueError("height z must lie in (-1, 1)")
     psi = math.asin(z)
-    x = embed(frame, rule.nodes, psi)
+    x = _latitude_points(frame.pole, rule.nodes @ frame.basis, psi)
     vals = f.evaluate(x)
     return math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
 
@@ -160,20 +168,57 @@ def conical_section(body, frame, z, rule):
     return slice_integral(to_scalar_field(body), frame, z, rule)
 
 
-def _bracket_scan(body, frame, nodes, z, psi_lo, psi_hi):
+def _bracket_scan(body, pole, lifted, z, psi_lo, psi_hi):
     # g(psi) = rho(eta, psi) sin(psi) - z on a uniform scan grid;
-    # returns per-node bracket [lo, hi] of the first sign change and the
-    # total number of sign changes seen (for the multi-root probe).
+    # returns per-node bracket [lo, hi] of the first sign change, g at
+    # both ends, and the total number of sign changes seen (for the
+    # multi-root probe).
     grid = np.linspace(psi_lo, psi_hi, _SCAN_POINTS)
-    vals = np.empty((_SCAN_POINTS, nodes.shape[0]))
+    vals = np.empty((_SCAN_POINTS, lifted.shape[0]))
     for i, psi in enumerate(grid):
-        vals[i] = body.evaluate(embed(frame, nodes, psi)) * math.sin(psi) - z
+        vals[i] = body.evaluate(_latitude_points(pole, lifted, psi)) * math.sin(psi) - z
     signs = np.sign(vals)
     signs[signs == 0.0] = 1.0
     flips = signs[:-1] * signs[1:] < 0
     counts = flips.sum(axis=0)
     first = np.argmax(flips, axis=0)
-    return grid, first, counts
+    cols = np.arange(lifted.shape[0])
+    return (grid[first], grid[first + 1], vals[first, cols], vals[first + 1, cols],
+            counts)
+
+
+def _illinois(g, a, b, ga, gb):
+    # Vectorised Illinois (modified regula falsi, Dowell & Jarratt 1971)
+    # on per-node brackets [a, b] with ga * gb <= 0: an end kept twice in
+    # a row has its value halved.  Stops when every bracket is narrower
+    # than _ROOT_WIDTH or has hit an exact zero, and returns the brackets
+    # with their unscaled end values; raises at the iteration cap.
+    fa, fb = ga, gb
+    kept = np.zeros(a.shape)  # -1: a was kept last, +1: b was kept last
+    done = (b - a <= _ROOT_WIDTH) | (ga == 0.0) | (gb == 0.0)
+    for _ in range(_MAX_REFINE):
+        if done.all():
+            return a, b, ga, gb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        # a false-position point outside the bracket (or undefined) is
+        # replaced by the midpoint; one on or within half the target width
+        # of an end moves that far inside, so that an end already sitting
+        # on the root closes the bracket in one step, not a bisection run
+        c = np.where((c >= a) & (c <= b), c, 0.5 * (a + b))
+        c = np.clip(c, a + _ROOT_WIDTH / 2, b - _ROOT_WIDTH / 2)
+        gc = g(c)
+        zero = ~done & (gc == 0.0)
+        left = ~done & ~zero & ((gc < 0.0) == (ga < 0.0))  # c replaces a
+        right = ~done & ~zero & ~left                      # c replaces b
+        fa = np.where(right & (kept == -1), 0.5 * fa, fa)
+        fb = np.where(left & (kept == 1), 0.5 * fb, fb)
+        kept = np.where(left, 1.0, np.where(right, -1.0, kept))
+        to_a, to_b = left | zero, right | zero
+        a, ga, fa = np.where(to_a, c, a), np.where(to_a, gc, ga), np.where(to_a, gc, fa)
+        b, gb, fb = np.where(to_b, c, b), np.where(to_b, gc, gb), np.where(to_b, gc, fb)
+        done |= zero | (b - a <= _ROOT_WIDTH)
+    raise RuntimeError("hyperplane root refinement did not converge")
 
 
 def hyperplane_section(body, frame, z, rule):
@@ -183,17 +228,21 @@ def hyperplane_section(body, frame, z, rule):
     rho(eta, psi) sin(psi) = z locates the cut boundary; the profile
     radius about the foot point z xi is r = rho cos(psi*), and the cut
     volume is sum_i w_i r_i^{n-1} / (n-1).  Requires the cut to be
-    star-shaped about the foot point (declared on the body); the root is
-    bracketed by a 64-point scan (which doubles as a multi-root probe),
-    bisected to width 1e-12 and polished with one secant step.
+    star-shaped about the foot point (declared on the body).  The root
+    is bracketed by a 64-point scan (which doubles as a multi-root
+    probe), refined by Illinois steps inside that bracket to width
+    1e-12, and read off one secant step on the final bracket.  Only
+    values of rho are used, so bodies with and without a gradient take
+    the same path.
     """
     _check_rule(frame, rule)
     if not body.sections_star_shaped:
         raise ValueError("body does not declare star-shaped hyperplane sections")
     z = float(z)
     n = frame.dim
-    nodes = rule.nodes
-    rho_eq = body.evaluate(frame.lift(nodes))
+    pole = frame.pole
+    lifted = rule.nodes @ frame.basis
+    rho_eq = body.evaluate(lifted)
     if abs(z) >= float(rho_eq.min()):
         raise ValueError("height |z| must stay below the equator radius of the body")
     if z == 0.0:
@@ -204,38 +253,27 @@ def hyperplane_section(body, frame, z, rule):
     floor = max(body.radius_floor, 1e-12)
     psi_max = min(math.asin(min(1.0, abs(z) / floor)) + 0.1, cap)
     lo, hi = (0.0, psi_max) if z > 0 else (-psi_max, 0.0)
-    grid, first, counts = _bracket_scan(body, frame, nodes, z, lo, hi)
+    a, b, ga, gb, counts = _bracket_scan(body, pole, lifted, z, lo, hi)
     if np.any(counts == 0):
         # widen once to the full quarter before giving up
         lo, hi = (0.0, cap) if z > 0 else (-cap, 0.0)
-        grid, first, counts = _bracket_scan(body, frame, nodes, z, lo, hi)
+        a, b, ga, gb, counts = _bracket_scan(body, pole, lifted, z, lo, hi)
         if np.any(counts == 0):
             raise ValueError("root bracketing failed: the cut misses some meridians")
     if np.any(counts > 1):
         raise ValueError("multiple boundary crossings: cut is not star-shaped "
                          "about its foot point")
 
-    a = grid[first]
-    b = grid[first + 1]
-
     def g(psi):
-        return body.evaluate(embed(frame, nodes, psi)) * np.sin(psi) - z
+        return body.evaluate(_latitude_points(pole, lifted, psi)) * np.sin(psi) - z
 
-    ga = g(a)
-    while np.max(b - a) > _BISECT_WIDTH:
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        take_left = ga * gm <= 0.0
-        b = np.where(take_left, mid, b)
-        a = np.where(take_left, a, mid)
-        ga = np.where(take_left, ga, gm)
-    gb = g(b)
+    a, b, ga, gb = _illinois(g, a, b, ga, gb)
     denom = gb - ga
     safe = np.abs(denom) > 1e-300
     psi_star = np.where(safe, b - gb * (b - a) / np.where(safe, denom, 1.0),
                         0.5 * (a + b))
     psi_star = np.clip(psi_star, -cap, cap)
-    r = body.evaluate(embed(frame, nodes, psi_star)) * np.cos(psi_star)
+    r = body.evaluate(_latitude_points(pole, lifted, psi_star)) * np.cos(psi_star)
     return float(rule.weights @ (r ** (n - 1))) / (n - 1)
 
 
@@ -258,9 +296,9 @@ def equator_transform(f, frame, rule, fd_step=1e-4):
     else:
         if 3 * fd_step > math.pi / 2:
             raise ValueError("finite-difference meridian derivative too close to a pole")
-        lat = np.array([fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0])
-        up, down, up2, down2 = (f.evaluate(s * pole + c * lifted)
-                                for s, c in zip(np.sin(lat), np.cos(lat)))
+        lat = (fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0)
+        up, down, up2, down2 = (f.evaluate(_latitude_points(pole, lifted, psi))
+                                for psi in lat)
         d1 = (up - down) / (2.0 * fd_step)
         d2 = (up2 - down2) / (2.0 * (fd_step / 2.0))
         d = (4.0 * d2 - d1) / 3.0

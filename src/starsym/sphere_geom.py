@@ -179,8 +179,11 @@ def embed(frame, eta, psi):
 
     Validates its input: raises ValueError for a latitude outside
     [-pi/2, pi/2] or equator coordinates that are not unit vectors.
-    The pole sweep in `slice_transforms.equator_transform` lifts trusted
-    rule nodes itself and skips these checks.
+    The internal callers in `slice_transforms` (`equator_transform` and
+    so every pole sweep, `slice_integral` and `conical_section`, and
+    `hyperplane_section`) lift the trusted rule nodes once and skip these
+    checks through the private `_latitude_points`, which uses the same
+    expression and so gives bit-identical points.
 
     Parameters
     ----------

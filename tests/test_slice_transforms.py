@@ -1,6 +1,7 @@
 """Section curves, the equatorial transform, and their slope agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,11 @@ from starsym import (
     richardson_limit,
     section_curve,
     slice_integral,
+    strip_gradient,
     to_scalar_field,
     vol_sphere,
 )
+from starsym import slice_transforms
 
 
 def _rule(n):
@@ -113,6 +116,148 @@ def test_hyperplane_section_of_ellipsoid_closed_form():
         want = math.pi * a * b * (1.0 - (z / c) ** 2)
         got = hyperplane_section(body, frame, z, rule)
         assert got == pytest.approx(want, rel=1e-9), z
+
+
+def _ball_volume(m):
+    # omega_m: volume of the unit m-ball
+    return vol_sphere(m - 1) / m
+
+
+def _off_axis_frame(n):
+    return make_frame(np.arange(1, n + 1, dtype=float))
+
+
+_HEIGHTS = (-0.5, -0.1, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_of_shifted_ball_all_dims(n):
+    radius = 1.0
+    center = np.linspace(0.25, -0.15, n)
+    body = body_shifted_ball(n, radius, center)
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    for z in _HEIGHTS:
+        d = float(center @ frame.pole) - z
+        want = _ball_volume(n - 1) * (radius ** 2 - d ** 2) ** ((n - 1) / 2)
+        got = hyperplane_section(body, frame, z, rule)
+        assert got == pytest.approx(want, rel=1e-9), (n, z)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_of_ellipsoid_all_dims(n):
+    # the default n = 6 rule stops near 1e-8 on this body; 20 is enough
+    a = np.linspace(1.2, 0.9, n)
+    body = body_ellipsoid(n, a)
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n, 20 if n == 6 else None)
+    h = float(np.linalg.norm(a * frame.pole))
+    for z in _HEIGHTS:
+        want = (_ball_volume(n - 1) * float(np.prod(a)) / h
+                * (1.0 - (z / h) ** 2) ** ((n - 1) / 2))
+        got = hyperplane_section(body, frame, z, rule)
+        assert got == pytest.approx(want, rel=1e-9), (n, z)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_shifted_ball_hyperplane_slope_closed_form(n):
+    # V(z) = omega_{n-1} (r^2 - (s - z)^2)^{(n-1)/2} with s = <c, xi>
+    radius = 1.0
+    center = np.linspace(0.25, -0.15, n)
+    body = body_shifted_ball(n, radius, center)
+    frame = _off_axis_frame(n)
+    s = float(center @ frame.pole)
+    want = (_ball_volume(n - 1) * (n - 1) * s
+            * (radius ** 2 - s ** 2) ** ((n - 3) / 2))
+    res = derivative_at_zero("hyperplane", body, frame, equator_rule(n))
+    assert res.transform_value == pytest.approx(want, rel=1e-12, abs=1e-14), n
+    assert res.fd_value == pytest.approx(want, abs=1e-11), n
+
+
+def _count_evaluations(body):
+    calls = []
+
+    def evaluate(u):
+        calls.append(1)
+        return body.evaluate(u)
+
+    counted = replace(body, evaluate=evaluate)
+    calls.clear()
+    return counted, calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_evaluation_budget(n):
+    # the equator radius, a 64-point scan and a short refinement; on the
+    # second ellipsoid some false-position points round onto a bracket
+    # end that already sits on the root
+    bodies = (body_ball(n, 1.1),
+              body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
+              body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
+              body_ellipsoid(n, np.linspace(0.8, 1.5, n)))
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    for body in bodies:
+        counted, calls = _count_evaluations(body)
+        for z in _HEIGHTS:
+            calls.clear()
+            value = hyperplane_section(counted, frame, z, rule)
+            assert value == hyperplane_section(body, frame, z, rule)
+            assert len(calls) <= 80, (body.label, z, len(calls))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_ignores_gradient(n):
+    body = body_ellipsoid(n, np.linspace(1.3, 0.8, n))
+    bare = strip_gradient(body)
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    zs = np.array([-0.6, -0.3, 0.0, 0.2, 0.7])
+    with_grad = [hyperplane_section(body, frame, z, rule) for z in zs]
+    without = [hyperplane_section(bare, frame, z, rule) for z in zs]
+    assert np.array_equal(with_grad, without)
+
+
+def _run_illinois(g, a, b):
+    calls = []
+
+    def counted(psi):
+        calls.append(1)
+        return g(psi)
+
+    a, b = np.array([a]), np.array([b])
+    result = slice_transforms._illinois(counted, a, b, g(a), g(b))
+    return (len(calls),) + result
+
+
+def test_illinois_stops_on_exact_zero():
+    calls, a, b, ga, gb = _run_illinois(lambda x: x - 0.5, 0.0, 1.0)
+    assert calls == 1
+    assert a[0] == b[0] == 0.5 and ga[0] == gb[0] == 0.0
+
+
+def test_illinois_closes_bracket_when_an_end_sits_on_the_root():
+    # every false-position point rounds onto a = 0.25, where g is -1e-18;
+    # one step half the target width inside closes the bracket
+    calls, a, b, ga, gb = _run_illinois(lambda x: x - 0.25 - 1e-18, 0.25, 0.75)
+    assert calls == 1
+    assert a[0] == 0.25 and 0.0 < b[0] - a[0] <= 1e-12
+    assert ga[0] < 0.0 < gb[0]
+
+
+def test_illinois_halving_beats_plain_false_position():
+    # plain regula falsi keeps the end b = 1 and needs about 25 steps here
+    root = 0.5 ** 0.1
+    calls, a, b, ga, gb = _run_illinois(lambda x: x ** 10 - 0.5, 0.0, 1.0)
+    assert calls <= 16
+    assert a[0] <= root <= b[0] and b[0] - a[0] <= 1e-12
+
+
+def test_hyperplane_section_raises_at_refinement_cap(monkeypatch):
+    monkeypatch.setattr(slice_transforms, "_MAX_REFINE", 2)
+    body = body_ellipsoid(3, (1.2, 1.0, 0.9))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        hyperplane_section(body, _off_axis_frame(3), 0.3, _rule(3))
 
 
 def test_conical_and_hyperplane_coincide_at_zero():
