@@ -32,9 +32,9 @@ from .star_body import (
     body_harmonic_perturbed_ball,
     body_shifted_ball,
 )
-from .slice_transforms import derivative_at_zero, section_curve, transform_sweep
+from .slice_transforms import derivative_at_zero, section_curve
 from .symmetry_detector import detect
-from .harmonics import LMAX, fourier_field, multiplier_table
+from .harmonics import LMAX, fourier_multiplier_table, multiplier_table
 from .verify import VerifyConfig, run_checks
 
 
@@ -430,33 +430,16 @@ def cmd_verify(cfg):
 def cmd_harmonics(cfg):
     os.makedirs(cfg.out, exist_ok=True)
     resolution = cfg.resolution or default_resolution(cfg.dim)
-    rows = []
+    fit = multiplier_table if cfg.dim == 3 else fourier_multiplier_table
+    table = fit(cfg.lmax, num_xi=max(cfg.num_xi, 12), resolution=resolution, seed=cfg.seed)
+    rows = table.orders
     if cfg.dim == 3:
-        table = multiplier_table(cfg.lmax, num_xi=max(cfg.num_xi, 12),
-                                 resolution=resolution, seed=cfg.seed)
-        rows = list(table.orders)
         for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
             print(f"degree {l}: lambda = {lam: .12g}  (worst fit residual {res:.3e})")
     else:
-        if cfg.lmax < 1:
-            raise ValueError("lmax must be at least 1 for dimension 2")
-        rule = equator_rule(2, resolution)
-        rng = np.random.default_rng(cfg.seed)
-        thetas = rng.uniform(0.0, 2.0 * math.pi, size=max(cfg.num_xi, 12))
-        poles = [(math.cos(t), math.sin(t)) for t in thetas]
-        for k in range(1, cfg.lmax + 1):
-            coeffs = tuple(1.0 if j == k - 1 else 0.0 for j in range(k))
-            for order, f, basis in (
-                    (k, fourier_field(0.0, coeffs, ()), np.cos(k * thetas)),
-                    (-k, fourier_field(0.0, (), coeffs), np.sin(k * thetas))):
-                ts = transform_sweep(f, poles, rule)
-                lam = float(ts @ basis) / float(basis @ basis)
-                res = float(np.max(np.abs(ts - lam * basis)))
-                rows.append((k, order, lam, res))
-        for k in range(1, cfg.lmax + 1):
-            lam = [r[2] for r in rows if r[0] == k]
-            print(f"frequency {k}: lambda = {lam[0]: .12g} (cos), "
-                  f"{lam[1]: .12g} (sin)")
+        for (k, _, cos_lam, _), (_, _, sin_lam, _) in zip(rows[::2], rows[1::2]):
+            print(f"frequency {k}: lambda = {cos_lam: .12g} (cos), "
+                  f"{sin_lam: .12g} (sin)")
     lines = [_param_line({"command": cfg.command, "dim": cfg.dim,
                           "lmax": cfg.lmax, "seed": cfg.seed,
                           "resolution": resolution}),

@@ -21,7 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere_geom import (
+    FRAME_SEED,
+    default_resolution,
     fibonacci_sphere,
+    make_frame,
     probe_directions,
     random_directions,
     sphere_rule,
@@ -37,10 +40,22 @@ _PROBE_N = 8192
 _PROBE_COVER = 0.045
 
 
+@lru_cache(maxsize=None)
 def _legendre_coeffs(degree):
-    # ascending monomial coefficients of the Legendre polynomial
+    # ascending monomial coefficients of the Legendre polynomial; cached
+    # for every order of the degree, so read-only
     basis = np.polynomial.legendre.Legendre.basis(degree)
-    return basis.convert(kind=np.polynomial.Polynomial).coef
+    coef = basis.convert(kind=np.polynomial.Polynomial).coef
+    coef.setflags(write=False)
+    return coef
+
+
+@lru_cache(maxsize=None)
+def _probe_grid():
+    # the Fibonacci grid behind every harmonic's sup bound, shared and read-only
+    grid = fibonacci_sphere(_PROBE_N)
+    grid.setflags(write=False)
+    return grid
 
 
 def _solid_harmonic_terms(degree, order):
@@ -144,7 +159,7 @@ def real_harmonic(degree, order):
     def gradient(u):
         return _poly_gradient(exps, coefs, u)
 
-    probe_max = float(np.max(np.abs(evaluate(fibonacci_sphere(_PROBE_N)))))
+    probe_max = float(np.max(np.abs(evaluate(_probe_grid()))))
     if l == 0:
         sup = probe_max
     else:
@@ -183,6 +198,8 @@ class MultiplierTable:
     `degrees[i]` fitted jointly over all orders; `residuals[i]` is the
     worst absolute deviation |T Y - lambda Y| observed in the fit.
     `orders` holds the per-(l, m) fits as (l, m, lambda, residual).
+    For dim 2 the degrees are frequencies k, with order k for cos(k theta)
+    and -k for sin(k theta).
     """
 
     dim: int
@@ -193,6 +210,12 @@ class MultiplierTable:
     num_xi: int
     resolution: int
     seed: int
+
+
+def _fit(t, v):
+    # least-squares slope of T f against f, and the worst deviation from it
+    lam = float(t @ v) / float(v @ v)
+    return lam, float(np.max(np.abs(t - lam * v)))
 
 
 def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
@@ -207,12 +230,25 @@ def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
     xis = random_directions(3, num_xi, seed=seed)
     t = transform_sweep(y, xis, equator_rule(3, resolution))
     vals = y.evaluate(xis)
-    denom = float(vals @ vals)
-    if denom < 1e-12:
+    if float(vals @ vals) < 1e-12:
         raise ValueError("degenerate pole sample: harmonic vanishes on all poles")
-    lam = float(t @ vals) / denom
-    residual = float(np.max(np.abs(t - lam * vals)))
-    return lam, residual
+    return _fit(t, vals)
+
+
+def _table(dim, sweeps, num_xi, resolution, seed):
+    # sweeps: (degree, order, T f over the poles, f over the poles), grouped
+    # by degree; fitted per order and jointly per degree
+    orders, by_degree = [], {}
+    for l, m, t, v in sweeps:
+        orders.append((l, m, *_fit(t, v)))
+        by_degree.setdefault(l, []).append((t, v))
+    fits = [_fit(np.concatenate([t for t, _ in tv]), np.concatenate([v for _, v in tv]))
+            for tv in by_degree.values()]
+    return MultiplierTable(dim=dim, degrees=tuple(by_degree),
+                           multipliers=tuple(lam for lam, _ in fits),
+                           residuals=tuple(res for _, res in fits), orders=tuple(orders),
+                           num_xi=int(num_xi), resolution=int(resolution),
+                           seed=int(seed))
 
 
 def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
@@ -223,28 +259,15 @@ def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
     if resolution is None:
         resolution = 512
     xis = random_directions(3, num_xi, seed=seed)
+    # one frame per pole for all (lmax + 1)^2 sweeps
+    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
     rule = equator_rule(3, resolution)
-    degrees, lams, residuals, orders = [], [], [], []
+    sweeps = []
     for l in range(lmax + 1):
-        ts, vs = [], []
         for m in range(-l, l + 1):
             y = real_harmonic(l, m)
-            t = transform_sweep(y, xis, rule)
-            v = y.evaluate(xis)
-            lam_m = float(t @ v) / float(v @ v)
-            orders.append((l, m, lam_m, float(np.max(np.abs(t - lam_m * v)))))
-            ts.append(t)
-            vs.append(v)
-        ts = np.concatenate(ts)
-        vs = np.concatenate(vs)
-        lam = float(ts @ vs) / float(vs @ vs)
-        degrees.append(l)
-        lams.append(lam)
-        residuals.append(float(np.max(np.abs(ts - lam * vs))))
-    return MultiplierTable(dim=3, degrees=tuple(degrees), multipliers=tuple(lams),
-                           residuals=tuple(residuals), orders=tuple(orders),
-                           num_xi=int(num_xi), resolution=int(resolution),
-                           seed=int(seed))
+            sweeps.append((l, m, transform_sweep(y, frames, rule), y.evaluate(xis)))
+    return _table(3, sweeps, num_xi, resolution, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +334,29 @@ def fourier_check_n2(a0, cos_coeffs, sin_coeffs, theta0):
 
     del a0  # constant part never contributes
     return deriv(theta0 - math.pi / 2) - deriv(theta0 + math.pi / 2)
+
+
+def fourier_multiplier_table(kmax, num_xi=50, resolution=None, seed=11):
+    """Estimate the n=2 multipliers of cos(k theta) and sin(k theta), k = 1..kmax.
+
+    Poles sit at `num_xi` seeded uniform angles.  The exact multiplier of
+    both is 2 k sin(k pi / 2) (see `fourier_check_n2`).
+    """
+    kmax = int(kmax)
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    if resolution is None:
+        resolution = default_resolution(2)
+    thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=num_xi)
+    frames = [make_frame((math.cos(t), math.sin(t)), seed=FRAME_SEED) for t in thetas]
+    rule = equator_rule(2, resolution)
+    sweeps = []
+    for k in range(1, kmax + 1):
+        coeffs = tuple(1.0 if j == k - 1 else 0.0 for j in range(k))
+        for order, f, basis in ((k, fourier_field(0.0, coeffs, ()), np.cos(k * thetas)),
+                                (-k, fourier_field(0.0, (), coeffs), np.sin(k * thetas))):
+            sweeps.append((k, order, transform_sweep(f, frames, rule), basis))
+    return _table(2, sweeps, num_xi, resolution, seed)
 
 
 # ---------------------------------------------------------------------------

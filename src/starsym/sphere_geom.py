@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_gegenbauer
 
 DIM_MIN = 2
 DIM_MAX = 6
@@ -249,6 +248,8 @@ def _polar_rule(sine_power, count):
         w = w * (1.0 - t * t) ** ((j - 1) // 2)
         exact = 2 * count - j
     else:
+        # imported lazily: scipy costs about 0.3 s and only n >= 5 rules need it
+        from scipy.special import roots_gegenbauer
         t, w = roots_gegenbauer(count, j / 2.0)
         exact = 2 * count - 1
     return t, w, exact

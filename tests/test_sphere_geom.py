@@ -1,6 +1,9 @@
 """Frames, latitude embedding, and quadrature rules."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -196,3 +199,49 @@ def test_make_frame_deterministic():
     a = make_frame([0.0, 1.0, 0.0], seed=0)
     b = make_frame([0.0, 1.0, 0.0], seed=0)
     assert np.array_equal(a.basis, b.basis)
+
+
+# Run in a fresh interpreter: other test modules import scipy themselves.
+_LAZY_SCIPY = """
+import sys
+import numpy as np
+import starsym.cli
+from starsym import default_resolution, equator_rule, vol_sphere
+equator_rule(3)
+equator_rule(4)
+assert "scipy.special" not in sys.modules, "scipy imported before an n >= 5 rule"
+rules = {n: equator_rule(n) for n in (5, 6)}
+assert "scipy.special" in sys.modules, "n >= 5 rule built without scipy"
+from scipy.special import roots_gegenbauer
+for n, rule in rules.items():
+    # the product rule written out: the circle, then the polar factor
+    # sin^j for j = 1..n-3, Gauss-Legendre for odd j, Gegenbauer for even j
+    res = default_resolution(n)
+    count = res // 2
+    angles = 2.0 * np.pi * np.arange(res) / res
+    nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+    weights = np.full(res, 2.0 * np.pi / res)
+    for j in range(1, n - 2):
+        if j % 2:
+            t, w = np.polynomial.legendre.leggauss(count)
+            w = w * (1.0 - t * t) ** ((j - 1) // 2)
+        else:
+            t, w = roots_gegenbauer(count, j / 2.0)
+        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        nodes = np.concatenate(
+            [nodes[None, :, :] * s[:, None, None],
+             np.broadcast_to(t[:, None, None], (count, nodes.shape[0], 1))],
+            axis=2).reshape(-1, nodes.shape[1] + 1)
+        weights = (w[:, None] * weights[None, :]).reshape(-1)
+    weights = weights * (vol_sphere(n - 2) / weights.sum())
+    assert np.array_equal(rule.nodes, nodes), n
+    assert np.array_equal(rule.weights, weights), n
+"""
+
+
+def test_scipy_is_imported_only_for_gegenbauer_rules():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
