@@ -133,29 +133,48 @@ def _latitude_points(pole, lifted, psi):
     return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
 
 
+def _heights(z):
+    # a scalar height is a batch of one; returns the 1-d batch and
+    # whether the caller passed a scalar
+    zs = np.asarray(z, dtype=float)
+    if zs.ndim > 1:
+        raise ValueError("heights must be a scalar or a 1-d array")
+    return zs.reshape(-1), zs.ndim == 0
+
+
+def _shaped(values, scalar):
+    return float(values[0]) if scalar else values
+
+
 def slice_integral(f, frame, z, rule):
     """Integral of a field over the latitude sphere at height z.
 
     Computes cos^{n-2}(psi) * sum_i w_i f(embed(eta_i, psi)) with
     psi = arcsin(z); the cosine power is the measure ratio between the
     latitude sphere of radius cos(psi) and the unit equator carrying the
-    rule.  The rule nodes are lifted without `embed`'s checks.
+    rule.  The rule nodes are lifted once, without `embed`'s checks, and
+    the heights are integrated one at a time.
 
     Parameters
     ----------
     f : ScalarField
     frame : EquatorFrame
-    z : height in (-1, 1)
+    z : height in (-1, 1), or a 1-d array of heights
     rule : EquatorQuadrature on S^{n-2}
+
+    Returns a float for a scalar z and an array shaped like z otherwise.
     """
     _check_rule(frame, rule)
-    z = float(z)
-    if not (-1.0 < z < 1.0):
+    zs, scalar = _heights(z)
+    if not np.all(np.abs(zs) < 1.0):
         raise ValueError("height z must lie in (-1, 1)")
-    psi = math.asin(z)
-    x = _latitude_points(frame.pole, rule.nodes @ frame.basis, psi)
-    vals = f.evaluate(x)
-    return math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
+    lifted = rule.nodes @ frame.basis
+    values = np.empty(zs.shape)
+    for j, z in enumerate(zs):
+        psi = math.asin(z)
+        vals = f.evaluate(_latitude_points(frame.pole, lifted, psi))
+        values[j] = math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
+    return _shaped(values, scalar)
 
 
 def conical_section(body, frame, z, rule):
@@ -163,28 +182,35 @@ def conical_section(body, frame, z, rule):
 
     The cone with apex 0 whose rays make angle arccos(z) with the pole
     meets the unit sphere in the latitude sphere at psi = arcsin(z), so
-    this is the slice integral of the body's section density.
+    this is the slice integral of the body's section density.  Takes a
+    scalar height or a 1-d array of heights, like `slice_integral`.
     """
     return slice_integral(to_scalar_field(body), frame, z, rule)
 
 
-def _bracket_scan(body, pole, lifted, z, psi_lo, psi_hi):
-    # g(psi) = rho(eta, psi) sin(psi) - z on a uniform scan grid;
-    # returns per-node bracket [lo, hi] of the first sign change, g at
-    # both ends, and the total number of sign changes seen (for the
-    # multi-root probe).
+def _scan_side(body, pole, lifted, zs, psi_lo, psi_hi):
+    # rho(eta, psi) sin(psi) on a uniform latitude grid, one row per grid
+    # latitude.  It does not depend on the height, so every height on one
+    # side of the equator reads its g = table - z from the same table:
+    # per height and node, the grid index of the first sign change of g
+    # (uint8 holds the 63 scan intervals), and whether some height has a
+    # node with no sign change or with more than one (the multi-root
+    # probe).  g = 0 counts as positive, and g >= 0 exactly when
+    # table >= z.
     grid = np.linspace(psi_lo, psi_hi, _SCAN_POINTS)
-    vals = np.empty((_SCAN_POINTS, lifted.shape[0]))
+    table = np.empty((_SCAN_POINTS, lifted.shape[0]))
     for i, psi in enumerate(grid):
-        vals[i] = body.evaluate(_latitude_points(pole, lifted, psi)) * math.sin(psi) - z
-    signs = np.sign(vals)
-    signs[signs == 0.0] = 1.0
-    flips = signs[:-1] * signs[1:] < 0
-    counts = flips.sum(axis=0)
-    first = np.argmax(flips, axis=0)
-    cols = np.arange(lifted.shape[0])
-    return (grid[first], grid[first + 1], vals[first, cols], vals[first + 1, cols],
-            counts)
+        table[i] = body.evaluate(_latitude_points(pole, lifted, psi)) * math.sin(psi)
+    firsts = np.empty((zs.size, lifted.shape[0]), dtype=np.uint8)
+    missed = multiple = False
+    for j, z in enumerate(zs):
+        above = table >= z
+        flips = above[:-1] != above[1:]
+        counts = flips.sum(axis=0)
+        firsts[j] = np.argmax(flips, axis=0)
+        missed |= bool(np.any(counts == 0))
+        multiple |= bool(np.any(counts > 1))
+    return grid, table, firsts, missed, multiple
 
 
 def _illinois(g, a, b, ga, gb):
@@ -221,6 +247,45 @@ def _illinois(g, a, b, ga, gb):
     raise RuntimeError("hyperplane root refinement did not converge")
 
 
+def _profile_radii(body, pole, lifted, z, a, b, ga, gb, cap):
+    # one height's cut boundary: refine the per-node brackets, read psi*
+    # off one secant step on the final bracket, and return the profile
+    # radii rho cos(psi*) about the foot point
+    def g(psi):
+        return body.evaluate(_latitude_points(pole, lifted, psi)) * np.sin(psi) - z
+
+    a, b, ga, gb = _illinois(g, a, b, ga, gb)
+    denom = gb - ga
+    safe = np.abs(denom) > 1e-300
+    psi_star = np.where(safe, b - gb * (b - a) / np.where(safe, denom, 1.0),
+                        0.5 * (a + b))
+    psi_star = np.clip(psi_star, -cap, cap)
+    return body.evaluate(_latitude_points(pole, lifted, psi_star)) * np.cos(psi_star)
+
+
+def _side_radii(body, pole, lifted, zs, cap):
+    # profile radii for heights all on one side of the equator, one
+    # height at a time; the scan range is sized by the largest |z|
+    floor = max(body.radius_floor, 1e-12)
+    psi_max = min(math.asin(min(1.0, float(np.abs(zs).max()) / floor)) + 0.1, cap)
+    up = zs[0] > 0.0
+    lo, hi = (0.0, psi_max) if up else (-psi_max, 0.0)
+    grid, table, firsts, missed, multiple = _scan_side(body, pole, lifted, zs, lo, hi)
+    if missed:
+        # widen once to the full quarter before giving up
+        lo, hi = (0.0, cap) if up else (-cap, 0.0)
+        grid, table, firsts, missed, multiple = _scan_side(body, pole, lifted, zs, lo, hi)
+        if missed:
+            raise ValueError("root bracketing failed: the cut misses some meridians")
+    if multiple:
+        raise ValueError("multiple boundary crossings: cut is not star-shaped "
+                         "about its foot point")
+    cols = np.arange(lifted.shape[0])
+    for z, first in zip(zs, firsts):
+        yield _profile_radii(body, pole, lifted, z, grid[first], grid[first + 1],
+                              table[first, cols] - z, table[first + 1, cols] - z, cap)
+
+
 def hyperplane_section(body, frame, z, rule):
     """(n-1)-volume of the flat cut { x : <x, xi> = z } through the body.
 
@@ -234,47 +299,33 @@ def hyperplane_section(body, frame, z, rule):
     1e-12, and read off one secant step on the final bracket.  Only
     values of rho are used, so bodies with and without a gradient take
     the same path.
+
+    z may be a scalar or a 1-d array of heights.  The scan values
+    rho sin(psi) do not depend on z, so all heights on one side of the
+    equator share one scan, sized by their largest |z|; a single height
+    scans exactly the grid it would scan alone.  Every height is checked
+    against the equator radius before any scan.  Returns a float for a
+    scalar z and an array shaped like z otherwise.
     """
     _check_rule(frame, rule)
     if not body.sections_star_shaped:
         raise ValueError("body does not declare star-shaped hyperplane sections")
-    z = float(z)
+    zs, scalar = _heights(z)
     n = frame.dim
     pole = frame.pole
     lifted = rule.nodes @ frame.basis
     rho_eq = body.evaluate(lifted)
-    if abs(z) >= float(rho_eq.min()):
+    if not np.all(np.abs(zs) < float(rho_eq.min())):
         raise ValueError("height |z| must stay below the equator radius of the body")
-    if z == 0.0:
-        r = rho_eq
-        return float(rule.weights @ (r ** (n - 1))) / (n - 1)
-
+    values = np.empty(zs.shape)
+    values[zs == 0.0] = float(rule.weights @ (rho_eq ** (n - 1))) / (n - 1)
     cap = math.pi / 2 - 1e-9
-    floor = max(body.radius_floor, 1e-12)
-    psi_max = min(math.asin(min(1.0, abs(z) / floor)) + 0.1, cap)
-    lo, hi = (0.0, psi_max) if z > 0 else (-psi_max, 0.0)
-    a, b, ga, gb, counts = _bracket_scan(body, pole, lifted, z, lo, hi)
-    if np.any(counts == 0):
-        # widen once to the full quarter before giving up
-        lo, hi = (0.0, cap) if z > 0 else (-cap, 0.0)
-        a, b, ga, gb, counts = _bracket_scan(body, pole, lifted, z, lo, hi)
-        if np.any(counts == 0):
-            raise ValueError("root bracketing failed: the cut misses some meridians")
-    if np.any(counts > 1):
-        raise ValueError("multiple boundary crossings: cut is not star-shaped "
-                         "about its foot point")
-
-    def g(psi):
-        return body.evaluate(_latitude_points(pole, lifted, psi)) * np.sin(psi) - z
-
-    a, b, ga, gb = _illinois(g, a, b, ga, gb)
-    denom = gb - ga
-    safe = np.abs(denom) > 1e-300
-    psi_star = np.where(safe, b - gb * (b - a) / np.where(safe, denom, 1.0),
-                        0.5 * (a + b))
-    psi_star = np.clip(psi_star, -cap, cap)
-    r = body.evaluate(_latitude_points(pole, lifted, psi_star)) * np.cos(psi_star)
-    return float(rule.weights @ (r ** (n - 1))) / (n - 1)
+    for side in (zs > 0.0, zs < 0.0):
+        index = np.flatnonzero(side)
+        if index.size:
+            for j, r in zip(index, _side_radii(body, pole, lifted, zs[index], cap)):
+                values[j] = float(rule.weights @ (r ** (n - 1))) / (n - 1)
+    return _shaped(values, scalar)
 
 
 def equator_transform(f, frame, rule, fd_step=1e-4):
@@ -323,18 +374,19 @@ def transform_sweep(f, frames, rule, fd_step=1e-4):
 _KINDS = ("slice", "conical", "hyperplane")
 
 
-def _curve_function(kind, obj, frame, rule):
+def _curve_function(kind, obj):
+    # the section function of a curve kind, called as fn(obj, frame, zs,
+    # rule), and the field whose transform is the curve's slope at z = 0
     if kind == "slice":
         if not isinstance(obj, ScalarField):
             raise TypeError("slice curves take a ScalarField")
-        return (lambda z: slice_integral(obj, frame, z, rule)), obj
+        return slice_integral, obj
     if not isinstance(obj, RadialField):
         raise TypeError(f"{kind} curves take a RadialField")
     if kind == "conical":
-        return (lambda z: conical_section(obj, frame, z, rule)), to_scalar_field(obj)
+        return conical_section, to_scalar_field(obj)
     if kind == "hyperplane":
-        return (lambda z: hyperplane_section(obj, frame, z, rule)),\
-            hyperplane_profile_field(obj)
+        return hyperplane_section, hyperplane_profile_field(obj)
     raise ValueError(f"unknown curve kind {kind!r}; expected one of {_KINDS}")
 
 
@@ -342,11 +394,12 @@ def section_curve(kind, obj, frame, zs, rule):
     """Sample a section curve on a grid of heights.
 
     kind is one of 'slice', 'conical', 'hyperplane'; obj is a
-    ScalarField for 'slice' and a RadialField otherwise.
+    ScalarField for 'slice' and a RadialField otherwise.  All heights
+    go to the section function in one call.
     """
-    fn, _ = _curve_function(kind, obj, frame, rule)
+    fn, _ = _curve_function(kind, obj)
     zs = np.asarray(zs, dtype=float)
-    values = np.array([fn(z) for z in zs])
+    values = fn(obj, frame, zs, rule)
     label = getattr(obj, "label", "")
     return SectionCurve(kind=kind, xi=frame.pole.copy(), zs=zs, values=values,
                         label=label)
@@ -356,18 +409,19 @@ def derivative_at_zero(kind, obj, frame, rule, fd=None, transform_rule=None):
     """Slope of a section curve at z = 0, checked against the transform.
 
     The finite-difference side differentiates the sampled curve with a
-    halving central-difference ladder and Richardson extrapolation; the
-    transform side applies the equatorial transform to the curve's
+    halving central-difference ladder and Richardson extrapolation, all
+    2 * levels ladder heights going to the section function in one call;
+    the transform side applies the equatorial transform to the curve's
     matching field (the section density for slice/conical curves, the
     flat-cut slope density for hyperplane curves).  `transform_rule`
     overrides the rule used on the transform side only.
     """
     fd = fd or FdOptions()
-    fn, match = _curve_function(kind, obj, frame, rule)
-    steps = []
-    for k in range(fd.levels):
-        h = fd.h0 / 2.0 ** k
-        steps.append((h, (fn(h) - fn(-h)) / (2.0 * h)))
+    fn, match = _curve_function(kind, obj)
+    hs = [fd.h0 / 2.0 ** k for k in range(fd.levels)]
+    values = fn(obj, frame, np.array(hs + [-h for h in hs]), rule)
+    steps = [(h, float((up - down) / (2.0 * h)))
+             for h, up, down in zip(hs, values[:fd.levels], values[fd.levels:])]
     fd_value, diag = richardson_limit(steps)
     corrections = [abs(b - a) for a, b in zip(diag, diag[1:])]
     monotone = all(b <= a * 1.5 + 1e-14 for a, b in zip(corrections, corrections[1:]))

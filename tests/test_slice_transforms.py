@@ -206,6 +206,72 @@ def test_hyperplane_section_evaluation_budget(n):
             assert len(calls) <= 80, (body.label, z, len(calls))
 
 
+def _budget_bodies(n):
+    return (body_ball(n, 1.1),
+            body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
+            body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
+            body_ellipsoid(n, np.linspace(0.8, 1.5, n)))
+
+
+# mixed signs and z = 0, unsorted, all inside every budget body
+_BATCH = np.array([0.3, -0.5, 0.0, 0.45, -0.05, 0.1, -0.3, 0.5, -0.1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_batch_matches_scalar_calls(n):
+    # heights on one side share a scan sized by their largest |z|, so a
+    # batch brackets small heights on a coarser grid than a scalar call;
+    # both refine to the same roots, up to rounding
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    for body in _budget_bodies(n):
+        batch = hyperplane_section(body, frame, _BATCH, rule)
+        assert isinstance(batch, np.ndarray) and batch.shape == _BATCH.shape
+        for z, got in zip(_BATCH, batch):
+            single = hyperplane_section(body, frame, z, rule)
+            assert type(single) is float
+            assert abs(got - single) <= 1e-14 * single, (body.label, z)
+        one = hyperplane_section(body, frame, _BATCH[:1], rule)
+        assert one.shape == (1,)
+        assert one[0] == hyperplane_section(body, frame, float(_BATCH[0]), rule)
+        bare = hyperplane_section(strip_gradient(body), frame, _BATCH, rule)
+        assert np.array_equal(bare, batch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_slice_and_conical_batches_equal_scalar_calls(n):
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    body = body_ellipsoid(n, np.linspace(0.8, 1.5, n))
+    f = to_scalar_field(body)
+    for fn, obj in ((conical_section, body), (slice_integral, f)):
+        batch = fn(obj, frame, _BATCH, rule)
+        assert isinstance(batch, np.ndarray) and batch.shape == _BATCH.shape
+        single = [fn(obj, frame, z, rule) for z in _BATCH]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_section_curve_and_ladder_evaluation_budget(n):
+    # one rho_eq evaluation, one 64-point scan per side of the equator,
+    # and at most 8 evaluations (refinement plus the final read) per
+    # nonzero height: 257 for the full 17-height grid, 193 for the ladder
+    grid = -0.8 + 0.1 * np.arange(17)
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    for body in _budget_bodies(n):
+        rho_min = float(body.evaluate(rule.nodes @ frame.basis).min())
+        zs = grid[np.abs(grid) < rho_min]
+        counted, calls = _count_evaluations(body)
+        curve = section_curve("hyperplane", counted, frame, zs, rule)
+        assert np.array_equal(curve.values, hyperplane_section(body, frame, zs, rule))
+        assert len(calls) <= 2 * 64 + 8 * np.count_nonzero(zs) + 1, (body.label, len(calls))
+        calls.clear()
+        derivative_at_zero("hyperplane", counted, frame, rule)
+        assert len(calls) <= 2 * 64 + 8 * 8 + 1, (body.label, len(calls))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_section_ignores_gradient(n):
     body = body_ellipsoid(n, np.linspace(1.3, 0.8, n))
@@ -276,6 +342,8 @@ def test_slice_integral_rejects_out_of_range_heights():
     for z in (1.0, -1.0, 1.7):
         with pytest.raises(ValueError):
             slice_integral(f, frame, z, _rule(3))
+    with pytest.raises(ValueError):
+        slice_integral(f, frame, np.array([0.2, -0.3, 1.0]), _rule(3))
 
 
 def test_hyperplane_section_rejects_heights_beyond_equator():
@@ -284,6 +352,13 @@ def test_hyperplane_section_rejects_heights_beyond_equator():
     for z in (1.0, -1.1):
         with pytest.raises(ValueError):
             hyperplane_section(body, frame, z, _rule(3))
+    # every height is checked against the equator radius before any scan
+    counted, calls = _count_evaluations(body)
+    with pytest.raises(ValueError, match="equator radius"):
+        hyperplane_section(counted, frame, np.array([0.2, -0.4, 0.0, 1.05, 0.6]), _rule(3))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="1-d"):
+        hyperplane_section(body, frame, np.zeros((2, 2)), _rule(3))
 
 
 def test_rule_frame_dimension_mismatch_rejected():
@@ -315,6 +390,9 @@ def test_hyperplane_section_detects_multiple_crossings():
     rule = _rule(3)
     with pytest.raises(ValueError, match="multiple boundary crossings"):
         hyperplane_section(body, frame, 0.24, rule)
+    # one folded height fails the whole batch that shares its scan
+    with pytest.raises(ValueError, match="multiple boundary crossings"):
+        hyperplane_section(body, frame, np.array([0.05, 0.1, 0.24]), rule)
     # below the fold the cut is honest and the area is positive
     assert hyperplane_section(body, frame, 0.1, rule) > 0.0
 
