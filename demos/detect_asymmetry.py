@@ -6,7 +6,9 @@ The transform A(xi) annihilates every centrally symmetric section
 density, and on the sphere it kills nothing odd, so sweeping poles and
 watching max |A| separates symmetric bodies from asymmetric ones.  The
 detector first calibrates a noise floor on bodies known to be even,
-then classifies against ten times that floor.
+as a multiple of the size |S^{n-2}| sup f of their section densities f,
+then classifies each body against that floor times its own size, so
+the verdict does not depend on the body's scale.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ from starsym import (
 )
 
 floor = calibrate(3)
-print(f"calibrated threshold at default resolution: {floor:.3e}\n")
+print(f"dimensionless noise floor c_3 at default resolution: {floor:.3e}\n")
 
 cases = [
     body_ball(3, 1.0),
@@ -32,10 +34,11 @@ cases = [
     body_shifted_ball(3, 1.0, (0.01, 0.0, 0.0)),  # subtle, still caught
 ]
 
-print(f"{'body':<34} {'max |A|':>12} {'verdict':>12}")
+print(f"{'body':<34} {'max |A|':>12} {'threshold':>12} {'verdict':>12}")
 for body in cases:
     report = detect(body, num_dirs=60, seed=11)
-    print(f"{body.label:<34} {report.max_abs:12.3e} {report.verdict:>12}")
+    print(f"{body.label:<34} {report.max_abs:12.3e} {report.threshold:12.3e} "
+          f"{report.verdict:>12}")
 
 # the report carries the pole where the sweep peaked, which for a
 # shifted ball is the shift direction itself

@@ -2,7 +2,7 @@
 
 The transform A(xi) vanishes identically when the section density is
 even; sweeping poles and comparing max |A| against a calibrated noise
-floor therefore separates "asymmetry detected" from "no asymmetry
+floor, scaled to the size of the swept field, therefore separates "asymmetry detected" from "no asymmetry
 visible at this resolution".  A verdict of symmetric is NOT a proof of
 symmetry; it only reports that the sweep saw nothing above the floor.
 """
@@ -25,6 +25,7 @@ from .sphere_geom import (
     make_frame,
     probe_directions,
     random_directions,
+    vol_sphere,
 )
 from .star_body import (
     body_ball,
@@ -120,12 +121,15 @@ def _even_battery(n):
 
 @lru_cache(maxsize=256)
 def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
-    """Noise floor of the transform on centrally symmetric bodies.
+    """Dimensionless noise floor of the transform on centrally symmetric bodies.
 
     Sweeps a battery of even bodies (balls, ellipsoids, even harmonic
     bumps, plus one body forced through the finite-difference meridian
-    path) and returns 10 times the largest |A| seen.  Cached per
-    argument tuple; deterministic.
+    path) and returns c_n = 10 max |A| / (|S^{n-2}| sup f), with sup f the
+    declared `sup_bound` of each body's section density.  A scales like
+    |S^{n-2}| sup f under dilation, so `sweep` multiplies c_n by that size
+    of the swept field to get its threshold, and one floor serves bodies
+    of every scale.  Cached per argument tuple; deterministic.
     """
     n = check_dim(n)
     resolution = rule_resolution or default_resolution(n)
@@ -133,11 +137,12 @@ def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
     _, frames = _pole_frames(n, num_dirs, "antipodal", seed)
     worst = 0.0
     for body in _even_battery(n):
-        values = transform_sweep(to_scalar_field(body), frames, rule, fd_step=fd_step)
-        worst = max(worst, float(np.max(np.abs(values))))
-    # floor at the roundoff scale of the weighted sums; claiming to
+        f = to_scalar_field(body)
+        values = transform_sweep(f, frames, rule, fd_step=fd_step)
+        worst = max(worst, float(np.max(np.abs(values))) / (vol_sphere(n - 2) * f.sup_bound))
+    # floor at the relative roundoff of the weighted sums; claiming to
     # resolve asymmetry below that would be noise-reading
-    return 10.0 * max(worst, 1e-13)
+    return 10.0 * max(worst, 1e-16)
 
 
 def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
@@ -149,7 +154,9 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     f : ScalarField
     num_dirs : number of poles
     sampler : 'antipodal' (default), 'fibonacci', or 'random'
-    threshold : override for the calibrated noise floor
+    threshold : absolute threshold on max |A|; by default the calibrated
+        floor `calibrate(n)` times |S^{n-2}| sup |f|, with sup |f| from
+        `f.sup_bound` or, when that is None, from a probe grid
 
     Returns
     -------
@@ -157,15 +164,20 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     """
     n = f.dim
     resolution = rule_resolution or default_resolution(n)
-    if threshold is None:
-        threshold = calibrate(n, rule_resolution=resolution, fd_step=fd_step)
     rule = equator_rule(n, resolution)
     xis, frames = _pole_frames(n, num_dirs, sampler, seed)
     xis = xis.copy()
     values = transform_sweep(f, frames, rule, fd_step=fd_step)
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
-    odd_sup = float(np.max(np.abs(odd_part(f).evaluate(probe_directions(n, 2000)))))
+    grid = probe_directions(n, 2000)
+    odd_sup = float(np.max(np.abs(odd_part(f).evaluate(grid))))
+    if threshold is None:
+        sup = f.sup_bound
+        if sup is None:
+            sup = float(np.max(np.abs(f.evaluate(grid))))
+        floor = calibrate(n, rule_resolution=resolution, fd_step=fd_step)
+        threshold = floor * vol_sphere(n - 2) * sup
     if max_abs > threshold:
         verdict = "asymmetric"
         top = xis[int(np.argmax(np.abs(values)))]

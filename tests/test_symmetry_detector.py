@@ -1,5 +1,7 @@
 """Detector sweeps: verdicts on known bodies and sampler plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,13 @@ from starsym import (
     calibrate,
     detect,
     harmonic_field,
+    probe_directions,
     sample_poles,
+    scale_body,
     strip_gradient,
     sweep,
+    to_scalar_field,
+    vol_sphere,
 )
 
 
@@ -108,3 +114,40 @@ def test_n2_and_n4_sweeps():
     assert r2.verdict == "asymmetric"
     r4 = detect(body_ball(4, 1.2), num_dirs=12, seed=4)
     assert r4.verdict == "symmetric"
+
+
+_SCALES = tuple(10.0 ** k for k in range(-3, 4))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+def test_verdicts_hold_at_every_scale(n, path):
+    # A scales like s^(n-1) under dilation by s, and so must the threshold:
+    # an even ellipsoid stays symmetric and a ball shifted by 1% of its
+    # radius stays asymmetric from s = 1e-3 to s = 1e3
+    even = path(body_ellipsoid(n, tuple(np.linspace(1.2, 0.8, n))))
+    shift = np.zeros(n)
+    shift[0] = 0.01
+    odd = path(body_shifted_ball(n, 1.0, shift))
+    for s in _SCALES:
+        report = detect(scale_body(even, s), num_dirs=16, seed=5)
+        assert report.verdict == "symmetric", (s, report.max_abs / report.threshold)
+        report = detect(scale_body(odd, s), num_dirs=16, seed=5)
+        assert report.verdict == "asymmetric", (s, report.max_abs / report.threshold)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_threshold_is_the_floor_times_the_field_size(n):
+    body = body_shifted_ball(n, 2.0, np.linspace(0.3, -0.1, n))
+    f = to_scalar_field(body)
+    report = sweep(f, num_dirs=12, seed=2)
+    assert report.threshold == calibrate(n) * vol_sphere(n - 2) * f.sup_bound
+    # without a declared sup the sweep probes the field for it
+    bare = replace(f, sup_bound=None)
+    probed = float(np.max(np.abs(f.evaluate(probe_directions(n, 2000)))))
+    report = sweep(bare, num_dirs=12, seed=2)
+    assert report.threshold == calibrate(n) * vol_sphere(n - 2) * probed
+    assert report.verdict == "asymmetric"
+    # an explicit threshold stays absolute
+    assert sweep(bare, num_dirs=12, seed=2, threshold=1e9).threshold == 1e9

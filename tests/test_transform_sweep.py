@@ -21,13 +21,14 @@ from starsym import (
 )
 from starsym.star_body import _fd_meridian
 
-# calibrate(n) at its defaults, recorded before the sweep was shared
-_SEED_THRESHOLDS = {
-    2: 1e-12,
-    3: 6.221847008511672e-12,
-    4: 1.1046106345603644e-11,
-    5: 1.1170994684839286e-11,
-    6: 8.922168559521992e-12,
+# calibrate(n) at its defaults: the dimensionless floor
+# 10 max |A| / (|S^{n-2}| sup f) over the even battery
+_RECORDED_FLOORS = {
+    2: 1e-15,
+    3: 1.3753301480085478e-12,
+    4: 1.5260784955048372e-12,
+    5: 1.0916844173709304e-12,
+    6: 6.81186010370868e-13,
 }
 
 
@@ -85,7 +86,7 @@ def test_detect_values_equal_reference_formula(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_calibrate_matches_recorded_thresholds(n):
-    assert calibrate(n) == _SEED_THRESHOLDS[n]
+    assert calibrate(n) == _RECORDED_FLOORS[n]
 
 
 def test_equator_transform_fd_step_must_leave_room_below_the_pole():
