@@ -240,18 +240,24 @@ class EquatorQuadrature:
 def _polar_rule(sine_power, count):
     # Nodes and weights in t = cos(theta) for the measure sin^j(theta) dtheta.
     # Odd j folds the polynomial factor (1-t^2)^{(j-1)/2} into Gauss-Legendre
-    # weights; even j needs the half-integer weight, which is the Gegenbauer
-    # family at alpha = j/2.
+    # weights.  Even j needs the half-integer weight; spheres up to S^4 only
+    # meet j = 2, which is Gauss-Chebyshev of the second kind in closed form:
+    # t_k = cos(k pi/(m+1)), w_k = pi/(m+1) sin^2(k pi/(m+1)), written as
+    # sine and cosine of pi (m+1-2k) / (2(m+1)) so that the nodes come out
+    # ascending and exactly antisymmetric.
     j = int(sine_power)
     if j % 2 == 1:
         t, w = np.polynomial.legendre.leggauss(count)
         w = w * (1.0 - t * t) ** ((j - 1) // 2)
         exact = 2 * count - j
-    else:
-        # imported lazily: scipy costs about 0.3 s and only n >= 5 rules need it
-        from scipy.special import roots_gegenbauer
-        t, w = roots_gegenbauer(count, j / 2.0)
+    elif j == 2:
+        a = math.pi * np.arange(1 - count, count, 2) / (2 * (count + 1))
+        t = np.sin(a)
+        w = math.pi / (count + 1) * np.cos(a) ** 2
         exact = 2 * count - 1
+    else:
+        raise ValueError(f"no polar rule for the even sine power {j}: only "
+                         f"j = 2 (spheres up to S^4) has a closed form here")
     return t, w, exact
 
 

@@ -119,7 +119,6 @@ def _even_battery(n):
     return tuple(bodies)
 
 
-@lru_cache(maxsize=256)
 def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
     """Dimensionless noise floor of the transform on centrally symmetric bodies.
 
@@ -129,10 +128,16 @@ def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
     declared `sup_bound` of each body's section density.  A scales like
     |S^{n-2}| sup f under dilation, so `sweep` multiplies c_n by that size
     of the swept field to get its threshold, and one floor serves bodies
-    of every scale.  Cached per argument tuple; deterministic.
+    of every scale.  Deterministic, and cached on the normalized
+    arguments, so `calibrate(n)` and a default `detect` share one entry.
     """
     n = check_dim(n)
-    resolution = rule_resolution or default_resolution(n)
+    return _calibrate(n, int(rule_resolution or default_resolution(n)),
+                      float(fd_step), int(num_dirs), int(seed))
+
+
+@lru_cache(maxsize=256)
+def _calibrate(n, resolution, fd_step, num_dirs, seed):
     rule = equator_rule(n, resolution)
     _, frames = _pole_frames(n, num_dirs, "antipodal", seed)
     worst = 0.0
@@ -143,6 +148,10 @@ def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
     # floor at the relative roundoff of the weighted sums; claiming to
     # resolve asymmetry below that would be noise-reading
     return 10.0 * max(worst, 1e-16)
+
+
+calibrate.cache_info = _calibrate.cache_info
+calibrate.cache_clear = _calibrate.cache_clear
 
 
 def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,

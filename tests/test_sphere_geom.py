@@ -25,7 +25,7 @@ from starsym import (
     unit_vector,
     vol_sphere,
 )
-from starsym.sphere_geom import check_dim
+from starsym.sphere_geom import _polar_rule, check_dim
 
 
 def test_vol_sphere_closed_forms():
@@ -201,21 +201,27 @@ def test_make_frame_deterministic():
     assert np.array_equal(a.basis, b.basis)
 
 
+def test_polar_rule_names_an_unsupported_even_power():
+    with pytest.raises(ValueError, match="even sine power 4"):
+        _polar_rule(4, 8)
+
+
 # Run in a fresh interpreter: other test modules import scipy themselves.
-_LAZY_SCIPY = """
+_NO_SCIPY = """
 import sys
 import numpy as np
 import starsym.cli
 from starsym import default_resolution, equator_rule, vol_sphere
-equator_rule(3)
-equator_rule(4)
-assert "scipy.special" not in sys.modules, "scipy imported before an n >= 5 rule"
-rules = {n: equator_rule(n) for n in (5, 6)}
-assert "scipy.special" in sys.modules, "n >= 5 rule built without scipy"
+rules = {n: equator_rule(n) for n in range(2, 7)}
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
 from scipy.special import roots_gegenbauer
-for n, rule in rules.items():
+
+
+def product_rule(n, gegenbauer):
     # the product rule written out: the circle, then the polar factor
-    # sin^j for j = 1..n-3, Gauss-Legendre for odd j, Gegenbauer for even j
+    # sin^j for j = 1..n-3, Gauss-Legendre for odd j and, for j = 2,
+    # Gauss-Chebyshev of the second kind in closed form or from scipy
     res = default_resolution(n)
     count = res // 2
     angles = 2.0 * np.pi * np.arange(res) / res
@@ -225,8 +231,12 @@ for n, rule in rules.items():
         if j % 2:
             t, w = np.polynomial.legendre.leggauss(count)
             w = w * (1.0 - t * t) ** ((j - 1) // 2)
+        elif gegenbauer:
+            t, w = roots_gegenbauer(count, 1.0)
         else:
-            t, w = roots_gegenbauer(count, j / 2.0)
+            a = np.pi * np.arange(1 - count, count, 2) / (2 * (count + 1))
+            t = np.sin(a)
+            w = np.pi / (count + 1) * np.cos(a) ** 2
         s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
         nodes = np.concatenate(
             [nodes[None, :, :] * s[:, None, None],
@@ -234,14 +244,25 @@ for n, rule in rules.items():
             axis=2).reshape(-1, nodes.shape[1] + 1)
         weights = (w[:, None] * weights[None, :]).reshape(-1)
     weights = weights * (vol_sphere(n - 2) / weights.sum())
+    return nodes, weights
+
+
+for n in (5, 6):
+    rule = rules[n]
+    nodes, weights = product_rule(n, gegenbauer=False)
     assert np.array_equal(rule.nodes, nodes), n
     assert np.array_equal(rule.weights, weights), n
+    nodes, weights = product_rule(n, gegenbauer=True)
+    assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14, n
+    # relative to the largest weight: scipy's smallest n = 5 weights are
+    # themselves off by about 1.7e-14 of their size
+    assert np.max(np.abs(rule.weights - weights)) <= 1e-14 * np.max(weights), n
 """
 
 
-def test_scipy_is_imported_only_for_gegenbauer_rules():
+def test_rules_build_without_scipy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

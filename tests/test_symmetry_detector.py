@@ -101,6 +101,13 @@ def test_calibrate_is_deterministic_and_positive():
     assert a >= 1e-12  # never below ten times the roundoff floor
 
 
+def test_calibrate_and_detect_share_one_cache_entry():
+    calibrate(3)
+    misses = calibrate.cache_info().misses
+    detect(body_ball(3, 1.0), num_dirs=10, seed=1)
+    assert calibrate.cache_info().misses == misses
+
+
 def test_fd_path_body_reads_symmetric():
     # strips the analytic gradient, forcing the finite-difference
     # meridian fallback; the calibrated floor must absorb that noise

@@ -27,8 +27,8 @@ _RECORDED_FLOORS = {
     2: 1e-15,
     3: 1.3753301480085478e-12,
     4: 1.5260784955048372e-12,
-    5: 1.0916844173709304e-12,
-    6: 6.81186010370868e-13,
+    5: 8.894673927520478e-13,
+    6: 9.55171312235519e-13,
 }
 
 
