@@ -2,9 +2,10 @@
 
 The transform A(xi) vanishes identically when the section density is
 even; sweeping poles and comparing max |A| against a calibrated noise
-floor, scaled to the size of the swept field, therefore separates "asymmetry detected" from "no asymmetry
-visible at this resolution".  A verdict of symmetric is NOT a proof of
-symmetry; it only reports that the sweep saw nothing above the floor.
+floor, scaled to the size of the swept field, therefore separates
+"asymmetry detected" from "no asymmetry visible at this resolution".
+A verdict of symmetric is NOT a proof of symmetry; it only reports that
+the sweep saw nothing above the floor.
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ def _calibrate(n, resolution, fd_step, num_dirs, seed):
     for body in _even_battery(n):
         f = to_scalar_field(body)
         values = transform_sweep(f, frames, rule, fd_step=fd_step)
-        worst = max(worst, float(np.max(np.abs(values))) / (vol_sphere(n - 2) * f.sup_bound))
+        size = vol_sphere(n - 2) * f.sup_bound
+        worst = max(worst, float(np.max(np.abs(values))) / size)
     # floor at the relative roundoff of the weighted sums; claiming to
     # resolve asymmetry below that would be noise-reading
     return 10.0 * max(worst, 1e-16)
