@@ -153,7 +153,6 @@ def _calibrate(n, resolution, fd_step, num_dirs, seed):
 
 
 calibrate.cache_info = _calibrate.cache_info
-calibrate.cache_clear = _calibrate.cache_clear
 
 
 def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
