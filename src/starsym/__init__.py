@@ -39,6 +39,7 @@ from .star_body import (
     body_ellipsoid,
     body_harmonic_perturbed_ball,
     body_shifted_ball,
+    equator_derivative,
     even_part,
     hyperplane_profile_field,
     linear_field,
@@ -91,7 +92,7 @@ __all__ = [
     "random_directions", "random_rotation", "sphere_rule", "unit_vector",
     "vol_sphere",
     "RadialField", "ScalarField", "body_ball", "body_ellipsoid",
-    "body_harmonic_perturbed_ball", "body_shifted_ball", "even_part",
+    "body_harmonic_perturbed_ball", "body_shifted_ball", "equator_derivative", "even_part",
     "hyperplane_profile_field", "linear_field", "odd_part", "rotate_body",
     "scale_body", "strip_gradient", "to_scalar_field",
     "DerivativeAtZero", "FdOptions", "SectionCurve", "conical_section",

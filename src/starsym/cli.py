@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -259,7 +259,7 @@ def _parse_csv_list(text, allowed, what):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete, serializable description of one CLI invocation."""
+    """Complete description of one CLI invocation."""
 
     command: str
     body: Optional[str] = None
@@ -277,25 +277,6 @@ class RunConfig:
     mc_samples: int = 300000
     lmax: int = 8
     dim: int = 3
-
-    def to_dict(self):
-        d = asdict(self)
-        for k, v in d.items():
-            if isinstance(v, tuple):
-                d[k] = list(v)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in d:
-                continue
-            v = d[f.name]
-            if f.name in ("kinds", "formats", "xi", "only") and isinstance(v, list):
-                v = tuple(v)
-            kwargs[f.name] = v
-        return cls(**kwargs)
 
 
 def _common_params(cfg, dim):

@@ -30,7 +30,7 @@ from .sphere_geom import (
     sphere_rule,
     equator_rule,
 )
-from .star_body import ScalarField
+from .star_body import ScalarField, _linear
 from .slice_transforms import transform_sweep
 
 LMAX = 10
@@ -176,13 +176,7 @@ def harmonic_field(coefficients):
     if not items:
         raise ValueError("need at least one nonzero coefficient")
     parts = [(real_harmonic(l, m), c) for l, m, c in items]
-
-    def evaluate(u):
-        return sum(c * y.evaluate(u) for y, c in parts)
-
-    def gradient(u):
-        return sum(c * y.gradient(u) for y, c in parts)
-
+    evaluate, gradient = _linear([(c, y, None) for y, c in parts])
     sup = sum(abs(c) * y.sup_bound for y, c in parts)
     lip = sum(abs(c) * y.lipschitz_bound for y, c in parts)
     label = "+".join(f"{c:g}*{y.label}" for y, c in parts)

@@ -26,10 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere_geom import FRAME_SEED, EquatorFrame, make_frame
+from .sphere_geom import FRAME_SEED, EquatorFrame, _latitude_points, make_frame
 from .star_body import (
     RadialField,
     ScalarField,
+    equator_derivative,
     hyperplane_profile_field,
     to_scalar_field,
 )
@@ -124,13 +125,6 @@ def richardson_limit(pairs):
 def _check_rule(frame, rule):
     if rule.sphere_dim != frame.dim - 1:
         raise ValueError("quadrature rule dimension does not match the frame")
-
-
-def _latitude_points(pole, lifted, psi):
-    # embed() without its checks, for rule nodes already lifted into the
-    # frame; the same sin/cos expressions, so the points are bit-identical
-    psi = np.asarray(psi, dtype=float)
-    return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
 
 
 def _heights(z):
@@ -331,28 +325,17 @@ def hyperplane_section(body, frame, z, rule):
 def equator_transform(f, frame, rule, fd_step=1e-4):
     """A(xi): integral of the meridian derivative of f over the equator.
 
-    Uses the field's analytic gradient when present, otherwise central
-    differences along meridians at latitudes +-fd_step and +-fd_step/2
-    with one Richardson level.  The rule nodes are lifted into the frame
-    once and used without `embed`'s checks: only the rule's dimension
-    is validated against the frame, since the nodes of an
-    EquatorQuadrature are unit vectors by construction.
+    The rule nodes are lifted into the frame once and handed to
+    `equator_derivative`, the one meridian-derivative routine: the
+    field's gradient along the pole, or without one central differences
+    at latitudes +-fd_step and +-fd_step/2 with one Richardson level.
+    Only the rule's dimension is validated against the frame; the nodes
+    of an EquatorQuadrature are unit vectors by construction, so
+    `embed`'s checks are skipped.
     """
     _check_rule(frame, rule)
-    pole = frame.pole
     lifted = rule.nodes @ frame.basis
-    if f.gradient is not None:
-        # the meridian tangent at psi = 0 is the pole itself
-        d = np.sum(f.gradient(lifted) * pole, axis=-1)
-    else:
-        if 3 * fd_step > math.pi / 2:
-            raise ValueError("finite-difference meridian derivative too close to a pole")
-        lat = (fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0)
-        up, down, up2, down2 = (f.evaluate(_latitude_points(pole, lifted, psi))
-                                for psi in lat)
-        d1 = (up - down) / (2.0 * fd_step)
-        d2 = (up2 - down2) / (2.0 * (fd_step / 2.0))
-        d = (4.0 * d2 - d1) / 3.0
+    d = equator_derivative(f.evaluate, f.gradient, frame.pole, lifted, fd_step)
     return float(rule.weights @ d)
 
 

@@ -121,19 +121,8 @@ class EquatorFrame:
     def dim(self):
         return self.pole.shape[0]
 
-    def lift(self, eta):
-        """Map equator coordinates (..., n-1) to ambient vectors (..., n)."""
-        eta = np.asarray(eta, dtype=float)
-        return eta @ self.basis
-
     def embed(self, eta, psi):
         return embed(self, eta, psi)
-
-    def meridian_tangent(self, eta, psi):
-        """Unit tangent of the meridian through (eta, psi), oriented toward the pole."""
-        psi = np.asarray(psi, dtype=float)
-        return (np.cos(psi)[..., None] * self.pole
-                - np.sin(psi)[..., None] * self.lift(eta))
 
 
 def make_frame(pole, seed=0):
@@ -174,15 +163,15 @@ def make_frame(pole, seed=0):
 
 
 def embed(frame, eta, psi):
-    """Latitude parameterization: xi sin(psi) + lift(eta) cos(psi).
+    """Latitude parameterization: xi sin(psi) + (eta @ basis) cos(psi).
 
     Validates its input: raises ValueError for a latitude outside
     [-pi/2, pi/2] or equator coordinates that are not unit vectors.
-    The internal callers in `slice_transforms` (`equator_transform` and
-    so every pole sweep, `slice_integral` and `conical_section`, and
-    `hyperplane_section`) lift the trusted rule nodes once and skip these
-    checks through the private `_latitude_points`, which uses the same
-    expression and so gives bit-identical points.
+    The internal callers (`equator_derivative` and so every pole sweep,
+    the section functions in `slice_transforms`) lift the trusted rule
+    nodes once and skip these checks through the private
+    `_latitude_points`, the expression this function returns, so their
+    points are bit-identical.
 
     Parameters
     ----------
@@ -201,8 +190,14 @@ def embed(frame, eta, psi):
     norms = np.linalg.norm(eta, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("equator coordinates must be unit vectors")
-    return (np.sin(psi)[..., None] * frame.pole
-            + np.cos(psi)[..., None] * frame.lift(eta))
+    return _latitude_points(frame.pole, eta @ frame.basis, psi)
+
+
+def _latitude_points(pole, lifted, psi):
+    # embed() without its checks, for equator points already lifted into
+    # the frame (lifted = eta @ basis)
+    psi = np.asarray(psi, dtype=float)
+    return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,11 +6,16 @@ rho on S^{n-1}.  The scalar field driving the section machinery is
     f = rho^{n-1} / (n-1),
 
 so that integrals of f over latitude spheres are section measures of K.
-Fields may carry the Euclidean gradient of any smooth extension; the
-meridian derivative d/dpsi then never needs the extension's radial
-component because meridian tangents are orthogonal to the position.
-Fields without a gradient fall back to central differences along the
-meridian (step 1e-4, one Richardson level).
+Fields may carry the Euclidean gradient of any smooth extension.  One
+routine, `equator_derivative`, takes the meridian derivative d/dpsi at
+the equator: with a gradient it is the gradient's component along the
+pole, the meridian tangent there, so the extension's radial component
+never enters; without one it is a central difference along the
+meridian (step 1e-4, one Richardson level).  Derived fields (section
+densities, odd and even parts, dilations, rotations, linear
+combinations) are built from two helpers, a linear combination of
+pulled-back fields and a pointwise composition, which carry the
+gradient along.
 """
 
 from __future__ import annotations
@@ -23,12 +28,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sphere_geom import (
-    EquatorFrame,
+    _latitude_points,
     check_dim,
     geodesic_distance,
     make_frame,
     probe_directions,
-    unit_vector,
 )
 
 FD_STEP = 1e-4  # meridian fallback step
@@ -38,40 +42,37 @@ _PROBE_COUNT = 2048
 _BOUND_SLACK = 4 * np.finfo(float).eps
 
 
-def _fd_meridian(evaluate, frame, eta, psi, step):
-    # central differences with one Richardson level; needs room inside
-    # the latitude interval
-    psi_arr = np.asarray(psi, dtype=float)
-    if np.any(np.abs(psi_arr) > math.pi / 2 - 3 * step):
+def equator_derivative(evaluate, gradient, pole, lifted, fd_step):
+    """Meridian derivative d/dpsi at psi = 0 toward `pole`, per equator point.
+
+    `lifted` holds (..., n) unit vectors orthogonal to the pole, which is
+    one (n,) unit vector or one per point.  With a gradient the meridian tangent at the equator is the pole itself;
+    without one, central differences at latitudes +-fd_step and
+    +-fd_step/2 are combined by one Richardson level.
+    """
+    if gradient is not None:
+        return np.sum(gradient(lifted) * pole, axis=-1)
+    if 3 * fd_step > math.pi / 2:
         raise ValueError("finite-difference meridian derivative too close to a pole")
-
-    def central(h):
-        return (evaluate(frame.embed(eta, psi_arr + h))
-                - evaluate(frame.embed(eta, psi_arr - h))) / (2.0 * h)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
+    lat = (fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0)
+    up, down, up2, down2 = (evaluate(_latitude_points(pole, lifted, psi)) for psi in lat)
+    d1 = (up - down) / (2.0 * fd_step)
+    d2 = (up2 - down2) / (2.0 * (fd_step / 2.0))
     return (4.0 * d2 - d1) / 3.0
 
 
-def _meridian_derivative(evaluate, gradient, frame, eta, psi, fd_step):
-    if gradient is None:
-        return _fd_meridian(evaluate, frame, eta, psi, fd_step)
-    x = frame.embed(eta, psi)
-    t = frame.meridian_tangent(eta, psi)
-    return np.sum(gradient(x) * t, axis=-1)
-
-
 def _validate_gradient(evaluate, gradient, dim, lipschitz, rng):
-    # derivative consistency on a few random (frame, eta, psi) probes
+    # derivative consistency at 16 random equator points of each of four
+    # random frames; psi = 0 on a random frame reaches every (point,
+    # tangent) pair
     tol = max(1e-6, 1e-4 * (lipschitz if lipschitz else 1.0))
-    for k in range(4):
+    for _ in range(4):
         frame = make_frame(rng.standard_normal(dim), seed=int(rng.integers(2 ** 31)))
         eta = rng.standard_normal((16, dim - 1))
         eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        psi = rng.uniform(-1.4, 1.4, size=16)
-        ana = _meridian_derivative(evaluate, gradient, frame, eta, psi, FD_STEP)
-        num = _fd_meridian(evaluate, frame, eta, psi, FD_STEP)
+        lifted = eta @ frame.basis
+        ana = equator_derivative(evaluate, gradient, frame.pole, lifted, FD_STEP)
+        num = equator_derivative(evaluate, None, frame.pole, lifted, FD_STEP)
         err = float(np.max(np.abs(ana - num)))
         if err > tol:
             raise ValueError(f"gradient inconsistent with finite differences ({err:.3e} > {tol:.3e})")
@@ -118,11 +119,6 @@ class ScalarField:
         check_dim(self.dim)
         if self.lipschitz_bound is not None and self.lipschitz_bound < 0:
             raise ValueError("lipschitz_bound must be nonnegative")
-
-    def meridian_derivative(self, frame, eta, psi, fd_step=FD_STEP):
-        """d/dpsi of the field along meridians toward frame.pole."""
-        return _meridian_derivative(self.evaluate, self.gradient,
-                                    frame, eta, psi, fd_step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,10 +175,6 @@ class RadialField:
         if self.gradient is not None:
             _validate_gradient(self.evaluate, self.gradient, self.dim,
                                self.lipschitz_bound, rng)
-
-    def meridian_derivative(self, frame, eta, psi, fd_step=FD_STEP):
-        return _meridian_derivative(self.evaluate, self.gradient,
-                                    frame, eta, psi, fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +296,46 @@ def body_harmonic_perturbed_ball(epsilon, degree, order):
 # derived fields
 
 
+def _linear(terms):
+    # sum_i c_i f_i(u @ M_i) over (c_i, f_i, M_i) terms, M_i orthogonal
+    # or None for the identity; the gradient pulls back through M_i^T
+    parts = [(c, f.evaluate, f.gradient, m) for c, f, m in terms]
+
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        return sum(c * ev(u if m is None else u @ m) for c, ev, _, m in parts)
+
+    if any(gr is None for _, _, gr, _ in parts):
+        return evaluate, None
+
+    def gradient(u):
+        u = np.asarray(u, dtype=float)
+        return sum(c * (gr(u) if m is None else gr(u @ m) @ m.T) for c, _, gr, m in parts)
+
+    return evaluate, gradient
+
+
+def _compose(phi, dphi, f):
+    # phi(f) with the chain-rule gradient dphi(f) grad f
+    ev, gr = f.evaluate, f.gradient
+
+    def evaluate(u):
+        return phi(ev(u))
+
+    if gr is None:
+        return evaluate, None
+
+    def gradient(u):
+        return dphi(ev(u))[..., None] * gr(u)
+
+    return evaluate, gradient
+
+
+def _power(p):
+    # t^p / p and its derivative t^(p-1)
+    return (lambda t: t ** p / p), (lambda t: t ** (p - 1))
+
+
 @lru_cache(maxsize=256)
 def to_scalar_field(body):
     """Section density of a star body: f = rho^{n-1} / (n-1).
@@ -313,17 +345,7 @@ def to_scalar_field(body):
     """
     n = body.dim
     p = n - 1
-    rho = body.evaluate
-    grad = body.gradient
-
-    def evaluate(u):
-        return rho(u) ** p / p
-
-    gradient = None
-    if grad is not None:
-        def gradient(u):
-            return (rho(u) ** (p - 1))[..., None] * grad(u)
-
+    evaluate, gradient = _compose(*_power(p), body)
     lip = None
     if body.lipschitz_bound is not None:
         lip = body.radius_bound ** (p - 1) * body.lipschitz_bound
@@ -343,84 +365,42 @@ def hyperplane_profile_field(body):
     rho^{n-2}/(n-2) for n >= 3 and of log(rho) for n = 2.
     """
     n = body.dim
-    rho = body.evaluate
-    grad = body.gradient
+    lip = body.lipschitz_bound
     if n == 2:
-        def evaluate(u):
-            return np.log(rho(u))
-
-        gradient = None
-        if grad is not None:
-            def gradient(u):
-                return grad(u) / rho(u)[..., None]
-
-        lip = None
-        if body.lipschitz_bound is not None:
-            lip = body.lipschitz_bound / body.radius_floor
+        phi, dphi = np.log, np.reciprocal
+        if lip is not None:
+            lip = lip / body.radius_floor
         sup = max(abs(math.log(body.radius_bound)), abs(math.log(body.radius_floor)))
-        return ScalarField(dim=2, evaluate=evaluate, gradient=gradient,
-                           lipschitz_bound=lip, sup_bound=sup,
-                           label=f"section_slope_density[{body.label}]")
-    p = n - 2
-
-    def evaluate(u):
-        return rho(u) ** p / p
-
-    gradient = None
-    if grad is not None:
-        def gradient(u):
-            return (rho(u) ** (p - 1))[..., None] * grad(u)
-
-    lip = None
-    if body.lipschitz_bound is not None:
-        ref = body.radius_bound if p >= 1 else body.radius_floor
-        lip = ref ** (p - 1) * body.lipschitz_bound
+    else:
+        p = n - 2
+        phi, dphi = _power(p)
+        if lip is not None:
+            lip = body.radius_bound ** (p - 1) * lip
+        sup = body.radius_bound ** p / p
+    evaluate, gradient = _compose(phi, dphi, body)
     return ScalarField(dim=n, evaluate=evaluate, gradient=gradient,
-                       lipschitz_bound=lip,
-                       sup_bound=body.radius_bound ** p / p,
+                       lipschitz_bound=lip, sup_bound=sup,
                        label=f"section_slope_density[{body.label}]")
+
+
+def _parity_part(field, sign, tag):
+    # (f(x) + sign f(-x)) / 2
+    evaluate, gradient = _linear([(0.5, field, None),
+                                  (0.5 * sign, field, -np.eye(field.dim))])
+    return ScalarField(dim=field.dim, evaluate=evaluate, gradient=gradient,
+                       lipschitz_bound=field.lipschitz_bound,
+                       sup_bound=field.sup_bound,
+                       label=f"{tag}[{field.label}]")
 
 
 def odd_part(field):
     """Odd component of a scalar field: (f(x) - f(-x)) / 2."""
-    ev = field.evaluate
-    gr = field.gradient
-
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * (ev(u) - ev(-u))
-
-    gradient = None
-    if gr is not None:
-        def gradient(u):
-            u = np.asarray(u, dtype=float)
-            return 0.5 * (gr(u) + gr(-u))
-
-    return ScalarField(dim=field.dim, evaluate=evaluate, gradient=gradient,
-                       lipschitz_bound=field.lipschitz_bound,
-                       sup_bound=field.sup_bound,
-                       label=f"odd[{field.label}]")
+    return _parity_part(field, -1.0, "odd")
 
 
 def even_part(field):
     """Even component of a scalar field: (f(x) + f(-x)) / 2."""
-    ev = field.evaluate
-    gr = field.gradient
-
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * (ev(u) + ev(-u))
-
-    gradient = None
-    if gr is not None:
-        def gradient(u):
-            u = np.asarray(u, dtype=float)
-            return 0.5 * (gr(u) - gr(-u))
-
-    return ScalarField(dim=field.dim, evaluate=evaluate, gradient=gradient,
-                       lipschitz_bound=field.lipschitz_bound,
-                       sup_bound=field.sup_bound,
-                       label=f"even[{field.label}]")
+    return _parity_part(field, 1.0, "even")
 
 
 def scale_body(body, factor):
@@ -428,17 +408,7 @@ def scale_body(body, factor):
     factor = float(factor)
     if factor <= 0:
         raise ValueError("scale factor must be positive")
-    rho = body.evaluate
-    grad = body.gradient
-
-    def evaluate(u):
-        return factor * rho(u)
-
-    gradient = None
-    if grad is not None:
-        def gradient(u):
-            return factor * grad(u)
-
+    evaluate, gradient = _linear([(factor, body, None)])
     lip = None if body.lipschitz_bound is None else factor * body.lipschitz_bound
     return RadialField(dim=body.dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip,
@@ -454,17 +424,7 @@ def rotate_body(body, rotation):
     n = body.dim
     if r.shape != (n, n) or not np.allclose(r @ r.T, np.eye(n), atol=1e-10):
         raise ValueError("rotation must be an orthogonal matrix of matching size")
-    rho = body.evaluate
-    grad = body.gradient
-
-    def evaluate(u):
-        return rho(np.asarray(u, dtype=float) @ r)
-
-    gradient = None
-    if grad is not None:
-        def gradient(u):
-            return grad(np.asarray(u, dtype=float) @ r) @ r.T
-
+    evaluate, gradient = _linear([(1.0, body, r)])
     return RadialField(dim=n, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=body.lipschitz_bound,
                        radius_bound=body.radius_bound,

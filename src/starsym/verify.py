@@ -38,6 +38,7 @@ from .sphere_geom import (
 )
 from .star_body import (
     ScalarField,
+    _linear,
     body_ball,
     body_ellipsoid,
     body_harmonic_perturbed_ball,
@@ -125,13 +126,7 @@ def _poles(n, cfg, extra=0):
 
 
 def _lin_comb(alpha, f, beta, g):
-    def evaluate(u):
-        return alpha * f.evaluate(u) + beta * g.evaluate(u)
-
-    gradient = None
-    if f.gradient is not None and g.gradient is not None:
-        def gradient(u):
-            return alpha * f.gradient(u) + beta * g.gradient(u)
+    evaluate, gradient = _linear([(alpha, f, None), (beta, g, None)])
     return ScalarField(dim=f.dim, evaluate=evaluate, gradient=gradient,
                        label="combo")
 

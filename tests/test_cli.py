@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from starsym.cli import (
-    RunConfig,
     build_body,
     json_text,
     load_body_spec,
@@ -312,12 +311,3 @@ def test_svg_curves_direct():
     assert ">demo</text>" in svg
     with pytest.raises(ValueError, match="degenerate"):
         svg_curves([("flat", np.array([0.0, 1.0]), np.array([0.0, 0.0]))], "t")
-
-
-def test_run_config_round_trip():
-    cfg = RunConfig(command="sections", body="b.json", kinds=("conical",),
-                    xi=(0.1, 0.2, 0.9), only=None, formats=("csv", "svg"))
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    assert isinstance(again.kinds, tuple)
-    assert isinstance(again.xi, tuple)

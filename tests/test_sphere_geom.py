@@ -83,16 +83,6 @@ def test_embed_rejects_bad_inputs():
         embed(frame, 2.0 * eta, 0.1)
 
 
-def test_meridian_tangent_is_orthogonal_to_position():
-    frame = make_frame([0.2, -0.5, 0.8], seed=1)
-    eta = equator_rule(3, 8).nodes
-    for psi in (-1.2, 0.0, 0.7):
-        u = embed(frame, eta, psi)
-        t = frame.meridian_tangent(eta, np.full(len(eta), psi))
-        assert np.max(np.abs(np.sum(u * t, axis=1))) < 1e-13
-        assert np.max(np.abs(np.linalg.norm(t, axis=1) - 1.0)) < 1e-13
-
-
 @pytest.mark.parametrize("d", (1, 2, 3, 4, 5))
 def test_rule_mass_and_positivity(d):
     rule = sphere_rule(d, 12)

@@ -1,17 +1,16 @@
 """Radial fields, library bodies, and derived scalar fields."""
 
-import math
-
 import numpy as np
 import pytest
 
 from starsym import (
     RadialField,
-    ScalarField,
     body_ball,
     body_ellipsoid,
     body_harmonic_perturbed_ball,
     body_shifted_ball,
+    embed,
+    equator_derivative,
     even_part,
     equator_rule,
     hyperplane_profile_field,
@@ -25,10 +24,20 @@ from starsym import (
     strip_gradient,
     to_scalar_field,
 )
+from starsym.star_body import FD_STEP
 
 
 def _probes(n, count=400):
     return probe_directions(n, count)
+
+
+def _meridian_probe(frame, eta, psi):
+    # the points embed(eta, psi) and their unit meridian tangents; each
+    # point lies on the equator of its tangent, so equator_derivative
+    # with the tangents as poles gives d/dpsi at the point
+    lifted = eta @ frame.basis
+    tangents = np.cos(psi)[:, None] * frame.pole - np.sin(psi)[:, None] * lifted
+    return tangents, embed(frame, eta, psi)
 
 
 def test_ball_radial_values():
@@ -121,21 +130,13 @@ def test_meridian_derivative_gradient_vs_fd():
               body_ellipsoid(3, (1.4, 1.0, 0.8))]
     frame = make_frame([0.3, -0.4, 0.86], seed=2)
     eta = equator_rule(3, 16).nodes
-    psi = np.linspace(-1.1, 1.1, len(eta))
+    poles, points = _meridian_probe(frame, eta, np.linspace(-1.1, 1.1, len(eta)))
     for body in bodies:
         stripped = strip_gradient(body)
         assert stripped.gradient is None
-        a = body.meridian_derivative(frame, eta, psi)
-        b = stripped.meridian_derivative(frame, eta, psi)
+        a = equator_derivative(body.evaluate, body.gradient, poles, points, FD_STEP)
+        b = equator_derivative(stripped.evaluate, stripped.gradient, poles, points, FD_STEP)
         assert np.max(np.abs(a - b)) < 1e-8
-
-
-def test_fd_meridian_guards_poles():
-    body = strip_gradient(body_ball(3, 1.0))
-    frame = make_frame([0.0, 0.0, 1.0], seed=0)
-    eta = equator_rule(3, 4).nodes
-    with pytest.raises(ValueError):
-        body.meridian_derivative(frame, eta, np.full(len(eta), math.pi / 2))
 
 
 def test_to_scalar_field_values_and_bounds():
@@ -175,9 +176,9 @@ def test_profile_field_gradient_consistency():
     g = hyperplane_profile_field(body)
     frame = make_frame([0.8, 0.6], seed=1)
     eta = equator_rule(2).nodes
-    psi = np.array([0.4, -0.7])
-    a = g.meridian_derivative(frame, eta, psi)
-    b = ScalarField(dim=2, evaluate=g.evaluate).meridian_derivative(frame, eta, psi)
+    poles, points = _meridian_probe(frame, eta, np.array([0.4, -0.7]))
+    a = equator_derivative(g.evaluate, g.gradient, poles, points, FD_STEP)
+    b = equator_derivative(g.evaluate, None, poles, points, FD_STEP)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -192,10 +193,10 @@ def test_odd_even_split():
     # split fields keep usable gradients
     frame = make_frame([0.0, 1.0, 0.0], seed=4)
     eta = equator_rule(3, 8).nodes
-    psi = np.linspace(-0.9, 0.9, len(eta))
-    ref = strip_gradient(ScalarField(dim=3, evaluate=fo.evaluate))
-    assert np.max(np.abs(fo.meridian_derivative(frame, eta, psi)
-                         - ref.meridian_derivative(frame, eta, psi))) < 1e-8
+    poles, points = _meridian_probe(frame, eta, np.linspace(-0.9, 0.9, len(eta)))
+    a = equator_derivative(fo.evaluate, fo.gradient, poles, points, FD_STEP)
+    b = equator_derivative(fo.evaluate, None, poles, points, FD_STEP)
+    assert np.max(np.abs(a - b)) < 1e-8
 
 
 def test_scale_body():

@@ -19,7 +19,6 @@ from starsym import (
     to_scalar_field,
     transform_sweep,
 )
-from starsym.star_body import _fd_meridian
 
 # calibrate(n) at its defaults: the dimensionless floor
 # 10 max |A| / (|S^{n-2}| sup f) over the even battery
@@ -33,14 +32,22 @@ _RECORDED_FLOORS = {
 
 
 def _reference_transform(f, frame, rule, fd_step=1e-4):
-    # the original formula: validated embed plus meridian tangent, or
-    # the finite-difference meridian derivative, at psi = 0
+    # the original formula at psi = 0: the gradient along the meridian
+    # tangent cos(psi) xi - sin(psi) lift(eta) at validated embed points,
+    # or central differences at +-h and +-h/2 with one Richardson level
+    eta = rule.nodes
     psi = np.zeros(rule.size)
     if f.gradient is None:
-        d = _fd_meridian(f.evaluate, frame, rule.nodes, psi, fd_step)
+        def central(h):
+            return (f.evaluate(embed(frame, eta, psi + h))
+                    - f.evaluate(embed(frame, eta, psi - h))) / (2.0 * h)
+
+        d1 = central(fd_step)
+        d2 = central(fd_step / 2.0)
+        d = (4.0 * d2 - d1) / 3.0
     else:
-        x = embed(frame, rule.nodes, psi)
-        t = frame.meridian_tangent(rule.nodes, psi)
+        x = embed(frame, eta, psi)
+        t = np.cos(psi)[..., None] * frame.pole - np.sin(psi)[..., None] * (eta @ frame.basis)
         d = np.sum(f.gradient(x) * t, axis=-1)
     return float(rule.weights @ d)
 
