@@ -340,17 +340,36 @@ def equator_transform(f, frame, rule, fd_step=1e-4):
 
 
 def transform_sweep(f, frames, rule, fd_step=1e-4):
-    """A(xi) for a sequence of poles: one `equator_transform` per pole.
+    """A(xi) for a sequence of poles; an antipodal pair costs one `equator_transform`.
 
     `frames` holds EquatorFrame objects or bare poles; a bare pole is
     completed with make_frame(pole, seed=FRAME_SEED), the frame every
     sweep in the package uses.  Returns the values as a 1-d array.
+
+    A is odd, and within one call the oddness is used exactly: a frame
+    whose basis is bitwise equal to an earlier frame's and whose pole is
+    that frame's pole negated bitwise gets 0.0 - A(earlier) with no new
+    transform.  Both frames lift the same equator nodes, so every
+    per-node derivative flips sign exactly (the +-h latitude points of
+    the finite-difference path swap places) and the value is the one a
+    fresh transform would return, bit for bit; 0.0 - A keeps an exact
+    zero at +0.0 as the fresh sum does.  make_frame(-xi, seed) has the
+    basis of make_frame(xi, seed), so an antipodal set of N bare poles
+    costs N/2 transforms.  Nothing is kept between calls.
     """
     values = []
+    done = {}
     for frame in frames:
         if not isinstance(frame, EquatorFrame):
             frame = make_frame(frame, seed=FRAME_SEED)
-        values.append(equator_transform(f, frame, rule, fd_step=fd_step))
+        basis = frame.basis.tobytes()
+        twin = done.get((basis, (-frame.pole).tobytes()))
+        if twin is None:
+            value = equator_transform(f, frame, rule, fd_step=fd_step)
+        else:
+            value = 0.0 - twin
+        done[(basis, frame.pole.tobytes())] = value
+        values.append(value)
     return np.array(values, dtype=float)
 
 

@@ -76,7 +76,9 @@ def sample_poles(n, count, sampler="antipodal", seed=0):
 
     'antipodal' pairs each pole with its negative (Fibonacci-based for
     n=3, seeded-random otherwise), which makes the sweep's sign
-    antisymmetry A(-xi) = -A(xi) directly visible.
+    antisymmetry A(-xi) = -A(xi) directly visible.  `transform_sweep`
+    reads each negative's value off its twin, so an antipodal set of N
+    poles costs N/2 transforms.
     """
     n = check_dim(n)
     count = int(count)

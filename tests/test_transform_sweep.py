@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from starsym import slice_transforms
 from starsym import (
     FRAME_SEED,
     body_ball,
@@ -73,6 +74,92 @@ def test_sweep_equals_reference_formula(n):
     f = to_scalar_field(strip_gradient(_bodies(n)[1]))
     want = [_reference_transform(f, fr, rule, fd_step=1e-3) for fr in frames]
     assert np.array_equal(transform_sweep(f, frames, rule, fd_step=1e-3), want)
+
+
+def _count_transforms(monkeypatch):
+    # every pole the sweep actually integrates, in call order
+    calls = []
+    real = slice_transforms.equator_transform
+
+    def counting(f, frame, rule, fd_step=1e-4):
+        calls.append(frame.pole)
+        return real(f, frame, rule, fd_step=fd_step)
+
+    monkeypatch.setattr(slice_transforms, "equator_transform", counting)
+    return calls
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_antipodal_sweep_equals_per_pole_transforms(n):
+    # the antipodal half of the sweep is A(-xi) = -A(xi) read off its twin;
+    # it must match an independent per-pole transform bit for bit, signed
+    # zeros included
+    rule = equator_rule(n)
+    xis = sample_poles(n, 24, "antipodal")
+    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
+    for body in _bodies(n):
+        f = to_scalar_field(body)
+        want = np.array([equator_transform(f, fr, rule) for fr in frames])
+        assert _same_bits(transform_sweep(f, frames, rule), want), body.label
+        assert _same_bits(transform_sweep(f, xis, rule), want), body.label
+    f = to_scalar_field(strip_gradient(_bodies(n)[1]))
+    want = np.array([equator_transform(f, fr, rule, fd_step=1e-3) for fr in frames])
+    assert _same_bits(transform_sweep(f, frames, rule, fd_step=1e-3), want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_antipodal_pair_costs_one_transform(n, monkeypatch):
+    rule = equator_rule(n, 16)
+    f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
+    xis = sample_poles(n, 24, "antipodal")
+    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
+    calls = _count_transforms(monkeypatch)
+    transform_sweep(f, xis, rule)
+    # the first pole of each pair is computed, its negative reused
+    assert np.array_equal(calls, [fr.pole for fr in frames[:12]])
+    calls.clear()
+    transform_sweep(f, frames, rule)
+    assert len(calls) == 12
+    calls.clear()
+    transform_sweep(strip_gradient(f), xis, rule)
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_twin_with_another_basis_is_computed(n, monkeypatch):
+    rule = equator_rule(n, 16)
+    f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
+    xi = sample_poles(n, 1, "random", seed=4)[0]
+    frames = [make_frame(xi, seed=FRAME_SEED), make_frame(-xi, seed=FRAME_SEED + 1)]
+    assert not np.array_equal(frames[0].basis, frames[1].basis)
+    want = np.array([equator_transform(f, fr, rule) for fr in frames])
+    calls = _count_transforms(monkeypatch)
+    assert _same_bits(transform_sweep(f, frames, rule), want)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_reuse_stays_within_one_sweep(n, monkeypatch):
+    # verify's xi_oddness check sweeps xis and -xis in two calls; both
+    # sides are computed, so the check stays independent
+    rule = equator_rule(n, 16)
+    f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
+    xis = sample_poles(n, 8, "random", seed=2)
+    calls = _count_transforms(monkeypatch)
+    transform_sweep(f, xis, rule)
+    transform_sweep(f, -xis, rule)
+    assert len(calls) == 2 * len(xis)
+
+
+def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
+    body = body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05))
+    calls = _count_transforms(monkeypatch)
+    detect(body, num_dirs=100, threshold=1.0)
+    assert len(calls) == 50
 
 
 @pytest.mark.parametrize("n", [3, 5])
