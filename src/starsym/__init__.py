@@ -15,7 +15,6 @@ from .sphere_geom import (
     DIM_MAX,
     DIM_MIN,
     FRAME_SEED,
-    Direction,
     EquatorFrame,
     EquatorQuadrature,
     default_resolution,
@@ -51,7 +50,6 @@ from .star_body import (
 )
 from .slice_transforms import (
     DerivativeAtZero,
-    FdOptions,
     SectionCurve,
     conical_section,
     derivative_at_zero,
@@ -86,7 +84,7 @@ from .verify import CheckResult, VerifyConfig, check_names, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "DIM_MAX", "DIM_MIN", "FRAME_SEED", "Direction", "EquatorFrame", "EquatorQuadrature",
+    "DIM_MAX", "DIM_MIN", "FRAME_SEED", "EquatorFrame", "EquatorQuadrature",
     "default_resolution", "embed", "equator_rule", "exact_monomial_integral",
     "fibonacci_sphere", "geodesic_distance", "make_frame", "probe_directions",
     "random_directions", "random_rotation", "sphere_rule", "unit_vector",
@@ -95,7 +93,7 @@ __all__ = [
     "body_harmonic_perturbed_ball", "body_shifted_ball", "equator_derivative", "even_part",
     "hyperplane_profile_field", "linear_field", "odd_part", "rotate_body",
     "scale_body", "strip_gradient", "to_scalar_field",
-    "DerivativeAtZero", "FdOptions", "SectionCurve", "conical_section",
+    "DerivativeAtZero", "SectionCurve", "conical_section",
     "derivative_at_zero", "equator_transform", "hyperplane_section",
     "richardson_limit", "section_curve", "slice_integral", "transform_sweep",
     "LMAX", "MultiplierTable", "estimate_multiplier", "fourier_check_n2",

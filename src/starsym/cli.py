@@ -7,7 +7,9 @@ sections   sample section curves, write curves.csv (and optionally .svg)
 verify     run the identity checks, write verify.json, exit 1 on failure
 harmonics  estimate transform multipliers, write multipliers.csv
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Each subcommand reads the parsed argparse namespace directly, so every
+option and its default is declared once, in `_build_parser`.  Exit
+codes: 0 success, 1 verification failure, 2 usage or input errors.
 All outputs are byte-deterministic for a fixed command line: floats are
 written with 17 significant digits and every artifact embeds the
 parameters that produced it.
@@ -20,8 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -257,33 +257,11 @@ def _parse_csv_list(text, allowed, what):
     return items
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete description of one CLI invocation."""
-
-    command: str
-    body: Optional[str] = None
-    out: str = "."
-    seed: int = 7
-    resolution: Optional[int] = None
-    dirs: int = 100
-    sampler: str = "antipodal"
-    kinds: tuple = ("conical", "hyperplane")
-    z_spec: str = "-0.8:0.8:0.1"
-    formats: tuple = ("csv",)
-    xi: Optional[tuple] = None
-    only: Optional[tuple] = None
-    num_xi: int = 4
-    mc_samples: int = 300000
-    lmax: int = 8
-    dim: int = 3
-
-
-def _common_params(cfg, dim):
+def _common_params(args, dim):
     return {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "resolution": cfg.resolution or default_resolution(dim),
+        "command": args.command,
+        "seed": args.seed,
+        "resolution": args.resolution or default_resolution(dim),
         "dim": dim,
     }
 
@@ -292,13 +270,13 @@ def _common_params(cfg, dim):
 # subcommands
 
 
-def cmd_analyze(cfg):
-    body, spec = load_body_spec(cfg.body)
-    report = detect(body, num_dirs=cfg.dirs, sampler=cfg.sampler, seed=cfg.seed,
-                    rule_resolution=cfg.resolution)
-    os.makedirs(cfg.out, exist_ok=True)
-    params = _common_params(cfg, body.dim)
-    params.update({"body": spec, "dirs": cfg.dirs, "sampler": cfg.sampler})
+def cmd_analyze(args):
+    body, spec = load_body_spec(args.body)
+    report = detect(body, num_dirs=args.dirs, sampler=args.sampler, seed=args.seed,
+                    rule_resolution=args.resolution)
+    os.makedirs(args.out, exist_ok=True)
+    params = _common_params(args, body.dim)
+    params.update({"body": spec, "dirs": args.dirs, "sampler": args.sampler})
     doc = {
         "parameters": params,
         "verdict": report.verdict,
@@ -309,14 +287,14 @@ def cmd_analyze(cfg):
         "num_dirs": report.num_dirs,
         "ground_truth_odd_sup": report.ground_truth_odd_sup,
     }
-    jpath = _write(os.path.join(cfg.out, "report.json"), json_text(doc) + "\n")
+    jpath = _write(os.path.join(args.out, "report.json"), json_text(doc) + "\n")
     head = ",".join([f"xi_{i}" for i in range(body.dim)] + ["transform"])
-    lines = [_param_line({"command": cfg.command, "seed": cfg.seed,
+    lines = [_param_line({"command": args.command, "seed": args.seed,
                           "resolution": report.resolution,
-                          "sampler": cfg.sampler}), head + "\n"]
+                          "sampler": args.sampler}), head + "\n"]
     for xi, val in zip(report.xis, report.values):
         lines.append(",".join([_fmt(c) for c in xi] + [_fmt(val)]) + "\n")
-    cpath = _write(os.path.join(cfg.out, "values.csv"), "".join(lines))
+    cpath = _write(os.path.join(args.out, "values.csv"), "".join(lines))
     print(f"verdict: {report.verdict}")
     print(f"note: {report.note}")
     print(f"max |A| = {report.max_abs:.6g}, threshold = {report.threshold:.6g} "
@@ -326,43 +304,49 @@ def cmd_analyze(cfg):
     return 0
 
 
-def cmd_sections(cfg):
-    body, spec = load_body_spec(cfg.body)
+def cmd_sections(args):
+    kinds = _parse_csv_list(args.kind, ("conical", "hyperplane"), "section kind")
+    formats = _parse_csv_list(args.formats, ("csv", "svg"), "format")
+    xi = None
+    if args.xi is not None:
+        xi = [float(p) for p in str(args.xi).split(",") if p.strip()]
+        if not xi:
+            raise ValueError("empty --xi")
+    body, spec = load_body_spec(args.body)
     n = body.dim
-    if cfg.xi is not None:
-        if len(cfg.xi) != n:
-            raise ValueError(f"--xi needs {n} components for this body")
-        pole = unit_vector(np.asarray(cfg.xi, dtype=float))
+    if xi is None:
+        pole = np.eye(n)[-1]
+    elif len(xi) != n:
+        raise ValueError(f"--xi needs {n} components for this body")
     else:
-        pole = np.zeros(n)
-        pole[-1] = 1.0
+        pole = unit_vector(xi)
     frame = make_frame(pole, seed=FRAME_SEED)
-    rule = equator_rule(n, cfg.resolution)
-    zs = parse_z_values(cfg.z_spec)
-    os.makedirs(cfg.out, exist_ok=True)
-    params = _common_params(cfg, n)
+    rule = equator_rule(n, args.resolution)
+    zs = parse_z_values(args.z)
+    os.makedirs(args.out, exist_ok=True)
+    params = _common_params(args, n)
     params.update({"body": spec, "xi": [float(c) for c in pole],
-                   "kinds": list(cfg.kinds), "z": cfg.z_spec})
+                   "kinds": list(kinds), "z": args.z})
     curves, slopes = [], {}
-    for kind in cfg.kinds:
+    for kind in kinds:
         curves.append(section_curve(kind, body, frame, zs, rule))
         slopes[kind] = derivative_at_zero(kind, body, frame, rule)
-    lines = [_param_line({"command": cfg.command, "seed": cfg.seed,
-                          "resolution": cfg.resolution or default_resolution(n),
+    lines = [_param_line({"command": args.command, "seed": args.seed,
+                          "resolution": params["resolution"],
                           "xi": [format(float(c), ".6g") for c in pole]}),
              "kind,z,value,slope_at_zero\n"]
     for curve in curves:
         s = slopes[curve.kind].transform_value
         for z, v in zip(curve.zs, curve.values):
             lines.append(f"{curve.kind},{_fmt(z)},{_fmt(v)},{_fmt(s)}\n")
-    cpath = _write(os.path.join(cfg.out, "curves.csv"), "".join(lines))
+    cpath = _write(os.path.join(args.out, "curves.csv"), "".join(lines))
     written = [cpath]
-    if "svg" in cfg.formats:
+    if "svg" in formats:
         triples = [(c.kind, c.zs, c.values) for c in curves]
-        spath = _write(os.path.join(cfg.out, "sections.svg"),
+        spath = _write(os.path.join(args.out, "sections.svg"),
                        svg_curves(triples, f"section curves, {body.label}"))
         written.append(spath)
-    for kind in cfg.kinds:
+    for kind in kinds:
         d = slopes[kind]
         print(f"{kind}: slope at z=0 = {d.transform_value:.12g} "
               f"(finite differences {d.fd_value:.12g}, "
@@ -372,11 +356,13 @@ def cmd_sections(cfg):
     return 0
 
 
-def cmd_verify(cfg):
-    vcfg = VerifyConfig(resolution=cfg.resolution, seed=cfg.seed,
-                        num_xi=cfg.num_xi, mc_samples=cfg.mc_samples)
-    results = run_checks(vcfg, only=cfg.only)
-    os.makedirs(cfg.out, exist_ok=True)
+def cmd_verify(args):
+    only = None if args.only is None else tuple(
+        p.strip() for p in str(args.only).split(",") if p.strip())
+    vcfg = VerifyConfig(resolution=args.resolution, seed=args.seed,
+                        num_xi=args.num_xi, mc_samples=args.mc_samples)
+    results = run_checks(vcfg, only=only)
+    os.makedirs(args.out, exist_ok=True)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag} {r.name:<20} residual={r.residual:.6e} "
@@ -388,13 +374,13 @@ def cmd_verify(cfg):
         print(f"verify: all {len(results)} checks passed")
     doc = {
         "parameters": {
-            "command": cfg.command,
+            "command": args.command,
             "seed": vcfg.seed,
             "resolution": vcfg.resolution,
             "reference_resolution": vcfg.reference_resolution,
             "num_xi": vcfg.num_xi,
             "mc_samples": vcfg.mc_samples,
-            "only": list(cfg.only) if cfg.only else None,
+            "only": list(only) if only else None,
         },
         "checks": [{"name": r.name, "passed": bool(r.passed),
                     "residual": float(r.residual),
@@ -403,31 +389,36 @@ def cmd_verify(cfg):
         "num_fail": num_fail,
         "all_pass": num_fail == 0,
     }
-    jpath = _write(os.path.join(cfg.out, "verify.json"), json_text(doc) + "\n")
+    jpath = _write(os.path.join(args.out, "verify.json"), json_text(doc) + "\n")
     print(f"wrote {jpath}")
     return 0 if num_fail == 0 else 1
 
 
-def cmd_harmonics(cfg):
-    os.makedirs(cfg.out, exist_ok=True)
-    resolution = cfg.resolution or default_resolution(cfg.dim)
-    fit = multiplier_table if cfg.dim == 3 else fourier_multiplier_table
-    table = fit(cfg.lmax, num_xi=max(cfg.num_xi, 12), resolution=resolution, seed=cfg.seed)
+_MIN_FIT_POLES = 12
+
+
+def cmd_harmonics(args):
+    if args.num_xi < _MIN_FIT_POLES:
+        raise ValueError(f"--num-xi must be at least {_MIN_FIT_POLES} for harmonics")
+    os.makedirs(args.out, exist_ok=True)
+    resolution = args.resolution or default_resolution(args.dim)
+    fit = multiplier_table if args.dim == 3 else fourier_multiplier_table
+    table = fit(args.lmax, num_xi=args.num_xi, resolution=resolution, seed=args.seed)
     rows = table.orders
-    if cfg.dim == 3:
+    if args.dim == 3:
         for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
             print(f"degree {l}: lambda = {lam: .12g}  (worst fit residual {res:.3e})")
     else:
         for (k, _, cos_lam, _), (_, _, sin_lam, _) in zip(rows[::2], rows[1::2]):
             print(f"frequency {k}: lambda = {cos_lam: .12g} (cos), "
                   f"{sin_lam: .12g} (sin)")
-    lines = [_param_line({"command": cfg.command, "dim": cfg.dim,
-                          "lmax": cfg.lmax, "seed": cfg.seed,
-                          "resolution": resolution}),
+    lines = [_param_line({"command": args.command, "dim": args.dim,
+                          "lmax": args.lmax, "num_xi": args.num_xi,
+                          "seed": args.seed, "resolution": resolution}),
              "degree,order,lambda,residual\n"]
     for l, m, lam, res in rows:
         lines.append(f"{l},{m},{_fmt(lam)},{_fmt(res)}\n")
-    cpath = _write(os.path.join(cfg.out, "multipliers.csv"), "".join(lines))
+    cpath = _write(os.path.join(args.out, "multipliers.csv"), "".join(lines))
     print(f"wrote {cpath}")
     return 0
 
@@ -481,33 +472,8 @@ def _build_parser():
     p.add_argument("--lmax", type=int, default=8,
                    help=f"largest degree (at most {LMAX})")
     p.add_argument("--num-xi", type=int, default=24, dest="num_xi",
-                   help="poles per fit")
+                   help=f"poles per fit (at least {_MIN_FIT_POLES})")
     return parser
-
-
-def config_from_args(args):
-    kw = {"command": args.command, "out": args.out, "seed": args.seed,
-          "resolution": args.resolution}
-    if args.command == "analyze":
-        kw.update(body=args.body, dirs=args.dirs, sampler=args.sampler)
-    elif args.command == "sections":
-        kinds = _parse_csv_list(args.kind, ("conical", "hyperplane"), "section kind")
-        formats = _parse_csv_list(args.formats, ("csv", "svg"), "format")
-        xi = None
-        if args.xi is not None:
-            xi = tuple(float(p) for p in str(args.xi).split(",") if p.strip())
-            if not xi:
-                raise ValueError("empty --xi")
-        kw.update(body=args.body, kinds=kinds, z_spec=args.z,
-                  formats=formats, xi=xi)
-    elif args.command == "verify":
-        only = None
-        if args.only is not None:
-            only = tuple(p.strip() for p in str(args.only).split(",") if p.strip())
-        kw.update(only=only, num_xi=args.num_xi, mc_samples=args.mc_samples)
-    elif args.command == "harmonics":
-        kw.update(dim=args.dim, lmax=args.lmax, num_xi=args.num_xi)
-    return RunConfig(**kw)
 
 
 _DISPATCH = {
@@ -525,8 +491,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = config_from_args(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"starsym: {exc}", file=sys.stderr)
         return 2

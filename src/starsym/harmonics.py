@@ -220,7 +220,7 @@ def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
     """
     y = real_harmonic(degree, order)
     if resolution is None:
-        resolution = 512
+        resolution = default_resolution(3)
     xis = random_directions(3, num_xi, seed=seed)
     t = transform_sweep(y, xis, equator_rule(3, resolution))
     vals = y.evaluate(xis)
@@ -251,7 +251,7 @@ def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
     if not (0 <= lmax <= LMAX):
         raise ValueError(f"lmax must lie in [0, {LMAX}]")
     if resolution is None:
-        resolution = 512
+        resolution = default_resolution(3)
     xis = random_directions(3, num_xi, seed=seed)
     # one frame per pole for all (lmax + 1)^2 sweeps
     frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
@@ -358,7 +358,7 @@ def fourier_multiplier_table(kmax, num_xi=50, resolution=None, seed=11):
 
 
 def injectivity_probe(coefficients, num_xi=50, resolution=None,
-                      projection_resolution=64, seed=11, table=None):
+                      projection_resolution=64, seed=11):
     """Round-trip reconstruction error for an odd band-limited field.
 
     Expands the transform of g over poles into harmonics, divides by the
@@ -377,10 +377,9 @@ def injectivity_probe(coefficients, num_xi=50, resolution=None,
         if not (abs(m) <= l <= LMAX):
             raise ValueError("invalid (degree, order) pair")
     if resolution is None:
-        resolution = 512
+        resolution = default_resolution(3)
     g = harmonic_field(coeffs)
-    if table is None:
-        table = multiplier_table(lmax, num_xi=num_xi, resolution=resolution, seed=seed)
+    table = multiplier_table(lmax, num_xi=num_xi, resolution=resolution, seed=seed)
     lam = dict(zip(table.degrees, table.multipliers))
     for l in range(1, lmax + 1, 2):
         if abs(lam.get(l, 0.0)) < 1e-6:

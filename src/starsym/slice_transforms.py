@@ -21,7 +21,7 @@ A(xi) for almost every pole forces the field to be even.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,6 +38,9 @@ from .star_body import (
 _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
+# slope ladder of derivative_at_zero: steps _LADDER_H0 / 2^k, k < _LADDER_LEVELS
+_LADDER_H0 = 1e-2
+_LADDER_LEVELS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,20 +86,6 @@ class DerivativeAtZero:
     fd_steps: tuple
     agreement_residual: float
     ladder_monotone: bool
-
-
-@dataclass(frozen=True)
-class FdOptions:
-    """Central-difference ladder: steps h0 / 2^k for k < levels."""
-
-    h0: float = 1e-2
-    levels: int = 4
-
-    def __post_init__(self):
-        if not (0 < self.h0 < 0.5):
-            raise ValueError("h0 must lie in (0, 0.5)")
-        if self.levels < 1:
-            raise ValueError("levels must be at least 1")
 
 
 def richardson_limit(pairs):
@@ -407,23 +396,23 @@ def section_curve(kind, obj, frame, zs, rule):
                         label=label)
 
 
-def derivative_at_zero(kind, obj, frame, rule, fd=None, transform_rule=None):
+def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
     """Slope of a section curve at z = 0, checked against the transform.
 
     The finite-difference side differentiates the sampled curve with a
-    halving central-difference ladder and Richardson extrapolation, all
-    2 * levels ladder heights going to the section function in one call;
+    central-difference ladder of steps _LADDER_H0 / 2^k = 1e-2 / 2^k,
+    k < _LADDER_LEVELS = 4, and Richardson extrapolation, all eight
+    ladder heights going to the section function in one call;
     the transform side applies the equatorial transform to the curve's
     matching field (the section density for slice/conical curves, the
     flat-cut slope density for hyperplane curves).  `transform_rule`
     overrides the rule used on the transform side only.
     """
-    fd = fd or FdOptions()
     fn, match = _curve_function(kind, obj)
-    hs = [fd.h0 / 2.0 ** k for k in range(fd.levels)]
+    hs = [_LADDER_H0 / 2.0 ** k for k in range(_LADDER_LEVELS)]
     values = fn(obj, frame, np.array(hs + [-h for h in hs]), rule)
     steps = [(h, float((up - down) / (2.0 * h)))
-             for h, up, down in zip(hs, values[:fd.levels], values[fd.levels:])]
+             for h, up, down in zip(hs, values[:_LADDER_LEVELS], values[_LADDER_LEVELS:])]
     fd_value, diag = richardson_limit(steps)
     corrections = [abs(b - a) for a, b in zip(diag, diag[1:])]
     monotone = all(b <= a * 1.5 + 1e-14 for a, b in zip(corrections, corrections[1:]))

@@ -48,43 +48,18 @@ def vol_sphere(m):
 
 
 def unit_vector(v, dim=None):
-    """Coerce v (Direction or array-like) to a unit vector, validating length."""
-    if isinstance(v, Direction):
-        out = v.coords
-    else:
-        out = np.asarray(v, dtype=float)
-        if out.ndim != 1:
-            raise ValueError("direction must be a 1-d vector")
-        norm = float(np.linalg.norm(out))
-        if norm < 1e-12:
-            raise ValueError("direction has near-zero norm")
-        out = out / norm
+    """Coerce an array-like v to a unit vector, validating length."""
+    out = np.asarray(v, dtype=float)
+    if out.ndim != 1:
+        raise ValueError("direction must be a 1-d vector")
+    norm = float(np.linalg.norm(out))
+    if norm < 1e-12:
+        raise ValueError("direction has near-zero norm")
+    out = out / norm
     if dim is not None and out.shape[0] != dim:
         raise ValueError(f"direction has dimension {out.shape[0]}, expected {dim}")
     check_dim(out.shape[0])
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """Unit vector on S^{n-1}; normalized at construction."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("Direction expects a 1-d coordinate vector")
-        check_dim(c.shape[0])
-        norm = float(np.linalg.norm(c))
-        if norm < 1e-12:
-            raise ValueError("Direction has near-zero norm")
-        object.__setattr__(self, "coords", c / norm)
-        self.coords.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.coords.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +110,7 @@ def make_frame(pole, seed=0):
 
     Parameters
     ----------
-    pole : Direction or array-like
+    pole : array-like
     seed : int
 
     Returns

@@ -21,7 +21,7 @@ gradient along.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -145,8 +145,8 @@ class RadialField:
     radius_floor: Optional[float] = None
     label: str = ""
     sections_star_shaped: bool = True
-    probe_min: float = 0.0
-    probe_max: float = 0.0
+    # largest rho on the construction probe grid
+    probe_max: float = field(init=False)
 
     def __post_init__(self):
         check_dim(self.dim)
@@ -158,7 +158,6 @@ class RadialField:
             raise ValueError("radial function must be positive and finite")
         pmin = float(values.min())
         pmax = float(values.max())
-        object.__setattr__(self, "probe_min", pmin)
         object.__setattr__(self, "probe_max", pmax)
         if self.radius_bound is None:
             object.__setattr__(self, "radius_bound", pmax * 1.05)

@@ -74,11 +74,11 @@ class AsymmetryReport:
 def sample_poles(n, count, sampler="antipodal", seed=0):
     """Pole sets for sweeps: 'fibonacci' (n=3), 'random', 'antipodal'.
 
-    'antipodal' pairs each pole with its negative (Fibonacci-based for
-    n=3, seeded-random otherwise), which makes the sweep's sign
-    antisymmetry A(-xi) = -A(xi) directly visible.  `transform_sweep`
-    reads each negative's value off its twin, so an antipodal set of N
-    poles costs N/2 transforms.
+    'antipodal' returns m = max(1, count // 2) poles (Fibonacci-based
+    for n=3, seeded-random otherwise) followed by their negatives, 2m in
+    all: sample_poles(3, 1) has 2 poles and sample_poles(n, 37) has 36.
+    The pairs make A(-xi) = -A(xi) visible, and `transform_sweep` reads
+    each negative's value off its twin, so N poles cost N/2 transforms.
     """
     n = check_dim(n)
     count = int(count)
@@ -122,31 +122,32 @@ def _even_battery(n):
     return tuple(bodies)
 
 
-def calibrate(n, rule_resolution=None, fd_step=1e-4, num_dirs=32, seed=2024):
+def calibrate(n, rule_resolution=None):
     """Dimensionless noise floor of the transform on centrally symmetric bodies.
 
     Sweeps a battery of even bodies (balls, ellipsoids, even harmonic
     bumps, plus one body forced through the finite-difference meridian
-    path) and returns c_n = 10 max |A| / (|S^{n-2}| sup f), with sup f the
-    declared `sup_bound` of each body's section density.  A scales like
+    path) over 32 antipodal poles of seed 2024, and returns
+    c_n = 10 max |A| / (|S^{n-2}| sup f), with sup f the declared
+    `sup_bound` of each body's section density.  A scales like
     |S^{n-2}| sup f under dilation, so `sweep` multiplies c_n by that size
     of the swept field to get its threshold, and one floor serves bodies
-    of every scale.  Deterministic, and cached on the normalized
-    arguments, so `calibrate(n)` and a default `detect` share one entry.
+    of every scale.  Deterministic, and cached on (n, resolution), so
+    `calibrate(n)`, an explicit default resolution and a default
+    `detect` share one entry.
     """
     n = check_dim(n)
-    return _calibrate(n, int(rule_resolution or default_resolution(n)),
-                      float(fd_step), int(num_dirs), int(seed))
+    return _calibrate(n, int(rule_resolution or default_resolution(n)))
 
 
 @lru_cache(maxsize=256)
-def _calibrate(n, resolution, fd_step, num_dirs, seed):
+def _calibrate(n, resolution):
     rule = equator_rule(n, resolution)
-    _, frames = _pole_frames(n, num_dirs, "antipodal", seed)
+    _, frames = _pole_frames(n, 32, "antipodal", 2024)
     worst = 0.0
     for body in _even_battery(n):
         f = to_scalar_field(body)
-        values = transform_sweep(f, frames, rule, fd_step=fd_step)
+        values = transform_sweep(f, frames, rule)
         size = vol_sphere(n - 2) * f.sup_bound
         worst = max(worst, float(np.max(np.abs(values))) / size)
     # floor at the relative roundoff of the weighted sums; claiming to
@@ -158,13 +159,14 @@ calibrate.cache_info = _calibrate.cache_info
 
 
 def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
-          threshold=None, body_id=None, fd_step=1e-4):
+          threshold=None, body_id=None):
     """Evaluate the transform over a pole sample and classify the field.
 
     Parameters
     ----------
     f : ScalarField
-    num_dirs : number of poles
+    num_dirs : poles requested; 'antipodal' sweeps 2 * max(1, num_dirs // 2)
+        (see `sample_poles`), and the report's num_dirs is the swept count
     sampler : 'antipodal' (default), 'fibonacci', or 'random'
     threshold : absolute threshold on max |A|; by default the calibrated
         floor `calibrate(n)` times |S^{n-2}| sup |f|, with sup |f| from
@@ -179,7 +181,7 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     rule = equator_rule(n, resolution)
     xis, frames = _pole_frames(n, num_dirs, sampler, seed)
     xis = xis.copy()
-    values = transform_sweep(f, frames, rule, fd_step=fd_step)
+    values = transform_sweep(f, frames, rule)
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
     grid = probe_directions(n, 2000)
@@ -188,7 +190,7 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
         sup = f.sup_bound
         if sup is None:
             sup = float(np.max(np.abs(f.evaluate(grid))))
-        floor = calibrate(n, rule_resolution=resolution, fd_step=fd_step)
+        floor = calibrate(n, rule_resolution=resolution)
         threshold = floor * vol_sphere(n - 2) * sup
     if max_abs > threshold:
         verdict = "asymmetric"
@@ -211,7 +213,10 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
 
 def detect(body, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
            threshold=None):
-    """Sweep a star body's section density for central asymmetry."""
+    """Sweep a star body's section density for central asymmetry; see `sweep`.
+
+    An antipodal `detect(body, num_dirs=37)` sweeps and reports 36 poles.
+    """
     return sweep(to_scalar_field(body), num_dirs=num_dirs, sampler=sampler,
                  seed=seed, rule_resolution=rule_resolution, threshold=threshold,
                  body_id=body.label)

@@ -232,6 +232,21 @@ def test_harmonics_dim2_table(tmp_path, capsys):
         assert table[(k, -k)] == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_harmonics_records_num_xi_and_refuses_too_few_poles(tmp_path, capsys, dim):
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--dim", dim, "--lmax", "2",
+                 "--num-xi", "12", "--resolution", "16"]) == 0
+    capsys.readouterr()
+    first = (out / "multipliers.csv").read_text().splitlines()[0]
+    assert first == (f"# parameters: command=harmonics dim={dim} lmax=2 num_xi=12 "
+                     "seed=7 resolution=16")
+    few = tmp_path / "few"
+    assert main(["harmonics", "--out", str(few), "--dim", dim, "--num-xi", "11"]) == 2
+    assert capsys.readouterr().err == "starsym: --num-xi must be at least 12 for harmonics\n"
+    assert not few.exists()
+
+
 # ---------------------------------------------------------------------------
 # helpers
 

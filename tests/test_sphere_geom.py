@@ -11,7 +11,6 @@ import pytest
 from starsym import (
     DIM_MAX,
     DIM_MIN,
-    Direction,
     embed,
     equator_rule,
     exact_monomial_integral,
@@ -47,8 +46,6 @@ def test_dim_window():
 def test_unit_vector_and_direction():
     u = unit_vector([3.0, 4.0])
     assert np.allclose(u, [0.6, 0.8], atol=1e-15)
-    d = Direction([0.0, 0.0, 2.0])
-    assert np.allclose(d.coords, [0.0, 0.0, 1.0], atol=1e-15)
     with pytest.raises(ValueError):
         unit_vector([0.0, 0.0])
 

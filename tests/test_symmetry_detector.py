@@ -111,6 +111,8 @@ def test_calibrate_and_detect_share_one_cache_entry():
     calibrate(3)
     misses = calibrate.cache_info().misses
     detect(body_ball(3, 1.0), num_dirs=10, seed=1)
+    # an explicit resolution equal to the default is the same entry
+    assert calibrate(3, rule_resolution=512) == calibrate(3)
     assert calibrate.cache_info().misses == misses
 
 
