@@ -15,7 +15,6 @@ import os
 import numpy as np
 
 from starsym import (
-    FRAME_SEED,
     body_shifted_ball,
     derivative_at_zero,
     equator_rule,
@@ -28,7 +27,7 @@ from starsym.cli import svg_curves
 # no longer centrally symmetric
 body = body_shifted_ball(3, 1.0, (0.25, 0.0, 0.1))
 pole = np.array([1.0, 0.0, 0.0])
-frame = make_frame(pole, seed=FRAME_SEED)
+frame = make_frame(pole)
 rule = equator_rule(3, 256)
 
 zs = np.linspace(-0.6, 0.6, 13)

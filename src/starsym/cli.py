@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .sphere_geom import FRAME_SEED, default_resolution, equator_rule, make_frame, unit_vector
+from .sphere_geom import equator_rule, make_frame, unit_vector
 from .star_body import (
     body_ball,
     body_ellipsoid,
@@ -35,7 +35,7 @@ from .star_body import (
 from .slice_transforms import derivative_at_zero, section_curve
 from .symmetry_detector import detect
 from .harmonics import LMAX, fourier_multiplier_table, multiplier_table
-from .verify import VerifyConfig, run_checks
+from .verify import REFERENCE_RESOLUTION, VerifyConfig, run_checks
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +257,6 @@ def _parse_csv_list(text, allowed, what):
     return items
 
 
-def _common_params(args, dim):
-    return {
-        "command": args.command,
-        "seed": args.seed,
-        "resolution": args.resolution or default_resolution(dim),
-        "dim": dim,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -275,10 +266,10 @@ def cmd_analyze(args):
     report = detect(body, num_dirs=args.dirs, sampler=args.sampler, seed=args.seed,
                     rule_resolution=args.resolution)
     os.makedirs(args.out, exist_ok=True)
-    params = _common_params(args, body.dim)
-    params.update({"body": spec, "dirs": args.dirs, "sampler": args.sampler})
     doc = {
-        "parameters": params,
+        "parameters": {"command": args.command, "seed": args.seed,
+                       "resolution": report.resolution, "dim": body.dim, "body": spec,
+                       "dirs": args.dirs, "sampler": args.sampler},
         "verdict": report.verdict,
         "note": report.note,
         "max_abs_transform": report.max_abs,
@@ -312,7 +303,7 @@ def cmd_sections(args):
         xi = [float(p) for p in str(args.xi).split(",") if p.strip()]
         if not xi:
             raise ValueError("empty --xi")
-    body, spec = load_body_spec(args.body)
+    body, _ = load_body_spec(args.body)
     n = body.dim
     if xi is None:
         pole = np.eye(n)[-1]
@@ -320,32 +311,27 @@ def cmd_sections(args):
         raise ValueError(f"--xi needs {n} components for this body")
     else:
         pole = unit_vector(xi)
-    frame = make_frame(pole, seed=FRAME_SEED)
+    frame = make_frame(pole)
     rule = equator_rule(n, args.resolution)
     zs = parse_z_values(args.z)
-    os.makedirs(args.out, exist_ok=True)
-    params = _common_params(args, n)
-    params.update({"body": spec, "xi": [float(c) for c in pole],
-                   "kinds": list(kinds), "z": args.z})
     curves, slopes = [], {}
     for kind in kinds:
         curves.append(section_curve(kind, body, frame, zs, rule))
         slopes[kind] = derivative_at_zero(kind, body, frame, rule)
     lines = [_param_line({"command": args.command, "seed": args.seed,
-                          "resolution": params["resolution"],
+                          "resolution": rule.resolution,
                           "xi": [format(float(c), ".6g") for c in pole]}),
              "kind,z,value,slope_at_zero\n"]
     for curve in curves:
         s = slopes[curve.kind].transform_value
         for z, v in zip(curve.zs, curve.values):
             lines.append(f"{curve.kind},{_fmt(z)},{_fmt(v)},{_fmt(s)}\n")
-    cpath = _write(os.path.join(args.out, "curves.csv"), "".join(lines))
-    written = [cpath]
+    texts = {"curves.csv": "".join(lines)}
     if "svg" in formats:
-        triples = [(c.kind, c.zs, c.values) for c in curves]
-        spath = _write(os.path.join(args.out, "sections.svg"),
-                       svg_curves(triples, f"section curves, {body.label}"))
-        written.append(spath)
+        texts["sections.svg"] = svg_curves([(c.kind, c.zs, c.values) for c in curves],
+                                           f"section curves, {body.label}")
+    os.makedirs(args.out, exist_ok=True)
+    written = [_write(os.path.join(args.out, name), text) for name, text in texts.items()]
     for kind in kinds:
         d = slopes[kind]
         print(f"{kind}: slope at z=0 = {d.transform_value:.12g} "
@@ -377,7 +363,7 @@ def cmd_verify(args):
             "command": args.command,
             "seed": vcfg.seed,
             "resolution": vcfg.resolution,
-            "reference_resolution": vcfg.reference_resolution,
+            "reference_resolution": REFERENCE_RESOLUTION,
             "num_xi": vcfg.num_xi,
             "mc_samples": vcfg.mc_samples,
             "only": list(only) if only else None,
@@ -400,10 +386,9 @@ _MIN_FIT_POLES = 12
 def cmd_harmonics(args):
     if args.num_xi < _MIN_FIT_POLES:
         raise ValueError(f"--num-xi must be at least {_MIN_FIT_POLES} for harmonics")
-    os.makedirs(args.out, exist_ok=True)
-    resolution = args.resolution or default_resolution(args.dim)
     fit = multiplier_table if args.dim == 3 else fourier_multiplier_table
-    table = fit(args.lmax, num_xi=args.num_xi, resolution=resolution, seed=args.seed)
+    table = fit(args.lmax, num_xi=args.num_xi, resolution=args.resolution, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
     rows = table.orders
     if args.dim == 3:
         for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
@@ -414,7 +399,7 @@ def cmd_harmonics(args):
                   f"{sin_lam: .12g} (sin)")
     lines = [_param_line({"command": args.command, "dim": args.dim,
                           "lmax": args.lmax, "num_xi": args.num_xi,
-                          "seed": args.seed, "resolution": resolution}),
+                          "seed": args.seed, "resolution": table.resolution}),
              "degree,order,lambda,residual\n"]
     for l, m, lam, res in rows:
         lines.append(f"{l},{m},{_fmt(lam)},{_fmt(res)}\n")
@@ -438,7 +423,8 @@ def _build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--resolution", type=int, default=None,
-                       help="equator quadrature resolution (default per dimension)")
+                       help="equator quadrature resolution, at least 2 "
+                            "(default per dimension)")
 
     p = sub.add_parser("analyze", help="sweep a body for central asymmetry")
     common(p)
@@ -462,9 +448,10 @@ def _build_parser():
     common(p)
     p.add_argument("--only", default=None,
                    help="comma list of check names to run")
-    p.add_argument("--num-xi", type=int, default=4, dest="num_xi",
+    p.add_argument("--num-xi", type=int, default=VerifyConfig.num_xi, dest="num_xi",
                    help="poles per check")
-    p.add_argument("--mc-samples", type=int, default=300000, dest="mc_samples")
+    p.add_argument("--mc-samples", type=int, default=VerifyConfig.mc_samples,
+                   dest="mc_samples")
 
     p = sub.add_parser("harmonics", help="estimate transform multipliers")
     common(p)

@@ -21,8 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere_geom import (
-    FRAME_SEED,
-    default_resolution,
     fibonacci_sphere,
     make_frame,
     probe_directions,
@@ -219,8 +217,6 @@ def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
     poles, and the worst absolute deviation from that diagonal action.
     """
     y = real_harmonic(degree, order)
-    if resolution is None:
-        resolution = default_resolution(3)
     xis = random_directions(3, num_xi, seed=seed)
     t = transform_sweep(y, xis, equator_rule(3, resolution))
     vals = y.evaluate(xis)
@@ -241,7 +237,7 @@ def _table(dim, sweeps, num_xi, resolution, seed):
     return MultiplierTable(dim=dim, degrees=tuple(by_degree),
                            multipliers=tuple(lam for lam, _ in fits),
                            residuals=tuple(res for _, res in fits), orders=tuple(orders),
-                           num_xi=int(num_xi), resolution=int(resolution),
+                           num_xi=int(num_xi), resolution=resolution,
                            seed=int(seed))
 
 
@@ -250,18 +246,16 @@ def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
     lmax = int(lmax)
     if not (0 <= lmax <= LMAX):
         raise ValueError(f"lmax must lie in [0, {LMAX}]")
-    if resolution is None:
-        resolution = default_resolution(3)
     xis = random_directions(3, num_xi, seed=seed)
     # one frame per pole for all (lmax + 1)^2 sweeps
-    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
+    frames = [make_frame(xi) for xi in xis]
     rule = equator_rule(3, resolution)
     sweeps = []
     for l in range(lmax + 1):
         for m in range(-l, l + 1):
             y = real_harmonic(l, m)
             sweeps.append((l, m, transform_sweep(y, frames, rule), y.evaluate(xis)))
-    return _table(3, sweeps, num_xi, resolution, seed)
+    return _table(3, sweeps, num_xi, rule.resolution, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +333,8 @@ def fourier_multiplier_table(kmax, num_xi=50, resolution=None, seed=11):
     kmax = int(kmax)
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
-    if resolution is None:
-        resolution = default_resolution(2)
     thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=num_xi)
-    frames = [make_frame((math.cos(t), math.sin(t)), seed=FRAME_SEED) for t in thetas]
+    frames = [make_frame((math.cos(t), math.sin(t))) for t in thetas]
     rule = equator_rule(2, resolution)
     sweeps = []
     for k in range(1, kmax + 1):
@@ -350,7 +342,7 @@ def fourier_multiplier_table(kmax, num_xi=50, resolution=None, seed=11):
         for order, f, basis in ((k, fourier_field(0.0, coeffs, ()), np.cos(k * thetas)),
                                 (-k, fourier_field(0.0, (), coeffs), np.sin(k * thetas))):
             sweeps.append((k, order, transform_sweep(f, frames, rule), basis))
-    return _table(2, sweeps, num_xi, resolution, seed)
+    return _table(2, sweeps, num_xi, rule.resolution, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +368,6 @@ def injectivity_probe(coefficients, num_xi=50, resolution=None,
             raise ValueError("injectivity probe expects odd-degree content only")
         if not (abs(m) <= l <= LMAX):
             raise ValueError("invalid (degree, order) pair")
-    if resolution is None:
-        resolution = default_resolution(3)
     g = harmonic_field(coeffs)
     table = multiplier_table(lmax, num_xi=num_xi, resolution=resolution, seed=seed)
     lam = dict(zip(table.degrees, table.multipliers))

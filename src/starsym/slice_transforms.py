@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere_geom import FRAME_SEED, EquatorFrame, _latitude_points, make_frame
+from .sphere_geom import EquatorFrame, _latitude_points, make_frame
 from .star_body import (
     RadialField,
     ScalarField,
@@ -332,8 +332,8 @@ def transform_sweep(f, frames, rule, fd_step=1e-4):
     """A(xi) for a sequence of poles; an antipodal pair costs one `equator_transform`.
 
     `frames` holds EquatorFrame objects or bare poles; a bare pole is
-    completed with make_frame(pole, seed=FRAME_SEED), the frame every
-    sweep in the package uses.  Returns the values as a 1-d array.
+    completed with make_frame(pole), the frame every sweep in the
+    package uses.  Returns the values as a 1-d array.
 
     A is odd, and within one call the oddness is used exactly: a frame
     whose basis is bitwise equal to an earlier frame's and whose pole is
@@ -350,7 +350,7 @@ def transform_sweep(f, frames, rule, fd_step=1e-4):
     done = {}
     for frame in frames:
         if not isinstance(frame, EquatorFrame):
-            frame = make_frame(frame, seed=FRAME_SEED)
+            frame = make_frame(frame)
         basis = frame.basis.tobytes()
         twin = done.get((basis, (-frame.pole).tobytes()))
         if twin is None:

@@ -100,7 +100,7 @@ class EquatorFrame:
         return embed(self, eta, psi)
 
 
-def make_frame(pole, seed=0):
+def make_frame(pole, seed=FRAME_SEED):
     """Complete a pole to an orthonormal frame of its orthocomplement.
 
     The completion is deterministic for fixed (pole, seed): candidate
@@ -111,7 +111,8 @@ def make_frame(pole, seed=0):
     Parameters
     ----------
     pole : array-like
-    seed : int
+    seed : int, default FRAME_SEED, the completion that every pole
+        sweep, CLI artifact and verify check uses
 
     Returns
     -------
@@ -182,13 +183,15 @@ class EquatorQuadrature:
     Used as an equator rule through frame coordinates: for a frame in
     ambient dimension n the nodes live on S^{n-2} subset R^{n-1}.
     Weights sum to the exact surface measure vol(S^{d-1}); `degree` is
-    the declared polynomial exactness.
+    the declared polynomial exactness and `resolution` the node budget
+    the rule was built with.
     """
 
     sphere_dim: int  # d: nodes are unit vectors in R^d
     nodes: np.ndarray
     weights: np.ndarray
     degree: int
+    resolution: int
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -235,7 +238,8 @@ def _polar_rule(sine_power, count):
 def sphere_rule(d, resolution):
     """Product quadrature on S^{d-1} subset R^d.
 
-    d = 1 is the two-point counting measure on S^0.  d = 2 is the
+    `resolution` must be at least 2 for every d, and the rule records
+    it.  d = 1 is the two-point counting measure on S^0.  d = 2 is the
     uniform circle rule with `resolution` nodes.  For d >= 3 the rule is
     a product of the uniform circle rule in the periodic angle with
     Gauss rules in the polar angles (counts resolution // 2 each);
@@ -244,14 +248,14 @@ def sphere_rule(d, resolution):
     d = int(d)
     if not (1 <= d <= DIM_MAX - 1):
         raise ValueError(f"sphere_rule supports 1 <= d <= {DIM_MAX - 1}, got {d}")
+    resolution = int(resolution)
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
     if d == 1:
         nodes = np.array([[1.0], [-1.0]])
         weights = np.array([1.0, 1.0])
         return EquatorQuadrature(sphere_dim=1, nodes=nodes, weights=weights,
-                                 degree=10 ** 6)
-    resolution = int(resolution)
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+                                 degree=10 ** 6, resolution=resolution)
     angles = 2.0 * math.pi * np.arange(resolution) / resolution
     nodes = np.column_stack([np.cos(angles), np.sin(angles)])
     weights = np.full(resolution, 2.0 * math.pi / resolution)
@@ -270,7 +274,7 @@ def sphere_rule(d, resolution):
         degree = min(degree, exact)
     weights = weights * (vol_sphere(d - 1) / weights.sum())
     return EquatorQuadrature(sphere_dim=d, nodes=nodes, weights=weights,
-                             degree=degree)
+                             degree=degree, resolution=resolution)
 
 
 def equator_rule(n, resolution=None):
@@ -280,9 +284,12 @@ def equator_rule(n, resolution=None):
     ----------
     n : ambient dimension (window [2, 6])
     resolution : int, optional
-        Node budget for the periodic angle; polar angles use half of it.
-        Defaults per dimension: 2 (n=2), 512 (n=3), 64 (n=4), 32 (n=5),
-        16 (n=6).
+        Node budget for the periodic angle, at least 2; polar angles use
+        half of it.  None means the per-dimension default of
+        `default_resolution`: 2 (n=2), 512 (n=3), 64 (n=4), 32 (n=5),
+        16 (n=6).  This is the only place that default is applied:
+        every layer above passes its resolution through unchanged and
+        reports the returned rule's `resolution`.
     """
     n = check_dim(n)
     if resolution is None:

@@ -18,9 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .sphere_geom import (
-    FRAME_SEED,
     check_dim,
-    default_resolution,
     equator_rule,
     fibonacci_sphere,
     make_frame,
@@ -103,7 +101,7 @@ def _pole_frames(n, num_dirs, sampler, seed):
     # frames are built once per process and shared by every sweep
     xis = sample_poles(n, num_dirs, sampler=sampler, seed=seed)
     xis.setflags(write=False)
-    return xis, tuple(make_frame(xi, seed=FRAME_SEED) for xi in xis)
+    return xis, tuple(make_frame(xi) for xi in xis)
 
 
 @lru_cache(maxsize=64)
@@ -132,12 +130,13 @@ def calibrate(n, rule_resolution=None):
     `sup_bound` of each body's section density.  A scales like
     |S^{n-2}| sup f under dilation, so `sweep` multiplies c_n by that size
     of the swept field to get its threshold, and one floor serves bodies
-    of every scale.  Deterministic, and cached on (n, resolution), so
+    of every scale.  Deterministic, and cached on (n, resolution) with
+    the resolution read off `equator_rule(n, rule_resolution)`, so
     `calibrate(n)`, an explicit default resolution and a default
     `detect` share one entry.
     """
     n = check_dim(n)
-    return _calibrate(n, int(rule_resolution or default_resolution(n)))
+    return _calibrate(n, equator_rule(n, rule_resolution).resolution)
 
 
 @lru_cache(maxsize=256)
@@ -177,8 +176,7 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     AsymmetryReport
     """
     n = f.dim
-    resolution = rule_resolution or default_resolution(n)
-    rule = equator_rule(n, resolution)
+    rule = equator_rule(n, rule_resolution)
     xis, frames = _pole_frames(n, num_dirs, sampler, seed)
     xis = xis.copy()
     values = transform_sweep(f, frames, rule)
@@ -190,7 +188,7 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
         sup = f.sup_bound
         if sup is None:
             sup = float(np.max(np.abs(f.evaluate(grid))))
-        floor = calibrate(n, rule_resolution=resolution)
+        floor = calibrate(n, rule.resolution)
         threshold = floor * vol_sphere(n - 2) * sup
     if max_abs > threshold:
         verdict = "asymmetric"
@@ -206,7 +204,7 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     return AsymmetryReport(
         body_id=body_id or f.label or "field",
         dim=n, sampler=sampler, num_dirs=int(xis.shape[0]),
-        resolution=int(resolution), seed=int(seed), threshold=float(threshold),
+        resolution=rule.resolution, seed=int(seed), threshold=float(threshold),
         xis=xis, values=values, max_abs=max_abs, l2_mean=l2_mean,
         verdict=verdict, note=note, ground_truth_odd_sup=odd_sup)
 

@@ -26,9 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .sphere_geom import (
-    FRAME_SEED,
     check_dim,
-    default_resolution,
     embed,
     equator_rule,
     make_frame,
@@ -68,30 +66,30 @@ from .symmetry_detector import detect
 from . import oracle
 
 
+# the n = 3 rule resolution behind the finite-difference side of the
+# slope checks
+REFERENCE_RESOLUTION = 512
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
     """Knobs shared by all checks.
 
-    resolution None means the per-dimension default; the reference
-    resolution anchors the finite-difference side of the slope checks.
+    resolution is passed unchanged to every `equator_rule` the checks
+    build, so None means each dimension's default.
     """
 
     resolution: Optional[int] = None
     seed: int = 7
     num_xi: int = 4
     mc_samples: int = 300_000
-    reference_resolution: int = 512
 
     def __post_init__(self):
-        if self.resolution is not None and self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
+        equator_rule(2, self.resolution)  # refuses a resolution below 2
         if self.num_xi < 1:
             raise ValueError("num_xi must be positive")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be at least 1000")
-
-    def resolved(self, n):
-        return self.resolution or default_resolution(n)
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ def _table(lmax, num_xi, resolution, seed):
 def _check_rule_mass(cfg):
     worst = 0.0
     for n in (2, 3, 4, 5):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         worst = max(worst, abs(float(np.sum(rule.weights)) - vol_sphere(n - 2)))
     return CheckResult("rule_mass", worst <= 1e-10, worst, 1e-10,
                        "quadrature weights sum to the equator sphere measure")
@@ -152,8 +150,8 @@ def _check_rule_mass(cfg):
 def _check_set_identity(cfg):
     worst = 0.0
     for n in (2, 3, 4):
-        rule = equator_rule(n, min(cfg.resolved(n), 64))
-        frame = make_frame(_poles(n, cfg)[0], seed=FRAME_SEED)
+        rule = equator_rule(n, min(equator_rule(n, cfg.resolution).resolution, 64))
+        frame = make_frame(_poles(n, cfg)[0])
         for z in (-0.9, -0.3, 0.0, 0.45, 0.95):
             psi = math.asin(z)
             u = embed(frame, rule.nodes, psi)
@@ -166,10 +164,10 @@ def _check_set_identity(cfg):
 def _check_slope_decomposition(cfg):
     worst = 0.0
     for n in (2, 3):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         for body in (_bodies(n)[1], _bodies(n)[-1]):
             f = to_scalar_field(body)
-            frame = make_frame(_poles(n, cfg)[0], seed=FRAME_SEED)
+            frame = make_frame(_poles(n, cfg)[0])
             f0 = f.evaluate(embed(frame, rule.nodes, 0.0))
             for z in (-0.45, 0.08, 0.3):
                 psi = math.asin(z)
@@ -186,10 +184,10 @@ def _check_slope_decomposition(cfg):
 def _check_z0_coincidence(cfg):
     worst = 0.0
     for n in (2, 3):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         for body in _bodies(n):
             for xi in _poles(n, cfg):
-                frame = make_frame(xi, seed=FRAME_SEED)
+                frame = make_frame(xi)
                 c = conical_section(body, frame, 0.0, rule)
                 h = hyperplane_section(body, frame, 0.0, rule)
                 worst = max(worst, abs(c - h) / max(1.0, abs(c)))
@@ -201,11 +199,11 @@ def _check_slope_agreement(cfg):
     worst = 0.0
     detail = ""
     for n in (2, 3):
-        ref = equator_rule(n, cfg.reference_resolution if n >= 3 else None)
-        cur = equator_rule(n, cfg.resolved(n))
+        ref = equator_rule(n, REFERENCE_RESOLUTION if n >= 3 else None)
+        cur = equator_rule(n, cfg.resolution)
         for body in _bodies(n):
             for xi in _poles(n, cfg):
-                frame = make_frame(xi, seed=FRAME_SEED)
+                frame = make_frame(xi)
                 d = derivative_at_zero("conical", body, frame, ref,
                                        transform_rule=cur)
                 if d.agreement_residual > worst:
@@ -213,7 +211,7 @@ def _check_slope_agreement(cfg):
                     detail = f"conical {body.label} n={n}"
         for body in (_bodies(n)[1], _bodies(n)[2]):
             for xi in _poles(n, cfg)[:2]:
-                frame = make_frame(xi, seed=FRAME_SEED)
+                frame = make_frame(xi)
                 d = derivative_at_zero("hyperplane", body, frame, ref,
                                        transform_rule=cur)
                 if d.agreement_residual > worst:
@@ -221,10 +219,10 @@ def _check_slope_agreement(cfg):
                     detail = f"hyperplane {body.label} n={n}"
     fields = [harmonic_field({(3, 1): 0.5, (1, -1): 0.2, (2, 2): 0.4}),
               linear_field(3, (0.0, 0.0, 1.0))]
-    ref = equator_rule(3, cfg.reference_resolution)
-    cur = equator_rule(3, cfg.resolved(3))
+    ref = equator_rule(3, REFERENCE_RESOLUTION)
+    cur = equator_rule(3, cfg.resolution)
     for f in fields:
-        frame = make_frame(_poles(3, cfg)[0], seed=FRAME_SEED)
+        frame = make_frame(_poles(3, cfg)[0])
         d = derivative_at_zero("slice", f, frame, ref, transform_rule=cur)
         if d.agreement_residual > worst:
             worst = d.agreement_residual
@@ -256,8 +254,7 @@ def _check_majorant(cfg):
         c = f.lipschitz_bound * math.pi / 2.0
         nodes = equator_rule(f.dim, 16 if f.dim > 2 else None).nodes
         for k in range(4):
-            frame = make_frame(random_directions(f.dim, 1, seed=cfg.seed + k)[0],
-                               seed=FRAME_SEED)
+            frame = make_frame(random_directions(f.dim, 1, seed=cfg.seed + k)[0])
             f0 = f.evaluate(frame.embed(nodes, np.zeros(len(nodes))))
             for psi in psis:
                 fp = f.evaluate(frame.embed(nodes, np.full(len(nodes), psi)))
@@ -271,11 +268,11 @@ def _check_tail_term(cfg):
     worst = 0.0
     psis = _psi_probe_grid()
     for n in (2, 3, 4):
-        rule = equator_rule(n, min(cfg.resolved(n), 64))
+        rule = equator_rule(n, min(equator_rule(n, cfg.resolution).resolution, 64))
         body = _bodies(n)[1]
         f = to_scalar_field(body)
         cbound = vol_sphere(n - 2) * f.sup_bound * (n - 2) * math.pi / 4.0
-        frame = make_frame(_poles(n, cfg)[0], seed=FRAME_SEED)
+        frame = make_frame(_poles(n, cfg)[0])
         for psi in psis:
             fp = f.evaluate(embed(frame, rule.nodes, psi))
             actual = abs((math.cos(psi) ** (n - 2) - 1.0) / math.sin(psi)
@@ -291,7 +288,7 @@ def _check_tail_term(cfg):
 def _check_xi_oddness(cfg):
     worst = 0.0
     for n in (2, 3):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         f = to_scalar_field(_bodies(n)[1])
         xis = _poles(n, cfg)
         a = transform_sweep(f, xis, rule)
@@ -304,7 +301,7 @@ def _check_xi_oddness(cfg):
 def _check_odd_part(cfg):
     worst = 0.0
     for n in (2, 3):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         f = to_scalar_field(_bodies(n)[1])
         xis = _poles(n, cfg)
         diff = transform_sweep(f, xis, rule) - transform_sweep(odd_part(f), xis, rule)
@@ -314,7 +311,7 @@ def _check_odd_part(cfg):
 
 
 def _check_linearity(cfg):
-    rule = equator_rule(3, cfg.resolved(3))
+    rule = equator_rule(3, cfg.resolution)
     f = to_scalar_field(_bodies(3)[1])
     g = harmonic_field({(1, 0): 0.4, (3, -2): 0.3})
     combo = _lin_comb(0.7, f, -1.3, g)
@@ -329,7 +326,7 @@ def _check_linearity(cfg):
 def _check_rotation(cfg):
     worst = 0.0
     for n in (2, 3):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         body = _bodies(n)[1]
         rot = random_rotation(n, seed=cfg.seed)
         rbody = rotate_body(body, rot)
@@ -347,7 +344,7 @@ def _check_scaling(cfg):
     worst = 0.0
     lam = 1.7
     for n in (2, 3):
-        rule = equator_rule(n, cfg.resolved(n))
+        rule = equator_rule(n, cfg.resolution)
         body = _bodies(n)[1]
         f = to_scalar_field(body)
         g = to_scalar_field(scale_body(body, lam))
@@ -361,11 +358,11 @@ def _check_scaling(cfg):
 
 def _check_even_annihilation(cfg):
     worst = 0.0
-    rule = equator_rule(3, cfg.resolved(3))
+    rule = equator_rule(3, cfg.resolution)
     for (l, m) in ((0, 0), (2, 1), (4, -2), (6, 3)):
         values = transform_sweep(real_harmonic(l, m), _poles(3, cfg), rule)
         worst = max(worst, float(np.max(np.abs(values))))
-    rule2 = equator_rule(2, cfg.resolved(2))
+    rule2 = equator_rule(2, cfg.resolution)
     # even-frequency terms only, so the field is antipodally even
     even2 = fourier_field(0.3, (0.0, 0.5, 0.0, 0.2), (0.0, 0.1))
     values = transform_sweep(even2, _poles(2, cfg), rule2)
@@ -375,14 +372,14 @@ def _check_even_annihilation(cfg):
 
 
 def _check_odd_multipliers(cfg):
-    t = _table(7, 16, cfg.resolved(3), cfg.seed)
+    t = _table(7, 16, cfg.resolution, cfg.seed)
     worst = max(r for l, r in zip(t.degrees, t.residuals) if l % 2 == 1)
     return CheckResult("odd_multipliers", worst <= 1e-7, worst, 1e-7,
                        "odd harmonics are eigenfunctions up to degree 7")
 
 
 def _check_lambda1(cfg):
-    t = _table(7, 16, cfg.resolved(3), cfg.seed)
+    t = _table(7, 16, cfg.resolution, cfg.seed)
     lam = dict(zip(t.degrees, t.multipliers))[1]
     err = abs(lam - 2.0 * math.pi)
     return CheckResult("lambda1", err <= 1e-6, err, 1e-6,
@@ -390,7 +387,7 @@ def _check_lambda1(cfg):
 
 
 def _check_odd_nondegeneracy(cfg):
-    t = _table(7, 16, cfg.resolved(3), cfg.seed)
+    t = _table(7, 16, cfg.resolution, cfg.seed)
     smallest = min(abs(m) for l, m in zip(t.degrees, t.multipliers) if l % 2 == 1)
     residual = max(0.0, 1e-3 - smallest)
     return CheckResult("odd_nondegeneracy", residual == 0.0, residual, 0.0,
@@ -399,7 +396,7 @@ def _check_odd_nondegeneracy(cfg):
 
 def _check_n2_oracle(cfg):
     rng = np.random.default_rng(cfg.seed + 5)
-    rule = equator_rule(2, cfg.resolved(2))
+    rule = equator_rule(2, cfg.resolution)
     worst = 0.0
     for _ in range(40):
         a0 = float(rng.uniform(-1, 1))
@@ -408,7 +405,7 @@ def _check_n2_oracle(cfg):
         theta0 = float(rng.uniform(0, 2 * math.pi))
         xi = np.array([math.cos(theta0), math.sin(theta0)])
         f = fourier_field(a0, a, b)
-        got = equator_transform(f, make_frame(xi, seed=FRAME_SEED), rule)
+        got = equator_transform(f, make_frame(xi), rule)
         want = fourier_check_n2(a0, a, b, theta0)
         worst = max(worst, abs(got - want))
     return CheckResult("n2_oracle", worst <= 1e-10, worst, 1e-10,
@@ -420,9 +417,9 @@ def _check_mc_agreement(cfg):
     detail = ""
     queries = [(_bodies(3)[1], (0.0, 0.0, 1.0), 0.25),
                (_bodies(3)[3], (0.6, 0.8, 0.0), -0.4)]
-    rule = equator_rule(3, cfg.resolved(3))
+    rule = equator_rule(3, cfg.resolution)
     for i, (body, xi, z) in enumerate(queries):
-        frame = make_frame(np.asarray(xi), seed=FRAME_SEED)
+        frame = make_frame(np.asarray(xi))
         hq = hyperplane_section(body, frame, z, rule)
         hm = oracle.mc_hyperplane_section(body, xi, z, delta=0.02,
                                           samples=cfg.mc_samples, seed=cfg.seed + i)
@@ -452,7 +449,7 @@ def _check_detector(cfg):
     notes = []
     for body, want in cases:
         rep = detect(body, num_dirs=32, seed=cfg.seed,
-                     rule_resolution=cfg.resolved(body.dim))
+                     rule_resolution=cfg.resolution)
         if rep.verdict != want:
             wrong += 1
             notes.append(f"{body.label}: got {rep.verdict}, wanted {want}")
@@ -491,14 +488,16 @@ def check_names():
 def run_checks(config=None, only=None):
     """Run the registry and return a list of CheckResult.
 
-    only: optional iterable of check names; unknown names raise
-    ValueError.
+    only: optional iterable of check names; an empty selection or an
+    unknown name raises ValueError.
     """
     cfg = config or VerifyConfig()
     if only is None:
         names = list(_CHECKS)
     else:
         names = [str(x) for x in only]
+        if not names:
+            raise ValueError(f"no check names given; known: {', '.join(_CHECKS)}")
         unknown = [x for x in names if x not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "

@@ -173,6 +173,15 @@ def test_verify_unknown_check_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("only", ["", ","])
+def test_verify_empty_selection_exits_2_and_writes_nothing(tmp_path, capsys, only):
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out), "--only", only]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("starsym: no check names given; known: rule_mass, ")
+    assert not out.exists()
+
+
 def test_verify_coarse_resolution_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out), "--resolution", "8",
@@ -245,6 +254,39 @@ def test_harmonics_records_num_xi_and_refuses_too_few_poles(tmp_path, capsys, di
     assert main(["harmonics", "--out", str(few), "--dim", dim, "--num-xi", "11"]) == 2
     assert capsys.readouterr().err == "starsym: --num-xi must be at least 12 for harmonics\n"
     assert not few.exists()
+
+
+def test_harmonics_failure_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--lmax", "11"]) == 2
+    assert capsys.readouterr().err == "starsym: lmax must lie in [0, 10]\n"
+    assert not out.exists()
+
+
+def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
+    spec = _spec(tmp_path, {"kind": "ball", "dim": 3, "params": {"radius": 0.5}})
+    out = tmp_path / "out"
+    assert main(["sections", "--body", spec, "--out", str(out), "--z=0.6"]) == 2
+    assert "equator radius" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--body", "{ball}", "--resolution", "0"],
+    ["analyze", "--body", "{disk}", "--resolution", "1"],
+    ["sections", "--body", "{ball}", "--resolution", "0"],
+    ["verify", "--resolution", "0"],
+    ["harmonics", "--resolution", "0"],
+    ["harmonics", "--dim", "2", "--resolution", "-3"],
+], ids=["analyze", "analyze_n2", "sections", "verify", "harmonics", "harmonics_n2"])
+def test_resolution_below_two_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    specs = {"ball": _spec(tmp_path, BALL),
+             "disk": _spec(tmp_path, {"kind": "ball", "dim": 2,
+                                      "params": {"radius": 1.0}}, "disk.json")}
+    out = tmp_path / "out"
+    assert main([a.format(**specs) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "starsym: resolution must be at least 2\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

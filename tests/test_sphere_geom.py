@@ -11,6 +11,8 @@ import pytest
 from starsym import (
     DIM_MAX,
     DIM_MIN,
+    FRAME_SEED,
+    default_resolution,
     embed,
     equator_rule,
     exact_monomial_integral,
@@ -124,6 +126,15 @@ def test_equator_rule_matches_frame_dimension():
         assert rule.nodes.shape[1] == n - 1
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_equator_rule_owns_the_default_resolution(n):
+    assert equator_rule(n).resolution == default_resolution(n)
+    assert equator_rule(n, 8).resolution == 8
+    for bad in (1, 0, -3):
+        with pytest.raises(ValueError, match="resolution must be at least 2"):
+            equator_rule(n, bad)
+
+
 def test_rules_are_antipodally_paired():
     # even resolutions must pair each node with its negative so that
     # even integrands cancel exactly
@@ -186,6 +197,11 @@ def test_make_frame_deterministic():
     a = make_frame([0.0, 1.0, 0.0], seed=0)
     b = make_frame([0.0, 1.0, 0.0], seed=0)
     assert np.array_equal(a.basis, b.basis)
+
+
+def test_default_frame_is_the_sweep_frame():
+    xi = [0.3, -0.4, 0.86]
+    assert np.array_equal(make_frame(xi).basis, make_frame(xi, seed=FRAME_SEED).basis)
 
 
 def test_polar_rule_names_an_unsupported_even_power():

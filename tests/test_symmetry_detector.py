@@ -11,8 +11,11 @@ from starsym import (
     body_harmonic_perturbed_ball,
     body_shifted_ball,
     calibrate,
+    default_resolution,
     detect,
+    equator_rule,
     harmonic_field,
+    multiplier_table,
     probe_directions,
     sample_poles,
     scale_body,
@@ -21,6 +24,7 @@ from starsym import (
     to_scalar_field,
     vol_sphere,
 )
+from starsym.harmonics import fourier_multiplier_table
 
 
 def test_even_bodies_read_symmetric():
@@ -114,6 +118,30 @@ def test_calibrate_and_detect_share_one_cache_entry():
     # an explicit resolution equal to the default is the same entry
     assert calibrate(3, rule_resolution=512) == calibrate(3)
     assert calibrate.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reports_record_the_rule_resolution(n):
+    body = body_ball(n, 1.0)
+    report = detect(body, num_dirs=4, seed=1)
+    assert report.resolution == equator_rule(n).resolution == default_resolution(n)
+    explicit = 64 if n <= 3 else 8
+    assert detect(body, num_dirs=4, seed=1,
+                  rule_resolution=explicit).resolution == explicit
+
+
+@pytest.mark.parametrize("call", [
+    lambda: detect(body_ball(3, 1.0), num_dirs=4, rule_resolution=0),
+    lambda: detect(body_ball(2, 1.0), num_dirs=4, rule_resolution=1),
+    lambda: calibrate(3, 0),
+    lambda: multiplier_table(1, resolution=0),
+    lambda: fourier_multiplier_table(1, resolution=0),
+    lambda: equator_rule(2, 1),
+], ids=["detect", "detect_n2", "calibrate", "multiplier_table",
+        "fourier_multiplier_table", "equator_rule_n2"])
+def test_every_layer_refuses_a_resolution_below_two(call):
+    with pytest.raises(ValueError, match="^resolution must be at least 2$"):
+        call()
 
 
 def test_fd_path_body_reads_symmetric():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from starsym import VerifyConfig, check_names, run_checks
+from starsym import VerifyConfig, check_names, equator_rule, run_checks
 
 
 def test_all_checks_pass_at_defaults():
@@ -34,6 +34,12 @@ def test_unknown_check_name_raises():
         run_checks(only=("rule_mass", "bogus"))
 
 
+@pytest.mark.parametrize("only", [(), []])
+def test_empty_selection_raises(only):
+    with pytest.raises(ValueError, match="no check names given; known: rule_mass, "):
+        run_checks(only=only)
+
+
 def test_check_names_exposes_registry():
     names = check_names()
     assert "slope_agreement" in names
@@ -57,5 +63,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(mc_samples=100)
     cfg = VerifyConfig(resolution=32)
-    assert cfg.resolved(3) == 32
-    assert VerifyConfig().resolved(2) == 2
+    assert equator_rule(3, cfg.resolution).resolution == 32
+    assert equator_rule(2, VerifyConfig().resolution).resolution == 2
