@@ -3,7 +3,7 @@
 Subcommands
 -----------
 analyze    sweep a body for central asymmetry, write report.json + values.csv
-sections   sample section curves, write curves.csv (and optionally .svg)
+sections   sample section curves, write curves.csv and/or sections.svg
 verify     run the identity checks, write verify.json, exit 1 on failure
 harmonics  estimate transform multipliers, write multipliers.csv
 
@@ -318,15 +318,16 @@ def cmd_sections(args):
     for kind in kinds:
         curves.append(section_curve(kind, body, frame, zs, rule))
         slopes[kind] = derivative_at_zero(kind, body, frame, rule)
-    lines = [_param_line({"command": args.command, "seed": args.seed,
-                          "resolution": rule.resolution,
-                          "xi": [format(float(c), ".6g") for c in pole]}),
-             "kind,z,value,slope_at_zero\n"]
-    for curve in curves:
-        s = slopes[curve.kind].transform_value
-        for z, v in zip(curve.zs, curve.values):
-            lines.append(f"{curve.kind},{_fmt(z)},{_fmt(v)},{_fmt(s)}\n")
-    texts = {"curves.csv": "".join(lines)}
+    texts = {}
+    if "csv" in formats:
+        lines = [_param_line({"command": args.command, "resolution": rule.resolution,
+                              "xi": [format(float(c), ".6g") for c in pole]}),
+                 "kind,z,value,slope_at_zero\n"]
+        for curve in curves:
+            s = slopes[curve.kind].transform_value
+            for z, v in zip(curve.zs, curve.values):
+                lines.append(f"{curve.kind},{_fmt(z)},{_fmt(v)},{_fmt(s)}\n")
+        texts["curves.csv"] = "".join(lines)
     if "svg" in formats:
         texts["sections.svg"] = svg_curves([(c.kind, c.zs, c.values) for c in curves],
                                            f"section curves, {body.label}")
@@ -419,9 +420,10 @@ def _build_parser():
                     "and symmetry detection for star bodies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=7)
+        if seeded:
+            p.add_argument("--seed", type=int, default=7)
         p.add_argument("--resolution", type=int, default=None,
                        help="equator quadrature resolution, at least 2 "
                             "(default per dimension)")
@@ -434,7 +436,7 @@ def _build_parser():
                    choices=("antipodal", "fibonacci", "random"))
 
     p = sub.add_parser("sections", help="sample section curves over heights")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--body", required=True, help="body spec JSON file")
     p.add_argument("--kind", default="conical,hyperplane",
                    help="comma list from {conical, hyperplane}")

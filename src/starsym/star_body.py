@@ -46,19 +46,32 @@ def equator_derivative(evaluate, gradient, pole, lifted, fd_step):
     """Meridian derivative d/dpsi at psi = 0 toward `pole`, per equator point.
 
     `lifted` holds (..., n) unit vectors orthogonal to the pole, which is
-    one (n,) unit vector or one per point.  With a gradient the meridian tangent at the equator is the pole itself;
-    without one, central differences at latitudes +-fd_step and
-    +-fd_step/2 are combined by one Richardson level.
+    one (n,) unit vector or one per point.  With a gradient the meridian
+    tangent at the equator is the pole itself, and the products of the
+    gradient's columns with the pole's are added in column order onto
+    +0.0, the order of np.sum over the last axis, so the values equal
+    that sum bit for bit.  Without one, central differences at latitudes
+    +-fd_step and +-fd_step/2 are combined by one Richardson level; each
+    +-h pair of points is cos(h) lifted +- sin(h) pole from one product
+    of each, the same points `_latitude_points` gives.
     """
+    pole, lifted = np.asarray(pole), np.asarray(lifted)
     if gradient is not None:
-        return np.sum(gradient(lifted) * pole, axis=-1)
+        g = gradient(lifted)
+        d = 0.0 + g[..., 0] * pole[..., 0]
+        for j in range(1, g.shape[-1]):
+            d += g[..., j] * pole[..., j]
+        return d
     if 3 * fd_step > math.pi / 2:
         raise ValueError("finite-difference meridian derivative too close to a pole")
-    lat = (fd_step, -fd_step, fd_step / 2.0, -fd_step / 2.0)
-    up, down, up2, down2 = (evaluate(_latitude_points(pole, lifted, psi)) for psi in lat)
-    d1 = (up - down) / (2.0 * fd_step)
-    d2 = (up2 - down2) / (2.0 * (fd_step / 2.0))
-    return (4.0 * d2 - d1) / 3.0
+
+    def central(h):
+        level = math.cos(h) * lifted
+        rise = math.sin(h) * pole
+        return (evaluate(level + rise) - evaluate(level - rise)) / (2.0 * h)
+
+    d1 = central(fd_step)
+    return (4.0 * central(fd_step / 2.0) - d1) / 3.0
 
 
 def _validate_gradient(evaluate, gradient, dim, lipschitz, rng):

@@ -133,6 +133,31 @@ def test_sections_writes_curves_and_svg(tmp_path, capsys):
     assert "height z" in svg and "section volume" in svg
 
 
+@pytest.mark.parametrize("formats, written", [
+    ("svg", {"sections.svg"}),
+    ("csv", {"curves.csv"}),
+    ("csv,svg", {"curves.csv", "sections.svg"}),
+], ids=["svg", "csv", "csv+svg"])
+def test_sections_writes_only_the_selected_formats(tmp_path, capsys, formats, written):
+    spec = _spec(tmp_path, BALL)
+    out = tmp_path / "out"
+    assert main(["sections", "--body", spec, "--out", str(out), "--z=0,0.5",
+                 "--formats", formats, "--resolution", "16"]) == 0
+    capsys.readouterr()
+    assert {p.name for p in out.iterdir()} == written
+    if "csv" in formats:
+        first = (out / "curves.csv").read_text().splitlines()[0]
+        assert first == "# parameters: command=sections resolution=16 xi=0,0,1"
+
+
+def test_sections_has_no_seed_option(tmp_path, capsys):
+    spec = _spec(tmp_path, BALL)
+    out = tmp_path / "out"
+    assert main(["sections", "--body", spec, "--out", str(out), "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sections_pole_override_and_validation(tmp_path, capsys):
     spec = _spec(tmp_path, SHIFTED)
     out = tmp_path / "out"

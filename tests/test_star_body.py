@@ -24,6 +24,7 @@ from starsym import (
     strip_gradient,
     to_scalar_field,
 )
+from starsym.sphere_geom import _latitude_points
 from starsym.star_body import FD_STEP
 
 
@@ -137,6 +138,52 @@ def test_meridian_derivative_gradient_vs_fd():
         a = equator_derivative(body.evaluate, body.gradient, poles, points, FD_STEP)
         b = equator_derivative(stripped.evaluate, stripped.gradient, poles, points, FD_STEP)
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _signed_extremes(rng, shape):
+    # magnitudes over 16 decades, 5% of the entries +-0, and a block of
+    # rows made only of signed zeros
+    a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    zeros = rng.random(shape) < 0.05
+    a[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+    a[: shape[0] // 20] = rng.choice([-0.0, 0.0], (shape[0] // 20,) + shape[1:])
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_meridian_kernel_is_bit_identical(n):
+    # per-node values against the reference forms: np.sum of the
+    # gradient times the pole, and the four _latitude_points evaluations
+    # combined by one Richardson level
+    rng = np.random.default_rng(n)
+    frame = make_frame(rng.standard_normal(n))
+    lifted = equator_rule(n).nodes @ frame.basis
+    tangents, points = _meridian_probe(
+        frame, equator_rule(n).nodes, np.linspace(-1.2, 1.2, len(lifted)))
+    synthetic = _signed_extremes(rng, lifted.shape)
+    fields = [to_scalar_field(body_ball(n, 1.3)),
+              to_scalar_field(body_shifted_ball(n, 1.0, 0.3 * np.eye(n)[0] - 0.1 * np.eye(n)[-1])),
+              to_scalar_field(body_ellipsoid(n, np.linspace(1.5, 0.5, n)))]
+    cases = [(f.evaluate, f.gradient, frame.pole, lifted) for f in fields]
+    cases += [(f.evaluate, f.gradient, tangents, points) for f in fields]
+    cases += [(None, lambda u: synthetic, frame.pole, lifted),
+              (None, lambda u: synthetic, _signed_extremes(rng, lifted.shape), lifted)]
+    for evaluate, gradient, pole, at in cases:
+        got = equator_derivative(evaluate, gradient, pole, at, FD_STEP)
+        assert _same_bits(got, np.sum(gradient(at) * pole, axis=-1))
+        if evaluate is None:
+            continue
+        for h in (1e-4, 1e-3):
+            up, down, up2, down2 = (evaluate(_latitude_points(pole, at, psi))
+                                    for psi in (h, -h, h / 2.0, -h / 2.0))
+            d1 = (up - down) / (2.0 * h)
+            d2 = (up2 - down2) / (2.0 * (h / 2.0))
+            assert _same_bits(equator_derivative(evaluate, None, pole, at, h),
+                              (4.0 * d2 - d1) / 3.0)
 
 
 def test_to_scalar_field_values_and_bounds():
