@@ -387,6 +387,8 @@ _MIN_FIT_POLES = 12
 def cmd_harmonics(args):
     if args.num_xi < _MIN_FIT_POLES:
         raise ValueError(f"--num-xi must be at least {_MIN_FIT_POLES} for harmonics")
+    if args.dim == 2 and args.lmax < 1:
+        raise ValueError("--lmax must be at least 1 for --dim 2")
     fit = multiplier_table if args.dim == 3 else fourier_multiplier_table
     table = fit(args.lmax, num_xi=args.num_xi, resolution=args.resolution, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -459,7 +461,8 @@ def _build_parser():
     common(p)
     p.add_argument("--dim", type=int, default=3, choices=(2, 3))
     p.add_argument("--lmax", type=int, default=8,
-                   help=f"largest degree (at most {LMAX})")
+                   help=f"largest degree l for --dim 3 (0 to {LMAX}), or largest "
+                        "frequency k for --dim 2 (at least 1)")
     p.add_argument("--num-xi", type=int, default=24, dest="num_xi",
                    help=f"poles per fit (at least {_MIN_FIT_POLES})")
     return parser

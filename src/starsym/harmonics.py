@@ -9,7 +9,11 @@ integral of Y^2 over S^2 equals 1, and Y(l=1, m=0) = sqrt(3/(4 pi)) x3.
 The equatorial derivative transform acts diagonally on this basis with
 a degree-dependent multiplier that vanishes for even degrees.  The
 multipliers reported here are estimated numerically by least squares
-against the transform, not hard-coded.
+against the transform, not hard-coded.  Harmonics evaluated together
+on one point set (the lifted equator nodes of a pole, the poles, a
+projection rule, a probe grid) read one monomial power table built once
+for that set, and get bit for bit the values of their own `evaluate`
+and `gradient`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .sphere_geom import (
     sphere_rule,
     equator_rule,
 )
-from .star_body import ScalarField, _linear
+from .star_body import FD_STEP, ScalarField, _linear, equator_derivative
 from .slice_transforms import transform_sweep
 
 LMAX = 10
@@ -56,8 +60,15 @@ def _probe_grid():
     return grid
 
 
+@lru_cache(maxsize=None)
 def _solid_harmonic_terms(degree, order):
-    """Monomial table (exps, coefs) of the real solid harmonic r^l Y_{l,m}."""
+    """Monomial tables (exps, coefs) of the real solid harmonic r^l Y_{l,m}.
+
+    Returns the value terms followed by the terms of d/dx, d/dy and d/dz.
+    A derivative table keeps every value term, with coefficient zero
+    where the axis exponent is zero, so its dot products run over the
+    same terms as the value's.  Cached per (l, m), so read-only.
+    """
     l, m = int(degree), int(order)
     am = abs(m)
     if not (0 <= am <= l <= LMAX):
@@ -98,10 +109,21 @@ def _solid_harmonic_terms(degree, order):
     keys = sorted(k for k, v in terms.items() if v != 0.0)
     exps = np.array(keys, dtype=np.int64).reshape(-1, 3)
     coefs = np.array([terms[k] for k in keys])
-    return exps, coefs
+    tables = [(exps, coefs)]
+    for axis in range(3):
+        e = exps.copy()
+        c = coefs * e[:, axis]
+        e[:, axis] = np.maximum(e[:, axis] - 1, 0)
+        tables.append((e, c))
+    for table in tables:
+        for a in table:
+            a.setflags(write=False)
+    return tuple(tables)
 
 
 def _power_tables(flat, max_deg):
+    # tab[axis, point, p] = flat[point, axis] ** p for p = 0..max_deg, by
+    # repeated products; every harmonic of degree up to max_deg reads it
     tab = np.empty((3, flat.shape[0], max_deg + 1))
     tab[:, :, 0] = 1.0
     for p in range(1, max_deg + 1):
@@ -109,26 +131,19 @@ def _power_tables(flat, max_deg):
     return tab
 
 
-def _poly_value(exps, coefs, pts):
-    pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
-    tab = _power_tables(flat, int(exps.max()) if len(exps) else 0)
+def _poly_value(terms, tab):
+    # one monomial table (exps, coefs) at the points of a power table
+    exps, coefs = terms
     monos = tab[0][:, exps[:, 0]] * tab[1][:, exps[:, 1]] * tab[2][:, exps[:, 2]]
-    return (monos @ coefs).reshape(pts.shape[:-1])
+    return monos @ coefs
 
 
-def _poly_gradient(exps, coefs, pts):
-    pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
-    tab = _power_tables(flat, int(exps.max()) if len(exps) else 0)
-    out = np.empty((flat.shape[0], 3))
+def _poly_gradient(terms, tab):
+    # the (points, 3) gradient from the three derivative tables
+    out = np.empty((tab.shape[1], 3))
     for axis in range(3):
-        e = exps.copy()
-        c = coefs * e[:, axis]
-        e[:, axis] = np.maximum(e[:, axis] - 1, 0)
-        monos = tab[0][:, e[:, 0]] * tab[1][:, e[:, 1]] * tab[2][:, e[:, 2]]
-        out[:, axis] = monos @ c
-    return out.reshape(pts.shape)
+        out[:, axis] = _poly_value(terms[axis], tab)
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -148,14 +163,17 @@ def real_harmonic(degree, order):
     1 / (1 - l * r_cov), using the great-circle derivative bound
     |dY/ds| <= l sup|Y|; the Lipschitz bound is l times the sup bound.
     """
-    exps, coefs = _solid_harmonic_terms(degree, order)
+    value, *derivatives = _solid_harmonic_terms(degree, order)
     l = int(degree)
+    top = int(value[0].max())
 
     def evaluate(u):
-        return _poly_value(exps, coefs, u)
+        u = np.asarray(u, dtype=float)
+        return _poly_value(value, _power_tables(u.reshape(-1, 3), top)).reshape(u.shape[:-1])
 
     def gradient(u):
-        return _poly_gradient(exps, coefs, u)
+        u = np.asarray(u, dtype=float)
+        return _poly_gradient(derivatives, _power_tables(u.reshape(-1, 3), top)).reshape(u.shape)
 
     probe_max = float(np.max(np.abs(evaluate(_probe_grid()))))
     if l == 0:
@@ -247,14 +265,23 @@ def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
     if not (0 <= lmax <= LMAX):
         raise ValueError(f"lmax must lie in [0, {LMAX}]")
     xis = random_directions(3, num_xi, seed=seed)
-    # one frame per pole for all (lmax + 1)^2 sweeps
-    frames = [make_frame(xi) for xi in xis]
     rule = equator_rule(3, resolution)
-    sweeps = []
-    for l in range(lmax + 1):
-        for m in range(-l, l + 1):
-            y = real_harmonic(l, m)
-            sweeps.append((l, m, transform_sweep(y, frames, rule), y.evaluate(xis)))
+    harmonics = [(l, m, _solid_harmonic_terms(l, m))
+                 for l in range(lmax + 1) for m in range(-l, l + 1)]
+    # pole by pole: one frame and one power table of the lifted nodes for
+    # all (lmax + 1)^2 transforms, each summed as equator_transform sums it
+    transforms = [np.empty(len(xis)) for _ in harmonics]
+    for p, xi in enumerate(xis):
+        frame = make_frame(xi)
+        lifted = rule.nodes @ frame.basis
+        tab = _power_tables(lifted, lmax)
+        for t, (_, _, terms) in zip(transforms, harmonics):
+            g = _poly_gradient(terms[1:], tab)
+            d = equator_derivative(None, lambda _: g, frame.pole, lifted, FD_STEP)
+            t[p] = float(rule.weights @ d)
+    at_poles = _power_tables(xis, lmax)
+    sweeps = [(l, m, t, _poly_value(terms[0], at_poles))
+              for t, (l, m, terms) in zip(transforms, harmonics)]
     return _table(3, sweeps, num_xi, rule.resolution, seed)
 
 
@@ -376,15 +403,17 @@ def injectivity_probe(coefficients, num_xi=50, resolution=None,
             raise ValueError(f"near-kernel degree {l}: estimated multiplier below 1e-6")
     proj = sphere_rule(3, projection_resolution)
     t_vals = transform_sweep(g, proj.nodes, equator_rule(3, resolution))
+    at_nodes = _power_tables(proj.nodes, lmax)
     recovered = {}
     for l in range(1, lmax + 1, 2):
         for m in range(-l, l + 1):
-            y = real_harmonic(l, m)
-            coef = float(proj.weights @ (t_vals * y.evaluate(proj.nodes)))
+            y = _poly_value(_solid_harmonic_terms(l, m)[0], at_nodes)
+            coef = float(proj.weights @ (t_vals * y))
             recovered[(l, m)] = coef / lam[l]
     grid = probe_directions(3, 4000)
+    at_grid = _power_tables(grid, lmax)
     rec_vals = np.zeros(grid.shape[0])
     for (l, m), c in recovered.items():
         if c != 0.0:
-            rec_vals += c * real_harmonic(l, m).evaluate(grid)
+            rec_vals += c * _poly_value(_solid_harmonic_terms(l, m)[0], at_grid)
     return float(np.max(np.abs(g.evaluate(grid) - rec_vals)))

@@ -288,6 +288,13 @@ def test_harmonics_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_harmonics_dim2_refuses_lmax_below_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--dim", "2", "--lmax", "0"]) == 2
+    assert capsys.readouterr().err == "starsym: --lmax must be at least 1 for --dim 2\n"
+    assert not out.exists()
+
+
 def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
     spec = _spec(tmp_path, {"kind": "ball", "dim": 3, "params": {"radius": 0.5}})
     out = tmp_path / "out"

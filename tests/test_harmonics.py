@@ -177,6 +177,63 @@ def test_multiplier_table_completes_each_pole_once(monkeypatch):
     assert np.array_equal(table.orders, orders)
 
 
+def test_multiplier_table_builds_one_power_table_per_point_set(monkeypatch):
+    # one table of the lifted rule nodes per pole and one of the poles,
+    # shared by every harmonic of the table
+    calls = []
+    build = harmonics._power_tables
+
+    def counted(flat, max_deg):
+        calls.append((flat.shape[0], max_deg))
+        return build(flat, max_deg)
+
+    monkeypatch.setattr(harmonics, "_power_tables", counted)
+    for lmax, num_xi in ((0, 12), (4, 12), (6, 7)):
+        calls.clear()
+        multiplier_table(lmax, num_xi=num_xi, resolution=32, seed=5)
+        assert len(calls) == num_xi + 1, (lmax, num_xi)
+        assert all(max_deg == lmax for _, max_deg in calls)
+
+
+def _per_call_harmonic(l, m, pts):
+    # reference: a power table per call up to the harmonic's largest
+    # exponent, and derivative terms built from the value terms per call
+    exps, coefs = harmonics._solid_harmonic_terms(l, m)[0]
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, 3)
+    max_deg = int(exps.max())
+    tab = np.empty((3, flat.shape[0], max_deg + 1))
+    tab[:, :, 0] = 1.0
+    for p in range(1, max_deg + 1):
+        tab[:, :, p] = tab[:, :, p - 1] * flat.T
+    monos = tab[0][:, exps[:, 0]] * tab[1][:, exps[:, 1]] * tab[2][:, exps[:, 2]]
+    value = (monos @ coefs).reshape(pts.shape[:-1])
+    grad = np.empty((flat.shape[0], 3))
+    for axis in range(3):
+        e = exps.copy()
+        c = coefs * e[:, axis]
+        e[:, axis] = np.maximum(e[:, axis] - 1, 0)
+        monos = tab[0][:, e[:, 0]] * tab[1][:, e[:, 1]] * tab[2][:, e[:, 2]]
+        grad[:, axis] = monos @ c
+    return value, grad.reshape(pts.shape)
+
+
+def test_harmonic_values_and_gradients_are_bit_identical():
+    rule = equator_rule(3)
+    point_sets = [rule.nodes @ make_frame(xi).basis
+                  for xi in random_directions(3, 4, seed=9)]
+    point_sets.append(harmonics._probe_grid())
+    for l in range(LMAX + 1):
+        for m in range(-l, l + 1):
+            y = real_harmonic(l, m)
+            for pts in point_sets:
+                value, grad = _per_call_harmonic(l, m, pts)
+                assert np.array_equal(y.evaluate(pts), value), (l, m)
+                assert np.array_equal(y.gradient(pts), grad), (l, m)
+            for exps, coefs in harmonics._solid_harmonic_terms(l, m):
+                assert not exps.flags.writeable and not coefs.flags.writeable
+
+
 def test_fourier_multiplier_table(monkeypatch):
     # closed form on the circle: cos(k theta) and sin(k theta) both have
     # multiplier 2 k sin(k pi / 2); poles are completed once each
