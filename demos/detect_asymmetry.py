@@ -4,11 +4,11 @@ Detecting central asymmetry from equatorial transforms
 
 The transform A(xi) annihilates every centrally symmetric section
 density, and on the sphere it kills nothing odd, so sweeping poles and
-watching max |A| separates symmetric bodies from asymmetric ones.  The
-detector first calibrates a noise floor on bodies known to be even,
-as a multiple of the size |S^{n-2}| sup f of their section densities f,
-then classifies each body against that floor times its own size, so
-the verdict does not depend on the body's scale.
+watching max |A| separates symmetric bodies from asymmetric ones.  On
+an even body A is rounding alone, so each transform also reports the
+roundoff scale s of its sum, and the detector compares max |A| with a
+fixed multiple C eps max s of its own sweep.  s grows with the body as
+A does, so the verdict does not depend on the body's scale.
 """
 
 import numpy as np
@@ -22,8 +22,8 @@ from starsym import (
     detect,
 )
 
-floor = calibrate(3)
-print(f"dimensionless noise floor c_3 at default resolution: {floor:.3e}\n")
+print(f"floor constant C: {calibrate(True):g} with a gradient, "
+      f"{calibrate(False):g} on the finite-difference path\n")
 
 cases = [
     body_ball(3, 1.0),

@@ -389,6 +389,8 @@ def cmd_harmonics(args):
         raise ValueError(f"--num-xi must be at least {_MIN_FIT_POLES} for harmonics")
     if args.dim == 2 and args.lmax < 1:
         raise ValueError("--lmax must be at least 1 for --dim 2")
+    if args.dim == 3 and not 0 <= args.lmax <= LMAX:
+        raise ValueError(f"--lmax must lie in [0, {LMAX}] for --dim 3")
     fit = multiplier_table if args.dim == 3 else fourier_multiplier_table
     table = fit(args.lmax, num_xi=args.num_xi, resolution=args.resolution, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)

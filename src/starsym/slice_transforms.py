@@ -30,7 +30,7 @@ from .sphere_geom import EquatorFrame, _latitude_points, make_frame
 from .star_body import (
     RadialField,
     ScalarField,
-    equator_derivative,
+    _meridian_terms,
     hyperplane_profile_field,
     to_scalar_field,
 )
@@ -311,6 +311,21 @@ def hyperplane_section(body, frame, z, rule):
     return _shaped(values, scalar)
 
 
+class TransformValue(float):
+    """A(xi) as a float; `scale` is the roundoff scale s of its sum."""
+
+    __slots__ = ("scale",)
+
+    def __new__(cls, value, scale):
+        self = super().__new__(cls, value)
+        self.scale = scale
+        return self
+
+    def __getnewargs__(self):
+        # lets pickle and copy rebuild the value with its scale
+        return float(self), self.scale
+
+
 def equator_transform(f, frame, rule, fd_step=1e-4):
     """A(xi): integral of the meridian derivative of f over the equator.
 
@@ -320,12 +335,27 @@ def equator_transform(f, frame, rule, fd_step=1e-4):
     at latitudes +-fd_step and +-fd_step/2 with one Richardson level.
     Only the rule's dimension is validated against the frame; the nodes
     of an EquatorQuadrature are unit vectors by construction, so
-    `embed`'s checks are skipped.
+    `embed`'s checks are skipped.  Returns a `TransformValue`: on an
+    even field A is rounding alone, of the order of eps * scale (see
+    `calibrate`), and the scale is read off arrays the derivative holds.
     """
     _check_rule(frame, rule)
     lifted = rule.nodes @ frame.basis
-    d = equator_derivative(f.evaluate, f.gradient, frame.pole, lifted, fd_step)
-    return float(rule.weights @ d)
+    d, held = _meridian_terms(f.evaluate, f.gradient, frame.pole, lifted, fd_step)
+    w = rule.weights
+    if rule.sphere_dim == 1:
+        # the nodes of S^0 are exact negatives: on an even field the
+        # per-node noise cancels and only the two-term sum rounds
+        scale = float(w @ np.abs(d))
+    elif f.gradient is not None:
+        # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
+        # to within rounding, so the noise of the whole gradient reaches d
+        scale = math.sqrt(float(w @ w) * float(np.vdot(held, held)))
+    else:
+        # held is f at latitude +fd_step; its noise, as independent errors
+        wf = w * held
+        scale = math.sqrt(float(wf @ wf)) / fd_step
+    return TransformValue(float(w @ d), scale)
 
 
 def transform_sweep(f, frames, rule, fd_step=1e-4):
@@ -346,6 +376,11 @@ def transform_sweep(f, frames, rule, fd_step=1e-4):
     basis of make_frame(xi, seed), so an antipodal set of N bare poles
     costs N/2 transforms.  Nothing is kept between calls.
     """
+    return np.array(_pole_values(f, frames, rule, fd_step), dtype=float)
+
+
+def _pole_values(f, frames, rule, fd_step=1e-4):
+    # transform_sweep's values as TransformValues; a twin keeps its scale
     values = []
     done = {}
     for frame in frames:
@@ -356,10 +391,10 @@ def transform_sweep(f, frames, rule, fd_step=1e-4):
         if twin is None:
             value = equator_transform(f, frame, rule, fd_step=fd_step)
         else:
-            value = 0.0 - twin
+            value = TransformValue(0.0 - twin, twin.scale)
         done[(basis, frame.pole.tobytes())] = value
         values.append(value)
-    return np.array(values, dtype=float)
+    return values
 
 
 _KINDS = ("slice", "conical", "hyperplane")

@@ -55,23 +55,29 @@ def equator_derivative(evaluate, gradient, pole, lifted, fd_step):
     +-h pair of points is cos(h) lifted +- sin(h) pole from one product
     of each, the same points `_latitude_points` gives.
     """
+    return _meridian_terms(evaluate, gradient, pole, lifted, fd_step)[0]
+
+
+def _meridian_terms(evaluate, gradient, pole, lifted, fd_step):
+    # equator_derivative and the gradient it used, or f at latitude +fd_step
     pole, lifted = np.asarray(pole), np.asarray(lifted)
     if gradient is not None:
         g = gradient(lifted)
         d = 0.0 + g[..., 0] * pole[..., 0]
         for j in range(1, g.shape[-1]):
             d += g[..., j] * pole[..., j]
-        return d
+        return d, g
     if 3 * fd_step > math.pi / 2:
         raise ValueError("finite-difference meridian derivative too close to a pole")
 
     def central(h):
         level = math.cos(h) * lifted
         rise = math.sin(h) * pole
-        return (evaluate(level + rise) - evaluate(level - rise)) / (2.0 * h)
+        up = evaluate(level + rise)
+        return (up - evaluate(level - rise)) / (2.0 * h), up
 
-    d1 = central(fd_step)
-    return (4.0 * central(fd_step / 2.0) - d1) / 3.0
+    d1, up = central(fd_step)
+    return (4.0 * central(fd_step / 2.0)[0] - d1) / 3.0, up
 
 
 def _validate_gradient(evaluate, gradient, dim, lipschitz, rng):
@@ -468,7 +474,7 @@ def linear_field(dim, direction):
 def strip_gradient(field_or_body):
     """Copy of a field or body with the analytic gradient removed.
 
-    Forces the finite-difference meridian fallback; used to exercise and
-    calibrate that code path.
+    Forces the finite-difference meridian fallback; used to exercise
+    that code path.
     """
     return replace(field_or_body, gradient=None)

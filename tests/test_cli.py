@@ -283,9 +283,10 @@ def test_harmonics_records_num_xi_and_refuses_too_few_poles(tmp_path, capsys, di
 
 def test_harmonics_failure_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["harmonics", "--out", str(out), "--lmax", "11"]) == 2
-    assert capsys.readouterr().err == "starsym: lmax must lie in [0, 10]\n"
-    assert not out.exists()
+    for lmax in ("11", "-1"):
+        assert main(["harmonics", "--out", str(out), "--lmax", lmax]) == 2
+        assert capsys.readouterr().err == "starsym: --lmax must lie in [0, 10] for --dim 3\n"
+        assert not out.exists()
 
 
 def test_harmonics_dim2_refuses_lmax_below_one(tmp_path, capsys):

@@ -1,5 +1,10 @@
 """The shared pole sweep reproduces the per-pole transform bit for bit."""
 
+import collections
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,24 +20,18 @@ from starsym import (
     equator_rule,
     equator_transform,
     make_frame,
+    probe_directions,
     sample_poles,
     strip_gradient,
     to_scalar_field,
     transform_sweep,
 )
 
-# calibrate(n) at its defaults: the dimensionless floor
-# 10 max |A| / (|S^{n-2}| sup f) over the even battery
-_RECORDED_FLOORS = {
-    2: 1e-15,
-    3: 1.3753301480085478e-12,
-    4: 1.5260784955048372e-12,
-    5: 8.894673927520478e-13,
-    6: 9.55171312235519e-13,
-}
-
-
 def _reference_transform(f, frame, rule, fd_step=1e-4):
+    return float(rule.weights @ _reference_derivative(f, frame, rule, fd_step))
+
+
+def _reference_derivative(f, frame, rule, fd_step):
     # the original formula at psi = 0: the gradient along the meridian
     # tangent cos(psi) xi - sin(psi) lift(eta) at validated embed points,
     # or central differences at +-h and +-h/2 with one Richardson level
@@ -50,7 +49,7 @@ def _reference_transform(f, frame, rule, fd_step=1e-4):
         x = embed(frame, eta, psi)
         t = np.cos(psi)[..., None] * frame.pole - np.sin(psi)[..., None] * (eta @ frame.basis)
         d = np.sum(f.gradient(x) * t, axis=-1)
-    return float(rule.weights @ d)
+    return d
 
 
 def _bodies(n):
@@ -162,6 +161,47 @@ def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
     assert len(calls) == 50
 
 
+def _counting(body):
+    # the body with its evaluate/gradient wrapped to count calls and points
+    counts = collections.Counter()
+
+    def wrap(name, fn):
+        def wrapped(u):
+            counts[name + "_calls"] += 1
+            counts[name + "_points"] += np.asarray(u).size // body.dim
+            return fn(u)
+        object.__setattr__(body, name, wrapped)
+
+    wrap("evaluate", body.evaluate)
+    if body.gradient is not None:
+        wrap("gradient", body.gradient)
+    return body, counts
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
+def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
+    # a default detect integrates the 50 poles it computes, reads the
+    # other 50 off their twins and probes the odd part on the grid
+    # probe_directions(n, 2000) (f at u and at -u): no calibration
+    # sweep, and the roundoff scale of each transform costs no evaluation
+    body = body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n))
+    body, counts = _counting(strip_gradient(body) if fd else body)
+    calls = _count_transforms(monkeypatch)
+    detect(body)
+    assert len(calls) == 50
+    nodes = equator_rule(n).size
+    probe = len(probe_directions(n, 2000))
+    if fd:
+        # four latitudes per node
+        want = {"evaluate_calls": 4 * 50 + 2, "evaluate_points": 4 * 50 * nodes + 2 * probe}
+    else:
+        # the section density's gradient evaluates rho once per call
+        want = {"gradient_calls": 50, "gradient_points": 50 * nodes,
+                "evaluate_calls": 50 + 2, "evaluate_points": 50 * nodes + 2 * probe}
+    assert dict(counts) == want
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_detect_values_equal_reference_formula(n):
     body = strip_gradient(body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)))
@@ -178,9 +218,45 @@ def test_detect_values_equal_reference_formula(n):
     assert np.array_equal(second.xis, sample_poles(n, 10, seed=3))
 
 
+def _reference_scale(f, frame, rule, fd_step=1e-4):
+    # the roundoff scale of one transform from validated embed points:
+    # |w| |g| with a gradient, |w f(+fd_step)| / fd_step without, and
+    # sum w |d| on the exact antipodes of S^0
+    eta, psi = rule.nodes, np.zeros(rule.size)
+    w = rule.weights
+    if rule.sphere_dim == 1:
+        return float(w @ np.abs(_reference_derivative(f, frame, rule, fd_step)))
+    if f.gradient is None:
+        wf = w * f.evaluate(embed(frame, eta, psi + fd_step))
+        return math.sqrt(float(wf @ wf)) / fd_step
+    g = f.gradient(embed(frame, eta, psi))
+    return math.sqrt(float(w @ w) * float(np.vdot(g, g)))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_calibrate_matches_recorded_thresholds(n):
-    assert calibrate(n) == _RECORDED_FLOORS[n]
+    # a default detect records the floor C eps max s, with C read off
+    # calibrate for the field's derivative path and s the largest scale
+    # of the poles it computed (the first half; each negative reuses its
+    # twin's scale), each equal to the reference form bit for bit
+    rule = equator_rule(n)
+    for body in _bodies(n):
+        f = to_scalar_field(body)
+        report = detect(body, num_dirs=8, seed=n)
+        frames = [make_frame(xi, seed=FRAME_SEED) for xi in report.xis[:4]]
+        scales = [equator_transform(f, fr, rule).scale for fr in frames]
+        assert scales == [_reference_scale(f, fr, rule) for fr in frames], body.label
+        floor = calibrate(body.gradient is not None) * np.finfo(float).eps
+        assert report.threshold == floor * max(scales), body.label
+
+
+def test_transform_value_is_a_float_with_its_scale():
+    f = to_scalar_field(body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05)))
+    value = equator_transform(f, make_frame([0.0, 0.6, 0.8]), equator_rule(3, 16))
+    assert isinstance(value, float) and value.scale > 0.0
+    assert type(0.0 - value) is float
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert (copied, copied.scale) == (value, value.scale)
 
 
 def test_equator_transform_fd_step_must_leave_room_below_the_pole():
