@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -178,6 +179,13 @@ _BODY_PARAMS = {
 }
 
 
+def _spec_int(value, field):
+    # a JSON integer; 3.7, "3" and true are refused rather than truncated
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"body spec field {field!r} must be an integer")
+    return int(value)
+
+
 def build_body(kind, dim, params):
     """Construct a star body from a parsed spec; raises ValueError on misuse."""
     if kind not in _BODY_PARAMS:
@@ -191,7 +199,7 @@ def build_body(kind, dim, params):
     extra = sorted(set(params) - set(_BODY_PARAMS[kind]))
     if extra:
         raise ValueError(f"unexpected body parameter(s): {', '.join(extra)}")
-    dim = int(dim)
+    dim = _spec_int(dim, "dim")
     if kind == "ball":
         return body_ball(dim, float(params["radius"]))
     if kind == "shifted_ball":
@@ -202,7 +210,8 @@ def build_body(kind, dim, params):
     if dim != 3:
         raise ValueError("harmonic_ball bodies are only available in dimension 3")
     return body_harmonic_perturbed_ball(float(params["epsilon"]),
-                                        int(params["degree"]), int(params["order"]))
+                                        _spec_int(params["degree"], "params.degree"),
+                                        _spec_int(params["order"], "params.order"))
 
 
 def load_body_spec(path):
@@ -263,13 +272,13 @@ def _parse_csv_list(text, allowed, what):
 
 def cmd_analyze(args):
     body, spec = load_body_spec(args.body)
-    report = detect(body, num_dirs=args.dirs, sampler=args.sampler, seed=args.seed,
+    report = detect(body, num_dirs=args.dirs, seed=args.seed,
                     rule_resolution=args.resolution)
     os.makedirs(args.out, exist_ok=True)
     doc = {
         "parameters": {"command": args.command, "seed": args.seed,
                        "resolution": report.resolution, "dim": body.dim, "body": spec,
-                       "dirs": args.dirs, "sampler": args.sampler},
+                       "dirs": args.dirs},
         "verdict": report.verdict,
         "note": report.note,
         "max_abs_transform": report.max_abs,
@@ -281,8 +290,7 @@ def cmd_analyze(args):
     jpath = _write(os.path.join(args.out, "report.json"), json_text(doc) + "\n")
     head = ",".join([f"xi_{i}" for i in range(body.dim)] + ["transform"])
     lines = [_param_line({"command": args.command, "seed": args.seed,
-                          "resolution": report.resolution,
-                          "sampler": args.sampler}), head + "\n"]
+                          "resolution": report.resolution}), head + "\n"]
     for xi, val in zip(report.xis, report.values):
         lines.append(",".join([_fmt(c) for c in xi] + [_fmt(val)]) + "\n")
     cpath = _write(os.path.join(args.out, "values.csv"), "".join(lines))
@@ -417,6 +425,18 @@ def cmd_harmonics(args):
 # argument parsing
 
 
+def _int_at_least(low):
+    # argparse type for a bounded int; argparse names the option it refuses
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    parse.__name__ = "int"  # so a non-number still reads "invalid int value"
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="starsym",
@@ -427,7 +447,7 @@ def _build_parser():
     def common(p, seeded=True):
         p.add_argument("--out", default=".", help="output directory")
         if seeded:
-            p.add_argument("--seed", type=int, default=7)
+            p.add_argument("--seed", type=_int_at_least(0), default=7)
         p.add_argument("--resolution", type=int, default=None,
                        help="equator quadrature resolution, at least 2 "
                             "(default per dimension)")
@@ -435,9 +455,9 @@ def _build_parser():
     p = sub.add_parser("analyze", help="sweep a body for central asymmetry")
     common(p)
     p.add_argument("--body", required=True, help="body spec JSON file")
-    p.add_argument("--dirs", type=int, default=100, help="number of poles")
-    p.add_argument("--sampler", default="antipodal",
-                   choices=("antipodal", "fibonacci", "random"))
+    p.add_argument("--dirs", type=_int_at_least(1), default=100,
+                   help="poles requested; 2 * max(1, dirs // 2) are swept in "
+                        "antipodal pairs")
 
     p = sub.add_parser("sections", help="sample section curves over heights")
     common(p, seeded=False)

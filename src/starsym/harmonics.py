@@ -32,7 +32,7 @@ from .sphere_geom import (
     sphere_rule,
     equator_rule,
 )
-from .star_body import FD_STEP, ScalarField, _linear, equator_derivative
+from .star_body import ScalarField, _linear, equator_derivative
 from .slice_transforms import transform_sweep
 
 LMAX = 10
@@ -277,7 +277,7 @@ def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
         tab = _power_tables(lifted, lmax)
         for t, (_, _, terms) in zip(transforms, harmonics):
             g = _poly_gradient(terms[1:], tab)
-            d = equator_derivative(None, lambda _: g, frame.pole, lifted, FD_STEP)
+            d = equator_derivative(None, lambda _: g, frame.pole, lifted)
             t[p] = float(rule.weights @ d)
     at_poles = _power_tables(xis, lmax)
     sweeps = [(l, m, t, _poly_value(terms[0], at_poles))

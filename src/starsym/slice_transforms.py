@@ -28,6 +28,7 @@ import numpy as np
 
 from .sphere_geom import EquatorFrame, _latitude_points, make_frame
 from .star_body import (
+    FD_STEP,
     RadialField,
     ScalarField,
     _meridian_terms,
@@ -326,13 +327,13 @@ class TransformValue(float):
         return float(self), self.scale
 
 
-def equator_transform(f, frame, rule, fd_step=1e-4):
+def equator_transform(f, frame, rule):
     """A(xi): integral of the meridian derivative of f over the equator.
 
     The rule nodes are lifted into the frame once and handed to
     `equator_derivative`, the one meridian-derivative routine: the
     field's gradient along the pole, or without one central differences
-    at latitudes +-fd_step and +-fd_step/2 with one Richardson level.
+    at latitudes +-FD_STEP and +-FD_STEP/2 with one Richardson level.
     Only the rule's dimension is validated against the frame; the nodes
     of an EquatorQuadrature are unit vectors by construction, so
     `embed`'s checks are skipped.  Returns a `TransformValue`: on an
@@ -341,7 +342,7 @@ def equator_transform(f, frame, rule, fd_step=1e-4):
     """
     _check_rule(frame, rule)
     lifted = rule.nodes @ frame.basis
-    d, held = _meridian_terms(f.evaluate, f.gradient, frame.pole, lifted, fd_step)
+    d, held = _meridian_terms(f.evaluate, f.gradient, frame.pole, lifted)
     w = rule.weights
     if rule.sphere_dim == 1:
         # the nodes of S^0 are exact negatives: on an even field the
@@ -352,49 +353,21 @@ def equator_transform(f, frame, rule, fd_step=1e-4):
         # to within rounding, so the noise of the whole gradient reaches d
         scale = math.sqrt(float(w @ w) * float(np.vdot(held, held)))
     else:
-        # held is f at latitude +fd_step; its noise, as independent errors
+        # held is f at latitude +FD_STEP; its noise, as independent errors
         wf = w * held
-        scale = math.sqrt(float(wf @ wf)) / fd_step
+        scale = math.sqrt(float(wf @ wf)) / FD_STEP
     return TransformValue(float(w @ d), scale)
 
 
-def transform_sweep(f, frames, rule, fd_step=1e-4):
-    """A(xi) for a sequence of poles; an antipodal pair costs one `equator_transform`.
+def transform_sweep(f, frames, rule):
+    """A(xi) for a sequence of poles, one `equator_transform` each.
 
     `frames` holds EquatorFrame objects or bare poles; a bare pole is
     completed with make_frame(pole), the frame every sweep in the
     package uses.  Returns the values as a 1-d array.
-
-    A is odd, and within one call the oddness is used exactly: a frame
-    whose basis is bitwise equal to an earlier frame's and whose pole is
-    that frame's pole negated bitwise gets 0.0 - A(earlier) with no new
-    transform.  Both frames lift the same equator nodes, so every
-    per-node derivative flips sign exactly (the +-h latitude points of
-    the finite-difference path swap places) and the value is the one a
-    fresh transform would return, bit for bit; 0.0 - A keeps an exact
-    zero at +0.0 as the fresh sum does.  make_frame(-xi, seed) has the
-    basis of make_frame(xi, seed), so an antipodal set of N bare poles
-    costs N/2 transforms.  Nothing is kept between calls.
     """
-    return np.array(_pole_values(f, frames, rule, fd_step), dtype=float)
-
-
-def _pole_values(f, frames, rule, fd_step=1e-4):
-    # transform_sweep's values as TransformValues; a twin keeps its scale
-    values = []
-    done = {}
-    for frame in frames:
-        if not isinstance(frame, EquatorFrame):
-            frame = make_frame(frame)
-        basis = frame.basis.tobytes()
-        twin = done.get((basis, (-frame.pole).tobytes()))
-        if twin is None:
-            value = equator_transform(f, frame, rule, fd_step=fd_step)
-        else:
-            value = TransformValue(0.0 - twin, twin.scale)
-        done[(basis, frame.pole.tobytes())] = value
-        values.append(value)
-    return values
+    frames = [fr if isinstance(fr, EquatorFrame) else make_frame(fr) for fr in frames]
+    return np.array([equator_transform(f, frame, rule) for frame in frames], dtype=float)
 
 
 _KINDS = ("slice", "conical", "hyperplane")

@@ -42,7 +42,7 @@ _PROBE_COUNT = 2048
 _BOUND_SLACK = 4 * np.finfo(float).eps
 
 
-def equator_derivative(evaluate, gradient, pole, lifted, fd_step):
+def equator_derivative(evaluate, gradient, pole, lifted):
     """Meridian derivative d/dpsi at psi = 0 toward `pole`, per equator point.
 
     `lifted` holds (..., n) unit vectors orthogonal to the pole, which is
@@ -51,15 +51,15 @@ def equator_derivative(evaluate, gradient, pole, lifted, fd_step):
     gradient's columns with the pole's are added in column order onto
     +0.0, the order of np.sum over the last axis, so the values equal
     that sum bit for bit.  Without one, central differences at latitudes
-    +-fd_step and +-fd_step/2 are combined by one Richardson level; each
+    +-FD_STEP and +-FD_STEP/2 are combined by one Richardson level; each
     +-h pair of points is cos(h) lifted +- sin(h) pole from one product
     of each, the same points `_latitude_points` gives.
     """
-    return _meridian_terms(evaluate, gradient, pole, lifted, fd_step)[0]
+    return _meridian_terms(evaluate, gradient, pole, lifted)[0]
 
 
-def _meridian_terms(evaluate, gradient, pole, lifted, fd_step):
-    # equator_derivative and the gradient it used, or f at latitude +fd_step
+def _meridian_terms(evaluate, gradient, pole, lifted):
+    # equator_derivative and the gradient it used, or f at latitude +FD_STEP
     pole, lifted = np.asarray(pole), np.asarray(lifted)
     if gradient is not None:
         g = gradient(lifted)
@@ -67,8 +67,6 @@ def _meridian_terms(evaluate, gradient, pole, lifted, fd_step):
         for j in range(1, g.shape[-1]):
             d += g[..., j] * pole[..., j]
         return d, g
-    if 3 * fd_step > math.pi / 2:
-        raise ValueError("finite-difference meridian derivative too close to a pole")
 
     def central(h):
         level = math.cos(h) * lifted
@@ -76,8 +74,8 @@ def _meridian_terms(evaluate, gradient, pole, lifted, fd_step):
         up = evaluate(level + rise)
         return (up - evaluate(level - rise)) / (2.0 * h), up
 
-    d1, up = central(fd_step)
-    return (4.0 * central(fd_step / 2.0)[0] - d1) / 3.0, up
+    d1, up = central(FD_STEP)
+    return (4.0 * central(FD_STEP / 2.0)[0] - d1) / 3.0, up
 
 
 def _validate_gradient(evaluate, gradient, dim, lipschitz, rng):
@@ -90,8 +88,8 @@ def _validate_gradient(evaluate, gradient, dim, lipschitz, rng):
         eta = rng.standard_normal((16, dim - 1))
         eta /= np.linalg.norm(eta, axis=1, keepdims=True)
         lifted = eta @ frame.basis
-        ana = equator_derivative(evaluate, gradient, frame.pole, lifted, FD_STEP)
-        num = equator_derivative(evaluate, None, frame.pole, lifted, FD_STEP)
+        ana = equator_derivative(evaluate, gradient, frame.pole, lifted)
+        num = equator_derivative(evaluate, None, frame.pole, lifted)
         err = float(np.max(np.abs(ana - num)))
         if err > tol:
             raise ValueError(f"gradient inconsistent with finite differences ({err:.3e} > {tol:.3e})")

@@ -26,7 +26,7 @@ from .sphere_geom import (
     random_directions,
 )
 from .star_body import odd_part, to_scalar_field
-from .slice_transforms import _pole_values
+from .slice_transforms import equator_transform
 
 _EPS = float(np.finfo(float).eps)
 
@@ -43,7 +43,6 @@ class AsymmetryReport:
 
     body_id: str
     dim: int
-    sampler: str
     num_dirs: int
     resolution: int
     seed: int
@@ -63,39 +62,32 @@ class AsymmetryReport:
             raise ValueError("xis and values must have matching lengths")
 
 
-def sample_poles(n, count, sampler="antipodal", seed=0):
-    """Pole sets for sweeps: 'fibonacci' (n=3), 'random', 'antipodal'.
+def sample_poles(n, count, seed=0):
+    """The detector's antipodal pole set: m base poles, then their negatives.
 
-    'antipodal' returns m = max(1, count // 2) poles (Fibonacci-based
-    for n=3, seeded-random otherwise) followed by their negatives, 2m in
-    all: sample_poles(3, 1) has 2 poles and sample_poles(n, 37) has 36.
-    The pairs make A(-xi) = -A(xi) visible, and `transform_sweep` reads
-    each negative's value off its twin, so N poles cost N/2 transforms.
+    m = max(1, count // 2) base poles (Fibonacci for n=3, seeded-random
+    otherwise) are followed by their negatives, 2m in all:
+    sample_poles(3, 1) has 2 poles and sample_poles(n, 37) has 36.
+    A(-xi) = -A(xi), so the negatives add no information; `sweep` pays
+    one transform per base pole and reads each negative's value off it.
     """
     n = check_dim(n)
     count = int(count)
     if count < 1:
         raise ValueError("count must be positive")
-    if sampler == "fibonacci":
-        if n != 3:
-            raise ValueError("fibonacci sampler is specific to n=3")
-        return fibonacci_sphere(count)
-    if sampler == "random":
-        return random_directions(n, count, seed=seed)
-    if sampler == "antipodal":
-        half = max(1, count // 2)
-        base = fibonacci_sphere(half) if n == 3 else random_directions(n, half, seed=seed)
-        return np.vstack([base, -base])
-    raise ValueError(f"unknown sampler {sampler!r}")
+    half = max(1, count // 2)
+    base = fibonacci_sphere(half) if n == 3 else random_directions(n, half, seed=seed)
+    return np.vstack([base, -base])
 
 
 @lru_cache(maxsize=64)
-def _pole_frames(n, num_dirs, sampler, seed):
-    # sample_poles is deterministic, so each pole set and its seeded
-    # frames are built once per process and shared by every sweep
-    xis = sample_poles(n, num_dirs, sampler=sampler, seed=seed)
+def _pole_frames(n, num_dirs, seed):
+    # sample_poles is deterministic, so each pole set and the seeded
+    # frames of its base half are built once per process and shared by
+    # every sweep
+    xis = sample_poles(n, num_dirs, seed=seed)
     xis.setflags(write=False)
-    return xis, tuple(make_frame(xi) for xi in xis)
+    return xis, tuple(make_frame(xi) for xi in xis[:len(xis) // 2])
 
 
 @lru_cache(maxsize=2)
@@ -113,19 +105,26 @@ def calibrate(gradient_path):
     return 32.0 if gradient_path else 128.0
 
 
-def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
-          threshold=None, body_id=None):
-    """Evaluate the transform over a pole sample and classify the field.
+def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id=None):
+    """Evaluate the transform over the antipodal pole set and classify the field.
 
     Parameters
     ----------
     f : ScalarField
-    num_dirs : poles requested; 'antipodal' sweeps 2 * max(1, num_dirs // 2)
+    num_dirs : poles requested; the sweep covers 2 * max(1, num_dirs // 2)
         (see `sample_poles`), and the report's num_dirs is the swept count
-    sampler : 'antipodal' (default), 'fibonacci', or 'random'
     threshold : absolute threshold on max |A|; by default
         C eps max s, with C = `calibrate(f.gradient is not None)` and s
         the roundoff scale of each swept transform (`TransformValue`)
+
+    Each base pole costs one `equator_transform`, and its negative gets
+    0.0 - A: make_frame(-xi) has the basis of make_frame(xi), so both
+    frames lift the same equator nodes, every per-node derivative flips
+    sign exactly (the +-h latitude points of the finite-difference path
+    swap places) and the value is the one a fresh transform would
+    return, bit for bit; 0.0 - A keeps an exact zero at +0.0 as the
+    fresh sum does.  The negative's roundoff scale is its base pole's,
+    so the floor's max s runs over the base poles.
 
     Returns
     -------
@@ -133,15 +132,15 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
     """
     n = f.dim
     rule = equator_rule(n, rule_resolution)
-    xis, frames = _pole_frames(n, num_dirs, sampler, seed)
+    xis, frames = _pole_frames(n, num_dirs, seed)
     xis = xis.copy()
-    computed = _pole_values(f, frames, rule)
-    values = np.array(computed, dtype=float)
+    base = [equator_transform(f, frame, rule) for frame in frames]
+    values = np.array(base + [0.0 - value for value in base], dtype=float)
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
     odd_sup = float(np.max(np.abs(odd_part(f).evaluate(probe_directions(n, 2000)))))
     if threshold is None:
-        scale = max(value.scale for value in computed)
+        scale = max(value.scale for value in base)
         threshold = calibrate(f.gradient is not None) * _EPS * scale
     if max_abs > threshold:
         verdict = "asymmetric"
@@ -156,18 +155,18 @@ def sweep(f, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
                 "it is not a proof of symmetry").format(max_abs, threshold)
     return AsymmetryReport(
         body_id=body_id or f.label or "field",
-        dim=n, sampler=sampler, num_dirs=int(xis.shape[0]),
+        dim=n, num_dirs=int(xis.shape[0]),
         resolution=rule.resolution, seed=int(seed), threshold=float(threshold),
         xis=xis, values=values, max_abs=max_abs, l2_mean=l2_mean,
         verdict=verdict, note=note, ground_truth_odd_sup=odd_sup)
 
 
-def detect(body, num_dirs=100, sampler="antipodal", seed=0, rule_resolution=None,
-           threshold=None):
+def detect(body, num_dirs=100, seed=0, rule_resolution=None, threshold=None):
     """Sweep a star body's section density for central asymmetry; see `sweep`.
 
-    An antipodal `detect(body, num_dirs=37)` sweeps and reports 36 poles.
+    `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
+    pairs, at the cost of 18 transforms.
     """
-    return sweep(to_scalar_field(body), num_dirs=num_dirs, sampler=sampler,
-                 seed=seed, rule_resolution=rule_resolution, threshold=threshold,
+    return sweep(to_scalar_field(body), num_dirs=num_dirs, seed=seed,
+                 rule_resolution=rule_resolution, threshold=threshold,
                  body_id=body.label)

@@ -87,7 +87,7 @@ def test_analyze_shifted_ball_reports_asymmetric(tmp_path, capsys):
     spec = _spec(tmp_path, SHIFTED)
     out = tmp_path / "out"
     assert main(["analyze", "--body", spec, "--out", str(out),
-                 "--dirs", "12", "--sampler", "random"]) == 0
+                 "--dirs", "12"]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["verdict"] == "asymmetric"
     assert doc["max_abs_transform"] > doc["threshold"]
@@ -319,6 +319,47 @@ def test_resolution_below_two_exits_2_and_writes_nothing(tmp_path, capsys, argv)
     out = tmp_path / "out"
     assert main([a.format(**specs) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "starsym: resolution must be at least 2\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["analyze", "--body", "{ball}", "--dirs", "0"], "--dirs: must be at least 1"),
+    (["analyze", "--body", "{ball}", "--dirs", "-4"], "--dirs: must be at least 1"),
+    (["analyze", "--body", "{ball}", "--seed", "-1"], "--seed: must be at least 0"),
+    (["analyze", "--body", "{disk}", "--seed", "-1"], "--seed: must be at least 0"),
+    (["verify", "--seed", "-1"], "--seed: must be at least 0"),
+    (["harmonics", "--seed", "-1"], "--seed: must be at least 0"),
+    (["analyze", "--body", "{ball}", "--sampler", "random"],
+     "unrecognized arguments: --sampler random"),
+], ids=["dirs_zero", "dirs_negative", "seed_n3", "seed_n2", "seed_verify",
+        "seed_harmonics", "sampler"])
+def test_refused_option_is_named_and_writes_nothing(tmp_path, capsys, argv, option):
+    specs = {"ball": _spec(tmp_path, BALL),
+             "disk": _spec(tmp_path, {"kind": "ball", "dim": 2,
+                                      "params": {"radius": 1.0}}, "disk.json")}
+    out = tmp_path / "out"
+    assert main([a.format(**specs) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.rstrip().endswith(option)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(BALL, dim=3.7), "'dim'"),
+    (dict(BALL, dim=2.9), "'dim'"),
+    (dict(BALL, dim="3"), "'dim'"),
+    (dict(BALL, dim=True), "'dim'"),
+    ({"kind": "harmonic_ball", "dim": 3,
+      "params": {"epsilon": 0.05, "degree": 2.7, "order": 1}}, "'params.degree'"),
+    ({"kind": "harmonic_ball", "dim": 3,
+      "params": {"epsilon": 0.05, "degree": 3, "order": "1"}}, "'params.order'"),
+    ({"kind": "harmonic_ball", "dim": 3,
+      "params": {"epsilon": 0.05, "degree": 3, "order": False}}, "'params.order'"),
+], ids=["dim_float_up", "dim_float_down", "dim_string", "dim_bool", "degree_float",
+        "order_string", "order_bool"])
+def test_integer_spec_fields_are_not_truncated(tmp_path, capsys, doc, field):
+    out = tmp_path / "out"
+    assert main(["analyze", "--body", _spec(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"starsym: body spec field {field} must be an integer\n"
     assert not out.exists()
 
 

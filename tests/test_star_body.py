@@ -135,8 +135,8 @@ def test_meridian_derivative_gradient_vs_fd():
     for body in bodies:
         stripped = strip_gradient(body)
         assert stripped.gradient is None
-        a = equator_derivative(body.evaluate, body.gradient, poles, points, FD_STEP)
-        b = equator_derivative(stripped.evaluate, stripped.gradient, poles, points, FD_STEP)
+        a = equator_derivative(body.evaluate, body.gradient, poles, points)
+        b = equator_derivative(stripped.evaluate, stripped.gradient, poles, points)
         assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -173,17 +173,17 @@ def test_meridian_kernel_is_bit_identical(n):
     cases += [(None, lambda u: synthetic, frame.pole, lifted),
               (None, lambda u: synthetic, _signed_extremes(rng, lifted.shape), lifted)]
     for evaluate, gradient, pole, at in cases:
-        got = equator_derivative(evaluate, gradient, pole, at, FD_STEP)
+        got = equator_derivative(evaluate, gradient, pole, at)
         assert _same_bits(got, np.sum(gradient(at) * pole, axis=-1))
         if evaluate is None:
             continue
-        for h in (1e-4, 1e-3):
-            up, down, up2, down2 = (evaluate(_latitude_points(pole, at, psi))
-                                    for psi in (h, -h, h / 2.0, -h / 2.0))
-            d1 = (up - down) / (2.0 * h)
-            d2 = (up2 - down2) / (2.0 * (h / 2.0))
-            assert _same_bits(equator_derivative(evaluate, None, pole, at, h),
-                              (4.0 * d2 - d1) / 3.0)
+        h = FD_STEP
+        up, down, up2, down2 = (evaluate(_latitude_points(pole, at, psi))
+                                for psi in (h, -h, h / 2.0, -h / 2.0))
+        d1 = (up - down) / (2.0 * h)
+        d2 = (up2 - down2) / (2.0 * (h / 2.0))
+        assert _same_bits(equator_derivative(evaluate, None, pole, at),
+                          (4.0 * d2 - d1) / 3.0)
 
 
 def test_to_scalar_field_values_and_bounds():
@@ -224,8 +224,8 @@ def test_profile_field_gradient_consistency():
     frame = make_frame([0.8, 0.6], seed=1)
     eta = equator_rule(2).nodes
     poles, points = _meridian_probe(frame, eta, np.array([0.4, -0.7]))
-    a = equator_derivative(g.evaluate, g.gradient, poles, points, FD_STEP)
-    b = equator_derivative(g.evaluate, None, poles, points, FD_STEP)
+    a = equator_derivative(g.evaluate, g.gradient, poles, points)
+    b = equator_derivative(g.evaluate, None, poles, points)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -241,8 +241,8 @@ def test_odd_even_split():
     frame = make_frame([0.0, 1.0, 0.0], seed=4)
     eta = equator_rule(3, 8).nodes
     poles, points = _meridian_probe(frame, eta, np.linspace(-0.9, 0.9, len(eta)))
-    a = equator_derivative(fo.evaluate, fo.gradient, poles, points, FD_STEP)
-    b = equator_derivative(fo.evaluate, None, poles, points, FD_STEP)
+    a = equator_derivative(fo.evaluate, fo.gradient, poles, points)
+    b = equator_derivative(fo.evaluate, None, poles, points)
     assert np.max(np.abs(a - b)) < 1e-8
 
 

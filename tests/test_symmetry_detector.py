@@ -1,4 +1,4 @@
-"""Detector sweeps: verdicts on known bodies and sampler plumbing."""
+"""Detector sweeps: verdicts on known bodies and the antipodal pole set."""
 
 from dataclasses import replace
 
@@ -16,9 +16,11 @@ from starsym import (
     detect,
     equator_rule,
     equator_transform,
+    fibonacci_sphere,
     harmonic_field,
     make_frame,
     multiplier_table,
+    random_directions,
     rotate_body,
     sample_poles,
     scale_body,
@@ -54,7 +56,7 @@ def test_odd_harmonic_field_reads_asymmetric():
 
 def test_antipodal_sweep_shows_sign_antisymmetry():
     body = body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05))
-    report = detect(body, num_dirs=24, sampler="antipodal", seed=9)
+    report = detect(body, num_dirs=24, seed=9)
     half = report.num_dirs // 2
     for i in range(half):
         assert np.allclose(report.xis[half + i], -report.xis[i])
@@ -72,9 +74,8 @@ def test_threshold_override_and_symmetric_note():
 
 def test_report_fields_are_populated():
     body = body_ball(3, 1.0)
-    report = detect(body, num_dirs=10, sampler="random", seed=5)
+    report = detect(body, num_dirs=10, seed=5)
     assert report.dim == 3
-    assert report.sampler == "random"
     assert report.num_dirs == 10
     assert report.xis.shape == (10, 3)
     assert report.values.shape == (10,)
@@ -84,21 +85,22 @@ def test_report_fields_are_populated():
 
 
 def test_sample_poles_errors():
-    with pytest.raises(ValueError):
-        sample_poles(2, 10, sampler="fibonacci")
-    with pytest.raises(ValueError):
-        sample_poles(3, 10, sampler="spiral")
-    with pytest.raises(ValueError):
-        sample_poles(3, 0)
+    for count in (0, -4):
+        with pytest.raises(ValueError, match="^count must be positive$"):
+            sample_poles(3, count)
 
 
-def test_sample_poles_shapes_and_norms():
-    for sampler in ("antipodal", "random", "fibonacci"):
-        xis = sample_poles(3, 20, sampler=sampler, seed=2)
-        assert xis.shape[1] == 3
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_sample_poles_shapes_and_norms(n):
+    # m = max(1, count // 2) base poles, Fibonacci in n = 3 and seeded
+    # random otherwise, followed by their exact negatives
+    for count, m in ((1, 1), (20, 10), (37, 18)):
+        xis = sample_poles(n, count, seed=2)
+        assert xis.shape == (2 * m, n)
         assert np.allclose(np.linalg.norm(xis, axis=1), 1.0, atol=1e-12)
-    xis2 = sample_poles(4, 12, sampler="antipodal", seed=2)
-    assert xis2.shape == (12, 4)
+        assert np.array_equal(xis[m:], -xis[:m])
+        base = fibonacci_sphere(m) if n == 3 else random_directions(n, m, seed=2)
+        assert np.array_equal(xis[:m], base)
 
 
 def test_calibrate_is_deterministic_and_positive():

@@ -1,4 +1,4 @@
-"""The shared pole sweep reproduces the per-pole transform bit for bit."""
+"""Pole sweeps reproduce the per-pole transform bit for bit."""
 
 import collections
 import copy
@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from starsym import slice_transforms
+from starsym import slice_transforms, symmetry_detector
 from starsym import (
     FRAME_SEED,
     body_ball,
@@ -23,15 +23,18 @@ from starsym import (
     probe_directions,
     sample_poles,
     strip_gradient,
+    sweep,
     to_scalar_field,
     transform_sweep,
 )
-
-def _reference_transform(f, frame, rule, fd_step=1e-4):
-    return float(rule.weights @ _reference_derivative(f, frame, rule, fd_step))
+from starsym.star_body import FD_STEP
 
 
-def _reference_derivative(f, frame, rule, fd_step):
+def _reference_transform(f, frame, rule):
+    return float(rule.weights @ _reference_derivative(f, frame, rule))
+
+
+def _reference_derivative(f, frame, rule):
     # the original formula at psi = 0: the gradient along the meridian
     # tangent cos(psi) xi - sin(psi) lift(eta) at validated embed points,
     # or central differences at +-h and +-h/2 with one Richardson level
@@ -42,8 +45,8 @@ def _reference_derivative(f, frame, rule, fd_step):
             return (f.evaluate(embed(frame, eta, psi + h))
                     - f.evaluate(embed(frame, eta, psi - h))) / (2.0 * h)
 
-        d1 = central(fd_step)
-        d2 = central(fd_step / 2.0)
+        d1 = central(FD_STEP)
+        d2 = central(FD_STEP / 2.0)
         d = (4.0 * d2 - d1) / 3.0
     else:
         x = embed(frame, eta, psi)
@@ -70,21 +73,18 @@ def test_sweep_equals_reference_formula(n):
         assert np.array_equal(transform_sweep(f, frames, rule), want), body.label
         # bare poles are completed with the same seeded frames
         assert np.array_equal(transform_sweep(f, xis, rule), want), body.label
-    f = to_scalar_field(strip_gradient(_bodies(n)[1]))
-    want = [_reference_transform(f, fr, rule, fd_step=1e-3) for fr in frames]
-    assert np.array_equal(transform_sweep(f, frames, rule, fd_step=1e-3), want)
 
 
-def _count_transforms(monkeypatch):
-    # every pole the sweep actually integrates, in call order
+def _count_transforms(monkeypatch, module=symmetry_detector):
+    # every pole the sweep of `module` actually integrates, in call order
     calls = []
     real = slice_transforms.equator_transform
 
-    def counting(f, frame, rule, fd_step=1e-4):
+    def counting(f, frame, rule):
         calls.append(frame.pole)
-        return real(f, frame, rule, fd_step=fd_step)
+        return real(f, frame, rule)
 
-    monkeypatch.setattr(slice_transforms, "equator_transform", counting)
+    monkeypatch.setattr(module, "equator_transform", counting)
     return calls
 
 
@@ -93,65 +93,43 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_antipodal_sweep_equals_per_pole_transforms(n):
-    # the antipodal half of the sweep is A(-xi) = -A(xi) read off its twin;
-    # it must match an independent per-pole transform bit for bit, signed
-    # zeros included
-    rule = equator_rule(n)
-    xis = sample_poles(n, 24, "antipodal")
-    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
+@pytest.mark.parametrize("resolution", [None, 8], ids=["default", "coarse"])
+def test_antipodal_sweep_equals_per_pole_transforms(n, resolution):
+    # the negative half of the sweep is A(-xi) = -A(xi) read off its base
+    # pole; every one of the 2m values must match an independent per-pole
+    # transform bit for bit, signed zeros included
+    rule = equator_rule(n, resolution)
     for body in _bodies(n):
         f = to_scalar_field(body)
-        want = np.array([equator_transform(f, fr, rule) for fr in frames])
-        assert _same_bits(transform_sweep(f, frames, rule), want), body.label
-        assert _same_bits(transform_sweep(f, xis, rule), want), body.label
-    f = to_scalar_field(strip_gradient(_bodies(n)[1]))
-    want = np.array([equator_transform(f, fr, rule, fd_step=1e-3) for fr in frames])
-    assert _same_bits(transform_sweep(f, frames, rule, fd_step=1e-3), want)
+        report = detect(body, num_dirs=24, seed=n, rule_resolution=resolution)
+        want = np.array([equator_transform(f, make_frame(xi), rule) for xi in report.xis])
+        assert _same_bits(report.values, want), body.label
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_antipodal_pair_costs_one_transform(n, monkeypatch):
-    rule = equator_rule(n, 16)
     f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
-    xis = sample_poles(n, 24, "antipodal")
-    frames = [make_frame(xi, seed=FRAME_SEED) for xi in xis]
     calls = _count_transforms(monkeypatch)
-    transform_sweep(f, xis, rule)
-    # the first pole of each pair is computed, its negative reused
-    assert np.array_equal(calls, [fr.pole for fr in frames[:12]])
-    calls.clear()
-    transform_sweep(f, frames, rule)
-    assert len(calls) == 12
-    calls.clear()
-    transform_sweep(strip_gradient(f), xis, rule)
-    assert len(calls) == 12
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_twin_with_another_basis_is_computed(n, monkeypatch):
-    rule = equator_rule(n, 16)
-    f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
-    xi = sample_poles(n, 1, "random", seed=4)[0]
-    frames = [make_frame(xi, seed=FRAME_SEED), make_frame(-xi, seed=FRAME_SEED + 1)]
-    assert not np.array_equal(frames[0].basis, frames[1].basis)
-    want = np.array([equator_transform(f, fr, rule) for fr in frames])
-    calls = _count_transforms(monkeypatch)
-    assert _same_bits(transform_sweep(f, frames, rule), want)
-    assert len(calls) == 2
+    for field in (f, strip_gradient(f)):
+        report = sweep(field, num_dirs=24, seed=n, rule_resolution=16)
+        # the base pole of each pair is computed, its negative reused
+        assert np.array_equal(calls, [make_frame(xi).pole for xi in report.xis[:12]])
+        assert np.array_equal(report.xis[12:], -report.xis[:12])
+        calls.clear()
 
 
 @pytest.mark.parametrize("n", [3, 6])
-def test_reuse_stays_within_one_sweep(n, monkeypatch):
-    # verify's xi_oddness check sweeps xis and -xis in two calls; both
-    # sides are computed, so the check stays independent
+def test_transform_sweep_computes_every_pole(n, monkeypatch):
+    # verify's xi_oddness check sweeps xis and -xis; each pole is its own
+    # transform, so the check stays independent, even within one call on
+    # an antipodal list
     rule = equator_rule(n, 16)
     f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
-    xis = sample_poles(n, 8, "random", seed=2)
-    calls = _count_transforms(monkeypatch)
+    xis = sample_poles(n, 8, seed=2)
+    calls = _count_transforms(monkeypatch, slice_transforms)
     transform_sweep(f, xis, rule)
     transform_sweep(f, -xis, rule)
-    assert len(calls) == 2 * len(xis)
+    assert np.array_equal(calls, [make_frame(xi).pole for xi in np.vstack([xis, -xis])])
 
 
 def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
@@ -181,8 +159,8 @@ def _counting(body):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
 def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
-    # a default detect integrates the 50 poles it computes, reads the
-    # other 50 off their twins and probes the odd part on the grid
+    # a default detect integrates its 50 base poles, reads the other 50
+    # off their negatives and probes the odd part on the grid
     # probe_directions(n, 2000) (f at u and at -u): no calibration
     # sweep, and the roundoff scale of each transform costs no evaluation
     body = body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n))
@@ -218,17 +196,17 @@ def test_detect_values_equal_reference_formula(n):
     assert np.array_equal(second.xis, sample_poles(n, 10, seed=3))
 
 
-def _reference_scale(f, frame, rule, fd_step=1e-4):
+def _reference_scale(f, frame, rule):
     # the roundoff scale of one transform from validated embed points:
-    # |w| |g| with a gradient, |w f(+fd_step)| / fd_step without, and
+    # |w| |g| with a gradient, |w f(+FD_STEP)| / FD_STEP without, and
     # sum w |d| on the exact antipodes of S^0
     eta, psi = rule.nodes, np.zeros(rule.size)
     w = rule.weights
     if rule.sphere_dim == 1:
-        return float(w @ np.abs(_reference_derivative(f, frame, rule, fd_step)))
+        return float(w @ np.abs(_reference_derivative(f, frame, rule)))
     if f.gradient is None:
-        wf = w * f.evaluate(embed(frame, eta, psi + fd_step))
-        return math.sqrt(float(wf @ wf)) / fd_step
+        wf = w * f.evaluate(embed(frame, eta, psi + FD_STEP))
+        return math.sqrt(float(wf @ wf)) / FD_STEP
     g = f.gradient(embed(frame, eta, psi))
     return math.sqrt(float(w @ w) * float(np.vdot(g, g)))
 
@@ -237,8 +215,8 @@ def _reference_scale(f, frame, rule, fd_step=1e-4):
 def test_calibrate_matches_recorded_thresholds(n):
     # a default detect records the floor C eps max s, with C read off
     # calibrate for the field's derivative path and s the largest scale
-    # of the poles it computed (the first half; each negative reuses its
-    # twin's scale), each equal to the reference form bit for bit
+    # of the poles it computed (the base half; each negative reuses its
+    # base pole's scale), each equal to the reference form bit for bit
     rule = equator_rule(n)
     for body in _bodies(n):
         f = to_scalar_field(body)
@@ -258,9 +236,3 @@ def test_transform_value_is_a_float_with_its_scale():
     for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert (copied, copied.scale) == (value, value.scale)
 
-
-def test_equator_transform_fd_step_must_leave_room_below_the_pole():
-    f = strip_gradient(to_scalar_field(body_ball(3)))
-    frame = make_frame([0.0, 0.0, 1.0], seed=FRAME_SEED)
-    with pytest.raises(ValueError):
-        equator_transform(f, frame, equator_rule(3, 16), fd_step=0.6)
