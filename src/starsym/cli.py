@@ -393,8 +393,6 @@ _MIN_FIT_POLES = 12
 
 
 def cmd_harmonics(args):
-    if args.num_xi < _MIN_FIT_POLES:
-        raise ValueError(f"--num-xi must be at least {_MIN_FIT_POLES} for harmonics")
     if args.dim == 2 and args.lmax < 1:
         raise ValueError("--lmax must be at least 1 for --dim 2")
     if args.dim == 3 and not 0 <= args.lmax <= LMAX:
@@ -474,10 +472,10 @@ def _build_parser():
     common(p)
     p.add_argument("--only", default=None,
                    help="comma list of check names to run")
-    p.add_argument("--num-xi", type=int, default=VerifyConfig.num_xi, dest="num_xi",
-                   help="poles per check")
-    p.add_argument("--mc-samples", type=int, default=VerifyConfig.mc_samples,
-                   dest="mc_samples")
+    p.add_argument("--num-xi", type=_int_at_least(1), default=VerifyConfig.num_xi,
+                   dest="num_xi", help="poles per check")
+    p.add_argument("--mc-samples", type=_int_at_least(1000),
+                   default=VerifyConfig.mc_samples, dest="mc_samples")
 
     p = sub.add_parser("harmonics", help="estimate transform multipliers")
     common(p)
@@ -485,8 +483,8 @@ def _build_parser():
     p.add_argument("--lmax", type=int, default=8,
                    help=f"largest degree l for --dim 3 (0 to {LMAX}), or largest "
                         "frequency k for --dim 2 (at least 1)")
-    p.add_argument("--num-xi", type=int, default=24, dest="num_xi",
-                   help=f"poles per fit (at least {_MIN_FIT_POLES})")
+    p.add_argument("--num-xi", type=_int_at_least(_MIN_FIT_POLES), default=24,
+                   dest="num_xi", help=f"poles per fit (at least {_MIN_FIT_POLES})")
     return parser
 
 

@@ -52,6 +52,8 @@ def unit_vector(v, dim=None):
     out = np.asarray(v, dtype=float)
     if out.ndim != 1:
         raise ValueError("direction must be a 1-d vector")
+    if not np.all(np.isfinite(out)):
+        raise ValueError("direction has non-finite components")
     norm = float(np.linalg.norm(out))
     if norm < 1e-12:
         raise ValueError("direction has near-zero norm")

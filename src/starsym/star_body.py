@@ -21,7 +21,7 @@ gradient along.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -31,8 +31,8 @@ from .sphere_geom import (
     _latitude_points,
     check_dim,
     geodesic_distance,
-    make_frame,
     probe_directions,
+    random_directions,
 )
 
 FD_STEP = 1e-4  # meridian fallback step
@@ -78,28 +78,20 @@ def _meridian_terms(evaluate, gradient, pole, lifted):
     return (4.0 * central(FD_STEP / 2.0)[0] - d1) / 3.0, up
 
 
-def _validate_gradient(evaluate, gradient, dim, lipschitz, rng):
-    # derivative consistency at 16 random equator points of each of four
-    # random frames; psi = 0 on a random frame reaches every (point,
-    # tangent) pair
+def _validate_gradient(evaluate, gradient, lipschitz, u, v):
+    # meridian derivative at each point u toward the unit tangent of v at
+    # u: psi = 0 on those poles reaches every (point, tangent) pair
     tol = max(1e-6, 1e-4 * (lipschitz if lipschitz else 1.0))
-    for _ in range(4):
-        frame = make_frame(rng.standard_normal(dim), seed=int(rng.integers(2 ** 31)))
-        eta = rng.standard_normal((16, dim - 1))
-        eta /= np.linalg.norm(eta, axis=1, keepdims=True)
-        lifted = eta @ frame.basis
-        ana = equator_derivative(evaluate, gradient, frame.pole, lifted)
-        num = equator_derivative(evaluate, None, frame.pole, lifted)
-        err = float(np.max(np.abs(ana - num)))
-        if err > tol:
-            raise ValueError(f"gradient inconsistent with finite differences ({err:.3e} > {tol:.3e})")
+    t = v - np.sum(u * v, axis=1, keepdims=True) * u
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    ana = equator_derivative(evaluate, gradient, t, u)
+    num = equator_derivative(evaluate, None, t, u)
+    err = float(np.max(np.abs(ana - num)))
+    if err > tol:
+        raise ValueError(f"gradient inconsistent with finite differences ({err:.3e} > {tol:.3e})")
 
 
-def _validate_lipschitz(evaluate, dim, bound, rng):
-    u = rng.standard_normal((256, dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = rng.standard_normal((256, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+def _validate_lipschitz(evaluate, bound, u, v):
     gap = np.abs(evaluate(u) - evaluate(v))
     dist = geodesic_distance(u, v)
     slack = bound * dist * (1.0 + 1e-9) + 1e-12
@@ -143,9 +135,11 @@ class RadialField:
     """Radial function of a star body: rho on S^{dim-1}, rho > 0.
 
     Construction probes a quasi-uniform grid: positivity is a hard
-    error, a declared `lipschitz_bound` is spot-checked on sampled
-    pairs, and a supplied `gradient` is checked against meridian finite
-    differences.  `radius_bound` / `radius_floor` are upper/lower bounds
+    error.  One seeded batch of 256 random point pairs (u, v) serves
+    both remaining checks: a declared `lipschitz_bound` must hold on
+    every pair, and a supplied `gradient` must match meridian finite
+    differences at each u toward the unit tangent of v there.  No frame
+    is completed.  `radius_bound` / `radius_floor` are upper/lower bounds
     for rho used by bracketing and Monte Carlo callers; when certified
     bounds are not supplied they fall back to inflated probe extrema.
 
@@ -162,8 +156,6 @@ class RadialField:
     radius_floor: Optional[float] = None
     label: str = ""
     sections_star_shaped: bool = True
-    # largest rho on the construction probe grid
-    probe_max: float = field(init=False)
 
     def __post_init__(self):
         check_dim(self.dim)
@@ -175,7 +167,6 @@ class RadialField:
             raise ValueError("radial function must be positive and finite")
         pmin = float(values.min())
         pmax = float(values.max())
-        object.__setattr__(self, "probe_max", pmax)
         if self.radius_bound is None:
             object.__setattr__(self, "radius_bound", pmax * 1.05)
         if self.radius_floor is None:
@@ -183,14 +174,15 @@ class RadialField:
         if (pmax > self.radius_bound * (1.0 + _BOUND_SLACK)
                 or pmin < self.radius_floor * (1.0 - _BOUND_SLACK)):
             raise ValueError("declared radius bounds contradict probed values")
+        if self.lipschitz_bound is not None and self.lipschitz_bound < 0:
+            raise ValueError("lipschitz_bound must be nonnegative")
         rng = np.random.default_rng(1234 + 7 * self.dim)
+        u = random_directions(self.dim, 256, seed=rng)
+        v = random_directions(self.dim, 256, seed=rng)
         if self.lipschitz_bound is not None:
-            if self.lipschitz_bound < 0:
-                raise ValueError("lipschitz_bound must be nonnegative")
-            _validate_lipschitz(self.evaluate, self.dim, self.lipschitz_bound, rng)
+            _validate_lipschitz(self.evaluate, self.lipschitz_bound, u, v)
         if self.gradient is not None:
-            _validate_gradient(self.evaluate, self.gradient, self.dim,
-                               self.lipschitz_bound, rng)
+            _validate_gradient(self.evaluate, self.gradient, self.lipschitz_bound, u, v)
 
 
 # ---------------------------------------------------------------------------

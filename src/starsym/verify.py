@@ -119,8 +119,8 @@ def _bodies(n):
     return tuple(bodies)
 
 
-def _poles(n, cfg, extra=0):
-    return random_directions(n, cfg.num_xi, seed=cfg.seed + extra)
+def _poles(n, cfg):
+    return random_directions(n, cfg.num_xi, seed=cfg.seed)
 
 
 def _lin_comb(alpha, f, beta, g):
@@ -135,18 +135,35 @@ def _table(lmax, num_xi, resolution, seed):
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each returns CheckResult
+# individual checks, by name in registration order
+
+_CHECKS = {}
 
 
+def _check(name, tolerance):
+    # register a check returning (residual, detail) under `name`; it
+    # passes when residual <= tolerance
+    def register(fn):
+        def run(cfg):
+            residual, detail = fn(cfg)
+            return CheckResult(name, residual <= tolerance, residual, tolerance, detail)
+
+        _CHECKS[name] = run
+        return run
+
+    return register
+
+
+@_check("rule_mass", 1e-10)
 def _check_rule_mass(cfg):
     worst = 0.0
     for n in (2, 3, 4, 5):
         rule = equator_rule(n, cfg.resolution)
         worst = max(worst, abs(float(np.sum(rule.weights)) - vol_sphere(n - 2)))
-    return CheckResult("rule_mass", worst <= 1e-10, worst, 1e-10,
-                       "quadrature weights sum to the equator sphere measure")
+    return worst, "quadrature weights sum to the equator sphere measure"
 
 
+@_check("set_identity", 1e-12)
 def _check_set_identity(cfg):
     worst = 0.0
     for n in (2, 3, 4):
@@ -157,10 +174,10 @@ def _check_set_identity(cfg):
             u = embed(frame, rule.nodes, psi)
             worst = max(worst, float(np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0))))
             worst = max(worst, float(np.max(np.abs(u @ frame.pole - z))))
-    return CheckResult("set_identity", worst <= 1e-12, worst, 1e-12,
-                       "latitude points lie on the sphere and on the plane <u,xi> = z")
+    return worst, "latitude points lie on the sphere and on the plane <u,xi> = z"
 
 
+@_check("slope_decomposition", 1e-10)
 def _check_slope_decomposition(cfg):
     worst = 0.0
     for n in (2, 3):
@@ -177,10 +194,10 @@ def _check_slope_decomposition(cfg):
                 t1 = float(rule.weights @ (fp - f0)) / z
                 t2 = (math.cos(psi) ** (n - 2) - 1.0) / z * float(rule.weights @ fp)
                 worst = max(worst, abs(lhs - t1 - t2) / max(1.0, abs(lhs)))
-    return CheckResult("slope_decomposition", worst <= 1e-10, worst, 1e-10,
-                       "difference quotient splits into variation and tail terms")
+    return worst, "difference quotient splits into variation and tail terms"
 
 
+@_check("z0_coincidence", 1e-10)
 def _check_z0_coincidence(cfg):
     worst = 0.0
     for n in (2, 3):
@@ -191,10 +208,10 @@ def _check_z0_coincidence(cfg):
                 c = conical_section(body, frame, 0.0, rule)
                 h = hyperplane_section(body, frame, 0.0, rule)
                 worst = max(worst, abs(c - h) / max(1.0, abs(c)))
-    return CheckResult("z0_coincidence", worst <= 1e-10, worst, 1e-10,
-                       "conical and hyperplane sections agree through the origin")
+    return worst, "conical and hyperplane sections agree through the origin"
 
 
+@_check("slope_agreement", 1e-6)
 def _check_slope_agreement(cfg):
     worst = 0.0
     detail = ""
@@ -227,9 +244,8 @@ def _check_slope_agreement(cfg):
         if d.agreement_residual > worst:
             worst = d.agreement_residual
             detail = f"slice {f.label}"
-    return CheckResult("slope_agreement", worst <= 1e-6, worst, 1e-6,
-                       f"curve slopes at z=0 match the transform ({detail})" if detail
-                       else "curve slopes at z=0 match the transform")
+    return worst, (f"curve slopes at z=0 match the transform ({detail})" if detail
+                   else "curve slopes at z=0 match the transform")
 
 
 def _psi_probe_grid():
@@ -237,7 +253,7 @@ def _psi_probe_grid():
     return np.concatenate([-mags[::-1], mags])
 
 
-def _majorant_fields(cfg):
+def _majorant_fields():
     fields = []
     for n in (2, 3):
         for body in _bodies(n):
@@ -247,10 +263,11 @@ def _majorant_fields(cfg):
     return fields
 
 
+@_check("majorant", 1e-12)
 def _check_majorant(cfg):
     worst = -math.inf
     psis = _psi_probe_grid()
-    for f in _majorant_fields(cfg):
+    for f in _majorant_fields():
         c = f.lipschitz_bound * math.pi / 2.0
         nodes = equator_rule(f.dim, 16 if f.dim > 2 else None).nodes
         for k in range(4):
@@ -260,10 +277,10 @@ def _check_majorant(cfg):
                 fp = f.evaluate(frame.embed(nodes, np.full(len(nodes), psi)))
                 quot = np.abs(fp - f0) / abs(math.sin(psi))
                 worst = max(worst, float(np.max(quot)) - c)
-    return CheckResult("majorant", worst <= 1e-12, worst, 1e-12,
-                       "sinpsi-normalized increments stay below the Lipschitz majorant")
+    return worst, "sinpsi-normalized increments stay below the Lipschitz majorant"
 
 
+@_check("tail_term", 1e-12)
 def _check_tail_term(cfg):
     worst = 0.0
     psis = _psi_probe_grid()
@@ -281,10 +298,10 @@ def _check_tail_term(cfg):
                 worst = max(worst, actual)
             else:
                 worst = max(worst, actual / (cbound * abs(psi)) - 1.0)
-    return CheckResult("tail_term", worst <= 1e-12, worst, 1e-12,
-                       "the cos-power tail term obeys its linear-in-psi bound")
+    return worst, "the cos-power tail term obeys its linear-in-psi bound"
 
 
+@_check("xi_oddness", 1e-8)
 def _check_xi_oddness(cfg):
     worst = 0.0
     for n in (2, 3):
@@ -294,10 +311,10 @@ def _check_xi_oddness(cfg):
         a = transform_sweep(f, xis, rule)
         b = transform_sweep(f, -xis, rule)
         worst = max(worst, float(np.max(np.abs(a + b))))
-    return CheckResult("xi_oddness", worst <= 1e-8, worst, 1e-8,
-                       "A(-xi) = -A(xi)")
+    return worst, "A(-xi) = -A(xi)"
 
 
+@_check("odd_part", 1e-8)
 def _check_odd_part(cfg):
     worst = 0.0
     for n in (2, 3):
@@ -306,10 +323,10 @@ def _check_odd_part(cfg):
         xis = _poles(n, cfg)
         diff = transform_sweep(f, xis, rule) - transform_sweep(odd_part(f), xis, rule)
         worst = max(worst, float(np.max(np.abs(diff))))
-    return CheckResult("odd_part", worst <= 1e-8, worst, 1e-8,
-                       "the transform only sees the odd part of the field")
+    return worst, "the transform only sees the odd part of the field"
 
 
+@_check("linearity", 1e-10)
 def _check_linearity(cfg):
     rule = equator_rule(3, cfg.resolution)
     f = to_scalar_field(_bodies(3)[1])
@@ -319,10 +336,10 @@ def _check_linearity(cfg):
     lhs = transform_sweep(combo, xis, rule)
     rhs = 0.7 * transform_sweep(f, xis, rule) - 1.3 * transform_sweep(g, xis, rule)
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
-    return CheckResult("linearity", worst <= 1e-10, worst, 1e-10,
-                       "A is linear in the field")
+    return worst, "A is linear in the field"
 
 
+@_check("rotation", 1e-8)
 def _check_rotation(cfg):
     worst = 0.0
     for n in (2, 3):
@@ -336,10 +353,10 @@ def _check_rotation(cfg):
         a = transform_sweep(f, xis, rule)
         b = transform_sweep(rf, [rot @ xi for xi in xis], rule)
         worst = max(worst, float(np.max(np.abs(a - b))))
-    return CheckResult("rotation", worst <= 1e-8, worst, 1e-8,
-                       "A(R K, R xi) = A(K, xi)")
+    return worst, "A(R K, R xi) = A(K, xi)"
 
 
+@_check("scaling", 1e-8)
 def _check_scaling(cfg):
     worst = 0.0
     lam = 1.7
@@ -352,10 +369,10 @@ def _check_scaling(cfg):
         a = lam ** (n - 1) * transform_sweep(f, xis, rule)
         b = transform_sweep(g, xis, rule)
         worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12))))
-    return CheckResult("scaling", worst <= 1e-8, worst, 1e-8,
-                       "scaling the body by t scales A by t^(n-1)")
+    return worst, "scaling the body by t scales A by t^(n-1)"
 
 
+@_check("even_annihilation", 1e-8)
 def _check_even_annihilation(cfg):
     worst = 0.0
     rule = equator_rule(3, cfg.resolution)
@@ -367,33 +384,33 @@ def _check_even_annihilation(cfg):
     even2 = fourier_field(0.3, (0.0, 0.5, 0.0, 0.2), (0.0, 0.1))
     values = transform_sweep(even2, _poles(2, cfg), rule2)
     worst = max(worst, float(np.max(np.abs(values))))
-    return CheckResult("even_annihilation", worst <= 1e-8, worst, 1e-8,
-                       "even fields are sent to zero")
+    return worst, "even fields are sent to zero"
 
 
+@_check("odd_multipliers", 1e-7)
 def _check_odd_multipliers(cfg):
     t = _table(7, 16, cfg.resolution, cfg.seed)
     worst = max(r for l, r in zip(t.degrees, t.residuals) if l % 2 == 1)
-    return CheckResult("odd_multipliers", worst <= 1e-7, worst, 1e-7,
-                       "odd harmonics are eigenfunctions up to degree 7")
+    return worst, "odd harmonics are eigenfunctions up to degree 7"
 
 
+@_check("lambda1", 1e-6)
 def _check_lambda1(cfg):
     t = _table(7, 16, cfg.resolution, cfg.seed)
     lam = dict(zip(t.degrees, t.multipliers))[1]
     err = abs(lam - 2.0 * math.pi)
-    return CheckResult("lambda1", err <= 1e-6, err, 1e-6,
-                       f"degree-1 multiplier is 2 pi (estimate {lam:.12g})")
+    return err, f"degree-1 multiplier is 2 pi (estimate {lam:.12g})"
 
 
+@_check("odd_nondegeneracy", 0.0)
 def _check_odd_nondegeneracy(cfg):
     t = _table(7, 16, cfg.resolution, cfg.seed)
     smallest = min(abs(m) for l, m in zip(t.degrees, t.multipliers) if l % 2 == 1)
     residual = max(0.0, 1e-3 - smallest)
-    return CheckResult("odd_nondegeneracy", residual == 0.0, residual, 0.0,
-                       f"no odd multiplier below 1e-3 (min {smallest:.6g})")
+    return residual, f"no odd multiplier below 1e-3 (min {smallest:.6g})"
 
 
+@_check("n2_oracle", 1e-10)
 def _check_n2_oracle(cfg):
     rng = np.random.default_rng(cfg.seed + 5)
     rule = equator_rule(2, cfg.resolution)
@@ -408,10 +425,10 @@ def _check_n2_oracle(cfg):
         got = equator_transform(f, make_frame(xi), rule)
         want = fourier_check_n2(a0, a, b, theta0)
         worst = max(worst, abs(got - want))
-    return CheckResult("n2_oracle", worst <= 1e-10, worst, 1e-10,
-                       "two-point transform matches the closed Fourier form")
+    return worst, "two-point transform matches the closed Fourier form"
 
 
+@_check("mc_agreement", 0.0)
 def _check_mc_agreement(cfg):
     worst = -math.inf
     detail = ""
@@ -434,10 +451,10 @@ def _check_mc_agreement(cfg):
         excess = abs(cq - cm.value) - allow
         if excess > worst:
             worst, detail = excess, f"cone {body.label} z={z}"
-    return CheckResult("mc_agreement", worst <= 0.0, worst, 0.0,
-                       f"quadrature sections sit inside Monte Carlo error bars ({detail})")
+    return worst, f"quadrature sections sit inside Monte Carlo error bars ({detail})"
 
 
+@_check("detector", 0.0)
 def _check_detector(cfg):
     wrong = 0
     b2, b3 = _bodies(2), _bodies(3)
@@ -453,32 +470,8 @@ def _check_detector(cfg):
         if rep.verdict != want:
             wrong += 1
             notes.append(f"{body.label}: got {rep.verdict}, wanted {want}")
-    return CheckResult("detector", wrong == 0, float(wrong), 0.0,
-                       "; ".join(notes) if notes
-                       else f"all {len(cases)} verdicts correct")
-
-
-_CHECKS = {
-    "rule_mass": _check_rule_mass,
-    "set_identity": _check_set_identity,
-    "slope_decomposition": _check_slope_decomposition,
-    "z0_coincidence": _check_z0_coincidence,
-    "slope_agreement": _check_slope_agreement,
-    "majorant": _check_majorant,
-    "tail_term": _check_tail_term,
-    "xi_oddness": _check_xi_oddness,
-    "odd_part": _check_odd_part,
-    "linearity": _check_linearity,
-    "rotation": _check_rotation,
-    "scaling": _check_scaling,
-    "even_annihilation": _check_even_annihilation,
-    "odd_multipliers": _check_odd_multipliers,
-    "lambda1": _check_lambda1,
-    "odd_nondegeneracy": _check_odd_nondegeneracy,
-    "n2_oracle": _check_n2_oracle,
-    "mc_agreement": _check_mc_agreement,
-    "detector": _check_detector,
-}
+    return float(wrong), ("; ".join(notes) if notes
+                          else f"all {len(cases)} verdicts correct")
 
 
 def check_names():

@@ -277,7 +277,8 @@ def test_harmonics_records_num_xi_and_refuses_too_few_poles(tmp_path, capsys, di
                      "seed=7 resolution=16")
     few = tmp_path / "few"
     assert main(["harmonics", "--out", str(few), "--dim", dim, "--num-xi", "11"]) == 2
-    assert capsys.readouterr().err == "starsym: --num-xi must be at least 12 for harmonics\n"
+    assert capsys.readouterr().err.endswith(
+        "starsym harmonics: error: argument --num-xi: must be at least 12\n")
     assert not few.exists()
 
 
@@ -322,6 +323,15 @@ def test_resolution_below_two_exits_2_and_writes_nothing(tmp_path, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("xi", ["nan,0,1", "inf,0,1", "0,-inf,1"])
+def test_sections_refuses_non_finite_pole(tmp_path, capsys, xi):
+    out = tmp_path / "out"
+    assert main(["sections", "--body", _spec(tmp_path, BALL), "--out", str(out),
+                 "--xi", xi]) == 2
+    assert capsys.readouterr().err == "starsym: direction has non-finite components\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["analyze", "--body", "{ball}", "--dirs", "0"], "--dirs: must be at least 1"),
     (["analyze", "--body", "{ball}", "--dirs", "-4"], "--dirs: must be at least 1"),
@@ -329,10 +339,13 @@ def test_resolution_below_two_exits_2_and_writes_nothing(tmp_path, capsys, argv)
     (["analyze", "--body", "{disk}", "--seed", "-1"], "--seed: must be at least 0"),
     (["verify", "--seed", "-1"], "--seed: must be at least 0"),
     (["harmonics", "--seed", "-1"], "--seed: must be at least 0"),
+    (["verify", "--num-xi", "0"], "--num-xi: must be at least 1"),
+    (["verify", "--mc-samples", "999"], "--mc-samples: must be at least 1000"),
+    (["harmonics", "--num-xi", "11"], "--num-xi: must be at least 12"),
     (["analyze", "--body", "{ball}", "--sampler", "random"],
      "unrecognized arguments: --sampler random"),
 ], ids=["dirs_zero", "dirs_negative", "seed_n3", "seed_n2", "seed_verify",
-        "seed_harmonics", "sampler"])
+        "seed_harmonics", "num_xi_verify", "mc_samples", "num_xi_harmonics", "sampler"])
 def test_refused_option_is_named_and_writes_nothing(tmp_path, capsys, argv, option):
     specs = {"ball": _spec(tmp_path, BALL),
              "disk": _spec(tmp_path, {"kind": "ball", "dim": 2,

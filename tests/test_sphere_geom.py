@@ -52,6 +52,12 @@ def test_unit_vector_and_direction():
         unit_vector([0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_unit_vector_refuses_non_finite_components(bad):
+    with pytest.raises(ValueError, match="^direction has non-finite components$"):
+        unit_vector([bad, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_frame_orthonormality(n):
     rng = np.random.default_rng(10 + n)

@@ -1,5 +1,7 @@
 """Radial fields, library bodies, and derived scalar fields."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,20 +112,50 @@ def test_radial_field_rejects_contradicted_bounds():
                     radius_bound=1.5)
 
 
-def test_gradient_validation_catches_wrong_gradient():
-    body = body_shifted_ball(3, 1.0, (0.2, 0.0, 0.0))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_gradient_validation_catches_wrong_gradient(n):
+    # a gradient off by 0.1% is refused at every n, also against the
+    # looser tolerance that an ellipsoid's declared Lipschitz bound sets
+    shifted = body_shifted_ball(n, 1.0, (0.2,) + (0.0,) * (n - 1))
+    ellipsoid = body_ellipsoid(n, np.linspace(1.5, 0.7, n))
+    for body, lip in ((shifted, None), (ellipsoid, ellipsoid.lipschitz_bound)):
+        for scale in (2.0, 1.001):
+            with pytest.raises(ValueError, match="^gradient inconsistent with finite "
+                                                 "differences"):
+                RadialField(dim=n, evaluate=body.evaluate, lipschitz_bound=lip,
+                            gradient=lambda u, g=body.gradient: scale * g(u))
 
-    def bad_gradient(u):
-        return 2.0 * body.gradient(u)
 
-    with pytest.raises(ValueError):
-        RadialField(dim=3, evaluate=body.evaluate, gradient=bad_gradient)
+@pytest.mark.parametrize("n, worst", [(2, "7.938e-01"), (3, "7.876e-01"),
+                                      (4, "7.365e-01"), (5, "7.086e-01"),
+                                      (6, "6.239e-01")])
+def test_lipschitz_validation_catches_small_bound(n, worst):
+    body = body_shifted_ball(n, 1.0, (0.4,) + (0.0,) * (n - 1))
+    with pytest.raises(ValueError, match=f"^sampled pair violates declared Lipschitz "
+                                         f"bound by {worst}$"):
+        RadialField(dim=n, evaluate=body.evaluate, lipschitz_bound=1e-6)
 
 
-def test_lipschitz_validation_catches_small_bound():
-    body = body_shifted_ball(3, 1.0, (0.4, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        RadialField(dim=3, evaluate=body.evaluate, lipschitz_bound=1e-6)
+def test_body_construction_completes_no_frame(monkeypatch):
+    import starsym
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_frame called during body construction")
+
+    for module in [starsym] + [m for name, m in sys.modules.items()
+                               if name.startswith("starsym.")]:
+        if hasattr(module, "make_frame"):
+            monkeypatch.setattr(module, "make_frame", refuse)
+    for n in range(2, 7):
+        bodies = [body_ball(n, 0.7),
+                  body_shifted_ball(n, 1.0, (0.3,) + (-0.1,) * (n - 1)),
+                  body_ellipsoid(n, np.linspace(1.5, 0.7, n))]
+        if n == 3:
+            bodies.append(body_harmonic_perturbed_ball(0.08, 3, 1))
+        for body in bodies:
+            for b in (body, strip_gradient(body)):
+                scale_body(b, 2.5)
+                rotate_body(b, random_rotation(n, seed=n))
 
 
 def test_meridian_derivative_gradient_vs_fd():
@@ -289,4 +321,4 @@ def test_ellipsoid_axis_probe_rounding_past_the_semiaxis_is_accepted():
          0.01212833028991379)
     body = body_ellipsoid(4, a)
     assert body.radius_bound == max(a)
-    assert body.probe_max > max(a)
+    assert np.max(body.evaluate(probe_directions(4, 2048))) > max(a)
