@@ -66,10 +66,12 @@ from .harmonics import (
     estimate_multiplier,
     fourier_check_n2,
     fourier_field,
+    funk_hecke_multiplier,
     harmonic_field,
     injectivity_probe,
     multiplier_table,
     real_harmonic,
+    zonal_field,
 )
 from .symmetry_detector import (
     AsymmetryReport,
@@ -97,8 +99,8 @@ __all__ = [
     "derivative_at_zero", "equator_transform", "hyperplane_section",
     "richardson_limit", "section_curve", "slice_integral", "transform_sweep",
     "LMAX", "MultiplierTable", "estimate_multiplier", "fourier_check_n2",
-    "fourier_field", "harmonic_field", "injectivity_probe", "multiplier_table",
-    "real_harmonic",
+    "fourier_field", "funk_hecke_multiplier", "harmonic_field", "injectivity_probe",
+    "multiplier_table", "real_harmonic", "zonal_field",
     "AsymmetryReport", "calibrate", "detect", "sample_poles", "sweep",
     "SlabEstimate", "mc_cone_section", "mc_hyperplane_section",
     "CheckResult", "VerifyConfig", "check_names", "run_checks",

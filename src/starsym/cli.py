@@ -5,7 +5,7 @@ Subcommands
 analyze    sweep a body for central asymmetry, write report.json + values.csv
 sections   sample section curves, write curves.csv and/or sections.svg
 verify     run the identity checks, write verify.json, exit 1 on failure
-harmonics  estimate transform multipliers, write multipliers.csv
+harmonics  fit one multiplier per degree (n = 2..6), write multipliers.csv
 
 Each subcommand reads the parsed argparse namespace directly, so every
 option and its default is declared once, in `_build_parser`.  Exit
@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .sphere_geom import equator_rule, make_frame, unit_vector
+from .sphere_geom import DIM_MAX, DIM_MIN, equator_rule, make_frame, unit_vector
 from .star_body import (
     body_ball,
     body_ellipsoid,
@@ -35,7 +35,7 @@ from .star_body import (
 )
 from .slice_transforms import derivative_at_zero, section_curve
 from .symmetry_detector import detect
-from .harmonics import LMAX, fourier_multiplier_table, multiplier_table
+from .harmonics import LMAX, funk_hecke_multiplier, multiplier_table
 from .verify import REFERENCE_RESOLUTION, VerifyConfig, run_checks
 
 
@@ -393,27 +393,20 @@ _MIN_FIT_POLES = 12
 
 
 def cmd_harmonics(args):
-    if args.dim == 2 and args.lmax < 1:
-        raise ValueError("--lmax must be at least 1 for --dim 2")
-    if args.dim == 3 and not 0 <= args.lmax <= LMAX:
-        raise ValueError(f"--lmax must lie in [0, {LMAX}] for --dim 3")
-    fit = multiplier_table if args.dim == 3 else fourier_multiplier_table
-    table = fit(args.lmax, num_xi=args.num_xi, resolution=args.resolution, seed=args.seed)
+    if not 0 <= args.lmax <= LMAX:
+        raise ValueError(f"--lmax must lie in [0, {LMAX}]")
+    table = multiplier_table(args.lmax, dim=args.dim, num_xi=args.num_xi,
+                             resolution=args.resolution, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    rows = table.orders
-    if args.dim == 3:
-        for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
-            print(f"degree {l}: lambda = {lam: .12g}  (worst fit residual {res:.3e})")
-    else:
-        for (k, _, cos_lam, _), (_, _, sin_lam, _) in zip(rows[::2], rows[1::2]):
-            print(f"frequency {k}: lambda = {cos_lam: .12g} (cos), "
-                  f"{sin_lam: .12g} (sin)")
     lines = [_param_line({"command": args.command, "dim": args.dim,
                           "lmax": args.lmax, "num_xi": args.num_xi,
                           "seed": args.seed, "resolution": table.resolution}),
-             "degree,order,lambda,residual\n"]
-    for l, m, lam, res in rows:
-        lines.append(f"{l},{m},{_fmt(lam)},{_fmt(res)}\n")
+             "degree,lambda,closed_form,residual\n"]
+    for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
+        exact = funk_hecke_multiplier(args.dim, l)
+        print(f"degree {l}: lambda = {lam: .12g}, closed form {exact: .12g}  "
+              f"(worst fit residual {res:.3e})")
+        lines.append(f"{l},{_fmt(lam)},{_fmt(exact)},{_fmt(res)}\n")
     cpath = _write(os.path.join(args.out, "multipliers.csv"), "".join(lines))
     print(f"wrote {cpath}")
     return 0
@@ -479,10 +472,9 @@ def _build_parser():
 
     p = sub.add_parser("harmonics", help="estimate transform multipliers")
     common(p)
-    p.add_argument("--dim", type=int, default=3, choices=(2, 3))
+    p.add_argument("--dim", type=int, default=3, choices=range(DIM_MIN, DIM_MAX + 1))
     p.add_argument("--lmax", type=int, default=8,
-                   help=f"largest degree l for --dim 3 (0 to {LMAX}), or largest "
-                        "frequency k for --dim 2 (at least 1)")
+                   help=f"largest degree l (0 to {LMAX})")
     p.add_argument("--num-xi", type=_int_at_least(_MIN_FIT_POLES), default=24,
                    dest="num_xi", help=f"poles per fit (at least {_MIN_FIT_POLES})")
     return parser

@@ -1,19 +1,18 @@
-"""Real spherical harmonics, transform multipliers, and kernel probes.
+"""Real spherical harmonics, zonal harmonics, transform multipliers, and kernel probes.
 
 The n=3 harmonics are built as explicit homogeneous polynomials in
 (x, y, z): degree-l coefficient tables are assembled from Legendre
 derivative coefficients, so values and Euclidean gradients are exact to
 roundoff and free of pole singularities.  Normalization is L2:
 integral of Y^2 over S^2 equals 1, and Y(l=1, m=0) = sqrt(3/(4 pi)) x3.
+Harmonics evaluated together on one point set (a projection rule, a
+probe grid) read one monomial power table built once for that set, and
+get bit for bit the values of their own `evaluate` and `gradient`.
 
-The equatorial derivative transform acts diagonally on this basis with
-a degree-dependent multiplier that vanishes for even degrees.  The
-multipliers reported here are estimated numerically by least squares
-against the transform, not hard-coded.  Harmonics evaluated together
-on one point set (the lifted equator nodes of a pole, the poles, a
-projection rule, a probe grid) read one monomial power table built once
-for that set, and get bit for bit the values of their own `evaluate`
-and `gradient`.
+The equatorial transform is rotation-equivariant and acts diagonally on
+the harmonics of every dimension n = 2..6, so one zonal harmonic per
+degree fixes its multiplier: `multiplier_table` fits it by least squares
+against the transform, and `funk_hecke_multiplier` gives the closed form.
 """
 
 from __future__ import annotations
@@ -25,14 +24,17 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere_geom import (
+    check_dim,
     fibonacci_sphere,
     make_frame,
     probe_directions,
     random_directions,
     sphere_rule,
     equator_rule,
+    unit_vector,
+    vol_sphere,
 )
-from .star_body import ScalarField, _linear, equator_derivative
+from .star_body import ScalarField, _linear
 from .slice_transforms import transform_sweep
 
 LMAX = 10
@@ -200,93 +202,130 @@ def harmonic_field(coefficients):
                        lipschitz_bound=lip, sup_bound=sup, label=label)
 
 
+def _zonal(dim, degree, t):
+    # P_{l,n}(t) and P'_{l,n}(t), normalised to P(1) = 1, from the
+    # three-term recurrence and its derivative: Chebyshev T_l at n = 2,
+    # Legendre at n = 3
+    t = np.asarray(t, dtype=float)
+    p_prev, dp_prev = np.ones_like(t), np.zeros_like(t)
+    p, dp = t, np.ones_like(t)
+    for k in range(1, degree):
+        a, b = 2 * k + dim - 2, k + dim - 2
+        p_prev, p, dp_prev, dp = (p, (a * t * p - k * p_prev) / b,
+                                  dp, (a * (p + t * dp) - k * dp_prev) / b)
+    return (p, dp) if degree else (p_prev, dp_prev)
+
+
+def zonal_field(dim, degree, axis):
+    """Zonal harmonic P_{l,n}(<u, e>) about the unit axis e as a ScalarField.
+
+    P_{l,n} is the degree-l Legendre polynomial of dimension n (the
+    Gegenbauer polynomial C_l^{(n-2)/2} normalised to P(1) = 1); its
+    gradient P'(<u, e>) e is exact.  No bounds are declared.
+    """
+    dim, degree = check_dim(dim), int(degree)
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    e = unit_vector(axis, dim)
+
+    def evaluate(u):
+        return _zonal(dim, degree, np.asarray(u, dtype=float) @ e)[0]
+
+    def gradient(u):
+        return _zonal(dim, degree, np.asarray(u, dtype=float) @ e)[1][..., None] * e
+
+    return ScalarField(dim=dim, evaluate=evaluate, gradient=gradient,
+                       label=f"zonal(n={dim},l={degree})")
+
+
+def funk_hecke_multiplier(dim, degree):
+    """Closed-form multiplier |S^{n-2}| P'_{l,n}(0) of the transform on degree l.
+
+    By Funk-Hecke the transform multiplies every degree-l harmonic on
+    S^{n-1} by this constant: 2 l sin(l pi / 2) at n = 2, 2 pi P_l'(0)
+    at n = 3, and zero for every even degree.
+    """
+    dim, degree = check_dim(dim), int(degree)
+    if degree % 2 == 0:
+        return 0.0
+    return vol_sphere(dim - 2) * float(_zonal(dim, degree, 0.0)[1])
+
+
 @dataclass(frozen=True, eq=False)
 class MultiplierTable:
-    """Estimated diagonal action of the equatorial transform on harmonics.
+    """Measured diagonal action of the equatorial transform per degree.
 
-    `multipliers[i]` is the least-squares coefficient lambda for
-    `degrees[i]` fitted jointly over all orders; `residuals[i]` is the
-    worst absolute deviation |T Y - lambda Y| observed in the fit.
-    `orders` holds the per-(l, m) fits as (l, m, lambda, residual).
-    For dim 2 the degrees are frequencies k, with order k for cos(k theta)
-    and -k for sin(k theta).
+    `multipliers[i]` is the least-squares slope lambda of T f against f
+    for the zonal harmonic f of degree `degrees[i]` over the poles, and
+    `residuals[i]` the worst absolute deviation |T f - lambda f|.
     """
 
     dim: int
     degrees: tuple
     multipliers: tuple
     residuals: tuple
-    orders: tuple
     num_xi: int
     resolution: int
     seed: int
 
 
-def _fit(t, v):
-    # least-squares slope of T f against f, and the worst deviation from it
-    lam = float(t @ v) / float(v @ v)
-    return lam, float(np.max(np.abs(t - lam * v)))
+def _zonal_table(dim, degrees, num_xi, resolution, seed):
+    # one frame per pole for every degree; each degree sweeps the zonal
+    # harmonic about a generic axis, so no coordinate column of the
+    # gradient drops out of the transform
+    if num_xi < 1:
+        raise ValueError("num_xi must be at least 1")
+    xis = random_directions(dim, num_xi, seed=seed)
+    frames = [make_frame(xi) for xi in xis]
+    rule = equator_rule(dim, resolution)
+    lams, residuals = [], []
+    for degree in degrees:
+        f = zonal_field(dim, degree, np.arange(1.0, dim + 1.0))
+        t = transform_sweep(f, frames, rule)
+        v = f.evaluate(xis)
+        if float(v @ v) < 1e-12:
+            raise ValueError("degenerate pole sample: harmonic vanishes on all poles")
+        lams.append(float(t @ v) / float(v @ v))
+        residuals.append(float(np.max(np.abs(t - lams[-1] * v))))
+    return MultiplierTable(dim=int(dim), degrees=tuple(degrees), multipliers=tuple(lams),
+                           residuals=tuple(residuals), num_xi=int(num_xi),
+                           resolution=rule.resolution, seed=int(seed))
 
 
-def estimate_multiplier(degree, order, num_xi=50, resolution=None, seed=11):
-    """Least-squares multiplier of the transform on one harmonic.
+def estimate_multiplier(degree, *, dim=3, num_xi=50, resolution=None, seed=11):
+    """Least-squares multiplier of the transform on degree-l harmonics.
 
-    Returns (lambda, residual): the slope of T Y against Y over random
-    poles, and the worst absolute deviation from that diagonal action.
+    Returns (lambda, residual): the slope of T f against f over random
+    poles for the zonal harmonic f of that degree, and the worst
+    absolute deviation from that diagonal action.
     """
-    y = real_harmonic(degree, order)
-    xis = random_directions(3, num_xi, seed=seed)
-    t = transform_sweep(y, xis, equator_rule(3, resolution))
-    vals = y.evaluate(xis)
-    if float(vals @ vals) < 1e-12:
-        raise ValueError("degenerate pole sample: harmonic vanishes on all poles")
-    return _fit(t, vals)
+    table = _zonal_table(dim, (int(degree),), num_xi, resolution, seed)
+    return table.multipliers[0], table.residuals[0]
 
 
-def _table(dim, sweeps, num_xi, resolution, seed):
-    # sweeps: (degree, order, T f over the poles, f over the poles), grouped
-    # by degree; fitted per order and jointly per degree
-    orders, by_degree = [], {}
-    for l, m, t, v in sweeps:
-        orders.append((l, m, *_fit(t, v)))
-        by_degree.setdefault(l, []).append((t, v))
-    fits = [_fit(np.concatenate([t for t, _ in tv]), np.concatenate([v for _, v in tv]))
-            for tv in by_degree.values()]
-    return MultiplierTable(dim=dim, degrees=tuple(by_degree),
-                           multipliers=tuple(lam for lam, _ in fits),
-                           residuals=tuple(res for _, res in fits), orders=tuple(orders),
-                           num_xi=int(num_xi), resolution=resolution,
-                           seed=int(seed))
-
-
-def multiplier_table(lmax, num_xi=50, resolution=None, seed=11):
-    """Estimate multipliers for all degrees 0..lmax and all orders."""
+def multiplier_table(lmax, *, dim=3, num_xi=50, resolution=None, seed=11):
+    """Estimate the multipliers of every degree 0..lmax in dimension `dim`."""
     lmax = int(lmax)
     if not (0 <= lmax <= LMAX):
         raise ValueError(f"lmax must lie in [0, {LMAX}]")
-    xis = random_directions(3, num_xi, seed=seed)
-    rule = equator_rule(3, resolution)
-    harmonics = [(l, m, _solid_harmonic_terms(l, m))
-                 for l in range(lmax + 1) for m in range(-l, l + 1)]
-    # pole by pole: one frame and one power table of the lifted nodes for
-    # all (lmax + 1)^2 transforms, each summed as equator_transform sums it
-    transforms = [np.empty(len(xis)) for _ in harmonics]
-    for p, xi in enumerate(xis):
-        frame = make_frame(xi)
-        lifted = rule.nodes @ frame.basis
-        tab = _power_tables(lifted, lmax)
-        for t, (_, _, terms) in zip(transforms, harmonics):
-            g = _poly_gradient(terms[1:], tab)
-            d = equator_derivative(None, lambda _: g, frame.pole, lifted)
-            t[p] = float(rule.weights @ d)
-    at_poles = _power_tables(xis, lmax)
-    sweeps = [(l, m, t, _poly_value(terms[0], at_poles))
-              for t, (l, m, terms) in zip(transforms, harmonics)]
-    return _table(3, sweeps, num_xi, rule.resolution, seed)
+    return _zonal_table(dim, range(lmax + 1), num_xi, resolution, seed)
 
 
 # ---------------------------------------------------------------------------
 # n = 2: Fourier fields and the exact two-point transform
+
+
+def _fourier_coeffs(cos_coeffs, sin_coeffs):
+    # cosine and sine coefficients zero-padded to a common length, and
+    # their frequencies 1..kmax
+    a = np.asarray(cos_coeffs, dtype=float)
+    b = np.asarray(sin_coeffs, dtype=float)
+    kmax = max(len(a), len(b))
+    aa = np.zeros(kmax)
+    bb = np.zeros(kmax)
+    aa[:len(a)] = a
+    bb[:len(b)] = b
+    return aa, bb, np.arange(1, kmax + 1)
 
 
 def fourier_field(a0, cos_coeffs=(), sin_coeffs=()):
@@ -295,14 +334,7 @@ def fourier_field(a0, cos_coeffs=(), sin_coeffs=()):
     f(theta) = a0 + sum_k cos_coeffs[k-1] cos(k theta)
                   + sum_k sin_coeffs[k-1] sin(k theta).
     """
-    a = np.asarray(cos_coeffs, dtype=float)
-    b = np.asarray(sin_coeffs, dtype=float)
-    kmax = max(len(a), len(b))
-    aa = np.zeros(kmax)
-    bb = np.zeros(kmax)
-    aa[:len(a)] = a
-    bb[:len(b)] = b
-    ks = np.arange(1, kmax + 1)
+    aa, bb, ks = _fourier_coeffs(cos_coeffs, sin_coeffs)
     a0 = float(a0)
 
     def evaluate(u):
@@ -326,7 +358,7 @@ def fourier_field(a0, cos_coeffs=(), sin_coeffs=()):
     lip = float(ks @ np.abs(aa) + ks @ np.abs(bb))
     return ScalarField(dim=2, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip, sup_bound=sup,
-                       label=f"fourier(kmax={kmax})")
+                       label=f"fourier(kmax={len(ks)})")
 
 
 def fourier_check_n2(a0, cos_coeffs, sin_coeffs, theta0):
@@ -335,41 +367,13 @@ def fourier_check_n2(a0, cos_coeffs, sin_coeffs, theta0):
     Independent of the quadrature path: differentiates the Fourier
     series coefficient-wise and evaluates at the two equator angles.
     """
-    a = np.asarray(cos_coeffs, dtype=float)
-    b = np.asarray(sin_coeffs, dtype=float)
-    kmax = max(len(a), len(b))
-    aa = np.zeros(kmax)
-    bb = np.zeros(kmax)
-    aa[:len(a)] = a
-    bb[:len(b)] = b
-    ks = np.arange(1, kmax + 1)
+    aa, bb, ks = _fourier_coeffs(cos_coeffs, sin_coeffs)
 
     def deriv(theta):
         return float(-np.sin(ks * theta) @ (ks * aa) + np.cos(ks * theta) @ (ks * bb))
 
     del a0  # constant part never contributes
     return deriv(theta0 - math.pi / 2) - deriv(theta0 + math.pi / 2)
-
-
-def fourier_multiplier_table(kmax, num_xi=50, resolution=None, seed=11):
-    """Estimate the n=2 multipliers of cos(k theta) and sin(k theta), k = 1..kmax.
-
-    Poles sit at `num_xi` seeded uniform angles.  The exact multiplier of
-    both is 2 k sin(k pi / 2) (see `fourier_check_n2`).
-    """
-    kmax = int(kmax)
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=num_xi)
-    frames = [make_frame((math.cos(t), math.sin(t))) for t in thetas]
-    rule = equator_rule(2, resolution)
-    sweeps = []
-    for k in range(1, kmax + 1):
-        coeffs = tuple(1.0 if j == k - 1 else 0.0 for j in range(k))
-        for order, f, basis in ((k, fourier_field(0.0, coeffs, ()), np.cos(k * thetas)),
-                                (-k, fourier_field(0.0, (), coeffs), np.sin(k * thetas))):
-            sweeps.append((k, order, transform_sweep(f, frames, rule), basis))
-    return _table(2, sweeps, num_xi, rule.resolution, seed)
 
 
 # ---------------------------------------------------------------------------

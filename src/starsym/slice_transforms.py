@@ -351,7 +351,7 @@ def equator_transform(f, frame, rule):
     elif f.gradient is not None:
         # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
         # to within rounding, so the noise of the whole gradient reaches d
-        scale = math.sqrt(float(w @ w) * float(np.vdot(held, held)))
+        scale = math.sqrt(float(w @ w) * float((held * held).sum()))
     else:
         # held is f at latitude +FD_STEP; its noise, as independent errors
         wf = w * held

@@ -233,37 +233,57 @@ def test_verify_json_is_byte_deterministic(tmp_path, capsys):
 # harmonics
 
 
+def _multiplier_rows(path):
+    header, rows = _read_csv_rows(path)
+    assert header == "degree,lambda,closed_form,residual"
+    return [tuple(float(x) for x in row.split(",")) for row in rows]
+
+
 def test_harmonics_dim3_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["harmonics", "--out", str(out), "--lmax", "4"]) == 0
     capsys.readouterr()
-    header, rows = _read_csv_rows(out / "multipliers.csv")
-    assert header == "degree,order,lambda,residual"
-    assert len(rows) == sum(2 * l + 1 for l in range(5))
-    lam = {}
-    for row in rows:
-        l, m, value, _ = row.split(",")
-        lam.setdefault(int(l), float(value))
+    rows = _multiplier_rows(out / "multipliers.csv")
+    assert [int(l) for l, _, _, _ in rows] == [0, 1, 2, 3, 4]
+    lam = {int(l): value for l, value, _, _ in rows}
     assert lam[1] == pytest.approx(2.0 * math.pi, abs=1e-8)
     assert abs(lam[2]) < 1e-10
     assert lam[3] == pytest.approx(-3.0 * math.pi, abs=1e-8)
+    for _, value, exact, residual in rows:
+        assert value == pytest.approx(exact, abs=1e-9) and residual < 1e-9
 
 
 def test_harmonics_dim2_table(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["harmonics", "--out", str(out), "--dim", "2",
+                 "--lmax", "0"]) == 0
+    assert main(["harmonics", "--out", str(out), "--dim", "2",
                  "--lmax", "3"]) == 0
     capsys.readouterr()
-    _, rows = _read_csv_rows(out / "multipliers.csv")
-    assert len(rows) == 6  # cos and sin per frequency
-    table = {}
-    for row in rows:
-        k, m, value, _ = row.split(",")
-        table[(int(k), int(m))] = float(value)
-    for k in (1, 2, 3):
-        want = 2.0 * k * math.sin(k * math.pi / 2.0)
-        assert table[(k, k)] == pytest.approx(want, abs=1e-10)
-        assert table[(k, -k)] == pytest.approx(want, abs=1e-10)
+    rows = _multiplier_rows(out / "multipliers.csv")
+    assert [int(k) for k, _, _, _ in rows] == [0, 1, 2, 3]
+    for k, value, exact, _ in rows:
+        assert exact == pytest.approx(2.0 * k * math.sin(k * math.pi / 2.0), abs=1e-12)
+        assert value == pytest.approx(exact, abs=1e-10)
+
+
+def test_harmonics_dim5_table(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--dim", "5", "--lmax", "3",
+                 "--num-xi", "12", "--resolution", "8"]) == 0
+    assert "closed form" in capsys.readouterr().out
+    rows = _multiplier_rows(out / "multipliers.csv")
+    assert [int(l) for l, _, _, _ in rows] == [0, 1, 2, 3]
+    assert rows[1][2] == pytest.approx(2.0 * math.pi ** 2)
+    for _, value, exact, _ in rows:
+        assert value == pytest.approx(exact, abs=1e-9)
+
+
+def test_harmonics_refuses_dim_7(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--dim", "7"]) == 2
+    assert "argument --dim: invalid choice: 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dim", ["2", "3"])
@@ -282,19 +302,13 @@ def test_harmonics_records_num_xi_and_refuses_too_few_poles(tmp_path, capsys, di
     assert not few.exists()
 
 
-def test_harmonics_failure_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("dim", ["2", "3", "4", "5", "6"])
+def test_harmonics_failure_writes_nothing(tmp_path, capsys, dim):
     out = tmp_path / "out"
     for lmax in ("11", "-1"):
-        assert main(["harmonics", "--out", str(out), "--lmax", lmax]) == 2
-        assert capsys.readouterr().err == "starsym: --lmax must lie in [0, 10] for --dim 3\n"
+        assert main(["harmonics", "--out", str(out), "--dim", dim, "--lmax", lmax]) == 2
+        assert capsys.readouterr().err == "starsym: --lmax must lie in [0, 10]\n"
         assert not out.exists()
-
-
-def test_harmonics_dim2_refuses_lmax_below_one(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert main(["harmonics", "--out", str(out), "--dim", "2", "--lmax", "0"]) == 2
-    assert capsys.readouterr().err == "starsym: --lmax must be at least 1 for --dim 2\n"
-    assert not out.exists()
 
 
 def test_sections_refused_cut_writes_nothing(tmp_path, capsys):

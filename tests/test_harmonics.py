@@ -1,4 +1,4 @@
-"""Spherical harmonics, transform multipliers, and the n=2 Fourier case."""
+"""Spherical and zonal harmonics, transform multipliers, and the n=2 Fourier case."""
 
 import math
 
@@ -14,6 +14,7 @@ from starsym import (
     estimate_multiplier,
     fourier_check_n2,
     fourier_field,
+    funk_hecke_multiplier,
     harmonic_field,
     injectivity_probe,
     make_frame,
@@ -24,9 +25,9 @@ from starsym import (
     real_harmonic,
     sphere_rule,
     transform_sweep,
+    zonal_field,
 )
 from starsym import harmonics, slice_transforms
-from starsym.harmonics import fourier_multiplier_table
 
 
 def _double_factorial(k):
@@ -109,24 +110,29 @@ def test_real_harmonic_rejects_bad_orders():
 
 def test_odd_multipliers_match_legendre_closed_form():
     for l in (1, 3, 5, 7, 9):
-        lam, residual = estimate_multiplier(l, min(l, 2), num_xi=16, seed=4)
+        lam, residual = estimate_multiplier(l, num_xi=16, seed=4)
         assert lam == pytest.approx(closed_form_multiplier(l), abs=1e-9), l
         assert residual < 1e-9
 
 
 def test_even_multipliers_vanish():
     for l in (2, 4, 6):
-        lam, residual = estimate_multiplier(l, 1, num_xi=16, seed=4)
+        lam, residual = estimate_multiplier(l, num_xi=16, seed=4)
         assert abs(lam) < 1e-12
         assert residual < 1e-12
+
+
+def test_estimate_multiplier_takes_no_order():
+    # an order passed where it used to go must not be read as a dimension
+    with pytest.raises(TypeError):
+        estimate_multiplier(3, 2)
 
 
 def test_multiplier_table_structure_and_determinism():
     t1 = multiplier_table(5, num_xi=12, seed=8)
     t2 = multiplier_table(5, num_xi=12, seed=8)
-    assert t1.degrees == (0, 1, 2, 3, 4, 5)
+    assert t1.dim == 3 and t1.degrees == (0, 1, 2, 3, 4, 5)
     assert t1.multipliers == t2.multipliers
-    assert len(t1.orders) == sum(2 * l + 1 for l in range(6))
     lam = dict(zip(t1.degrees, t1.multipliers))
     assert lam[1] == pytest.approx(2.0 * math.pi, abs=1e-9)
     assert lam[3] == pytest.approx(-3.0 * math.pi, abs=1e-9)
@@ -149,49 +155,79 @@ def _count_frames(monkeypatch):
 
 def test_multiplier_table_completes_each_pole_once(monkeypatch):
     # one frame per pole for the whole table; the values are those of
-    # sweeps over bare poles, which complete a frame per harmonic
+    # zonal sweeps over bare poles, which complete a frame per degree
     calls = _count_frames(monkeypatch)
     lmax, num_xi, resolution, seed = 5, 7, 128, 3
     table = multiplier_table(lmax, num_xi=num_xi, resolution=resolution, seed=seed)
     assert len(calls) == num_xi
     xis = random_directions(3, num_xi, seed=seed)
     rule = equator_rule(3, resolution)
-    lams, residuals, orders = [], [], []
+    lams, residuals = [], []
     for l in range(lmax + 1):
-        ts, vs = [], []
-        for m in range(-l, l + 1):
-            y = real_harmonic(l, m)
-            t = transform_sweep(y, xis, rule)
-            v = y.evaluate(xis)
-            lam_m = float(t @ v) / float(v @ v)
-            orders.append((l, m, lam_m, float(np.max(np.abs(t - lam_m * v)))))
-            ts.append(t)
-            vs.append(v)
-        ts = np.concatenate(ts)
-        vs = np.concatenate(vs)
-        lams.append(float(ts @ vs) / float(vs @ vs))
-        residuals.append(float(np.max(np.abs(ts - lams[-1] * vs))))
+        f = zonal_field(3, l, (1.0, 2.0, 3.0))
+        t = transform_sweep(f, xis, rule)
+        v = f.evaluate(xis)
+        lams.append(float(t @ v) / float(v @ v))
+        residuals.append(float(np.max(np.abs(t - lams[-1] * v))))
     assert np.array_equal(table.multipliers, lams)
     assert np.array_equal(table.residuals, residuals)
-    assert np.array_equal(table.orders, orders)
 
 
-def test_multiplier_table_builds_one_power_table_per_point_set(monkeypatch):
-    # one table of the lifted rule nodes per pole and one of the poles,
-    # shared by every harmonic of the table
-    calls = []
-    build = harmonics._power_tables
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_zonal_field_values_and_gradients(n):
+    # P(1) = 1; cos(l theta) about the axis at n = 2 and Legendre at
+    # n = 3; the exact gradient matches meridian central differences
+    axis = random_directions(n, 1, seed=n)[0]
+    u = random_directions(n, 40, seed=10 + n)
+    poles = random_directions(n, 40, seed=20 + n)
+    poles -= np.sum(poles * u, axis=1, keepdims=True) * u
+    poles /= np.linalg.norm(poles, axis=1, keepdims=True)
+    cos_angle = np.clip(u @ axis, -1.0, 1.0)
+    for l in range(LMAX + 1):
+        e = np.eye(n)[n - 1]
+        assert zonal_field(n, l, e).evaluate(e) == 1.0, l
+        f = zonal_field(n, l, axis)
+        if n == 2:
+            want = np.cos(l * np.arccos(cos_angle))
+            assert np.max(np.abs(f.evaluate(u) - want)) < 1e-12, l
+        if n == 3:
+            want = np.polynomial.legendre.Legendre.basis(l)(cos_angle)
+            assert np.max(np.abs(f.evaluate(u) - want)) < 1e-13, l
+        a = equator_derivative(f.evaluate, f.gradient, poles, u)
+        b = equator_derivative(f.evaluate, None, poles, u)
+        assert np.max(np.abs(a - b)) < 1e-7 * max(1, l * l), l
 
-    def counted(flat, max_deg):
-        calls.append((flat.shape[0], max_deg))
-        return build(flat, max_deg)
 
-    monkeypatch.setattr(harmonics, "_power_tables", counted)
-    for lmax, num_xi in ((0, 12), (4, 12), (6, 7)):
-        calls.clear()
-        multiplier_table(lmax, num_xi=num_xi, resolution=32, seed=5)
-        assert len(calls) == num_xi + 1, (lmax, num_xi)
-        assert all(max_deg == lmax for _, max_deg in calls)
+def test_funk_hecke_multiplier_closed_forms():
+    for l in range(LMAX + 1):
+        assert funk_hecke_multiplier(2, l) == pytest.approx(
+            2.0 * l * math.sin(l * math.pi / 2.0), abs=1e-12)
+        assert funk_hecke_multiplier(3, l) == pytest.approx(closed_form_multiplier(l), abs=1e-12)
+        want4 = 0.0 if l % 2 == 0 else (-1) ** (l // 2) * 4.0 * math.pi
+        assert funk_hecke_multiplier(4, l) == pytest.approx(want4, abs=1e-12)
+        for n in range(2, 7):
+            if l % 2 == 0:
+                # +0.0, so that no artifact prints -0
+                assert math.copysign(1.0, funk_hecke_multiplier(n, l)) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_multiplier_table_matches_funk_hecke(monkeypatch, n):
+    # one zonal fit per degree in every dimension; a coarse rule at n >= 4
+    # still integrates the degree <= 9 equator integrands exactly
+    calls = _count_frames(monkeypatch)
+    resolution = None if n <= 3 else 12
+    table = multiplier_table(9, dim=n, num_xi=14, resolution=resolution, seed=n)
+    assert len(calls) == 14
+    assert table.dim == n and table.degrees == tuple(range(10))
+    for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
+        assert lam == pytest.approx(funk_hecke_multiplier(n, l), abs=1e-9), (n, l)
+        assert res < 1e-9, (n, l)
+    with pytest.raises(ValueError):
+        multiplier_table(LMAX + 1, dim=n)
+    for num_xi in (0, -1):
+        with pytest.raises(ValueError, match="^num_xi must be at least 1$"):
+            multiplier_table(3, dim=n, num_xi=num_xi)
 
 
 def _per_call_harmonic(l, m, pts):
@@ -231,22 +267,6 @@ def test_harmonic_values_and_gradients_are_bit_identical():
                 assert np.array_equal(y.gradient(pts), grad), (l, m)
             for exps, coefs in harmonics._solid_harmonic_terms(l, m):
                 assert not exps.flags.writeable and not coefs.flags.writeable
-
-
-def test_fourier_multiplier_table(monkeypatch):
-    # closed form on the circle: cos(k theta) and sin(k theta) both have
-    # multiplier 2 k sin(k pi / 2); poles are completed once each
-    calls = _count_frames(monkeypatch)
-    table = fourier_multiplier_table(5, num_xi=9, seed=2)
-    assert len(calls) == 9
-    assert table.dim == 2 and table.degrees == (1, 2, 3, 4, 5)
-    assert [(k, m) for k, m, _, _ in table.orders] == [
-        (k, m) for k in range(1, 6) for m in (k, -k)]
-    for k, lam, res in zip(table.degrees, table.multipliers, table.residuals):
-        assert lam == pytest.approx(2.0 * k * math.sin(k * math.pi / 2.0), abs=1e-11)
-        assert res < 1e-11
-    with pytest.raises(ValueError):
-        fourier_multiplier_table(0)
 
 
 # sup bounds of real_harmonic(l, m), m = -l..l, as computed before the

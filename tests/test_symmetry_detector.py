@@ -28,7 +28,6 @@ from starsym import (
     sweep,
     to_scalar_field,
 )
-from starsym.harmonics import fourier_multiplier_table
 
 
 def test_even_bodies_read_symmetric():
@@ -133,10 +132,10 @@ def test_reports_record_the_rule_resolution(n):
     lambda: detect(body_ball(3, 1.0), num_dirs=4, rule_resolution=0),
     lambda: detect(body_ball(2, 1.0), num_dirs=4, rule_resolution=1),
     lambda: multiplier_table(1, resolution=0),
-    lambda: fourier_multiplier_table(1, resolution=0),
+    lambda: multiplier_table(1, dim=2, resolution=0),
     lambda: equator_rule(2, 1),
 ], ids=["detect", "detect_n2", "multiplier_table",
-        "fourier_multiplier_table", "equator_rule_n2"])
+        "multiplier_table_n2", "equator_rule_n2"])
 def test_every_layer_refuses_a_resolution_below_two(call):
     with pytest.raises(ValueError, match="^resolution must be at least 2$"):
         call()
