@@ -395,8 +395,13 @@ _MIN_FIT_POLES = 12
 def cmd_harmonics(args):
     if not 0 <= args.lmax <= LMAX:
         raise ValueError(f"--lmax must lie in [0, {LMAX}]")
+    rule = equator_rule(args.dim, args.resolution)
+    if args.lmax > rule.degree + 1:
+        raise ValueError(f"--resolution {rule.resolution} integrates degree {rule.degree} "
+                         f"exactly, so fits are exact only up to --lmax {rule.degree + 1}; "
+                         f"got --lmax {args.lmax}")
     table = multiplier_table(args.lmax, dim=args.dim, num_xi=args.num_xi,
-                             resolution=args.resolution, seed=args.seed)
+                             resolution=rule.resolution, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     lines = [_param_line({"command": args.command, "dim": args.dim,
                           "lmax": args.lmax, "num_xi": args.num_xi,

@@ -1,13 +1,14 @@
 """Real spherical harmonics, zonal harmonics, transform multipliers, and kernel probes.
 
-The n=3 harmonics are built as explicit homogeneous polynomials in
-(x, y, z): degree-l coefficient tables are assembled from Legendre
-derivative coefficients, so values and Euclidean gradients are exact to
-roundoff and free of pole singularities.  Normalization is L2:
-integral of Y^2 over S^2 equals 1, and Y(l=1, m=0) = sqrt(3/(4 pi)) x3.
-Harmonics evaluated together on one point set (a projection rule, a
-probe grid) read one monomial power table built once for that set, and
-get bit for bit the values of their own `evaluate` and `gradient`.
+The n=3 harmonics come from the zonal recurrence.  The |m|-th derivative
+of the Legendre polynomial P_l is (l+|m|)! / (2^|m| |m|! (l-|m|)!) times
+P_{l-|m|, 2|m|+3}, the Legendre polynomial of dimension 2|m|+3 (the
+Gegenbauer polynomial C^{|m|+1/2} normalised to P(1) = 1; Atkinson & Han,
+Spherical Harmonics and Approximations on the Unit Sphere, 2012), so
+Y_{l,m} = k_{l,m} P_{l-|m|, 2|m|+3}(z) Re or Im (x + i y)^|m|, with
+values and tangential gradients exact to roundoff and free of pole
+singularities.  Normalization is L2: integral of Y^2 over S^2 equals 1,
+and Y(l=1, m=0) = sqrt(3/(4 pi)) x3.
 
 The equatorial transform is rotation-equivariant and acts diagonally on
 the harmonics of every dimension n = 2..6, so one zonal harmonic per
@@ -45,16 +46,6 @@ _PROBE_COVER = 0.045
 
 
 @lru_cache(maxsize=None)
-def _legendre_coeffs(degree):
-    # ascending monomial coefficients of the Legendre polynomial; cached
-    # for every order of the degree, so read-only
-    basis = np.polynomial.legendre.Legendre.basis(degree)
-    coef = basis.convert(kind=np.polynomial.Polynomial).coef
-    coef.setflags(write=False)
-    return coef
-
-
-@lru_cache(maxsize=None)
 def _probe_grid():
     # the Fibonacci grid behind every harmonic's sup bound, shared and read-only
     grid = fibonacci_sphere(_PROBE_N)
@@ -62,90 +53,15 @@ def _probe_grid():
     return grid
 
 
-@lru_cache(maxsize=None)
-def _solid_harmonic_terms(degree, order):
-    """Monomial tables (exps, coefs) of the real solid harmonic r^l Y_{l,m}.
-
-    Returns the value terms followed by the terms of d/dx, d/dy and d/dz.
-    A derivative table keeps every value term, with coefficient zero
-    where the axis exponent is zero, so its dot products run over the
-    same terms as the value's.  Cached per (l, m), so read-only.
-    """
-    l, m = int(degree), int(order)
-    am = abs(m)
-    if not (0 <= am <= l <= LMAX):
-        raise ValueError(f"need 0 <= |order| <= degree <= {LMAX}")
-    # associated part: m-th derivative of the Legendre polynomial
-    der = np.polynomial.polynomial.polyder(_legendre_coeffs(l), am) if am else _legendre_coeffs(l)
-    # azimuthal part: Re or Im of (x + i y)^|m|
-    trig = {}  # (a, b) -> coefficient of x^a y^b
-    if m == 0:
-        trig[(0, 0)] = 1.0
-    elif m > 0:
-        for j in range(0, am + 1, 2):
-            trig[(am - j, j)] = math.comb(am, j) * (-1.0) ** (j // 2)
-    else:
-        for j in range(1, am + 1, 2):
-            trig[(am - j, j)] = math.comb(am, j) * (-1.0) ** ((j - 1) // 2)
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                     * math.factorial(l - am) / math.factorial(l + am))
-    if m != 0:
-        norm *= math.sqrt(2.0)
-    terms = {}
-    for k, ck in enumerate(der):
-        if ck == 0.0:
-            continue
-        q2 = l - am - k  # power budget for r^2 factors; parity makes it even
-        if q2 < 0 or q2 % 2:
-            continue
-        q = q2 // 2
-        # (x^2 + y^2 + z^2)^q multinomial expansion
-        for i in range(q + 1):
-            for j in range(q - i + 1):
-                kk = q - i - j
-                mult = math.factorial(q) // (
-                    math.factorial(i) * math.factorial(j) * math.factorial(kk))
-                for (a, b), ct in trig.items():
-                    key = (a + 2 * i, b + 2 * j, k + 2 * kk)
-                    terms[key] = terms.get(key, 0.0) + norm * ck * ct * mult
-    keys = sorted(k for k, v in terms.items() if v != 0.0)
-    exps = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    coefs = np.array([terms[k] for k in keys])
-    tables = [(exps, coefs)]
-    for axis in range(3):
-        e = exps.copy()
-        c = coefs * e[:, axis]
-        e[:, axis] = np.maximum(e[:, axis] - 1, 0)
-        tables.append((e, c))
-    for table in tables:
-        for a in table:
-            a.setflags(write=False)
-    return tuple(tables)
-
-
-def _power_tables(flat, max_deg):
-    # tab[axis, point, p] = flat[point, axis] ** p for p = 0..max_deg, by
-    # repeated products; every harmonic of degree up to max_deg reads it
-    tab = np.empty((3, flat.shape[0], max_deg + 1))
-    tab[:, :, 0] = 1.0
-    for p in range(1, max_deg + 1):
-        tab[:, :, p] = tab[:, :, p - 1] * flat.T
-    return tab
-
-
-def _poly_value(terms, tab):
-    # one monomial table (exps, coefs) at the points of a power table
-    exps, coefs = terms
-    monos = tab[0][:, exps[:, 0]] * tab[1][:, exps[:, 1]] * tab[2][:, exps[:, 2]]
-    return monos @ coefs
-
-
-def _poly_gradient(terms, tab):
-    # the (points, 3) gradient from the three derivative tables
-    out = np.empty((tab.shape[1], 3))
-    for axis in range(3):
-        out[:, axis] = _poly_value(terms[axis], tab)
-    return out
+def _azimuthal(order, x, y):
+    # Re and Im of (x + i y)^k for k = order - 1 and k = order, by the
+    # two-term recurrence of multiplying by x + i y
+    re, im = np.ones_like(x), np.zeros_like(x)
+    prev = re, im
+    for _ in range(order):
+        prev = re, im
+        re, im = re * x - im * y, re * y + im * x
+    return prev, (re, im)
 
 
 @lru_cache(maxsize=256)
@@ -160,22 +76,42 @@ def real_harmonic(degree, order):
 
     Returns
     -------
-    ScalarField with exact polynomial gradient.  The declared sup bound
-    is the probe-grid maximum inflated by the covering correction
-    1 / (1 - l * r_cov), using the great-circle derivative bound
-    |dY/ds| <= l sup|Y|; the Lipschitz bound is l times the sup bound.
+    ScalarField on unit vectors whose gradient is that of the solid
+    harmonic r^l Y: the exact tangential gradient plus the radial part
+    l Y u.  The declared sup bound is the probe-grid maximum inflated by
+    the covering correction 1 / (1 - l * r_cov), using the great-circle
+    derivative bound |dY/ds| <= l sup|Y|; the Lipschitz bound is l times
+    the sup bound.
     """
-    value, *derivatives = _solid_harmonic_terms(degree, order)
-    l = int(degree)
-    top = int(value[0].max())
+    l, m = int(degree), int(order)
+    am = abs(m)
+    if not (0 <= am <= l <= LMAX):
+        raise ValueError(f"need 0 <= |order| <= degree <= {LMAX}")
+    # L2 normalisation N_{l,m} times the |m|-th derivative of P_l at 1,
+    # (l+|m|)! / (2^|m| |m|! (l-|m|)!), which turns P_{l-|m|, 2|m|+3}
+    # into that derivative
+    scale = math.sqrt((2 if m else 1) * (2 * l + 1) / (4.0 * math.pi)
+                      * math.factorial(l + am) / math.factorial(l - am))
+    scale /= 2 ** am * math.factorial(am)
+    part = 1 if m < 0 else 0  # Im of (x + i y)^|m| for sine type, else Re
+    dim = 2 * am + 3
 
     def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        return _poly_value(value, _power_tables(u.reshape(-1, 3), top)).reshape(u.shape[:-1])
+        x, y, z = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        return scale * _zonal(dim, l - am, z)[0] * _azimuthal(am, x, y)[1][part]
 
     def gradient(u):
         u = np.asarray(u, dtype=float)
-        return _poly_gradient(derivatives, _power_tables(u.reshape(-1, 3), top)).reshape(u.shape)
+        x, y, z = np.moveaxis(u, -1, 0)
+        zf, dzf = _zonal(dim, l - am, z)
+        (re0, im0), top = _azimuthal(am, x, y)
+        az = top[part]
+        # d/dx (x + i y)^k = k (x + i y)^(k-1), d/dy = i k (x + i y)^(k-1)
+        ax, ay = (am * re0, -am * im0) if part == 0 else (am * im0, am * re0)
+        # r^l Y = r^(l-|m|) zf(z / r) az(x, y) with az homogeneous of
+        # degree |m|; its gradient at |u| = 1 adds this multiple of u
+        radial = ((l - am) * zf - z * dzf) * az
+        return scale * (radial[..., None] * u + np.stack([zf * ax, zf * ay, dzf * az], axis=-1))
 
     probe_max = float(np.max(np.abs(evaluate(_probe_grid()))))
     if l == 0:
@@ -184,7 +120,7 @@ def real_harmonic(degree, order):
         sup = probe_max / (1.0 - l * _PROBE_COVER)
     return ScalarField(dim=3, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=l * sup, sup_bound=sup,
-                       label=f"Y({l},{int(order)})")
+                       label=f"Y({l},{m})")
 
 
 def harmonic_field(coefficients):
@@ -304,7 +240,14 @@ def estimate_multiplier(degree, *, dim=3, num_xi=50, resolution=None, seed=11):
 
 
 def multiplier_table(lmax, *, dim=3, num_xi=50, resolution=None, seed=11):
-    """Estimate the multipliers of every degree 0..lmax in dimension `dim`."""
+    """Estimate the multipliers of every degree 0..lmax in dimension `dim`.
+
+    The transform of a degree-l harmonic integrates a degree l - 1
+    polynomial over the equator, so the fits are exact to roundoff only
+    while lmax <= equator_rule(dim, resolution).degree + 1; beyond that
+    the table is computed all the same, and its residuals show the
+    quadrature error.
+    """
     lmax = int(lmax)
     if not (0 <= lmax <= LMAX):
         raise ValueError(f"lmax must lie in [0, {LMAX}]")
@@ -380,15 +323,13 @@ def fourier_check_n2(a0, cos_coeffs, sin_coeffs, theta0):
 # kernel structure probe
 
 
-def injectivity_probe(coefficients, num_xi=50, resolution=None,
-                      projection_resolution=64, seed=11):
+def injectivity_probe(coefficients, resolution=None, projection_resolution=64):
     """Round-trip reconstruction error for an odd band-limited field.
 
     Expands the transform of g over poles into harmonics, divides by the
-    estimated degree multipliers, reconstructs, and returns the sup-norm
-    error against the original field on a probe grid.  Raises if any
-    needed multiplier is within 1e-6 of zero (a near-kernel degree would
-    make the inversion meaningless).
+    Funk-Hecke multipliers (nonzero on every odd degree), reconstructs,
+    and returns the sup-norm error against the original field on a
+    probe grid.
     """
     coeffs = {(int(l), int(m)): float(c) for (l, m), c in dict(coefficients).items()}
     if not coeffs:
@@ -400,24 +341,13 @@ def injectivity_probe(coefficients, num_xi=50, resolution=None,
         if not (abs(m) <= l <= LMAX):
             raise ValueError("invalid (degree, order) pair")
     g = harmonic_field(coeffs)
-    table = multiplier_table(lmax, num_xi=num_xi, resolution=resolution, seed=seed)
-    lam = dict(zip(table.degrees, table.multipliers))
-    for l in range(1, lmax + 1, 2):
-        if abs(lam.get(l, 0.0)) < 1e-6:
-            raise ValueError(f"near-kernel degree {l}: estimated multiplier below 1e-6")
     proj = sphere_rule(3, projection_resolution)
     t_vals = transform_sweep(g, proj.nodes, equator_rule(3, resolution))
-    at_nodes = _power_tables(proj.nodes, lmax)
     recovered = {}
     for l in range(1, lmax + 1, 2):
+        lam = funk_hecke_multiplier(3, l)
         for m in range(-l, l + 1):
-            y = _poly_value(_solid_harmonic_terms(l, m)[0], at_nodes)
-            coef = float(proj.weights @ (t_vals * y))
-            recovered[(l, m)] = coef / lam[l]
+            y = real_harmonic(l, m).evaluate(proj.nodes)
+            recovered[(l, m)] = float(proj.weights @ (t_vals * y)) / lam
     grid = probe_directions(3, 4000)
-    at_grid = _power_tables(grid, lmax)
-    rec_vals = np.zeros(grid.shape[0])
-    for (l, m), c in recovered.items():
-        if c != 0.0:
-            rec_vals += c * _poly_value(_solid_harmonic_terms(l, m)[0], at_grid)
-    return float(np.max(np.abs(g.evaluate(grid) - rec_vals)))
+    return float(np.max(np.abs(g.evaluate(grid) - harmonic_field(recovered).evaluate(grid))))

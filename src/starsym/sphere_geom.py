@@ -333,15 +333,12 @@ def fibonacci_sphere(count):
 def probe_directions(n, count=2000):
     """Quasi-uniform probe grid on S^{n-1}.
 
-    Uniform angles for n=2, a Fibonacci lattice for n=3 and midpoint
-    product grids in spherical angles otherwise.  Returns at least
-    `count` directions.
+    A Fibonacci lattice for n=3 and midpoint product grids in spherical
+    angles otherwise (uniform angles for n=2).  Returns at least `count`
+    directions: exactly `count` at n=2 when it is even and at least 4.
     """
     n = check_dim(n)
     count = int(count)
-    if n == 2:
-        ang = 2.0 * math.pi * (np.arange(count) + 0.5) / count
-        return np.column_stack([np.cos(ang), np.sin(ang)])
     if n == 3:
         return fibonacci_sphere(count)
     k = max(2, math.ceil((count / 2.0) ** (1.0 / (n - 1))))

@@ -279,6 +279,30 @@ def test_harmonics_dim5_table(tmp_path, capsys):
         assert value == pytest.approx(exact, abs=1e-9)
 
 
+@pytest.mark.parametrize("dim, resolution, degree", [("6", "10", 7), ("3", "8", 7)])
+def test_harmonics_refuses_too_coarse_resolution(tmp_path, capsys, dim, resolution, degree):
+    # fits are exact only up to lmax = rule degree + 1; beyond that they
+    # are 13-95% off, so the table is refused rather than written
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--dim", dim, "--lmax", "9",
+                 "--resolution", resolution]) == 2
+    assert capsys.readouterr().err == (
+        f"starsym: --resolution {resolution} integrates degree {degree} exactly, so "
+        f"fits are exact only up to --lmax {degree + 1}; got --lmax 9\n")
+    assert not out.exists()
+
+
+def test_harmonics_top_degree_at_coarse_resolution(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out), "--dim", "6", "--lmax", "8",
+                 "--resolution", "10"]) == 0
+    capsys.readouterr()
+    rows = _multiplier_rows(out / "multipliers.csv")
+    assert [int(l) for l, _, _, _ in rows] == list(range(9))
+    for _, value, exact, _ in rows:
+        assert value == pytest.approx(exact, abs=1e-9)
+
+
 def test_harmonics_refuses_dim_7(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["harmonics", "--out", str(out), "--dim", "7"]) == 2

@@ -56,7 +56,7 @@ def test_real_harmonics_match_scipy():
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    for l in range(0, 9):
+    for l in range(LMAX + 1):
         for m in range(-l, l + 1):
             mine = real_harmonic(l, m).evaluate(pts)
             z = sph_harm_y(l, abs(m), theta, phi)
@@ -230,90 +230,60 @@ def test_multiplier_table_matches_funk_hecke(monkeypatch, n):
             multiplier_table(3, dim=n, num_xi=num_xi)
 
 
-def _per_call_harmonic(l, m, pts):
-    # reference: a power table per call up to the harmonic's largest
-    # exponent, and derivative terms built from the value terms per call
-    exps, coefs = harmonics._solid_harmonic_terms(l, m)[0]
-    pts = np.asarray(pts, dtype=float)
-    flat = pts.reshape(-1, 3)
-    max_deg = int(exps.max())
-    tab = np.empty((3, flat.shape[0], max_deg + 1))
-    tab[:, :, 0] = 1.0
-    for p in range(1, max_deg + 1):
-        tab[:, :, p] = tab[:, :, p - 1] * flat.T
-    monos = tab[0][:, exps[:, 0]] * tab[1][:, exps[:, 1]] * tab[2][:, exps[:, 2]]
-    value = (monos @ coefs).reshape(pts.shape[:-1])
-    grad = np.empty((flat.shape[0], 3))
-    for axis in range(3):
-        e = exps.copy()
-        c = coefs * e[:, axis]
-        e[:, axis] = np.maximum(e[:, axis] - 1, 0)
-        monos = tab[0][:, e[:, 0]] * tab[1][:, e[:, 1]] * tab[2][:, e[:, 2]]
-        grad[:, axis] = monos @ c
-    return value, grad.reshape(pts.shape)
-
-
-def test_harmonic_values_and_gradients_are_bit_identical():
-    rule = equator_rule(3)
-    point_sets = [rule.nodes @ make_frame(xi).basis
-                  for xi in random_directions(3, 4, seed=9)]
-    point_sets.append(harmonics._probe_grid())
+def test_harmonic_gradients_have_euler_radial_part():
+    # the gradient is that of the solid harmonic r^l Y, so by Euler's
+    # theorem its radial part is l Y on unit vectors
+    u = random_directions(3, 500, seed=9)
     for l in range(LMAX + 1):
         for m in range(-l, l + 1):
             y = real_harmonic(l, m)
-            for pts in point_sets:
-                value, grad = _per_call_harmonic(l, m, pts)
-                assert np.array_equal(y.evaluate(pts), value), (l, m)
-                assert np.array_equal(y.gradient(pts), grad), (l, m)
-            for exps, coefs in harmonics._solid_harmonic_terms(l, m):
-                assert not exps.flags.writeable and not coefs.flags.writeable
+            radial = np.sum(y.gradient(u) * u, axis=1)
+            assert np.max(np.abs(radial - l * y.evaluate(u))) < 1e-12 * max(1, l), (l, m)
 
 
-# sup bounds of real_harmonic(l, m), m = -l..l, as computed before the
-# Legendre coefficients and the probe grid were cached (x86-64, numpy 2.4)
+# sup bounds of real_harmonic(l, m), m = -l..l, as computed from the
+# zonal recurrence (x86-64, numpy 2.4)
 _SUP_BOUNDS = {
     0: (0.28209479177387814,),
-    1: (0.5115804249162543, 0.511563212609009, 0.5115950669875126),
-    2: (0.6001892009149948, 0.6002085407888583, 0.6929144449698464, 0.6002551411527444,
+    1: (0.5115804249162542, 0.511563212609009, 0.5115950669875124),
+    2: (0.6001892009149948, 0.6002085407888583, 0.6929144449698464, 0.6002551411527445,
         0.6001766830418597),
-    3: (0.6818873485037945, 0.6430616866392393, 0.7274430190210801, 0.8622035879419705,
-        0.7274945265695242, 0.6431100494248232, 0.6818874932069491),
-    4: (0.7627885115519265, 0.7010206781191751, 0.7417147555474393, 0.861438291787544,
-        1.0307946305512796, 0.8612775159673104, 0.7416801451339022, 0.701012433750349,
+    3: (0.6818873485037944, 0.6430616866392392, 0.7274430190210799, 0.8622035879419705,
+        0.7274945265695241, 0.6431100494248231, 0.6818874932069491),
+    4: (0.7627885115519264, 0.7010206781191749, 0.7417147555474392, 0.861438291787544,
+        1.03079463055128, 0.8612775159673102, 0.7416801451339022, 0.7010124337503487,
         0.7628033651085673),
-    5: (0.8466662312032034, 0.766527116607743, 0.7867626787326761, 0.8539914631291597,
-        1.0023481326273387, 1.2050195767114316, 1.0028755535104263, 0.8539980882314012,
-        0.7867865818869402, 0.766559081820903, 0.8468683640055744),
-    6: (0.934975444188609, 0.8389396655386782, 0.84548819561586, 0.8903618872666758,
-        0.9773459300932565, 1.1540851242293355, 1.3897280776987657, 1.153797403486445,
-        0.9770821376025104, 0.890323488597149, 0.8454867060276245, 0.8389283202074114,
-        0.9349766008238977),
-    7: (1.0323399208526212, 0.9192312243048171, 0.9167611917808937, 0.9478150606525788,
-        1.0084029987928222, 1.11270902240598, 1.3186551266379771, 1.5895141753586768,
-        1.3168156966510487, 1.1131426600174803, 1.0081302380749972, 0.9477631801776577,
-        0.9166080148376275, 0.9192485806440405, 1.03168183467169),
-    8: (1.1379767137766301, 1.0092370903951966, 0.9970038201654011, 1.019844115704721,
-        1.0656370681050669, 1.1405934596621605, 1.2629324310499992, 1.5011995269986573,
-        1.8093762055346057, 1.4980338244456972, 1.2642078705642334, 1.14086555347985,
-        1.0654716104481643, 1.0201225666202387, 0.9969880160587058, 1.0085423723733578,
-        1.1373587898082935),
-    9: (1.2566269090809021, 1.111233002773382, 1.0924883231307951, 1.1074265369033864,
-        1.143504724382146, 1.202219994378791, 1.290871290910201, 1.433839060413006,
-        1.7033890095300261, 2.055255857638538, 1.703801188312644, 1.432963785971842,
-        1.2912301821812802, 1.2021635051630826, 1.1436121886810864, 1.1074609007800156,
-        1.0925697001516586, 1.1111800788605497, 1.2566165473994915),
-    10: (1.3947561932846562, 1.2252104853095431, 1.2022366165699734, 1.210200185148088,
-        1.2398789573462945, 1.286923248893683, 1.3583224585235925, 1.4634978438728037,
-        1.6268495990877148, 1.9331429703168157, 2.334647043354182, 1.938907698389717,
-        1.6280193057880012, 1.4638781968494718, 1.358212528730535, 1.2881922907082954,
-        1.239889170777288, 1.2106054855949144, 1.2022676419254392, 1.2252109482925284,
+    5: (0.8466662312032034, 0.7665271166077428, 0.7867626787326758, 0.8539914631291593,
+        1.0023481326273382, 1.2050195767114298, 1.002875553510426, 0.853998088231401,
+        0.7867865818869401, 0.7665590818209028, 0.8468683640055745),
+    6: (0.9349754441886092, 0.8389396655386786, 0.8454881956158598, 0.8903618872666756,
+        0.9773459300932562, 1.1540851242293364, 1.3897280776987677, 1.153797403486446,
+        0.97708213760251, 0.890323488597149, 0.8454867060276242, 0.8389283202074114,
+        0.9349766008238981),
+    7: (1.0323399208526207, 0.9192312243048171, 0.9167611917808933, 0.9478150606525785,
+        1.0084029987928218, 1.1127090224059801, 1.3186551266379771, 1.5895141753586721,
+        1.3168156966510485, 1.113142660017481, 1.0081302380749968, 0.9477631801776577,
+        0.9166080148376277, 0.9192485806440404, 1.0316818346716905),
+    8: (1.1379767137766301, 1.009237090395196, 0.9970038201654008, 1.0198441157047207,
+        1.065637068105067, 1.1405934596621612, 1.2629324310499999, 1.5011995269986536,
+        1.8093762055345863, 1.4980338244456939, 1.2642078705642337, 1.1408655534798502,
+        1.0654716104481652, 1.0201225666202387, 0.9969880160587058, 1.0085423723733573,
+        1.137358789808293),
+    9: (1.2566269090809017, 1.1112330027733817, 1.0924883231307947, 1.1074265369033873,
+        1.1435047243821468, 1.202219994378791, 1.2908712909102025, 1.4338390604130116,
+        1.70338900953003, 2.0552558576385946, 1.7038011883126494, 1.4329637859718467,
+        1.2912301821812824, 1.202163505163083, 1.1436121886810866, 1.1074609007800158,
+        1.0925697001516586, 1.1111800788605504, 1.2566165473994908),
+    10: (1.3947561932846575, 1.2252104853095434, 1.2022366165699727, 1.2102001851480877,
+        1.2398789573462938, 1.286923248893684, 1.358322458523591, 1.4634978438728008,
+        1.6268495990877156, 1.9331429703167966, 2.334647043354234, 1.938907698389698,
+        1.6280193057880012, 1.4638781968494643, 1.3582125287305338, 1.2881922907082957,
+        1.2398891707772863, 1.2106054855949133, 1.2022676419254403, 1.2252109482925277,
         1.3950111546621673),
 }
 
 
 def test_harmonic_caches_are_read_only_and_exact():
-    with pytest.raises(ValueError):
-        harmonics._legendre_coeffs(3)[0] = 1.0
     with pytest.raises(ValueError):
         harmonics._probe_grid()[0, 0] = 1.0
     for l, sups in _SUP_BOUNDS.items():
@@ -366,8 +336,7 @@ def test_fourier_frequency_multipliers():
 
 
 def test_injectivity_probe_recovers_odd_fields():
-    err = injectivity_probe({(1, 0): 0.5, (3, 2): 0.25}, num_xi=12,
-                            projection_resolution=48, seed=11)
+    err = injectivity_probe({(1, 0): 0.5, (3, 2): 0.25}, projection_resolution=48)
     assert err < 1e-8
 
 

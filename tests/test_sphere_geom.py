@@ -162,6 +162,15 @@ def test_fibonacci_and_probe_grids():
         assert np.max(np.abs(np.linalg.norm(grid, axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("count", [4, 50, 300, 2000, 2048, 4000])
+def test_circle_probe_grid_is_uniform_midpoint_angles(count):
+    # the product-grid path gives n = 2 exactly the uniform midpoint
+    # angles of `count` points for every even count from 4 on
+    ang = 2.0 * math.pi * (np.arange(count) + 0.5) / count
+    assert np.array_equal(probe_directions(2, count),
+                          np.column_stack([np.cos(ang), np.sin(ang)]))
+
+
 def test_probe_grid_covers_harmonic_certification_radius():
     # the harmonic sup bounds inflate probe maxima by 1/(1 - l * 0.045);
     # a sampled covering radius comfortably below 0.045 backs that up
