@@ -255,7 +255,7 @@ def multiplier_table(lmax, *, dim=3, num_xi=50, resolution=None, seed=11):
 
 
 # ---------------------------------------------------------------------------
-# n = 2: Fourier fields and the exact two-point transform
+# n = 2: Fourier fields from zonal harmonics, and the exact two-point transform
 
 
 def _fourier_coeffs(cos_coeffs, sin_coeffs):
@@ -275,28 +275,19 @@ def fourier_field(a0, cos_coeffs=(), sin_coeffs=()):
     """Band-limited field on the circle from Fourier coefficients.
 
     f(theta) = a0 + sum_k cos_coeffs[k-1] cos(k theta)
-                  + sum_k sin_coeffs[k-1] sin(k theta).
+                  + sum_k sin_coeffs[k-1] sin(k theta)
+    as zonal harmonics: cos(k theta) = T_k(<u, e_0>) and sin(k theta) =
+    T_k(<u, e_{pi/2k}>), e_phi = (cos phi, sin phi), so even (odd)
+    frequencies alone give a bitwise even (odd) field.
     """
     aa, bb, ks = _fourier_coeffs(cos_coeffs, sin_coeffs)
     a0 = float(a0)
-
-    def evaluate(u):
-        u = np.asarray(u, dtype=float)
-        theta = np.arctan2(u[..., 1], u[..., 0])
-        kt = theta[..., None] * ks
-        return a0 + np.cos(kt) @ aa + np.sin(kt) @ bb
-
-    def angular_derivative(theta):
-        kt = np.asarray(theta, dtype=float)[..., None] * ks
-        return -np.sin(kt) @ (ks * aa) + np.cos(kt) @ (ks * bb)
-
-    def gradient(u):
-        u = np.asarray(u, dtype=float)
-        theta = np.arctan2(u[..., 1], u[..., 0])
-        fp = angular_derivative(theta)
-        perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        return fp[..., None] * perp
-
+    terms = [(a0, zonal_field(2, 0, (1.0, 0.0)), None)]
+    for k, a, b in zip(ks, aa, bb):
+        phi = math.pi / (2 * k)
+        terms += [(a, zonal_field(2, k, (1.0, 0.0)), None),
+                  (b, zonal_field(2, k, (math.cos(phi), math.sin(phi))), None)]
+    evaluate, gradient = _linear(terms)
     sup = abs(a0) + float(np.sum(np.abs(aa)) + np.sum(np.abs(bb)))
     lip = float(ks @ np.abs(aa) + ks @ np.abs(bb))
     return ScalarField(dim=2, evaluate=evaluate, gradient=gradient,

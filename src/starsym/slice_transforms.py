@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -276,27 +275,33 @@ def hyperplane_section(body, frame, z, rule):
     For each equator node the meridian latitude psi* solving
     rho(eta, psi) sin(psi) = z locates the cut boundary; the profile
     radius about the foot point z xi is r = rho cos(psi*), and the cut
-    volume is sum_i w_i r_i^{n-1} / (n-1).  Requires the cut to be
-    star-shaped about the foot point (declared on the body).  The root
-    is bracketed by a 64-point scan (which doubles as a multi-root
-    probe), refined by Illinois steps inside that bracket to width
-    1e-12, and read off one secant step on the final bracket.  Only
-    values of rho are used, so bodies with and without a gradient take
-    the same path.
+    volume is sum_i w_i r_i^{n-1} / (n-1).  The foot point must lie in
+    the body, -rho(-xi) < z < rho(xi), and the cut must be star-shaped
+    about it.  |z| must also stay below the smallest equator radius:
+    past it, heights between rho(xi) and the support h(xi) cut the body
+    out of reach of any ray from the foot point.  The root is bracketed
+    by a 64-point scan (which doubles as a multi-root probe), refined
+    by Illinois steps inside that bracket to width 1e-12, and read off
+    one secant step on the final bracket.  Only values of rho are used,
+    so bodies with and without a gradient take the same path.
 
     z may be a scalar or a 1-d array of heights.  The scan values
     rho sin(psi) do not depend on z, so all heights on one side of the
     equator share one scan, sized by their largest |z|; a single height
-    scans exactly the grid it would scan alone.  Every height is checked
-    against the equator radius before any scan.  Returns a float for a
+    scans exactly the grid it would scan alone.  Every height is
+    checked, foot point first, before any scan.  Returns a float for a
     scalar z and an array shaped like z otherwise.
     """
     _check_rule(frame, rule)
-    if not body.sections_star_shaped:
-        raise ValueError("body does not declare star-shaped hyperplane sections")
     zs, scalar = _heights(z)
     n = frame.dim
     pole = frame.pole
+    top, bottom = body.evaluate(np.stack([pole, -pole]))
+    outside = ~((-bottom < zs) & (zs < top))
+    if np.any(outside):
+        raise ValueError(f"the foot point z xi of the cut at z = {zs[outside][0]:g} lies "
+                         f"outside the body: rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and "
+                         "hyperplane cuts need -rho(-xi) < z < rho(xi)")
     lifted = rule.nodes @ frame.basis
     rho_eq = body.evaluate(lifted)
     if not np.all(np.abs(zs) < float(rho_eq.min())):
@@ -344,11 +349,7 @@ def equator_transform(f, frame, rule):
     lifted = rule.nodes @ frame.basis
     d, held = _meridian_terms(f.evaluate, f.gradient, frame.pole, lifted)
     w = rule.weights
-    if rule.sphere_dim == 1:
-        # the nodes of S^0 are exact negatives: on an even field the
-        # per-node noise cancels and only the two-term sum rounds
-        scale = float(w @ np.abs(d))
-    elif f.gradient is not None:
+    if f.gradient is not None:
         # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
         # to within rounding, so the noise of the whole gradient reaches d
         scale = math.sqrt(float(w @ w) * float((held * held).sum()))
@@ -408,8 +409,9 @@ def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
     """Slope of a section curve at z = 0, checked against the transform.
 
     The finite-difference side differentiates the sampled curve with a
-    central-difference ladder of steps _LADDER_H0 / 2^k = 1e-2 / 2^k,
-    k < _LADDER_LEVELS = 4, and Richardson extrapolation, all eight
+    central-difference ladder of steps h0 / 2^k, k < _LADDER_LEVELS = 4,
+    with h0 = 1e-2 (times radius_floor for hyperplane heights, which
+    scale with the body), and Richardson extrapolation, all eight
     ladder heights going to the section function in one call;
     the transform side applies the equatorial transform to the curve's
     matching field (the section density for slice/conical curves, the
@@ -417,7 +419,8 @@ def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
     overrides the rule used on the transform side only.
     """
     fn, match = _curve_function(kind, obj)
-    hs = [_LADDER_H0 / 2.0 ** k for k in range(_LADDER_LEVELS)]
+    h0 = _LADDER_H0 * obj.radius_floor if kind == "hyperplane" else _LADDER_H0
+    hs = [h0 / 2.0 ** k for k in range(_LADDER_LEVELS)]
     values = fn(obj, frame, np.array(hs + [-h for h in hs]), rule)
     steps = [(h, float((up - down) / (2.0 * h)))
              for h, up, down in zip(hs, values[:_LADDER_LEVELS], values[_LADDER_LEVELS:])]

@@ -140,12 +140,9 @@ class RadialField:
     every pair, and a supplied `gradient` must match meridian finite
     differences at each u toward the unit tangent of v there.  No frame
     is completed.  `radius_bound` / `radius_floor` are upper/lower bounds
-    for rho used by bracketing and Monte Carlo callers; when certified
-    bounds are not supplied they fall back to inflated probe extrema.
-
-    sections_star_shaped declares that hyperplane sections through the
-    relevant foot points are star-shaped, which the hyperplane section
-    operation requires.
+    for rho used by bracketing and Monte Carlo callers, and radius_floor
+    sizes the slope ladder of hyperplane curves; when certified bounds
+    are not supplied they fall back to inflated probe extrema.
     """
 
     dim: int
@@ -155,7 +152,6 @@ class RadialField:
     radius_bound: Optional[float] = None
     radius_floor: Optional[float] = None
     label: str = ""
-    sections_star_shaped: bool = True
 
     def __post_init__(self):
         check_dim(self.dim)
@@ -422,8 +418,7 @@ def scale_body(body, factor):
                        lipschitz_bound=lip,
                        radius_bound=factor * body.radius_bound,
                        radius_floor=factor * body.radius_floor,
-                       label=f"scaled({factor:g})[{body.label}]",
-                       sections_star_shaped=body.sections_star_shaped)
+                       label=f"scaled({factor:g})[{body.label}]")
 
 
 def rotate_body(body, rotation):
@@ -437,8 +432,7 @@ def rotate_body(body, rotation):
                        lipschitz_bound=body.lipschitz_bound,
                        radius_bound=body.radius_bound,
                        radius_floor=body.radius_floor,
-                       label=f"rotated[{body.label}]",
-                       sections_star_shaped=body.sections_star_shaped)
+                       label=f"rotated[{body.label}]")
 
 
 def linear_field(dim, direction):

@@ -339,7 +339,10 @@ def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
     spec = _spec(tmp_path, {"kind": "ball", "dim": 3, "params": {"radius": 0.5}})
     out = tmp_path / "out"
     assert main(["sections", "--body", spec, "--out", str(out), "--z=0.6"]) == 2
-    assert "equator radius" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "starsym: the foot point z xi of the cut at z = 0.6 lies outside the body: "
+        "rho(xi) = 0.5, rho(-xi) = 0.5, and hyperplane cuts need "
+        "-rho(-xi) < z < rho(xi)\n")
     assert not out.exists()
 
 

@@ -321,6 +321,42 @@ def test_fourier_field_and_closed_form_transform():
         assert got == pytest.approx(want, abs=1e-11)
 
 
+def test_fourier_field_matches_trigonometric_form():
+    # the zonal build against the direct series in theta, values and
+    # tangential gradients f'(theta) (-sin theta, cos theta)
+    rng = np.random.default_rng(20)
+    theta = rng.uniform(0, 2 * math.pi, size=400)
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    ks = np.arange(1, 6)
+    for _ in range(20):
+        a0 = float(rng.uniform(-1, 1))
+        a, b = rng.uniform(-0.5, 0.5, size=(2, 5))
+        f = fourier_field(a0, a, b)
+        kt = theta[:, None] * ks
+        want = a0 + np.cos(kt) @ a + np.sin(kt) @ b
+        dwant = -np.sin(kt) @ (ks * a) + np.cos(kt) @ (ks * b)
+        assert np.max(np.abs(f.evaluate(u) - want)) <= 1e-13
+        tangent = np.column_stack([-u[:, 1], u[:, 0]])
+        dgot = np.sum(f.gradient(u) * tangent, axis=1)
+        assert np.max(np.abs(dgot - dwant)) <= 1e-13
+
+
+@pytest.mark.parametrize("parity", [1.0, -1.0], ids=["even", "odd"])
+def test_fourier_field_parity_is_bitwise(parity):
+    # even (odd) frequencies only give f(-u) == f(u) (== -f(u)) exactly,
+    # values and gradients alike, as the zonal recurrence is exactly
+    # even or odd in <u, e>
+    rng = np.random.default_rng(21)
+    start = 1 if parity > 0 else 0
+    a = np.zeros(6)
+    b = np.zeros(6)
+    a[start::2], b[start::2] = rng.uniform(-0.5, 0.5, size=(2, 3))
+    f = fourier_field(0.4 if parity > 0 else 0.0, a, b)
+    u = probe_directions(2, 500)
+    assert np.array_equal(f.evaluate(-u), parity * f.evaluate(u))
+    assert np.array_equal(f.gradient(-u), -parity * f.gradient(u))
+
+
 def test_fourier_frequency_multipliers():
     # diagonal action on the circle: lambda_k = 2 k sin(k pi / 2)
     rule = equator_rule(2)

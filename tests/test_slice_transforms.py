@@ -21,6 +21,7 @@ from starsym import (
     hyperplane_section,
     make_frame,
     richardson_limit,
+    scale_body,
     section_curve,
     slice_integral,
     strip_gradient,
@@ -187,9 +188,9 @@ def _count_evaluations(body):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_section_evaluation_budget(n):
-    # the equator radius, a 64-point scan and a short refinement; on the
-    # second ellipsoid some false-position points round onto a bracket
-    # end that already sits on the root
+    # the foot point, the equator radius, a 64-point scan and a short
+    # refinement; on the second ellipsoid some false-position points
+    # round onto a bracket end that already sits on the root
     bodies = (body_ball(n, 1.1),
               body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
               body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
@@ -348,12 +349,16 @@ def test_slice_integral_rejects_out_of_range_heights():
 def test_hyperplane_section_rejects_heights_beyond_equator():
     body = body_ball(3, 1.0)
     frame = make_frame([0.0, 0.0, 1.0])
-    for z in (1.0, -1.1):
-        with pytest.raises(ValueError):
+    for z in (1.0, -1.1, np.nan):
+        with pytest.raises(ValueError, match="foot point"):
             hyperplane_section(body, frame, z, _rule(3))
-    # every height is checked against the equator radius before any scan
+    # every foot point is checked, with one evaluation at +-xi, before
+    # any scan; the message names the first height outside and rho(+-xi)
     counted, calls = _count_evaluations(body)
-    with pytest.raises(ValueError, match="equator radius"):
+    with pytest.raises(ValueError, match=r"the foot point z xi of the cut at z = 1\.05 "
+                                         r"lies outside the body: rho\(xi\) = 1, "
+                                         r"rho\(-xi\) = 1, and hyperplane cuts need "
+                                         r"-rho\(-xi\) < z < rho\(xi\)"):
         hyperplane_section(counted, frame, np.array([0.2, -0.4, 0.0, 1.05, 0.6]), _rule(3))
     assert len(calls) == 1
     with pytest.raises(ValueError, match="1-d"):
@@ -383,17 +388,58 @@ def _pinched_body():
                        radius_bound=4.5, radius_floor=0.22, label="pinched")
 
 
+def _fold_body():
+    # rho(u) = 1 - 2.2 u_z^2 + 1.8 u_z^4, even, with rho(+-e_z) = 0.6:
+    # along each meridian toward e_z the height rho sin(psi) rises to
+    # 0.283, dips to 0.247 and rises again to 0.6, so the foot point of
+    # the cut at |z| = 0.26 is inside the body and the cut crosses some
+    # meridians three times
+    def ev(u):
+        t = np.asarray(u, dtype=float)[..., 2] ** 2
+        return 1.0 - 2.2 * t + 1.8 * t * t
+
+    return RadialField(dim=3, evaluate=ev, label="fold")
+
+
 def test_hyperplane_section_detects_multiple_crossings():
-    body = _pinched_body()
     frame = make_frame([0.0, 0.0, 1.0])
     rule = _rule(3)
-    with pytest.raises(ValueError, match="multiple boundary crossings"):
-        hyperplane_section(body, frame, 0.24, rule)
+    fold = _fold_body()
+    for z in (0.26, -0.26):
+        with pytest.raises(ValueError, match="multiple boundary crossings"):
+            hyperplane_section(fold, frame, z, rule)
     # one folded height fails the whole batch that shares its scan
     with pytest.raises(ValueError, match="multiple boundary crossings"):
-        hyperplane_section(body, frame, np.array([0.05, 0.1, 0.24]), rule)
+        hyperplane_section(fold, frame, np.array([0.05, 0.1, 0.26]), rule)
+    # the pinched body's foot point at z = 0.24 lies above rho(e_z) =
+    # exp(-1.5) = 0.223, so the cut is refused before any scan
+    body = _pinched_body()
+    for z in (0.24, np.array([0.05, 0.1, 0.24])):
+        with pytest.raises(ValueError, match="foot point z xi of the cut at z = 0.24"):
+            hyperplane_section(body, frame, z, rule)
     # below the fold the cut is honest and the area is positive
     assert hyperplane_section(body, frame, 0.1, rule) > 0.0
+
+
+def test_hyperplane_section_domain():
+    # a prolate ellipsoid cut across its long axis matches the ellipse
+    # area pi a b (1 - z^2 / c^2) below its smallest equator radius 0.6
+    body = body_ellipsoid(3, (0.6, 0.7, 1.2))
+    frame = make_frame([0.0, 0.0, 1.0])
+    zs = np.array([-0.55, -0.3, 0.0, 0.3, 0.55])
+    want = math.pi * 0.6 * 0.7 * (1.0 - zs ** 2 / 1.44)
+    got = hyperplane_section(body, frame, zs, equator_rule(3))
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    # past that radius its foot point is still inside, but the cut is
+    # refused: a shifted ball's heights between rho(xi) and the support
+    # h(xi) have a cut that no ray from the foot point reaches
+    with pytest.raises(ValueError, match="equator radius"):
+        hyperplane_section(body, frame, np.array([0.3, -0.9]), equator_rule(3))
+    # an oblate one refuses the cut whose foot point lies above its
+    # pole, although 0.6 is below its equator radius 1.1
+    oblate = body_ellipsoid(3, (1.2, 1.1, 0.5))
+    with pytest.raises(ValueError, match="rho\\(xi\\) = 0.5"):
+        hyperplane_section(oblate, frame, 0.6, equator_rule(3))
 
 
 def test_section_curve_kinds_and_type_checks():
@@ -442,10 +488,24 @@ def test_curve_slope_matches_transform(n, kind):
     frame = make_frame(np.arange(1, n + 1, dtype=float))
     res = derivative_at_zero(kind, body, frame, _rule(n))
     assert res.agreement_residual <= 1e-8, (n, kind, res.agreement_residual)
-    # the monotone flag is a diagnostic, not a guarantee: when the curve
-    # is nearly linear in z the ladder corrections sit at roundoff and
-    # jitter, so it is only asserted where the ladder carries signal
-    assert [h for h, _ in res.fd_steps] == [1e-2 / 2 ** k for k in range(4)]
+    # hyperplane heights scale with the body: the ladder starts at 1e-2
+    # times its radius floor
+    h0 = 1e-2 * (body.radius_floor if kind == "hyperplane" else 1.0)
+    assert [h for h, _ in res.fd_steps] == [h0 / 2 ** k for k in range(4)]
+
+
+@pytest.mark.parametrize("scale", [0.005, 1.0, 100.0])
+def test_hyperplane_slope_is_scale_free(scale):
+    # slopes of flat cuts scale like the body in n = 3; a ladder fixed at
+    # 1e-2 would leave the body at scale 0.005 and sit at roundoff at 100
+    body = scale_body(body_shifted_ball(3, 1.0, (0.18, -0.1, 0.05)), scale)
+    frame = make_frame([1.0, 2.0, 3.0])
+    res = derivative_at_zero("hyperplane", body, frame, equator_rule(3))
+    want = derivative_at_zero("hyperplane", body_shifted_ball(3, 1.0, (0.18, -0.1, 0.05)),
+                              frame, equator_rule(3))
+    assert res.fd_value / scale == pytest.approx(want.fd_value, rel=1e-11)
+    assert res.transform_value / scale == pytest.approx(want.transform_value, rel=1e-13)
+    assert res.agreement_residual / scale <= 1e-12
 
 
 def test_slice_curve_slope_matches_transform():

@@ -7,6 +7,7 @@ import pytest
 
 from starsym import (
     FRAME_SEED,
+    RadialField,
     body_ball,
     body_ellipsoid,
     body_harmonic_perturbed_ball,
@@ -17,6 +18,7 @@ from starsym import (
     equator_rule,
     equator_transform,
     fibonacci_sphere,
+    fourier_field,
     harmonic_field,
     make_frame,
     multiplier_table,
@@ -240,16 +242,36 @@ def test_even_bodies_stay_ten_times_below_the_floor(n, path, coarse):
 def test_default_detect_resolves_a_tiny_shift(n):
     # a unit ball shifted along e_1; on the gradient path the floor is
     # eps-relative to the gradient, which a centred ball does not have,
-    # so shifts of 1e-13 (1e-15 in n = 2) read asymmetric.  The
+    # so shifts of 1e-13 (1e-17 in n = 2) read asymmetric.  The
     # finite-difference floor follows the evaluation noise |w f| / h:
-    # from n = 3 on it resolves 1e-11 and misses 1e-12, and in n = 2,
-    # where the two nodes are exact negatives, it resolves 1e-13 and
-    # misses 1e-14
+    # from n = 3 on it resolves 1e-11 and misses 1e-12; in n = 2, whose
+    # two nodes carry all the weight, it resolves 1e-9 and misses 1e-10
     def shifted(delta, fd=False):
         body = body_shifted_ball(n, 1.0, delta * np.eye(n)[0])
         return detect(strip_gradient(body) if fd else body).verdict
 
-    assert shifted(1e-15 if n == 2 else 1e-13) == "asymmetric"
-    seen, missed = (1e-13, 1e-14) if n == 2 else (1e-11, 1e-12)
+    assert shifted(1e-17 if n == 2 else 1e-13) == "asymmetric"
+    seen, missed = (1e-9, 1e-10) if n == 2 else (1e-11, 1e-12)
     assert shifted(seen, fd=True) == "asymmetric"
     assert shifted(missed, fd=True) == "symmetric"
+
+
+def test_n2_floor_holds_for_fields_that_are_not_bitwise_even():
+    # rho = 1 + 0.1 cos(2 theta) through arctan2 is even only to within
+    # rounding; the floor follows its evaluation noise as in every n
+    body = RadialField(dim=2, evaluate=lambda u: 1.0 + 0.1 * np.cos(
+        2.0 * np.arctan2(u[..., 1], u[..., 0])))
+    report = detect(body)
+    assert report.verdict == "symmetric", report.note
+    assert report.max_abs <= report.threshold / 10.0
+
+
+@pytest.mark.parametrize("path", [lambda f: f, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+def test_even_fourier_field_sweeps_exact_zero(path):
+    # even frequencies only: the zonal recurrence makes the field bitwise
+    # even, so both derivative paths cancel exactly on the two nodes
+    f = path(fourier_field(0.3, (0.0, 0.5, 0.0, 0.2), (0.0, 0.1)))
+    report = sweep(f)
+    assert report.max_abs == 0.0
+    assert report.verdict == "symmetric"

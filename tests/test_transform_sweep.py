@@ -198,12 +198,9 @@ def test_detect_values_equal_reference_formula(n):
 
 def _reference_scale(f, frame, rule):
     # the roundoff scale of one transform from validated embed points:
-    # |w| |g| with a gradient, |w f(+FD_STEP)| / FD_STEP without, and
-    # sum w |d| on the exact antipodes of S^0
+    # |w| |g| with a gradient and |w f(+FD_STEP)| / FD_STEP without
     eta, psi = rule.nodes, np.zeros(rule.size)
     w = rule.weights
-    if rule.sphere_dim == 1:
-        return float(w @ np.abs(_reference_derivative(f, frame, rule)))
     if f.gradient is None:
         wf = w * f.evaluate(embed(frame, eta, psi + FD_STEP))
         return math.sqrt(float(wf @ wf)) / FD_STEP
