@@ -245,6 +245,9 @@ def parse_z_values(text):
             raise ValueError("z range needs stop > start and step > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         zs = start + step * np.arange(count)
+        # a grid point within roundoff of zero is +0.0, so its rows read
+        # z = 0 and the sections take their exact z = 0 path
+        zs[np.abs(zs) <= 1e-9 * step] = 0.0
     else:
         zs = np.array([float(p) for p in text.split(",") if p.strip() != ""])
         if zs.size == 0:
@@ -378,7 +381,9 @@ def cmd_verify(args):
             "only": list(only) if only else None,
         },
         "checks": [{"name": r.name, "passed": bool(r.passed),
-                    "residual": float(r.residual),
+                    # JSON has no NaN: a non-finite residual, which fails its
+                    # check, is written as null
+                    "residual": float(r.residual) if math.isfinite(r.residual) else None,
                     "tolerance": float(r.tolerance), "detail": r.detail}
                    for r in results],
         "num_fail": num_fail,

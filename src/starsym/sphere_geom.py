@@ -98,9 +98,6 @@ class EquatorFrame:
     def dim(self):
         return self.pole.shape[0]
 
-    def embed(self, eta, psi):
-        return embed(self, eta, psi)
-
 
 def make_frame(pole, seed=FRAME_SEED):
     """Complete a pole to an orthonormal frame of its orthocomplement.

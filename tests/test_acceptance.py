@@ -21,6 +21,7 @@ from starsym import (
     conical_section,
     derivative_at_zero,
     detect,
+    embed,
     equator_rule,
     equator_transform,
     fourier_check_n2,
@@ -216,8 +217,8 @@ def test_criterion_7_majorant_bound():
             eta /= np.linalg.norm(eta, axis=1, keepdims=True)
             psi = rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, size=128)
             psi[np.abs(psi) < 1e-6] = 1e-6
-            f0 = f.evaluate(frame.embed(eta, np.zeros(128)))
-            fp = f.evaluate(frame.embed(eta, psi))
+            f0 = f.evaluate(embed(frame, eta, np.zeros(128)))
+            fp = f.evaluate(embed(frame, eta, psi))
             quot = np.abs(fp - f0) / np.abs(np.sin(psi))
             violations += int(np.count_nonzero(quot > c))
             probes += quot.size

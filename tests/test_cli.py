@@ -449,6 +449,11 @@ def test_parse_z_values():
     assert zs[-1] == pytest.approx(0.8)
     assert np.all(np.diff(zs) > 0)
     assert np.allclose(parse_z_values("0.5,-0.2,0.1"), [-0.2, 0.1, 0.5])
+    # range points that miss z = 0 by roundoff are exactly +0.0
+    for grid in ("-0.6:0.6:0.2", "-0.9:0.9:0.3"):
+        zs = parse_z_values(grid)
+        assert 0.0 in zs
+        assert math.copysign(1.0, zs[zs == 0.0][0]) == 1.0
     for bad in ("0.5:0.1:0.1", "0:1:0", "0:1:0.5", "0.2,1.0", "", "a,b",
                 "0:0.5:0.1:2"):
         with pytest.raises(ValueError):

@@ -1,8 +1,15 @@
 """The named-check registry: green at defaults, honest under coarsening."""
 
+import json
+import math
+
 import pytest
 
 from starsym import VerifyConfig, check_names, equator_rule, run_checks
+from starsym import harmonics, slice_transforms, symmetry_detector, verify
+from starsym.cli import main
+
+POISONED = ("xi_oddness", "odd_part", "rotation", "scaling", "even_annihilation")
 
 
 def test_all_checks_pass_at_defaults():
@@ -65,3 +72,68 @@ def test_config_validation():
     cfg = VerifyConfig(resolution=32)
     assert equator_rule(3, cfg.resolution).resolution == 32
     assert equator_rule(2, VerifyConfig().resolution).resolution == 2
+
+
+def _poison_n2_sweeps(monkeypatch):
+    # every n = 2 pole sweep of the checks carries one NaN value
+    sweep = verify.transform_sweep
+
+    def poisoned(f, frames, rule):
+        values = sweep(f, frames, rule)
+        if f.dim == 2:
+            values[0] = math.nan
+        return values
+
+    monkeypatch.setattr(verify, "transform_sweep", poisoned)
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    _poison_n2_sweeps(monkeypatch)
+    results = run_checks(only=POISONED)
+    assert [r.name for r in results] == list(POISONED)
+    for r in results:
+        assert not r.passed, r.name
+        assert math.isnan(r.residual), r.name
+
+
+def test_verify_writes_nan_residual_as_null(monkeypatch, tmp_path, capsys):
+    _poison_n2_sweeps(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["verify", "--only", "xi_oddness", "--out", str(out)]) == 1
+    assert "FAIL xi_oddness" in capsys.readouterr().out
+    doc = json.loads((out / "verify.json").read_text())
+    assert doc["checks"][0]["residual"] is None
+    assert doc["checks"][0]["passed"] is False
+    assert doc["all_pass"] is False
+
+
+def test_run_checks_completes_each_pole_frame_once(monkeypatch):
+    # each dimension's verify poles are completed once and shared; the
+    # remaining completions are majorant's seeded poles, n2_oracle's
+    # per-field poles, the multiplier table's and the detector's pole
+    # sets, mc_agreement's two poles, and the negated (xi_oddness) and
+    # rotated (rotation) poles that the sweeps complete themselves
+    calls = []
+    make_frame = verify.make_frame
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return make_frame(*args, **kwargs)
+
+    for module in (verify, slice_transforms, symmetry_detector, harmonics):
+        monkeypatch.setattr(module, "make_frame", counted)
+    verify._frames.cache_clear()
+    verify._table.cache_clear()
+    results = run_checks()
+    assert all(r.passed for r in results)
+    assert 0 < len(calls) <= 170
+
+
+def test_check_that_measures_nothing_fails(monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS", dict(verify._CHECKS))
+    verify._check("measures_nothing", 1.0, "yields no residual", dims=())(
+        lambda cfg, n: iter(()))
+    (r,) = run_checks(only=("measures_nothing",))
+    assert not r.passed
+    assert math.isnan(r.residual)
+    assert r.detail == "no residual measured"
