@@ -98,7 +98,7 @@ def real_harmonic(degree, order):
 
     def evaluate(u):
         x, y, z = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
-        return scale * _zonal(dim, l - am, z)[0] * _azimuthal(am, x, y)[1][part]
+        return scale * _zonal(dim, l - am, z, derivative=False) * _azimuthal(am, x, y)[1][part]
 
     def gradient(u):
         u = np.asarray(u, dtype=float)
@@ -138,18 +138,21 @@ def harmonic_field(coefficients):
                        lipschitz_bound=lip, sup_bound=sup, label=label)
 
 
-def _zonal(dim, degree, t):
+def _zonal(dim, degree, t, derivative=True):
     # P_{l,n}(t) and P'_{l,n}(t), normalised to P(1) = 1, from the
     # three-term recurrence and its derivative: Chebyshev T_l at n = 2,
-    # Legendre at n = 3
+    # Legendre at n = 3.  Without `derivative` the derivative recurrence
+    # is skipped and P alone is returned, the same bits as the pair's P
     t = np.asarray(t, dtype=float)
     p_prev, dp_prev = np.ones_like(t), np.zeros_like(t)
     p, dp = t, np.ones_like(t)
     for k in range(1, degree):
         a, b = 2 * k + dim - 2, k + dim - 2
-        p_prev, p, dp_prev, dp = (p, (a * t * p - k * p_prev) / b,
-                                  dp, (a * (p + t * dp) - k * dp_prev) / b)
-    return (p, dp) if degree else (p_prev, dp_prev)
+        if derivative:
+            dp_prev, dp = dp, (a * (p + t * dp) - k * dp_prev) / b
+        p_prev, p = p, (a * t * p - k * p_prev) / b
+    pair = (p, dp) if degree else (p_prev, dp_prev)
+    return pair if derivative else pair[0]
 
 
 def zonal_field(dim, degree, axis):
@@ -165,7 +168,7 @@ def zonal_field(dim, degree, axis):
     e = unit_vector(axis, dim)
 
     def evaluate(u):
-        return _zonal(dim, degree, np.asarray(u, dtype=float) @ e)[0]
+        return _zonal(dim, degree, np.asarray(u, dtype=float) @ e, derivative=False)
 
     def gradient(u):
         return _zonal(dim, degree, np.asarray(u, dtype=float) @ e)[1][..., None] * e

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere_geom import EquatorFrame, _latitude_points, make_frame
+from .sphere_geom import EquatorFrame, make_frame
 from .star_body import (
     FD_STEP,
     RadialField,
@@ -129,14 +129,33 @@ def _shaped(values, scalar):
     return float(values[0]) if scalar else values
 
 
+def _ring_points(tiled, lifted, psi):
+    # the points at one latitude psi, sin(psi) pole + cos(psi) lifted,
+    # with the pole tiled to the (N, n) shape of `lifted`, so that both
+    # products and the sum run as whole-array loops, not as broadcasts
+    # over the n <= 6 coordinates; the values are `_latitude_points`' own
+    return np.sin(psi) * tiled + np.cos(psi) * lifted
+
+
+def _node_points(pole, lifted_t, sin, cos):
+    # the points at per-node latitudes, sin_i pole + cos_i lifted_i, built
+    # coordinate-major from the (n, N) transpose of the lifted nodes so
+    # that the inner loops run over the nodes, then copied once to C
+    # order: bodies always receive C-contiguous points, since a
+    # Fortran-ordered array changes BLAS's matrix-vector rounding
+    return np.ascontiguousarray((sin * pole[:, None] + cos * lifted_t).T)
+
+
 def slice_integral(f, frame, z, rule):
     """Integral of a field over the latitude sphere at height z.
 
     Computes cos^{n-2}(psi) * sum_i w_i f(embed(eta_i, psi)) with
     psi = arcsin(z); the cosine power is the measure ratio between the
     latitude sphere of radius cos(psi) and the unit equator carrying the
-    rule.  The rule nodes are lifted once, without `embed`'s checks, and
-    the heights are integrated one at a time.
+    rule.  The rule nodes are lifted once, without `embed`'s checks, the
+    pole is tiled once to the nodes' (N, n) shape, and the heights are
+    integrated one at a time; the field receives C-contiguous points
+    bit-identical to `embed`'s.
 
     Parameters
     ----------
@@ -152,10 +171,11 @@ def slice_integral(f, frame, z, rule):
     if not np.all(np.abs(zs) < 1.0):
         raise ValueError("height z must lie in (-1, 1)")
     lifted = rule.nodes @ frame.basis
+    tiled = np.tile(frame.pole, (lifted.shape[0], 1))
     values = np.empty(zs.shape)
     for j, z in enumerate(zs):
         psi = math.asin(z)
-        vals = f.evaluate(_latitude_points(frame.pole, lifted, psi))
+        vals = f.evaluate(_ring_points(tiled, lifted, psi))
         values[j] = math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
     return _shaped(values, scalar)
 
@@ -171,29 +191,53 @@ def conical_section(body, frame, z, rule):
     return slice_integral(to_scalar_field(body), frame, z, rule)
 
 
-def _scan_side(body, pole, lifted, zs, psi_lo, psi_hi):
-    # rho(eta, psi) sin(psi) on a uniform latitude grid, one row per grid
-    # latitude.  It does not depend on the height, so every height on one
-    # side of the equator reads its g = table - z from the same table:
-    # per height and node, the grid index of the first sign change of g
-    # (uint8 holds the 63 scan intervals), and whether some height has a
-    # node with no sign change or with more than one (the multi-root
-    # probe).  g = 0 counts as positive, and g >= 0 exactly when
-    # table >= z.
+def _scan_side(body, tiled, lifted, zs, psi_lo, psi_hi):
+    """Bracket the cut boundary of heights on one side of the equator.
+
+    Tabulates rho(eta, psi) sin(psi) on a uniform 64-point latitude grid,
+    one row per grid latitude, from C-contiguous `_ring_points`.  The
+    table does not depend on the height, so every height on the side
+    reads its g = table - z from it; `_crossings` returns, per height and
+    node, the grid index of the first sign change of g, and whether some
+    height has a node with no sign change or with more than one (the
+    multi-root probe).  Rising-column shortcut: in a column whose table
+    never falls, the rows with g >= 0 form a suffix, so one count of
+    them gives the node's crossing; only the other columns pay for the
+    sign-change table, its count and its argmax.
+    """
     grid = np.linspace(psi_lo, psi_hi, _SCAN_POINTS)
     table = np.empty((_SCAN_POINTS, lifted.shape[0]))
     for i, psi in enumerate(grid):
-        table[i] = body.evaluate(_latitude_points(pole, lifted, psi)) * math.sin(psi)
-    firsts = np.empty((zs.size, lifted.shape[0]), dtype=np.uint8)
+        table[i] = body.evaluate(_ring_points(tiled, lifted, psi)) * math.sin(psi)
+    return (grid, table) + _crossings(table, zs)
+
+
+def _crossings(table, zs):
+    # firsts (uint8 holds the 63 scan intervals), missed and multiple of
+    # `_scan_side`.  g = 0 counts as positive, and g >= 0 exactly when
+    # table >= z.  In a rising column with k rows at or above z the node
+    # has one sign change iff 0 < k < 64, at index 63 - k, and none
+    # otherwise; its first index is then 0, as argmax reads a column
+    # without one.  k <= 64 fits a uint8 sum, which is much faster than
+    # an intp one.
+    rising = np.all(table[1:] >= table[:-1], axis=0)
+    other = np.flatnonzero(~rising)
+    rest = table[:, other]
+    firsts = np.empty((zs.size, table.shape[1]), dtype=np.uint8)
     missed = multiple = False
     for j, z in enumerate(zs):
-        above = table >= z
-        flips = above[:-1] != above[1:]
-        counts = flips.sum(axis=0)
-        firsts[j] = np.argmax(flips, axis=0)
-        missed |= bool(np.any(counts == 0))
-        multiple |= bool(np.any(counts > 1))
-    return grid, table, firsts, missed, multiple
+        k = np.add.reduce((table >= z).view(np.uint8), axis=0, dtype=np.uint8)
+        one = (k > 0) & (k < _SCAN_POINTS)
+        firsts[j] = np.where(one, _SCAN_POINTS - 1 - k, 0)
+        missed |= bool(np.any(rising & ~one))
+        if other.size:
+            above = rest >= z
+            flips = above[:-1] != above[1:]
+            counts = flips.sum(axis=0)
+            firsts[j, other] = np.argmax(flips, axis=0)
+            missed |= bool(np.any(counts == 0))
+            multiple |= bool(np.any(counts > 1))
+    return firsts, missed, multiple
 
 
 def _illinois(g, a, b, ga, gb):
@@ -230,12 +274,14 @@ def _illinois(g, a, b, ga, gb):
     raise RuntimeError("hyperplane root refinement did not converge")
 
 
-def _profile_radii(body, pole, lifted, z, a, b, ga, gb, cap):
+def _profile_radii(body, pole, lifted_t, z, a, b, ga, gb, cap):
     # one height's cut boundary: refine the per-node brackets, read psi*
     # off one secant step on the final bracket, and return the profile
-    # radii rho cos(psi*) about the foot point
+    # radii rho cos(psi*) about the foot point; each step's sin(psi)
+    # serves both its points and its g
     def g(psi):
-        return body.evaluate(_latitude_points(pole, lifted, psi)) * np.sin(psi) - z
+        sin = np.sin(psi)
+        return body.evaluate(_node_points(pole, lifted_t, sin, np.cos(psi))) * sin - z
 
     a, b, ga, gb = _illinois(g, a, b, ga, gb)
     denom = gb - ga
@@ -243,7 +289,8 @@ def _profile_radii(body, pole, lifted, z, a, b, ga, gb, cap):
     psi_star = np.where(safe, b - gb * (b - a) / np.where(safe, denom, 1.0),
                         0.5 * (a + b))
     psi_star = np.clip(psi_star, -cap, cap)
-    return body.evaluate(_latitude_points(pole, lifted, psi_star)) * np.cos(psi_star)
+    cos = np.cos(psi_star)
+    return body.evaluate(_node_points(pole, lifted_t, np.sin(psi_star), cos)) * cos
 
 
 def _side_radii(body, pole, lifted, zs, cap):
@@ -253,19 +300,21 @@ def _side_radii(body, pole, lifted, zs, cap):
     psi_max = min(math.asin(min(1.0, float(np.abs(zs).max()) / floor)) + 0.1, cap)
     up = zs[0] > 0.0
     lo, hi = (0.0, psi_max) if up else (-psi_max, 0.0)
-    grid, table, firsts, missed, multiple = _scan_side(body, pole, lifted, zs, lo, hi)
+    tiled = np.tile(pole, (lifted.shape[0], 1))
+    grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
     if missed:
         # widen once to the full quarter before giving up
         lo, hi = (0.0, cap) if up else (-cap, 0.0)
-        grid, table, firsts, missed, multiple = _scan_side(body, pole, lifted, zs, lo, hi)
+        grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
         if missed:
             raise ValueError("root bracketing failed: the cut misses some meridians")
     if multiple:
         raise ValueError("multiple boundary crossings: cut is not star-shaped "
                          "about its foot point")
     cols = np.arange(lifted.shape[0])
+    lifted_t = np.ascontiguousarray(lifted.T)
     for z, first in zip(zs, firsts):
-        yield _profile_radii(body, pole, lifted, z, grid[first], grid[first + 1],
+        yield _profile_radii(body, pole, lifted_t, z, grid[first], grid[first + 1],
                               table[first, cols] - z, table[first + 1, cols] - z, cap)
 
 
@@ -283,7 +332,13 @@ def hyperplane_section(body, frame, z, rule):
     by a 64-point scan (which doubles as a multi-root probe), refined
     by Illinois steps inside that bracket to width 1e-12, and read off
     one secant step on the final bracket.  Only values of rho are used,
-    so bodies with and without a gradient take the same path.
+    so bodies with and without a gradient take the same path, and the
+    body always receives C-contiguous (N, n) points: scan points from
+    the tiled pole, per-node points built coordinate-major and copied
+    once to C order.  The scan reads each node whose tabulated
+    rho sin(psi) never falls along the grid (the rising-column shortcut
+    of `_scan_side`) from one count of grid points at or above z; only
+    the other nodes are searched for their first sign change.
 
     z may be a scalar or a 1-d array of heights.  The scan values
     rho sin(psi) do not depend on z, so all heights on one side of the

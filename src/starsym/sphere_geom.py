@@ -144,9 +144,10 @@ def embed(frame, eta, psi):
     [-pi/2, pi/2] or equator coordinates that are not unit vectors.
     The internal callers (`equator_derivative` and so every pole sweep,
     the section functions in `slice_transforms`) lift the trusted rule
-    nodes once and skip these checks through the private
-    `_latitude_points`, the expression this function returns, so their
-    points are bit-identical.
+    nodes once and skip these checks; their points are bit-identical to
+    the private `_latitude_points`, the expression this function
+    returns.  The section functions compute the same products and sum
+    in layouts whose inner loops run over the nodes.
 
     Parameters
     ----------

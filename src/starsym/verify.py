@@ -125,6 +125,21 @@ def _poles(n, cfg):
     return random_directions(n, cfg.num_xi, seed=cfg.seed)
 
 
+# node cap of the rules behind the pointwise checks (set_identity,
+# tail_term): the size of the default n = 4 rule
+_POINTWISE_NODES = 2048
+
+
+def _pointwise_rule(n, cfg):
+    # the configured rule, its resolution halved until it has at most
+    # _POINTWISE_NODES nodes; a resolution cap would leave the default
+    # 8192-node rules of n = 5, 6 whole
+    rule = equator_rule(n, cfg.resolution)
+    while rule.size > _POINTWISE_NODES:
+        rule = equator_rule(n, rule.resolution // 2)
+    return rule
+
+
 @lru_cache(maxsize=32)
 def _frames(n, cfg):
     # the completed frames of the verify poles in dimension n
@@ -182,7 +197,7 @@ def _check_rule_mass(cfg, n):
         "latitude points lie on the sphere and on the plane <u,xi> = z",
         dims=(2, 3, 4, 5, 6))
 def _check_set_identity(cfg, n):
-    rule = equator_rule(n, min(equator_rule(n, cfg.resolution).resolution, 64))
+    rule = _pointwise_rule(n, cfg)
     frame = _frames(n, cfg)[0]
     for z in (-0.9, -0.3, 0.0, 0.45, 0.95):
         u = embed(frame, rule.nodes, math.asin(z))
@@ -264,7 +279,7 @@ def _check_majorant(cfg, _):
 @_check("tail_term", 1e-12, "the cos-power tail term obeys its linear-in-psi bound",
         dims=(2, 3, 4, 5, 6))
 def _check_tail_term(cfg, n):
-    rule = equator_rule(n, min(equator_rule(n, cfg.resolution).resolution, 64))
+    rule = _pointwise_rule(n, cfg)
     f = to_scalar_field(_bodies(n)[1])
     cbound = vol_sphere(n - 2) * f.sup_bound * (n - 2) * math.pi / 4.0
     frame = _frames(n, cfg)[0]

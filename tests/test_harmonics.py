@@ -379,3 +379,25 @@ def test_injectivity_probe_recovers_odd_fields():
 def test_injectivity_probe_rejects_even_content():
     with pytest.raises(ValueError):
         injectivity_probe({(2, 1): 0.5})
+
+
+
+def test_value_only_zonal_recurrence_equals_the_pair(monkeypatch):
+    # evaluate skips the derivative recurrence; the values keep their bits
+    pair = harmonics._zonal
+    t = np.concatenate([np.linspace(-1.0, 1.0, 257), [0.0, -0.0, 1e-300]])
+    for dim in (2, 3, 4, 5, 6, 9, 23):
+        for degree in range(LMAX + 2):
+            alone = pair(dim, degree, t, derivative=False)
+            assert alone.tobytes() == pair(dim, degree, t)[0].tobytes(), (dim, degree)
+    # real_harmonic's and zonal_field's evaluate, against the value half
+    # of the two-output recurrence
+    fields = [real_harmonic(l, m) for l, m in ((0, 0), (3, 1), (7, -4), (10, 2))]
+    fields += [zonal_field(n, l, np.arange(1.0, n + 1.0)) for n, l in ((2, 5), (4, 7), (6, 10))]
+    points = [random_directions(f.dim, 300, seed=f.dim) for f in fields]
+    fast = [f.evaluate(u) for f, u in zip(fields, points)]
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonics, "_zonal", lambda dim, degree, t, derivative=True:
+                      pair(dim, degree, t) if derivative else pair(dim, degree, t)[0])
+        slow = [f.evaluate(u) for f, u in zip(fields, points)]
+    assert [v.tobytes() for v in fast] == [v.tobytes() for v in slow]

@@ -12,6 +12,7 @@ from starsym import (
     SectionCurve,
     body_ball,
     body_ellipsoid,
+    body_harmonic_perturbed_ball,
     body_shifted_ball,
     conical_section,
     derivative_at_zero,
@@ -537,3 +538,184 @@ def test_equator_transform_fd_fallback_matches_analytic():
     a = equator_transform(g, frame, rule)
     b = equator_transform(bare, frame, rule)
     assert abs(a - b) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The point and scan kernels, pinned bit for bit against the broadcast
+# points, the per-height sign-change scan and the root function they
+# replaced (copied here as they stood)
+
+
+def _old_points(pole, lifted, psi):
+    psi = np.asarray(psi, dtype=float)
+    return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
+
+
+def _old_crossings(table, zs):
+    firsts = np.empty((len(zs), table.shape[1]), dtype=np.uint8)
+    missed = multiple = False
+    for j, z in enumerate(zs):
+        above = table >= z
+        flips = above[:-1] != above[1:]
+        counts = flips.sum(axis=0)
+        firsts[j] = np.argmax(flips, axis=0)
+        missed |= bool(np.any(counts == 0))
+        multiple |= bool(np.any(counts > 1))
+    return firsts, missed, multiple
+
+
+def _old_side_radii(body, pole, lifted, zs, cap):
+    floor = max(body.radius_floor, 1e-12)
+    psi_max = min(math.asin(min(1.0, float(np.abs(zs).max()) / floor)) + 0.1, cap)
+    up = zs[0] > 0.0
+
+    def scan(lo, hi):
+        grid = np.linspace(lo, hi, 64)
+        table = np.empty((64, lifted.shape[0]))
+        for i, psi in enumerate(grid):
+            table[i] = body.evaluate(_old_points(pole, lifted, psi)) * math.sin(psi)
+        return (grid, table) + _old_crossings(table, zs)
+
+    grid, table, firsts, missed, multiple = scan(*((0.0, psi_max) if up else (-psi_max, 0.0)))
+    if missed:
+        grid, table, firsts, missed, multiple = scan(*((0.0, cap) if up else (-cap, 0.0)))
+        if missed:
+            raise ValueError("root bracketing failed: the cut misses some meridians")
+    if multiple:
+        raise ValueError("multiple boundary crossings: cut is not star-shaped "
+                         "about its foot point")
+    cols = np.arange(lifted.shape[0])
+    for z, first in zip(zs, firsts):
+        def g(psi):
+            return body.evaluate(_old_points(pole, lifted, psi)) * np.sin(psi) - z
+
+        a, b, ga, gb = slice_transforms._illinois(
+            g, grid[first], grid[first + 1], table[first, cols] - z, table[first + 1, cols] - z)
+        denom = gb - ga
+        safe = np.abs(denom) > 1e-300
+        psi_star = np.where(safe, b - gb * (b - a) / np.where(safe, denom, 1.0),
+                            0.5 * (a + b))
+        psi_star = np.clip(psi_star, -cap, cap)
+        yield body.evaluate(_old_points(pole, lifted, psi_star)) * np.cos(psi_star)
+
+
+def _old_hyperplane_section(body, frame, z, rule):
+    # the value path only: every height given here lies in the domain
+    zs, scalar = slice_transforms._heights(z)
+    n = frame.dim
+    lifted = rule.nodes @ frame.basis
+    rho_eq = body.evaluate(lifted)
+    values = np.empty(zs.shape)
+    values[zs == 0.0] = float(rule.weights @ (rho_eq ** (n - 1))) / (n - 1)
+    cap = math.pi / 2 - 1e-9
+    for side in (zs > 0.0, zs < 0.0):
+        index = np.flatnonzero(side)
+        if index.size:
+            for j, r in zip(index, _old_side_radii(body, frame.pole, lifted, zs[index], cap)):
+                values[j] = float(rule.weights @ (r ** (n - 1))) / (n - 1)
+    return slice_transforms._shaped(values, scalar)
+
+
+def _old_slice_integral(f, frame, z, rule):
+    zs, scalar = slice_transforms._heights(z)
+    lifted = rule.nodes @ frame.basis
+    values = np.empty(zs.shape)
+    for j, z in enumerate(zs):
+        psi = math.asin(z)
+        vals = f.evaluate(_old_points(frame.pole, lifted, psi))
+        values[j] = math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
+    return slice_transforms._shaped(values, scalar)
+
+
+def _outcome(fn, *args):
+    # a value as its exact bytes and type, or the error it raised
+    try:
+        value = fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+    if isinstance(value, slice_transforms.DerivativeAtZero):
+        return "slope", value.fd_steps, value.fd_value, value.transform_value
+    return type(value).__name__, np.asarray(value).tobytes()
+
+
+def _kernel_cases(n):
+    bodies = [body_ball(n, 1.1),
+              body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
+              body_ellipsoid(n, np.linspace(1.2, 0.9, n))]
+    cases = [(body, _off_axis_frame(n)) for body in bodies]
+    if n == 3:
+        cases.append((body_harmonic_perturbed_ball(0.08, 3, 1), _off_axis_frame(n)))
+        cases.append((_fold_body(), make_frame([0.0, 0.0, 1.0])))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_section_kernels_equal_the_replaced_formulas(n, monkeypatch):
+    rule = equator_rule(n)
+    for body, frame in _kernel_cases(n):
+        f = to_scalar_field(body)
+        heights = [_BATCH, 0.3, -0.45]
+        if body.label == "fold":
+            # folded cuts, alone and in a batch, raise in both
+            heights += [0.26, np.array([-0.26, 0.1])]
+            refusal = _outcome(hyperplane_section, body, frame, 0.26, rule)
+            assert refusal[1].startswith("multiple boundary crossings"), refusal
+        for z in heights:
+            assert (_outcome(hyperplane_section, body, frame, z, rule)
+                    == _outcome(_old_hyperplane_section, body, frame, z, rule)), (body.label, z)
+            assert (_outcome(slice_integral, f, frame, z, rule)
+                    == _outcome(_old_slice_integral, f, frame, z, rule)), (body.label, z)
+            assert (_outcome(conical_section, body, frame, z, rule)
+                    == _outcome(_old_slice_integral, f, frame, z, rule)), (body.label, z)
+        slopes = [_outcome(derivative_at_zero, kind, body, frame, rule)
+                  for kind in ("conical", "hyperplane")]
+        with monkeypatch.context() as patch:
+            patch.setattr(slice_transforms, "slice_integral", _old_slice_integral)
+            patch.setattr(slice_transforms, "hyperplane_section", _old_hyperplane_section)
+            assert slopes == [_outcome(derivative_at_zero, kind, body, frame, rule)
+                              for kind in ("conical", "hyperplane")], body.label
+
+
+def _synthetic_columns(count, seed=5):
+    # 64-row columns of every shape the scan meets, by name
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, 64)[:, None]
+    rising = np.sort(rng.uniform(-1.0, 1.0, (64, count)), axis=0)
+    # rising but for one fall of 1e-9 just past the height 0.1
+    nick = np.repeat(np.linspace(-1.0, 1.0, 64)[:, None], count, axis=1)
+    nick[35], nick[36] = 0.1, 0.1 - 1e-9
+    return {
+        "rising": rising,
+        "ties": np.round(rising, 1),
+        "below": rng.uniform(-3.0, -2.0, (64, count)),
+        "above": rng.uniform(2.0, 3.0, (64, count)),
+        "dip": 2.0 * x - 1.0 - 0.8 * np.exp(-((x - rng.uniform(0.3, 0.7, count)) / 0.1) ** 2),
+        "rise_fall": 4.0 * x * (1.0 - x) * rng.uniform(0.5, 1.5, count) - 0.5,
+        "flat": np.full((64, count), 0.3),
+        "nick": nick,
+    }
+
+
+def test_crossings_equal_the_per_height_scan():
+    columns = _synthetic_columns(40)
+    # heights on grid values (ties at z), the flat column's value, and
+    # heights above and below every column
+    zs = np.array([-3.5, -0.5, -0.2, 0.0, 0.1, 0.3, 0.6, 3.5,
+                   columns["rising"][20, 3], columns["ties"][40, 7]])
+    mixed = np.concatenate(list(columns.values()), axis=1)
+    tables = dict(columns, mixed=mixed,
+                  shuffled=mixed[:, np.random.default_rng(1).permutation(mixed.shape[1])])
+    for name, table in tables.items():
+        for heights in (zs, zs[:1], zs[5:6]):
+            new_firsts, new_missed, new_multiple = slice_transforms._crossings(table, heights)
+            old_firsts, old_missed, old_multiple = _old_crossings(table, heights)
+            assert new_firsts.dtype == np.uint8
+            assert np.array_equal(new_firsts, old_firsts), (name, heights)
+            assert (new_missed, new_multiple) == (old_missed, old_multiple), (name, heights)
+    # the flags the scan raises on: rising columns cross once between
+    # their ends, a dip or a rise and fall more than once
+    assert _old_crossings(columns["rising"], np.array([0.0]))[1:] == (False, False)
+    assert _old_crossings(columns["below"], np.array([0.0]))[1:] == (True, False)
+    assert _old_crossings(columns["dip"], np.array([0.0]))[2] is True
+    assert _old_crossings(columns["rise_fall"], np.array([0.0]))[2] is True
+    assert _old_crossings(columns["nick"], np.array([0.1]))[2] is True

@@ -137,3 +137,22 @@ def test_check_that_measures_nothing_fails(monkeypatch):
     assert not r.passed
     assert math.isnan(r.residual)
     assert r.detail == "no residual measured"
+
+
+
+@pytest.mark.parametrize("resolution", [None, 8, 64])
+def test_pointwise_rules_cap_their_node_count(resolution):
+    # set_identity and tail_term halve the resolution until the rule has
+    # at most 2048 nodes; a cap of 64 on the resolution itself left the
+    # default 8192-node rules of n = 5, 6 whole
+    cfg = VerifyConfig(resolution=resolution)
+    for n in range(2, 7):
+        full = equator_rule(n, resolution)
+        rule = verify._pointwise_rule(n, cfg)
+        assert rule.size <= 2048
+        if full.size <= 2048:
+            assert rule.resolution == full.resolution
+        else:
+            assert equator_rule(n, 2 * rule.resolution).size > 2048
+    if resolution is None:
+        assert [verify._pointwise_rule(n, cfg).size for n in (5, 6)] == [1024, 512]
