@@ -194,8 +194,8 @@ def conical_section(body, frame, z, rule):
 def _scan_side(body, tiled, lifted, zs, psi_lo, psi_hi):
     """Bracket the cut boundary of heights on one side of the equator.
 
-    Tabulates rho(eta, psi) sin(psi) on a uniform 64-point latitude grid,
-    one row per grid latitude, from C-contiguous `_ring_points`.  The
+    Tabulates rho(eta, psi) sin(psi) on a uniform 64-point grid over
+    [psi_lo, psi_hi], one row per latitude, from `_ring_points`.  The
     table does not depend on the height, so every height on the side
     reads its g = table - z from it; `_crossings` returns, per height and
     node, the grid index of the first sign change of g, and whether some
@@ -274,40 +274,42 @@ def _illinois(g, a, b, ga, gb):
     raise RuntimeError("hyperplane root refinement did not converge")
 
 
-def _profile_radii(body, pole, lifted_t, z, a, b, ga, gb, cap):
-    # one height's cut boundary: refine the per-node brackets, read psi*
-    # off one secant step on the final bracket, and return the profile
-    # radii rho cos(psi*) about the foot point; each step's sin(psi)
-    # serves both its points and its g
+def _profile_radii(body, pole, lifted_t, z, a, b, ga, gb):
+    # one height's cut boundary: refine the per-node brackets, then read
+    # the profile radii r = rho cos(psi) = (g + z) / tan(psi) off the final
+    # bracket's ends by one secant step; each sin(psi) serves points and g
     def g(psi):
         sin = np.sin(psi)
         return body.evaluate(_node_points(pole, lifted_t, sin, np.cos(psi))) * sin - z
 
     a, b, ga, gb = _illinois(g, a, b, ga, gb)
-    denom = gb - ga
-    safe = np.abs(denom) > 1e-300
-    psi_star = np.where(safe, b - gb * (b - a) / np.where(safe, denom, 1.0),
-                        0.5 * (a + b))
-    psi_star = np.clip(psi_star, -cap, cap)
-    cos = np.cos(psi_star)
-    return body.evaluate(_node_points(pole, lifted_t, np.sin(psi_star), cos)) * cos
+    # ga and gb differ in sign, so t lies in [0, 1]; both are 0 only at an exact root
+    t = np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga)
+    ra, rb = (ga + z) / np.tan(a), (gb + z) / np.tan(b)
+    return ra + t * (rb - ra)
 
 
-def _side_radii(body, pole, lifted, zs, cap):
+def _side_radii(body, pole, lifted, zs):
     # profile radii for heights all on one side of the equator, one
-    # height at a time; the scan range is sized by the largest |z|
-    floor = max(body.radius_floor, 1e-12)
-    psi_max = min(math.asin(min(1.0, float(np.abs(zs).max()) / floor)) + 0.1, cap)
-    up = zs[0] > 0.0
-    lo, hi = (0.0, psi_max) if up else (-psi_max, 0.0)
+    # height at a time.  radius_floor <= rho <= radius_bound puts every
+    # crossing of rho sin(psi) = |z| in [asin(|z| / radius_bound),
+    # asin(|z| / radius_floor)]; one scan spans those intervals for all
+    # the heights, each end moved out by a relative 1e-3 so that a ball's
+    # equal bounds still bracket, and a node it misses breaks the bounds;
+    # a floor at or below the top height bounds nothing below the pole
+    size, floor = np.abs(zs), body.radius_floor
+    lo = math.asin(size.min() / body.radius_bound) * (1.0 - 1e-3)
+    hi = math.asin(size.max() / floor) * (1.0 + 1e-3) if size.max() < floor else math.pi / 2
+    hi = min(hi, math.pi / 2 - 1e-9)
+    if zs[0] < 0.0:
+        lo, hi = -hi, -lo
     tiled = np.tile(pole, (lifted.shape[0], 1))
     grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
     if missed:
-        # widen once to the full quarter before giving up
-        lo, hi = (0.0, cap) if up else (-cap, 0.0)
-        grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
-        if missed:
-            raise ValueError("root bracketing failed: the cut misses some meridians")
+        raise ValueError("root bracketing failed: the cut misses some meridians between "
+                         "the latitudes the body's radius bounds allow, so its declared "
+                         f"radius_floor = {body.radius_floor:g} and radius_bound = "
+                         f"{body.radius_bound:g} do not bound rho")
     if multiple:
         raise ValueError("multiple boundary crossings: cut is not star-shaped "
                          "about its foot point")
@@ -315,7 +317,7 @@ def _side_radii(body, pole, lifted, zs, cap):
     lifted_t = np.ascontiguousarray(lifted.T)
     for z, first in zip(zs, firsts):
         yield _profile_radii(body, pole, lifted_t, z, grid[first], grid[first + 1],
-                              table[first, cols] - z, table[first + 1, cols] - z, cap)
+                              table[first, cols] - z, table[first + 1, cols] - z)
 
 
 def hyperplane_section(body, frame, z, rule):
@@ -323,29 +325,25 @@ def hyperplane_section(body, frame, z, rule):
 
     For each equator node the meridian latitude psi* solving
     rho(eta, psi) sin(psi) = z locates the cut boundary; the profile
-    radius about the foot point z xi is r = rho cos(psi*), and the cut
-    volume is sum_i w_i r_i^{n-1} / (n-1).  The foot point must lie in
-    the body, -rho(-xi) < z < rho(xi), and the cut must be star-shaped
-    about it.  |z| must also stay below the smallest equator radius:
-    past it, heights between rho(xi) and the support h(xi) cut the body
-    out of reach of any ray from the foot point.  The root is bracketed
-    by a 64-point scan (which doubles as a multi-root probe), refined
-    by Illinois steps inside that bracket to width 1e-12, and read off
-    one secant step on the final bracket.  Only values of rho are used,
-    so bodies with and without a gradient take the same path, and the
-    body always receives C-contiguous (N, n) points: scan points from
-    the tiled pole, per-node points built coordinate-major and copied
-    once to C order.  The scan reads each node whose tabulated
-    rho sin(psi) never falls along the grid (the rising-column shortcut
-    of `_scan_side`) from one count of grid points at or above z; only
-    the other nodes are searched for their first sign change.
+    radius about the foot point z xi is r = rho cos(psi*) = z / tan(psi*),
+    and the cut volume is sum_i w_i r_i^{n-1} / (n-1).  The root is
+    bracketed by a 64-point scan of the latitudes where the body's radius
+    bounds allow a crossing (`_side_radii`), which doubles as a
+    multi-root probe, and refined by Illinois steps inside that bracket
+    to width 1e-12; one secant step on the final bracket reads r off its
+    ends, where g = rho sin(psi) - z gives r = (g + z) / tan(psi).
+    Only values of rho are used, so bodies with and without a gradient
+    take the same path, and the body always receives C-contiguous
+    (N, n) points.  Three cuts are refused: one whose foot point lies
+    outside the body (-rho(-xi) < z < rho(xi) must hold; every height is
+    checked before any scan), one that crosses a meridian more than once
+    (it is not star-shaped about its foot point), and one whose root
+    refinement does not converge.
 
     z may be a scalar or a 1-d array of heights.  The scan values
     rho sin(psi) do not depend on z, so all heights on one side of the
-    equator share one scan, sized by their largest |z|; a single height
-    scans exactly the grid it would scan alone.  Every height is
-    checked, foot point first, before any scan.  Returns a float for a
-    scalar z and an array shaped like z otherwise.
+    equator share one scan.  Returns a float for a scalar z and an
+    array shaped like z otherwise.
     """
     _check_rule(frame, rule)
     zs, scalar = _heights(z)
@@ -358,16 +356,16 @@ def hyperplane_section(body, frame, z, rule):
                          f"outside the body: rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and "
                          "hyperplane cuts need -rho(-xi) < z < rho(xi)")
     lifted = rule.nodes @ frame.basis
-    rho_eq = body.evaluate(lifted)
-    if not np.all(np.abs(zs) < float(rho_eq.min())):
-        raise ValueError("height |z| must stay below the equator radius of the body")
     values = np.empty(zs.shape)
-    values[zs == 0.0] = float(rule.weights @ (rho_eq ** (n - 1))) / (n - 1)
-    cap = math.pi / 2 - 1e-9
+    # below the normal range V(z) equals V(0) to double precision, while
+    # the scan's latitudes would lose their digits
+    flat = np.abs(zs) < np.finfo(float).tiny
+    if np.any(flat):
+        values[flat] = float(rule.weights @ (body.evaluate(lifted) ** (n - 1))) / (n - 1)
     for side in (zs > 0.0, zs < 0.0):
-        index = np.flatnonzero(side)
+        index = np.flatnonzero(side & ~flat)
         if index.size:
-            for j, r in zip(index, _side_radii(body, pole, lifted, zs[index], cap)):
+            for j, r in zip(index, _side_radii(body, pole, lifted, zs[index])):
                 values[j] = float(rule.weights @ (r ** (n - 1))) / (n - 1)
     return _shaped(values, scalar)
 

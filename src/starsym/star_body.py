@@ -28,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sphere_geom import (
-    _latitude_points,
     check_dim,
     geodesic_distance,
     probe_directions,

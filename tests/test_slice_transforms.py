@@ -133,12 +133,19 @@ _HEIGHTS = (-0.5, -0.1, 0.1, 0.5)
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_section_of_shifted_ball_all_dims(n):
+    # the last four heights pass the smallest equator radius (0.65 to
+    # 0.71 on the rule's nodes) but stay below rho(+-xi) (0.90 to 0.98),
+    # so the foot point is inside and the cut reaches past the equator
     radius = 1.0
     center = np.linspace(0.25, -0.15, n)
     body = body_shifted_ball(n, radius, center)
     frame = _off_axis_frame(n)
     rule = equator_rule(n)
-    for z in _HEIGHTS:
+    top, bottom = body.evaluate(np.stack([frame.pole, -frame.pole]))
+    past = (-0.9, -0.75, 0.75, 0.85)
+    assert float(body.evaluate(rule.nodes @ frame.basis).min()) < 0.75
+    assert -bottom < min(past) and max(past) < top
+    for z in _HEIGHTS + past:
         d = float(center @ frame.pole) - z
         want = _ball_volume(n - 1) * (radius ** 2 - d ** 2) ** ((n - 1) / 2)
         got = hyperplane_section(body, frame, z, rule)
@@ -189,9 +196,9 @@ def _count_evaluations(body):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_section_evaluation_budget(n):
-    # the foot point, the equator radius, a 64-point scan and a short
-    # refinement; on the second ellipsoid some false-position points
-    # round onto a bracket end that already sits on the root
+    # the foot point, a 64-point scan and a short refinement; on the
+    # second ellipsoid some false-position points round onto a bracket
+    # end that already sits on the root
     bodies = (body_ball(n, 1.1),
               body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
               body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
@@ -214,8 +221,9 @@ def _budget_bodies(n):
             body_ellipsoid(n, np.linspace(0.8, 1.5, n)))
 
 
-# mixed signs and z = 0, unsorted, all inside every budget body
-_BATCH = np.array([0.3, -0.5, 0.0, 0.45, -0.05, 0.1, -0.3, 0.5, -0.1])
+# mixed signs, z = 0 and a height far below the root solver's 1e-12
+# bracket width, unsorted, all inside every budget body
+_BATCH = np.array([0.3, -0.5, 0.0, 0.45, -0.05, 0.1, -0.3, 0.5, -0.1, 2e-13])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -255,9 +263,10 @@ def test_slice_and_conical_batches_equal_scalar_calls(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_section_curve_and_ladder_evaluation_budget(n):
-    # one rho_eq evaluation, one 64-point scan per side of the equator,
-    # and at most 8 evaluations (refinement plus the final read) per
-    # nonzero height: 257 for the full 17-height grid, 193 for the ladder
+    # the foot point, one 64-point scan per side of the equator, the
+    # equator radii when z = 0 is on the grid, and the refinement of each
+    # nonzero height: at most 6 steps on the curve grid and 4 on the
+    # ladder's small heights, whose roots the bounds bracket tightly
     grid = -0.8 + 0.1 * np.arange(17)
     frame = _off_axis_frame(n)
     rule = equator_rule(n)
@@ -267,10 +276,10 @@ def test_section_curve_and_ladder_evaluation_budget(n):
         counted, calls = _count_evaluations(body)
         curve = section_curve("hyperplane", counted, frame, zs, rule)
         assert np.array_equal(curve.values, hyperplane_section(body, frame, zs, rule))
-        assert len(calls) <= 2 * 64 + 8 * np.count_nonzero(zs) + 1, (body.label, len(calls))
+        assert len(calls) <= 2 * 64 + 6 * np.count_nonzero(zs) + 2, (body.label, len(calls))
         calls.clear()
         derivative_at_zero("hyperplane", counted, frame, rule)
-        assert len(calls) <= 2 * 64 + 8 * 8 + 1, (body.label, len(calls))
+        assert len(calls) <= 2 * 64 + 4 * 8 + 1, (body.label, len(calls))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -335,6 +344,10 @@ def test_conical_and_hyperplane_coincide_at_zero():
         cs = conical_section(body, frame, 0.0, rule)
         hs = hyperplane_section(body, frame, 0.0, rule)
         assert abs(cs - hs) <= 1e-14 * abs(cs)
+        # below the normal range a height reads as z = 0, where V(z)
+        # equals V(0) to double precision
+        tiny = hyperplane_section(body, frame, np.array([-5e-324, 1e-320, 0.5]), rule)
+        assert tiny[0] == tiny[1] == hs
 
 
 def test_slice_integral_rejects_out_of_range_heights():
@@ -424,23 +437,66 @@ def test_hyperplane_section_detects_multiple_crossings():
 
 def test_hyperplane_section_domain():
     # a prolate ellipsoid cut across its long axis matches the ellipse
-    # area pi a b (1 - z^2 / c^2) below its smallest equator radius 0.6
+    # area pi a b (1 - z^2 / c^2) on its whole support, also past its
+    # smallest equator radius 0.6
     body = body_ellipsoid(3, (0.6, 0.7, 1.2))
     frame = make_frame([0.0, 0.0, 1.0])
-    zs = np.array([-0.55, -0.3, 0.0, 0.3, 0.55])
+    zs = np.array([-0.9, -0.55, -0.3, 0.0, 0.3, 0.55, 0.9])
     want = math.pi * 0.6 * 0.7 * (1.0 - zs ** 2 / 1.44)
     got = hyperplane_section(body, frame, zs, equator_rule(3))
     assert np.max(np.abs(got - want) / want) <= 1e-12
-    # past that radius its foot point is still inside, but the cut is
-    # refused: a shifted ball's heights between rho(xi) and the support
-    # h(xi) have a cut that no ray from the foot point reaches
-    with pytest.raises(ValueError, match="equator radius"):
-        hyperplane_section(body, frame, np.array([0.3, -0.9]), equator_rule(3))
     # an oblate one refuses the cut whose foot point lies above its
     # pole, although 0.6 is below its equator radius 1.1
     oblate = body_ellipsoid(3, (1.2, 1.1, 0.5))
     with pytest.raises(ValueError, match="rho\\(xi\\) = 0.5"):
         hyperplane_section(oblate, frame, 0.6, equator_rule(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_scan_spans_the_latitudes_the_bounds_allow(n, monkeypatch):
+    # every crossing of rho sin(psi) = |z| lies in [asin(|z| / bound),
+    # asin(|z| / floor)]: each scan strictly contains those intervals for
+    # its heights, and stays inside the range [0, asin(max |z| / floor)
+    # + 0.1] that the scan used to cover, so the multi-root probe is
+    # never coarser than it was
+    scans = []
+    scan_side = slice_transforms._scan_side
+
+    def recorded(body, tiled, lifted, zs, lo, hi):
+        scans.append((body, zs, lo, hi))
+        return scan_side(body, tiled, lifted, zs, lo, hi)
+
+    monkeypatch.setattr(slice_transforms, "_scan_side", recorded)
+    frame = _off_axis_frame(n)
+    for body in _budget_bodies(n):
+        hyperplane_section(body, frame, _BATCH, equator_rule(n))
+        hyperplane_section(body, frame, 0.3, equator_rule(n))
+    assert len(scans) == 12
+    cap = math.pi / 2 - 1e-9
+    for body, zs, lo, hi in scans:
+        lo, hi = sorted((abs(lo), abs(hi)))
+        size = np.abs(zs)
+        assert np.all(zs > 0.0) or np.all(zs < 0.0)
+        assert 0.0 < lo < np.arcsin(size.min() / body.radius_bound)
+        assert np.arcsin(np.minimum(1.0, size.max() / body.radius_floor)) < hi or hi == cap
+        assert hi <= min(math.asin(min(1.0, size.max() / body.radius_floor)) + 0.1, cap)
+
+
+def test_hyperplane_section_names_broken_radius_bounds():
+    # the scan spans only the latitudes the radius bounds allow, so a
+    # radius_floor above the true minimum 0.8 leaves the meridians where
+    # rho < 0.95 without a crossing at z = 0.5, and the error says so
+    body = body_ellipsoid(3, (1.2, 1.0, 0.8))
+    object.__setattr__(body, "radius_floor", 0.95)
+    frame = make_frame([0.0, 0.0, 1.0])
+    for z in (0.5, -0.5, np.array([-0.5, 0.2, 0.5])):
+        with pytest.raises(ValueError, match=r"radius_floor = 0\.95 and radius_bound = 1\.2 "
+                                             r"do not bound rho"):
+            hyperplane_section(body, frame, z, _rule(3))
+    # a floor of 0 bounds nothing, so the scan reaches up to the pole
+    object.__setattr__(body, "radius_floor", 0.0)
+    got = hyperplane_section(body, frame, np.array([-0.5, 0.5]), _rule(3))
+    assert np.allclose(got, math.pi * 1.2 * (1.0 - 0.25 / 0.64), rtol=1e-12, atol=0.0)
 
 
 def test_section_curve_kinds_and_type_checks():
@@ -541,9 +597,10 @@ def test_equator_transform_fd_fallback_matches_analytic():
 
 
 # ---------------------------------------------------------------------------
-# The point and scan kernels, pinned bit for bit against the broadcast
-# points, the per-height sign-change scan and the root function they
-# replaced (copied here as they stood)
+# The point and scan kernels, pinned against the broadcast points, the
+# per-height sign-change scan and the root function they replaced
+# (copied here as they stood): bit for bit, but for the hyperplane
+# values and slopes, whose scan grid and radius read have since changed
 
 
 def _old_points(pole, lifted, psi):
@@ -638,6 +695,20 @@ def _outcome(fn, *args):
     return type(value).__name__, np.asarray(value).tobytes()
 
 
+def _hyperplane_agrees(new, old):
+    # outcomes of `_outcome`: errors and types agree exactly, hyperplane
+    # values within 4e-15 relative, ladder and fd slopes within 5e-12
+    # absolute and the transform side exactly
+    if new[0] != old[0] or new[0] == "error":
+        return new == old
+    if new[0] == "slope":
+        (hs, ests), (old_hs, old_ests) = (tuple(zip(*o[1])) for o in (new, old))
+        return (hs == old_hs and new[3] == old[3]
+                and np.allclose(ests + (new[2],), old_ests + (old[2],), rtol=0.0, atol=5e-12))
+    got, want = np.frombuffer(new[1]), np.frombuffer(old[1])
+    return bool(np.all(np.abs(got - want) <= 4e-15 * np.abs(want)))
+
+
 def _kernel_cases(n):
     bodies = [body_ball(n, 1.1),
               body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
@@ -661,8 +732,9 @@ def test_section_kernels_equal_the_replaced_formulas(n, monkeypatch):
             refusal = _outcome(hyperplane_section, body, frame, 0.26, rule)
             assert refusal[1].startswith("multiple boundary crossings"), refusal
         for z in heights:
-            assert (_outcome(hyperplane_section, body, frame, z, rule)
-                    == _outcome(_old_hyperplane_section, body, frame, z, rule)), (body.label, z)
+            assert _hyperplane_agrees(_outcome(hyperplane_section, body, frame, z, rule),
+                                      _outcome(_old_hyperplane_section, body, frame, z, rule)), (
+                body.label, z)
             assert (_outcome(slice_integral, f, frame, z, rule)
                     == _outcome(_old_slice_integral, f, frame, z, rule)), (body.label, z)
             assert (_outcome(conical_section, body, frame, z, rule)
@@ -672,8 +744,10 @@ def test_section_kernels_equal_the_replaced_formulas(n, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(slice_transforms, "slice_integral", _old_slice_integral)
             patch.setattr(slice_transforms, "hyperplane_section", _old_hyperplane_section)
-            assert slopes == [_outcome(derivative_at_zero, kind, body, frame, rule)
-                              for kind in ("conical", "hyperplane")], body.label
+            old = [_outcome(derivative_at_zero, kind, body, frame, rule)
+                   for kind in ("conical", "hyperplane")]
+        assert slopes[0] == old[0], body.label
+        assert _hyperplane_agrees(slopes[1], old[1]), body.label
 
 
 def _synthetic_columns(count, seed=5):
