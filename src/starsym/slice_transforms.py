@@ -38,6 +38,12 @@ from .star_body import (
 _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
+# points per `_illinois` call: a side's heights at n <= 3, four at n = 4, one at n = 5, 6
+_GROUP_POINTS = 8192
+# compass search of `_summit`: first step in its chart, final step, step cap
+_SUMMIT_STEP = 0.5
+_SUMMIT_WIDTH = 1e-9
+_MAX_SUMMIT = 400
 # slope ladder of derivative_at_zero: steps _LADDER_H0 / 2^k, k < _LADDER_LEVELS
 _LADDER_H0 = 1e-2
 _LADDER_LEVELS = 4
@@ -137,13 +143,15 @@ def _ring_points(tiled, lifted, psi):
     return np.sin(psi) * tiled + np.cos(psi) * lifted
 
 
-def _node_points(pole, lifted_t, sin, cos):
-    # the points at per-node latitudes, sin_i pole + cos_i lifted_i, built
-    # coordinate-major from the (n, N) transpose of the lifted nodes so
-    # that the inner loops run over the nodes, then copied once to C
-    # order: bodies always receive C-contiguous points, since a
-    # Fortran-ordered array changes BLAS's matrix-vector rounding
-    return np.ascontiguousarray((sin * pole[:, None] + cos * lifted_t).T)
+def _node_points(poles_t, lifted_t, sin, cos):
+    # the points at per-node latitudes, sin_i pole_i + cos_i lifted_i, for
+    # (N,) or (G, N) latitudes, built coordinate-major from the (n, N)
+    # transpose of the lifted nodes and the (n, 1) or (n, N) poles, so that
+    # the inner loops run over the nodes, then copied once to C order as
+    # (N, n) or (G N, n): bodies always receive C-contiguous points, since
+    # a Fortran-ordered array changes BLAS's matrix-vector rounding
+    points = sin[..., None, :] * poles_t + cos[..., None, :] * lifted_t
+    return np.ascontiguousarray(np.moveaxis(points, -2, -1)).reshape(-1, len(lifted_t))
 
 
 def slice_integral(f, frame, z, rule):
@@ -247,7 +255,7 @@ def _illinois(g, a, b, ga, gb):
     # than _ROOT_WIDTH or has hit an exact zero, and returns the brackets
     # with their unscaled end values; raises at the iteration cap.
     fa, fb = ga, gb
-    kept = np.zeros(a.shape)  # -1: a was kept last, +1: b was kept last
+    kept_a = kept_b = np.zeros(a.shape, dtype=bool)  # that end was kept last
     done = (b - a <= _ROOT_WIDTH) | (ga == 0.0) | (gb == 0.0)
     for _ in range(_MAX_REFINE):
         if done.all():
@@ -261,12 +269,14 @@ def _illinois(g, a, b, ga, gb):
         c = np.where((c >= a) & (c <= b), c, 0.5 * (a + b))
         c = np.clip(c, a + _ROOT_WIDTH / 2, b - _ROOT_WIDTH / 2)
         gc = g(c)
-        zero = ~done & (gc == 0.0)
-        left = ~done & ~zero & ((gc < 0.0) == (ga < 0.0))  # c replaces a
-        right = ~done & ~zero & ~left                      # c replaces b
-        fa = np.where(right & (kept == -1), 0.5 * fa, fa)
-        fb = np.where(left & (kept == 1), 0.5 * fb, fb)
-        kept = np.where(left, 1.0, np.where(right, -1.0, kept))
+        zero = gc == 0.0
+        left = (gc < 0.0) == (ga < 0.0)  # c replaces a
+        left &= ~(zero | done)
+        right = ~(left | zero | done)    # c replaces b
+        zero &= ~done
+        fa = np.where(right & kept_a, 0.5 * fa, fa)
+        fb = np.where(left & kept_b, 0.5 * fb, fb)
+        kept_a, kept_b = right | (kept_a & ~left), left | (kept_b & ~right)
         to_a, to_b = left | zero, right | zero
         a, ga, fa = np.where(to_a, c, a), np.where(to_a, gc, ga), np.where(to_a, gc, fa)
         b, gb, fb = np.where(to_b, c, b), np.where(to_b, gc, gb), np.where(to_b, gc, fb)
@@ -274,87 +284,168 @@ def _illinois(g, a, b, ga, gb):
     raise RuntimeError("hyperplane root refinement did not converge")
 
 
-def _profile_radii(body, pole, lifted_t, z, a, b, ga, gb):
+def _arc_heights(body, poles_t, lifted_t, rise, psi):
+    # rise sin(psi) rho(u) at the per-node points u = sin(psi) pole +
+    # cos(psi) lifted: the height of the boundary point rho(u) u along the
+    # side's pole when <u, pole> = rise sin(psi); each sin(psi) serves both
+    sin = np.sin(psi)
+    rho = body.evaluate(_node_points(poles_t, lifted_t, sin, np.cos(psi)))
+    return rho.reshape(psi.shape) * sin * rise
+
+
+def _profile_radii(body, poles_t, lifted_t, rise, z, a, b, ga, gb):
     # one height's cut boundary: refine the per-node brackets, then read
-    # the profile radii r = rho cos(psi) = (g + z) / tan(psi) off the final
-    # bracket's ends by one secant step; each sin(psi) serves points and g
+    # rho cos(psi) = (g + z) / (rise tan(psi)) off the final bracket's
+    # ends by one secant step
     def g(psi):
-        sin = np.sin(psi)
-        return body.evaluate(_node_points(pole, lifted_t, sin, np.cos(psi))) * sin - z
+        return _arc_heights(body, poles_t, lifted_t, rise, psi) - z
 
     a, b, ga, gb = _illinois(g, a, b, ga, gb)
     # ga and gb differ in sign, so t lies in [0, 1]; both are 0 only at an exact root
     t = np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga)
-    ra, rb = (ga + z) / np.tan(a), (gb + z) / np.tan(b)
+    ra, rb = (ga + z) / (rise * np.tan(a)), (gb + z) / (rise * np.tan(b))
     return ra + t * (rb - ra)
 
 
-def _side_radii(body, pole, lifted, zs):
-    # profile radii for heights all on one side of the equator, one
-    # height at a time.  radius_floor <= rho <= radius_bound puts every
-    # crossing of rho sin(psi) = |z| in [asin(|z| / radius_bound),
-    # asin(|z| / radius_floor)]; one scan spans those intervals for all
-    # the heights, each end moved out by a relative 1e-3 so that a ball's
-    # equal bounds still bracket, and a node it misses breaks the bounds;
-    # a floor at or below the top height bounds nothing below the pole
-    size, floor = np.abs(zs), body.radius_floor
-    lo = math.asin(size.min() / body.radius_bound) * (1.0 - 1e-3)
-    hi = math.asin(size.max() / floor) * (1.0 + 1e-3) if size.max() < floor else math.pi / 2
-    hi = min(hi, math.pi / 2 - 1e-9)
-    if zs[0] < 0.0:
-        lo, hi = -hi, -lo
-    tiled = np.tile(pole, (lifted.shape[0], 1))
-    grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
+def _summit(body, pole, basis):
+    # the direction u whose boundary point rho(u) u rises highest along
+    # `pole`, with that height rho(u) <u, pole>.  A compass search from
+    # the pole in the chart x = pole + y @ basis, u = x / |x|, where the
+    # height is rho(u) / |x|: it moves to the best of the 2(n-1)
+    # neighbours at the current step while one rises, and halves the
+    # step otherwise.  The segment from 0 to the boundary point lies in
+    # the body, so every height below the one found has a point inside
+    # its cut on that segment.
+    steps = np.concatenate([basis, -basis])
+    x, height, step = pole, float(body.evaluate(pole[None])[0]), _SUMMIT_STEP
+    for _ in range(_MAX_SUMMIT):
+        if step < _SUMMIT_WIDTH:
+            break
+        near = x + step * steps
+        norms = np.linalg.norm(near, axis=1)
+        heights = body.evaluate(near / norms[:, None]) / norms
+        k = int(np.argmax(heights))
+        if heights[k] > height:
+            x, height = near[k], float(heights[k])
+        else:
+            step *= 0.5
+    return x / np.linalg.norm(x), height
+
+
+def _side_radii(body, pole, lifted, zs, summit=None):
+    # profile radii for heights all on one side of the equator, yielded
+    # one height at a time, about the foot point, or, given the summit
+    # direction u of that side, about the point |z| u / <u, e> where the
+    # ray through u meets each cut (e = +-pole, the side's own pole)
+    size = np.abs(zs)
+    lifted_t = np.ascontiguousarray(lifted.T)
+    cols = np.arange(lifted.shape[0])
+    if summit is None:
+        # radius_floor <= rho <= radius_bound puts every crossing of
+        # rho sin(psi) = |z| in [asin(|z| / radius_bound), asin(|z| /
+        # radius_floor)]; one scan spans those intervals for all the
+        # heights, each end moved out by a relative 1e-3 so that a ball's
+        # equal bounds still bracket, and a node it misses breaks the
+        # bounds; a floor at or below the top height bounds nothing below
+        # the pole
+        floor = body.radius_floor
+        lo = math.asin(size.min() / body.radius_bound) * (1.0 - 1e-3)
+        hi = math.asin(size.max() / floor) * (1.0 + 1e-3) if size.max() < floor else math.pi / 2
+        hi = min(hi, math.pi / 2 - 1e-9)
+        if zs[0] < 0.0:
+            lo, hi = -hi, -lo
+        tiled = np.tile(pole, (lifted.shape[0], 1))
+        grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
+        poles_t, rise, shift, about = pole[:, None], 1.0, 0.0, "its foot point"
+
+        def latitudes(rows):
+            return grid[rows]
+    else:
+        # node theta's ray from that point leaves along the great-circle
+        # arc cos(psi) theta + sin(psi) v from theta (psi = 0) to u, with v
+        # the unit part of u normal to theta; there <x, e> = rise sin(psi)
+        # with rise = <u, e> / |v|, and the profile radius is rho cos(psi)
+        # less the offset |z| <u, theta> / <u, e> of the point from the
+        # foot point.  A crossing needs rise sin(psi) radius_bound >= |z|,
+        # so each node's scan runs from there, less a relative 1e-3, up to
+        # u, where every height is below the summit's
+        e = pole if zs[0] > 0.0 else -pole
+        up, c = summit @ e, lifted @ summit
+        normal = np.sqrt(1.0 - c * c)
+        poles_t = (summit[:, None] - c * lifted_t) / normal
+        rise = up / normal
+        lo = np.arcsin(size.min() / (body.radius_bound * rise)) * (1.0 - 1e-3)
+        span, steps = np.arctan2(normal, c) - lo, np.linspace(0.0, 1.0, _SCAN_POINTS)
+
+        def latitudes(rows):  # per-node scan rows, computed where they are read
+            return lo + span * steps[rows]
+
+        table = np.empty((_SCAN_POINTS, lifted.shape[0]))
+        for i in range(_SCAN_POINTS):
+            table[i] = _arc_heights(body, poles_t, lifted_t, rise, latitudes(i))
+        firsts, missed, multiple = _crossings(table, size)
+        zs, shift, about = size, c / up, "the point where the ray through its summit meets it"
     if missed:
         raise ValueError("root bracketing failed: the cut misses some meridians between "
                          "the latitudes the body's radius bounds allow, so its declared "
                          f"radius_floor = {body.radius_floor:g} and radius_bound = "
                          f"{body.radius_bound:g} do not bound rho")
     if multiple:
-        raise ValueError("multiple boundary crossings: cut is not star-shaped "
-                         "about its foot point")
-    cols = np.arange(lifted.shape[0])
-    lifted_t = np.ascontiguousarray(lifted.T)
-    for z, first in zip(zs, firsts):
-        yield _profile_radii(body, pole, lifted_t, z, grid[first], grid[first + 1],
-                              table[first, cols] - z, table[first + 1, cols] - z)
+        raise ValueError(f"multiple boundary crossings: cut is not star-shaped about {about}")
+    # heights are refined in groups of up to _GROUP_POINTS points, so that
+    # small rules do not pay numpy's per-call overhead once per height
+    group = max(1, _GROUP_POINTS // cols.size)
+    for start in range(0, zs.size, group):
+        z, first = zs[start:start + group, None], firsts[start:start + group]
+        r = _profile_radii(body, poles_t, lifted_t, rise, z, latitudes(first),
+                           latitudes(first + 1), table[first, cols] - z,
+                           table[first + 1, cols] - z)
+        yield from r - z * shift
 
 
 def hyperplane_section(body, frame, z, rule):
     """(n-1)-volume of the flat cut { x : <x, xi> = z } through the body.
 
-    For each equator node the meridian latitude psi* solving
-    rho(eta, psi) sin(psi) = z locates the cut boundary; the profile
-    radius about the foot point z xi is r = rho cos(psi*) = z / tan(psi*),
-    and the cut volume is sum_i w_i r_i^{n-1} / (n-1).  The root is
+    The cut is solved about a point inside it, along rays in the
+    directions of the lifted equator nodes theta, and its volume is
+    sum_i w_i r_i^{n-1} / (n-1) over the profile radii r_i.  When the
+    foot point z xi lies inside the body it is that point: for each node
+    the meridian latitude psi* solving rho(eta, psi) sin(psi) = z locates
+    the cut boundary, and r = rho cos(psi*) = z / tan(psi*).  The root is
     bracketed by a 64-point scan of the latitudes where the body's radius
     bounds allow a crossing (`_side_radii`), which doubles as a
     multi-root probe, and refined by Illinois steps inside that bracket
     to width 1e-12; one secant step on the final bracket reads r off its
     ends, where g = rho sin(psi) - z gives r = (g + z) / tan(psi).
+
+    A side of the equator with some foot point outside the body (z at
+    or above rho(xi), or at or below -rho(-xi)) is solved instead about
+    the point where the cut meets the ray through that side's summit:
+    the direction u found by `_summit` whose boundary point rises
+    highest along +-xi.  Meridians from the pole become great-circle
+    arcs from each theta to u, with the same scan, refinement and read.
     Only values of rho are used, so bodies with and without a gradient
     take the same path, and the body always receives C-contiguous
-    (N, n) points.  Three cuts are refused: one whose foot point lies
-    outside the body (-rho(-xi) < z < rho(xi) must hold; every height is
-    checked before any scan), one that crosses a meridian more than once
-    (it is not star-shaped about its foot point), and one whose root
-    refinement does not converge.
+    (N, n) points.  Three cuts are refused: one that misses the body
+    (|z| at or above radius_bound, or above the summit found; every
+    height is checked before any scan), one that crosses a ray more than
+    once (it is not star-shaped about the point it is solved about), and
+    one whose root refinement does not converge.
 
-    z may be a scalar or a 1-d array of heights.  The scan values
-    rho sin(psi) do not depend on z, so all heights on one side of the
-    equator share one scan.  Returns a float for a scalar z and an
-    array shaped like z otherwise.
+    z may be a scalar or a 1-d array of heights.  The scan values do not
+    depend on z, so all heights on one side of the equator share one
+    scan.  Returns a float for a scalar z and an array shaped like z
+    otherwise.
     """
     _check_rule(frame, rule)
     zs, scalar = _heights(z)
     n = frame.dim
     pole = frame.pole
+    beyond = ~(np.abs(zs) < body.radius_bound)
+    if np.any(beyond):
+        raise ValueError(f"the cut at z = {zs[beyond][0]:g} misses the body: hyperplane "
+                         f"cuts need |z| < radius_bound = {body.radius_bound:g}")
     top, bottom = body.evaluate(np.stack([pole, -pole]))
-    outside = ~((-bottom < zs) & (zs < top))
-    if np.any(outside):
-        raise ValueError(f"the foot point z xi of the cut at z = {zs[outside][0]:g} lies "
-                         f"outside the body: rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and "
-                         "hyperplane cuts need -rho(-xi) < z < rho(xi)")
     lifted = rule.nodes @ frame.basis
     values = np.empty(zs.shape)
     # below the normal range V(z) equals V(0) to double precision, while
@@ -362,10 +453,21 @@ def hyperplane_section(body, frame, z, rule):
     flat = np.abs(zs) < np.finfo(float).tiny
     if np.any(flat):
         values[flat] = float(rule.weights @ (body.evaluate(lifted) ** (n - 1))) / (n - 1)
-    for side in (zs > 0.0, zs < 0.0):
-        index = np.flatnonzero(side & ~flat)
+    sides = []
+    for sign, foot in ((1.0, top), (-1.0, bottom)):
+        index = np.flatnonzero((sign * zs > 0.0) & ~flat)
+        summit = None
+        if index.size and np.max(sign * zs[index]) >= foot:
+            summit, height = _summit(body, sign * pole, frame.basis)
+            above = sign * zs[index] >= height
+            if np.any(above):
+                raise ValueError(f"the cut at z = {zs[index][above][0]:g} misses the body: "
+                                 f"rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and no boundary "
+                                 f"point was found above height {height:g} on its side")
+        sides.append((index, summit))
+    for index, summit in sides:
         if index.size:
-            for j, r in zip(index, _side_radii(body, pole, lifted, zs[index])):
+            for j, r in zip(index, _side_radii(body, pole, lifted, zs[index], summit)):
                 values[j] = float(rule.weights @ (r ** (n - 1))) / (n - 1)
     return _shaped(values, scalar)
 

@@ -340,9 +340,8 @@ def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sections", "--body", spec, "--out", str(out), "--z=0.6"]) == 2
     assert capsys.readouterr().err == (
-        "starsym: the foot point z xi of the cut at z = 0.6 lies outside the body: "
-        "rho(xi) = 0.5, rho(-xi) = 0.5, and hyperplane cuts need "
-        "-rho(-xi) < z < rho(xi)\n")
+        "starsym: the cut at z = 0.6 misses the body: hyperplane cuts need "
+        "|z| < radius_bound = 0.5\n")
     assert not out.exists()
 
 

@@ -364,19 +364,68 @@ def test_hyperplane_section_rejects_heights_beyond_equator():
     body = body_ball(3, 1.0)
     frame = make_frame([0.0, 0.0, 1.0])
     for z in (1.0, -1.1, np.nan):
-        with pytest.raises(ValueError, match="foot point"):
+        with pytest.raises(ValueError, match="misses the body"):
             hyperplane_section(body, frame, z, _rule(3))
-    # every foot point is checked, with one evaluation at +-xi, before
-    # any scan; the message names the first height outside and rho(+-xi)
+    # every height is checked against radius_bound before any evaluation;
+    # the message names the first height beyond it and the bound
     counted, calls = _count_evaluations(body)
-    with pytest.raises(ValueError, match=r"the foot point z xi of the cut at z = 1\.05 "
-                                         r"lies outside the body: rho\(xi\) = 1, "
-                                         r"rho\(-xi\) = 1, and hyperplane cuts need "
-                                         r"-rho\(-xi\) < z < rho\(xi\)"):
+    with pytest.raises(ValueError, match=r"the cut at z = 1\.05 misses the body: hyperplane "
+                                         r"cuts need \|z\| < radius_bound = 1$"):
         hyperplane_section(counted, frame, np.array([0.2, -0.4, 0.0, 1.05, 0.6]), _rule(3))
-    assert len(calls) == 1
+    assert not calls
     with pytest.raises(ValueError, match="1-d"):
         hyperplane_section(body, frame, np.zeros((2, 2)), _rule(3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_with_foot_points_outside(n):
+    # the ball's centre sits mostly across xi, so the cuts at |z| from
+    # 0.7 up lie beyond rho(xi) = 0.65 and rho(-xi) = 0.55 but below the
+    # supports 1 + s and 1 - s, s = 0.05: both sides are solved about the
+    # ray through their summit, and match omega_{n-1} (1 - (z - s)^2)^{(n-1)/2}
+    # as closely as the foot-point cuts of this body do (the default
+    # n = 6 rule stops near 5e-8 on its cut at z = 0)
+    frame = _off_axis_frame(n)
+    body = body_shifted_ball(n, 1.0, 0.8 * frame.basis[0] + 0.05 * frame.pole)
+    top, bottom = body.evaluate(np.stack([frame.pole, -frame.pole]))
+    zs = np.array([-0.9, -0.7, -0.3, 0.0, 0.3, 0.7, 0.9])
+    assert max(top, bottom) < 0.7
+    want = _ball_volume(n - 1) * (1.0 - (zs - 0.05) ** 2) ** ((n - 1) / 2)
+    got = hyperplane_section(body, frame, zs, equator_rule(n))
+    error = np.abs(got - want) / _ball_volume(n - 1)
+    outside = np.abs(zs) > 0.6
+    assert np.max(error[outside]) <= 1e-13, n
+    assert np.max(error) <= (1e-7 if n == 6 else 1e-13), n
+    # refining the heights one at a time gives the same bits as in groups
+    with pytest.MonkeyPatch.context() as monkey:
+        monkey.setattr(slice_transforms, "_GROUP_POINTS", 1)
+        assert np.array_equal(hyperplane_section(body, frame, zs, equator_rule(n)), got)
+    # a side keeps its foot point while every foot point on it is inside
+    calls = []
+    summit = slice_transforms._summit
+    with pytest.MonkeyPatch.context() as monkey:
+        monkey.setattr(slice_transforms, "_summit",
+                       lambda *args: calls.append(args[1]) or summit(*args))
+        hyperplane_section(body, frame, np.array([-0.3, 0.3]), equator_rule(n))
+        assert not calls
+        hyperplane_section(body, frame, np.array([-0.3, 0.3, 0.7]), equator_rule(n))
+    assert len(calls) == 1 and np.array_equal(calls[0], frame.pole)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_summit_reaches_the_support(n):
+    # the highest boundary point along xi is the support h(xi):
+    # |diag(a) xi| for an ellipsoid, <c, xi> + r for a shifted ball
+    frame = _off_axis_frame(n)
+    a = np.linspace(1.3, 0.6, n)
+    center = np.linspace(0.3, -0.2, n)
+    for body, h in ((body_ellipsoid(n, a), np.linalg.norm(a * frame.pole)),
+                    (body_shifted_ball(n, 0.9, center), center @ frame.pole + 0.9)):
+        u, height = slice_transforms._summit(body, frame.pole, frame.basis)
+        assert abs(np.linalg.norm(u) - 1.0) < 1e-15
+        assert height == pytest.approx(h, rel=1e-14), n
+        assert height == pytest.approx(float(body.evaluate(u[None])[0]) * (u @ frame.pole),
+                                       rel=1e-15)
 
 
 def test_rule_frame_dimension_mismatch_rejected():
@@ -426,11 +475,22 @@ def test_hyperplane_section_detects_multiple_crossings():
     with pytest.raises(ValueError, match="multiple boundary crossings"):
         hyperplane_section(fold, frame, np.array([0.05, 0.1, 0.26]), rule)
     # the pinched body's foot point at z = 0.24 lies above rho(e_z) =
-    # exp(-1.5) = 0.223, so the cut is refused before any scan
+    # exp(-1.5) = 0.223, below the summit height 2 / (3 e) = 0.245: the
+    # cut is a ring around the pole, and rays from the point under the
+    # summit cross it twice
     body = _pinched_body()
     for z in (0.24, np.array([0.05, 0.1, 0.24])):
-        with pytest.raises(ValueError, match="foot point z xi of the cut at z = 0.24"):
+        with pytest.raises(ValueError, match="multiple boundary crossings: cut is not "
+                                             "star-shaped about the point where the ray"):
             hyperplane_section(body, frame, z, rule)
+    # above the summit the cut misses the body, before any scan
+    counted, calls = _count_evaluations(body)
+    with pytest.raises(ValueError, match=r"the cut at z = 0\.25 misses the body: rho\(xi\) "
+                                         r"= 0\.22313, rho\(-xi\) = 4\.48169, and no "
+                                         r"boundary point was found above height 0\.245253"):
+        hyperplane_section(counted, frame, np.array([-0.3, 0.1, 0.25]), rule)
+    scans = slice_transforms._SCAN_POINTS
+    assert len(calls) < scans
     # below the fold the cut is honest and the area is positive
     assert hyperplane_section(body, frame, 0.1, rule) > 0.0
 
