@@ -289,7 +289,10 @@ def equator_rule(n, resolution=None):
         `default_resolution`: 2 (n=2), 512 (n=3), 64 (n=4), 32 (n=5),
         16 (n=6).  This is the only place that default is applied:
         every layer above passes its resolution through unchanged and
-        reports the returned rule's `resolution`.
+        reports the returned rule's `resolution`.  A default detector
+        sweep in n >= 4 reads its coarser ladder levels (resolution // 4
+        and // 2) off this rule, and may stop at one of them; its
+        report records the rule it stopped at.
     """
     n = check_dim(n)
     if resolution is None:

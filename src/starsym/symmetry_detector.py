@@ -39,6 +39,13 @@ class AsymmetryReport:
     the threshold.  note spells out what a symmetric verdict does and
     does not mean.  ground_truth_odd_sup, when present, is the probed
     sup-norm of the odd part of the swept field (diagnostic only).
+    resolution is the rule the values come from; a default sweep in
+    n >= 4 may stop below `equator_rule(n)` (see `sweep`).  ladder holds
+    one (resolution, nodes, max move, floor) tuple per rule the sweep
+    visited, coarsest first: max move is the largest change of a swept
+    value since the level before (None on the first level) and floor is
+    C eps max s on that level.  It is a diagnostic: the CLI's report.json
+    and values.csv leave it out.
     """
 
     body_id: str
@@ -54,6 +61,7 @@ class AsymmetryReport:
     verdict: str
     note: str
     ground_truth_odd_sup: Optional[float] = None
+    ladder: tuple = ()
 
     def __post_init__(self):
         if self.verdict not in ("symmetric", "asymmetric"):
@@ -105,6 +113,22 @@ def calibrate(gradient_path):
     return 32.0 if gradient_path else 128.0
 
 
+# A default rule with at least this many nodes is swept on a ladder of
+# coarser rules first; below it the fixed cost per transform of the two
+# extra sweeps outweighs what a coarse level saves (n = 2, 3)
+_LADDER_NODES = 2048
+
+
+def _rule_ladder(n, rule_resolution, threshold):
+    # the rules a sweep may visit, coarsest first, read off the rule it
+    # ends at: resolution // 4, // 2 and equator_rule(n) itself
+    rule = equator_rule(n, rule_resolution)
+    if rule_resolution is not None or threshold is not None or rule.size < _LADDER_NODES:
+        return (rule,)
+    return (equator_rule(n, rule.resolution // 4),
+            equator_rule(n, rule.resolution // 2), rule)
+
+
 def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id=None):
     """Evaluate the transform over the antipodal pole set and classify the field.
 
@@ -113,9 +137,11 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     f : ScalarField
     num_dirs : poles requested; the sweep covers 2 * max(1, num_dirs // 2)
         (see `sample_poles`), and the report's num_dirs is the swept count
-    threshold : absolute threshold on max |A|; by default
-        C eps max s, with C = `calibrate(f.gradient is not None)` and s
-        the roundoff scale of each swept transform (`TransformValue`)
+    rule_resolution : an explicit rule is swept once, as given
+    threshold : absolute threshold on max |A|, compared on one sweep of
+        the rule; by default C eps max s, with C =
+        `calibrate(f.gradient is not None)` and s the roundoff scale of
+        each swept transform (`TransformValue`)
 
     Each base pole costs one `equator_transform`, and its negative gets
     0.0 - A: make_frame(-xi) has the basis of make_frame(xi), so both
@@ -126,22 +152,50 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     fresh sum does.  The negative's roundoff scale is its base pole's,
     so the floor's max s runs over the base poles.
 
+    Without `rule_resolution` and `threshold`, a default rule of at
+    least 2048 nodes (n >= 4) is reached on a ladder: the base poles are
+    swept at resolutions r // 4, r // 2 and r of `equator_rule(n)`.  The
+    sweep stops at r // 2 only when no value moved by more than that level's
+    floor C eps max s since r // 4, and its verdict stands under the
+    default rule with that move as margin: max |A| - move above twice
+    the floor, or max |A| + move at most the floor times |w_r| / |w_r//2|
+    (the default rule's floor on the finite-difference path; on the
+    gradient path the scale does not fall with the nodes, so there the
+    bound is conservative).  A sweep that reaches r returns what a
+    one-level sweep of equator_rule(n) returns, bit for bit.  The
+    report's `resolution` is the rule the values come from, and its
+    `ladder` lists every level visited.
+
     Returns
     -------
     AsymmetryReport
     """
     n = f.dim
-    rule = equator_rule(n, rule_resolution)
     xis, frames = _pole_frames(n, num_dirs, seed)
     xis = xis.copy()
-    base = [equator_transform(f, frame, rule) for frame in frames]
+    constant = calibrate(f.gradient is not None) * _EPS
+    rules = _rule_ladder(n, rule_resolution, threshold)
+    ladder, base = [], None
+    for rule in rules:
+        coarser, base = base, [equator_transform(f, frame, rule) for frame in frames]
+        floor = constant * max(value.scale for value in base)
+        move = None if coarser is None else float(np.max(np.abs(np.subtract(base, coarser))))
+        ladder.append((rule.resolution, rule.size, move, floor))
+        if move is not None and rule is not rules[-1] and move <= floor:
+            # settled; a margin of `move` keeps the verdict on its side of
+            # the default rule's floor, taken as twice this one above and
+            # as this one times |w_default| / |w_level| below
+            finest = rules[-1].weights
+            ratio = math.sqrt(float(finest @ finest) / float(rule.weights @ rule.weights))
+            peak = float(np.max(np.abs(base)))
+            if peak - move > 2.0 * floor or peak + move <= floor * ratio:
+                break
     values = np.array(base + [0.0 - value for value in base], dtype=float)
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
     odd_sup = float(np.max(np.abs(odd_part(f).evaluate(probe_directions(n, 2000)))))
     if threshold is None:
-        scale = max(value.scale for value in base)
-        threshold = calibrate(f.gradient is not None) * _EPS * scale
+        threshold = floor
     if max_abs > threshold:
         verdict = "asymmetric"
         top = xis[int(np.argmax(np.abs(values)))]
@@ -158,14 +212,17 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
         dim=n, num_dirs=int(xis.shape[0]),
         resolution=rule.resolution, seed=int(seed), threshold=float(threshold),
         xis=xis, values=values, max_abs=max_abs, l2_mean=l2_mean,
-        verdict=verdict, note=note, ground_truth_odd_sup=odd_sup)
+        verdict=verdict, note=note, ground_truth_odd_sup=odd_sup,
+        ladder=tuple(ladder))
 
 
 def detect(body, num_dirs=100, seed=0, rule_resolution=None, threshold=None):
     """Sweep a star body's section density for central asymmetry; see `sweep`.
 
     `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
-    pairs, at the cost of 18 transforms.
+    pairs, at the cost of 18 transforms per rule it visits.  A default
+    detect in n >= 4 may stop at half the default resolution, and the
+    report's `resolution` records the rule its values come from.
     """
     return sweep(to_scalar_field(body), num_dirs=num_dirs, seed=seed,
                  rule_resolution=rule_resolution, threshold=threshold,

@@ -29,6 +29,7 @@ from starsym import (
     strip_gradient,
     sweep,
     to_scalar_field,
+    zonal_field,
 )
 
 
@@ -122,12 +123,19 @@ def test_calibrate_and_detect_share_one_cache_entry():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_reports_record_the_rule_resolution(n):
+    # a default sweep records the rule its values come from: the default
+    # in n = 2, 3, and in n >= 4 the last level of its ladder, which a
+    # centred ball leaves at resolution // 2
     body = body_ball(n, 1.0)
     report = detect(body, num_dirs=4, seed=1)
-    assert report.resolution == equator_rule(n).resolution == default_resolution(n)
+    default = equator_rule(n).resolution
+    assert default == default_resolution(n)
+    assert report.resolution == report.ladder[-1][0]
+    assert report.resolution == (default if n <= 3 else default // 2)
     explicit = 64 if n <= 3 else 8
-    assert detect(body, num_dirs=4, seed=1,
-                  rule_resolution=explicit).resolution == explicit
+    report = detect(body, num_dirs=4, seed=1, rule_resolution=explicit)
+    assert report.resolution == explicit
+    assert [level[0] for level in report.ladder] == [explicit]
 
 
 @pytest.mark.parametrize("call", [
@@ -182,21 +190,25 @@ def test_verdicts_hold_at_every_scale(n, path):
 @pytest.mark.parametrize("n", [3, 5])
 def test_threshold_is_the_floor_times_the_field_size(n):
     # the field's size here is its roundoff scale s, the largest over the
-    # swept transforms; a declared sup bound plays no part
+    # transforms of the rule the sweep reports; a declared sup bound
+    # plays no part
     body = body_shifted_ball(n, 2.0, np.linspace(0.3, -0.1, n))
     f = to_scalar_field(body)
-    rule = equator_rule(n)
     xis = sample_poles(n, 12, seed=2)
     for field in (f, strip_gradient(f)):
+        report = sweep(field, num_dirs=12, seed=2)
+        rule = equator_rule(n, report.resolution)
         scale = max(equator_transform(field, make_frame(xi, seed=FRAME_SEED), rule).scale
                     for xi in xis[:6])
         floor = calibrate(field.gradient is not None) * np.finfo(float).eps * scale
-        report = sweep(field, num_dirs=12, seed=2)
-        assert report.threshold == floor
+        assert report.threshold == floor == report.ladder[-1][3]
         assert report.verdict == "asymmetric"
         assert sweep(replace(field, sup_bound=None), num_dirs=12, seed=2).threshold == floor
-    # an explicit threshold stays absolute
-    assert sweep(f, num_dirs=12, seed=2, threshold=1e9).threshold == 1e9
+    # an explicit threshold stays absolute, compared on one sweep of the
+    # default rule
+    report = sweep(f, num_dirs=12, seed=2, threshold=1e9)
+    assert report.threshold == 1e9
+    assert [level[0] for level in report.ladder] == [default_resolution(n)]
 
 
 def _rotation(n, seed):
@@ -275,3 +287,47 @@ def test_even_fourier_field_sweeps_exact_zero(path):
     report = sweep(f)
     assert report.max_abs == 0.0
     assert report.verdict == "symmetric"
+
+
+def _zonal_bump(n, degree, size):
+    # rho = 1 + size P_l(<u, a>); sup |P_l| = P_l(1) = 1, so size is the
+    # sup of the bump, odd in u for odd l
+    z = zonal_field(n, degree, np.linspace(1.0, 0.3, n))
+    return RadialField(dim=n, evaluate=lambda u: 1.0 + size * z.evaluate(u),
+                       gradient=lambda u: size * z.gradient(u),
+                       label=f"zonal_bump(l={degree}, size={size:g})")
+
+
+def _near_floor_bodies(n):
+    shifts = [body_shifted_ball(n, 1.0, delta * np.eye(n)[0])
+              for delta in (1e-12, 2e-12, 3e-12, 5e-12, 1e-11)]
+    bumps = [_zonal_bump(n, degree, size)
+             for degree in (1, 3, 5, 7, 9) for size in (1e-14, 1e-13, 1e-12, 1e-11)]
+    return shifts + bumps
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+def test_default_ladder_keeps_the_default_rule_verdict(n, path):
+    # odd content within a decade of the finite-difference floor: tiny
+    # shifts and odd zonal bumps.  A coarse level's values can settle to
+    # within its floor while its verdict still differs from the default
+    # rule's (the finite-difference floor falls with the node count), so
+    # a ladder that stopped on convergence alone flips some of these;
+    # every default sweep must read the default rule's verdict
+    default = default_resolution(n)
+    for body in _near_floor_bodies(n):
+        body = path(body)
+        report = detect(body)
+        want = detect(body, rule_resolution=default)
+        assert report.verdict == want.verdict, (body.label, report.ladder)
+        levels = [level[0] for level in report.ladder]
+        assert levels in ([default // 4, default // 2], [default // 4, default // 2, default])
+        resolution, nodes, move, floor = report.ladder[-1]
+        assert (resolution, nodes) == (report.resolution, equator_rule(n, resolution).size)
+        if resolution == default:
+            assert np.array_equal(report.values, want.values), body.label
+            assert report.threshold == want.threshold
+        else:
+            assert move <= floor == report.threshold

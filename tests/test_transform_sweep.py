@@ -97,11 +97,12 @@ def _same_bits(a, b):
 def test_antipodal_sweep_equals_per_pole_transforms(n, resolution):
     # the negative half of the sweep is A(-xi) = -A(xi) read off its base
     # pole; every one of the 2m values must match an independent per-pole
-    # transform bit for bit, signed zeros included
-    rule = equator_rule(n, resolution)
+    # transform on the rule the report records bit for bit, signed zeros
+    # included
     for body in _bodies(n):
         f = to_scalar_field(body)
         report = detect(body, num_dirs=24, seed=n, rule_resolution=resolution)
+        rule = equator_rule(n, report.resolution)
         want = np.array([equator_transform(f, make_frame(xi), rule) for xi in report.xis])
         assert _same_bits(report.values, want), body.label
 
@@ -159,33 +160,44 @@ def _counting(body):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
 def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
-    # a default detect integrates its 50 base poles, reads the other 50
-    # off their negatives and probes the odd part on the grid
-    # probe_directions(n, 2000) (f at u and at -u): no calibration
-    # sweep, and the roundoff scale of each transform costs no evaluation
-    body = body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n))
-    body, counts = _counting(strip_gradient(body) if fd else body)
-    calls = _count_transforms(monkeypatch)
-    detect(body)
-    assert len(calls) == 50
-    nodes = equator_rule(n).size
+    # a default detect integrates its 50 base poles once per level it
+    # visits (one in n = 3; in n = 5 three for the shifted ball, which
+    # reaches the default rule, and two for the ellipsoid, which stops
+    # at the middle one), reads the other 50 off their negatives and
+    # probes the odd part on the grid probe_directions(n, 2000) (f at u
+    # and at -u): no calibration sweep, and the roundoff scale of each
+    # transform costs no evaluation
     probe = len(probe_directions(n, 2000))
-    if fd:
-        # four latitudes per node
-        want = {"evaluate_calls": 4 * 50 + 2, "evaluate_points": 4 * 50 * nodes + 2 * probe}
-    else:
-        # the section density's gradient evaluates rho once per call
-        want = {"gradient_calls": 50, "gradient_points": 50 * nodes,
-                "evaluate_calls": 50 + 2, "evaluate_points": 50 * nodes + 2 * probe}
-    assert dict(counts) == want
+    for body, levels in ((body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)), 3),
+                         (body_ellipsoid(n, tuple(np.linspace(1.5, 0.7, n))), 2)):
+        body, counts = _counting(strip_gradient(body) if fd else body)
+        calls = _count_transforms(monkeypatch)
+        report = detect(body)
+        levels = 1 if n == 3 else levels
+        assert len(report.ladder) == levels
+        assert len(calls) == 50 * levels
+        assert [level[1] for level in report.ladder] == [
+            equator_rule(n, level[0]).size for level in report.ladder]
+        nodes = sum(level[1] for level in report.ladder)
+        if fd:
+            # four latitudes per node
+            want = {"evaluate_calls": 4 * 50 * levels + 2,
+                    "evaluate_points": 4 * 50 * nodes + 2 * probe}
+        else:
+            # the section density's gradient evaluates rho once per call
+            want = {"gradient_calls": 50 * levels, "gradient_points": 50 * nodes,
+                    "evaluate_calls": 50 * levels + 2,
+                    "evaluate_points": 50 * nodes + 2 * probe}
+        assert dict(counts) == want, body.label
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_detect_values_equal_reference_formula(n):
     body = strip_gradient(body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)))
     f = to_scalar_field(body)
-    rule = equator_rule(n)
     first = detect(body, num_dirs=10, seed=3)
+    rule = equator_rule(n, first.resolution)
     want = [_reference_transform(f, make_frame(xi, seed=FRAME_SEED), rule)
             for xi in first.xis]
     assert np.array_equal(first.values, want)
@@ -212,12 +224,13 @@ def _reference_scale(f, frame, rule):
 def test_calibrate_matches_recorded_thresholds(n):
     # a default detect records the floor C eps max s, with C read off
     # calibrate for the field's derivative path and s the largest scale
-    # of the poles it computed (the base half; each negative reuses its
-    # base pole's scale), each equal to the reference form bit for bit
-    rule = equator_rule(n)
+    # of the poles it computed on the rule it reports (the base half;
+    # each negative reuses its base pole's scale), each equal to the
+    # reference form bit for bit
     for body in _bodies(n):
         f = to_scalar_field(body)
         report = detect(body, num_dirs=8, seed=n)
+        rule = equator_rule(n, report.resolution)
         frames = [make_frame(xi, seed=FRAME_SEED) for xi in report.xis[:4]]
         scales = [equator_transform(f, fr, rule).scale for fr in frames]
         assert scales == [_reference_scale(f, fr, rule) for fr in frames], body.label
@@ -233,3 +246,38 @@ def test_transform_value_is_a_float_with_its_scale():
     for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert (copied, copied.scale) == (value, value.scale)
 
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_sweep_ending_at_the_default_equals_the_explicit_default(n, monkeypatch):
+    # a shifted ball does not settle on the coarse levels of n = 5, 6
+    # (in n = 4 it settles at resolution 32), so its default
+    # sweep climbs the whole ladder and returns what the explicit
+    # default rule returns, bit for bit; the explicit sweep visits one
+    # level and integrates each base pole once
+    default = equator_rule(n).resolution
+    for body in _bodies(n)[1::3]:
+        report = detect(body, num_dirs=24, seed=n)
+        assert [level[0] for level in report.ladder] == [default // 4, default // 2, default]
+        calls = _count_transforms(monkeypatch)
+        explicit = detect(body, num_dirs=24, seed=n, rule_resolution=default)
+        assert len(calls) == 12
+        assert explicit.ladder == ((default, equator_rule(n).size, None, explicit.threshold),)
+        assert _same_bits(report.values, explicit.values), body.label
+        assert report.ladder[-1][1:] == (equator_rule(n).size, report.ladder[-1][2],
+                                         explicit.threshold)
+        for name in ("resolution", "threshold", "max_abs", "l2_mean", "verdict", "note"):
+            assert getattr(report, name) == getattr(explicit, name), (body.label, name)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_small_default_rules_sweep_one_level(n, monkeypatch):
+    # below 2048 nodes the two coarse sweeps would cost more than they save
+    for body in _bodies(n):
+        calls = _count_transforms(monkeypatch)
+        report = detect(body, num_dirs=24, seed=n)
+        assert len(calls) == 12
+        assert report.ladder == ((equator_rule(n).resolution, equator_rule(n).size,
+                                  None, report.threshold),)
+        monkeypatch.undo()
