@@ -234,13 +234,18 @@ def load_body_spec(path):
 
 
 def parse_z_values(text):
-    """Height grid: 'start:stop:step' (inclusive) or a comma list."""
+    """Height grid: 'start:stop:step' (inclusive) or a comma list.
+
+    Heights must be finite; each section kind checks its own range.
+    """
     text = str(text).strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("z range must look like start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError("heights must be finite")
         if step <= 0 or stop <= start:
             raise ValueError("z range needs stop > start and step > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -252,10 +257,9 @@ def parse_z_values(text):
         zs = np.array([float(p) for p in text.split(",") if p.strip() != ""])
         if zs.size == 0:
             raise ValueError("empty z list")
-    zs = np.unique(zs)
-    if np.any(np.abs(zs) >= 1.0):
-        raise ValueError("heights must satisfy |z| < 1")
-    return zs
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("heights must be finite")
+    return np.unique(zs)
 
 
 def _parse_csv_list(text, allowed, what):

@@ -9,7 +9,7 @@ psi = arcsin(z) and f = rho^{n-1}/(n-1):
 * conical_section: (n-1)-measure of the body carved out along that
   cone, equal to the slice integral of f.
 * hyperplane_section: (n-1)-volume of the flat cut { <x, xi> = z },
-  computed from the polar profile of the cut around its foot point.
+  computed from the polar profile of the cut around a point inside it.
 
 The equatorial transform A(xi) integrates the meridian derivative of a
 field over the equator of xi.  Each curve's derivative at z = 0 equals
@@ -38,7 +38,8 @@ from .star_body import (
 _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
-# points per `_illinois` call: a side's heights at n <= 3, four at n = 4, one at n = 5, 6
+# points per body call in `_side_radii`'s scan rows and refined heights:
+# all 64 rows and a side's heights at n = 2, one row or height at n = 5, 6
 _GROUP_POINTS = 8192
 # compass search of `_summit`: first step in its chart, final step, step cap
 _SUMMIT_STEP = 0.5
@@ -136,11 +137,15 @@ def _shaped(values, scalar):
 
 
 def _ring_points(tiled, lifted, psi):
-    # the points at one latitude psi, sin(psi) pole + cos(psi) lifted,
-    # with the pole tiled to the (N, n) shape of `lifted`, so that both
-    # products and the sum run as whole-array loops, not as broadcasts
-    # over the n <= 6 coordinates; the values are `_latitude_points`' own
-    return np.sin(psi) * tiled + np.cos(psi) * lifted
+    # the points at one latitude psi, or at (G, 1, 1) latitudes, one per
+    # row, sin(psi) pole + cos(psi) lifted, with the pole tiled to the
+    # (N, n) shape of `lifted`, so that both products and the sum run as
+    # whole-array loops, not as broadcasts over the n <= 6 coordinates;
+    # the sum is taken in place, which saves a temporary as large as the
+    # points; the values are `_latitude_points`' own
+    points = np.sin(psi) * tiled
+    points += np.cos(psi) * lifted
+    return points
 
 
 def _node_points(poles_t, lifted_t, sin, cos):
@@ -199,35 +204,16 @@ def conical_section(body, frame, z, rule):
     return slice_integral(to_scalar_field(body), frame, z, rule)
 
 
-def _scan_side(body, tiled, lifted, zs, psi_lo, psi_hi):
-    """Bracket the cut boundary of heights on one side of the equator.
-
-    Tabulates rho(eta, psi) sin(psi) on a uniform 64-point grid over
-    [psi_lo, psi_hi], one row per latitude, from `_ring_points`.  The
-    table does not depend on the height, so every height on the side
-    reads its g = table - z from it; `_crossings` returns, per height and
-    node, the grid index of the first sign change of g, and whether some
-    height has a node with no sign change or with more than one (the
-    multi-root probe).  Rising-column shortcut: in a column whose table
-    never falls, the rows with g >= 0 form a suffix, so one count of
-    them gives the node's crossing; only the other columns pay for the
-    sign-change table, its count and its argmax.
-    """
-    grid = np.linspace(psi_lo, psi_hi, _SCAN_POINTS)
-    table = np.empty((_SCAN_POINTS, lifted.shape[0]))
-    for i, psi in enumerate(grid):
-        table[i] = body.evaluate(_ring_points(tiled, lifted, psi)) * math.sin(psi)
-    return (grid, table) + _crossings(table, zs)
-
-
 def _crossings(table, zs):
-    # firsts (uint8 holds the 63 scan intervals), missed and multiple of
-    # `_scan_side`.  g = 0 counts as positive, and g >= 0 exactly when
+    # the scan's multi-root probe: per height and node, the row of the
+    # first sign change of g = table - z (uint8 holds the 63 scan
+    # intervals), and whether some node has none (missed) or more than
+    # one (multiple).  g = 0 counts as positive, and g >= 0 exactly when
     # table >= z.  In a rising column with k rows at or above z the node
     # has one sign change iff 0 < k < 64, at index 63 - k, and none
     # otherwise; its first index is then 0, as argmax reads a column
     # without one.  k <= 64 fits a uint8 sum, which is much faster than
-    # an intp one.
+    # an intp one; only the other columns pay for the sign-change table.
     rising = np.all(table[1:] >= table[:-1], axis=0)
     other = np.flatnonzero(~rising)
     rest = table[:, other]
@@ -284,13 +270,20 @@ def _illinois(g, a, b, ga, gb):
     raise RuntimeError("hyperplane root refinement did not converge")
 
 
-def _arc_heights(body, poles_t, lifted_t, rise, psi):
-    # rise sin(psi) rho(u) at the per-node points u = sin(psi) pole +
-    # cos(psi) lifted: the height of the boundary point rho(u) u along the
-    # side's pole when <u, pole> = rise sin(psi); each sin(psi) serves both
+def _arc_heights(body, poles, lifted, rise, psi):
+    # rise sin(psi) rho(u) at the points u = sin(psi) pole + cos(psi)
+    # lifted: the height of the boundary point rho(u) u along the side's
+    # pole when <u, pole> = rise sin(psi); each sin(psi) serves both.
+    # (G, 1) latitudes, one per row for all the nodes, take the tiled
+    # (N, n) pole and nodes of `_ring_points` and give (G, N) heights;
+    # per-node (N,) or (G, N) latitudes take the (n, 1) or (n, N) poles
+    # and (n, N) nodes of `_node_points`
     sin = np.sin(psi)
-    rho = body.evaluate(_node_points(poles_t, lifted_t, sin, np.cos(psi)))
-    return rho.reshape(psi.shape) * sin * rise
+    if psi.shape[-1] == 1:
+        points = _ring_points(poles, lifted, psi[..., None]).reshape(-1, lifted.shape[1])
+    else:
+        points = _node_points(poles, lifted, sin, np.cos(psi))
+    return body.evaluate(points).reshape(psi.shape[:-1] + (-1,)) * sin * rise
 
 
 def _profile_radii(body, poles_t, lifted_t, rise, z, a, b, ga, gb):
@@ -332,71 +325,67 @@ def _summit(body, pole, basis):
     return x / np.linalg.norm(x), height
 
 
-def _side_radii(body, pole, lifted, zs, summit=None):
-    # profile radii for heights all on one side of the equator, yielded
-    # one height at a time, about the foot point, or, given the summit
-    # direction u of that side, about the point |z| u / <u, e> where the
-    # ray through u meets each cut (e = +-pole, the side's own pole)
-    size = np.abs(zs)
+def _side_radii(body, e, lifted, size, u):
+    # profile radii of the cuts at heights size > 0 along the side's pole
+    # e = +-xi, yielded one height at a time, about the point size u /
+    # <u, e> where the ray through u meets each cut (the foot point when
+    # u = e).  Node theta's ray leaves along the great-circle arc
+    # cos(psi) theta + sin(psi) v from theta to u, v the unit part of u
+    # normal to theta; there <x, e> = rise sin(psi), rise = <u, e> / |v|,
+    # and the radius is rho cos(psi) less the offset size <u, theta> / <u, e>
     lifted_t = np.ascontiguousarray(lifted.T)
     cols = np.arange(lifted.shape[0])
-    if summit is None:
-        # radius_floor <= rho <= radius_bound puts every crossing of
-        # rho sin(psi) = |z| in [asin(|z| / radius_bound), asin(|z| /
-        # radius_floor)]; one scan spans those intervals for all the
-        # heights, each end moved out by a relative 1e-3 so that a ball's
-        # equal bounds still bracket, and a node it misses breaks the
-        # bounds; a floor at or below the top height bounds nothing below
-        # the pole
-        floor = body.radius_floor
-        lo = math.asin(size.min() / body.radius_bound) * (1.0 - 1e-3)
-        hi = math.asin(size.max() / floor) * (1.0 + 1e-3) if size.max() < floor else math.pi / 2
-        hi = min(hi, math.pi / 2 - 1e-9)
-        if zs[0] < 0.0:
-            lo, hi = -hi, -lo
-        tiled = np.tile(pole, (lifted.shape[0], 1))
-        grid, table, firsts, missed, multiple = _scan_side(body, tiled, lifted, zs, lo, hi)
-        poles_t, rise, shift, about = pole[:, None], 1.0, 0.0, "its foot point"
-
-        def latitudes(rows):
-            return grid[rows]
+    if u is e:
+        # theta is normal to xi by construction, so <u, theta> = 0, v = e
+        # and every scan row is one latitude shared by all the nodes, which
+        # the scan reads with e tiled to the nodes' shape; lifted @ e would
+        # return rounding noise and make each row per-node
+        c, up, normal, poles_t = 0.0, 1.0, 1.0, e[:, None]
+        arcs = np.tile(e, (cols.size, 1)), lifted
     else:
-        # node theta's ray from that point leaves along the great-circle
-        # arc cos(psi) theta + sin(psi) v from theta (psi = 0) to u, with v
-        # the unit part of u normal to theta; there <x, e> = rise sin(psi)
-        # with rise = <u, e> / |v|, and the profile radius is rho cos(psi)
-        # less the offset |z| <u, theta> / <u, e> of the point from the
-        # foot point.  A crossing needs rise sin(psi) radius_bound >= |z|,
-        # so each node's scan runs from there, less a relative 1e-3, up to
-        # u, where every height is below the summit's
-        e = pole if zs[0] > 0.0 else -pole
-        up, c = summit @ e, lifted @ summit
+        c, up = lifted @ u, u @ e
         normal = np.sqrt(1.0 - c * c)
-        poles_t = (summit[:, None] - c * lifted_t) / normal
-        rise = up / normal
-        lo = np.arcsin(size.min() / (body.radius_bound * rise)) * (1.0 - 1e-3)
-        span, steps = np.arctan2(normal, c) - lo, np.linspace(0.0, 1.0, _SCAN_POINTS)
+        poles_t = (u[:, None] - c * lifted_t) / normal
+        arcs = poles_t, lifted_t
+    rise, end = up / normal, np.arctan2(normal, c)
+    # the boundary point rises to rise sin(psi) rho, and above every
+    # height at u, the arc's end.  radius_floor <= rho <= radius_bound
+    # puts every crossing in [asin(size / (radius_bound rise)),
+    # asin(size / (radius_floor rise))], or in its mirror about pi/2 on an
+    # arc ending past it.  Each node's scan spans those intervals for all
+    # the heights, up to u at most, each end moved out by a relative 1e-3
+    # so that a ball's equal bounds still bracket; a node it misses breaks
+    # the bounds
+    lo = np.arcsin(size.min() / (body.radius_bound * rise)) * (1.0 - 1e-3)
+    with np.errstate(divide="ignore"):
+        top = np.arcsin(np.minimum(1.0, size.max() / (body.radius_floor * rise)))
+    span = np.where(end < np.pi - top, np.minimum(end, top * (1.0 + 1e-3)), end) - lo
+    steps = np.linspace(0.0, 1.0, _SCAN_POINTS)
 
-        def latitudes(rows):  # per-node scan rows, computed where they are read
-            return lo + span * steps[rows]
+    def latitudes(rows):  # scan rows, computed where they are read
+        return lo + span * steps[rows]
 
-        table = np.empty((_SCAN_POINTS, lifted.shape[0]))
-        for i in range(_SCAN_POINTS):
-            table[i] = _arc_heights(body, poles_t, lifted_t, rise, latitudes(i))
-        firsts, missed, multiple = _crossings(table, size)
-        zs, shift, about = size, c / up, "the point where the ray through its summit meets it"
+    # scan rows and heights go to the body in groups of up to
+    # _GROUP_POINTS points, so that small rules do not pay numpy's
+    # per-call overhead once per row or height
+    group = max(1, _GROUP_POINTS // cols.size)
+    table = np.empty((_SCAN_POINTS, cols.size))
+    for start in range(0, _SCAN_POINTS, group):
+        rows = np.arange(start, min(start + group, _SCAN_POINTS))
+        table[rows] = _arc_heights(body, *arcs, rise, latitudes(rows[:, None]))
+    firsts, missed, multiple = _crossings(table, size)
     if missed:
         raise ValueError("root bracketing failed: the cut misses some meridians between "
                          "the latitudes the body's radius bounds allow, so its declared "
                          f"radius_floor = {body.radius_floor:g} and radius_bound = "
                          f"{body.radius_bound:g} do not bound rho")
     if multiple:
+        about = ("its foot point" if u is e else
+                 "the point where the ray through its summit meets it")
         raise ValueError(f"multiple boundary crossings: cut is not star-shaped about {about}")
-    # heights are refined in groups of up to _GROUP_POINTS points, so that
-    # small rules do not pay numpy's per-call overhead once per height
-    group = max(1, _GROUP_POINTS // cols.size)
-    for start in range(0, zs.size, group):
-        z, first = zs[start:start + group, None], firsts[start:start + group]
+    shift = c / up
+    for start in range(0, size.size, group):
+        z, first = size[start:start + group, None], firsts[start:start + group]
         r = _profile_radii(body, poles_t, lifted_t, rise, z, latitudes(first),
                            latitudes(first + 1), table[first, cols] - z,
                            table[first + 1, cols] - z)
@@ -408,22 +397,18 @@ def hyperplane_section(body, frame, z, rule):
 
     The cut is solved about a point inside it, along rays in the
     directions of the lifted equator nodes theta, and its volume is
-    sum_i w_i r_i^{n-1} / (n-1) over the profile radii r_i.  When the
-    foot point z xi lies inside the body it is that point: for each node
-    the meridian latitude psi* solving rho(eta, psi) sin(psi) = z locates
-    the cut boundary, and r = rho cos(psi*) = z / tan(psi*).  The root is
-    bracketed by a 64-point scan of the latitudes where the body's radius
-    bounds allow a crossing (`_side_radii`), which doubles as a
-    multi-root probe, and refined by Illinois steps inside that bracket
-    to width 1e-12; one secant step on the final bracket reads r off its
-    ends, where g = rho sin(psi) - z gives r = (g + z) / tan(psi).
-
-    A side of the equator with some foot point outside the body (z at
-    or above rho(xi), or at or below -rho(-xi)) is solved instead about
-    the point where the cut meets the ray through that side's summit:
-    the direction u found by `_summit` whose boundary point rises
-    highest along +-xi.  Meridians from the pole become great-circle
-    arcs from each theta to u, with the same scan, refinement and read.
+    sum_i w_i r_i^{n-1} / (n-1) over the profile radii r_i.  Each side of
+    the equator, mirrored onto its pole e = +-xi, is solved about the
+    point where the ray through a direction u meets each cut
+    (`_side_radii`): u = e, the foot point, while every foot point on the
+    side lies inside the body, and otherwise the side's summit, the
+    direction found by `_summit` whose boundary point rises highest along
+    e.  Node theta's ray leaves along the great-circle arc from theta to
+    u (the meridian of e when u = e); the latitude on it where the
+    boundary point rises to |z| is bracketed by a 64-point scan of the
+    latitudes where the body's radius bounds allow a crossing, which
+    doubles as a multi-root probe, refined by Illinois steps to width
+    1e-12, and read off the final bracket's ends by one secant step.
     Only values of rho are used, so bodies with and without a gradient
     take the same path, and the body always receives C-contiguous
     (N, n) points.  Three cuts are refused: one that misses the body
@@ -456,18 +441,18 @@ def hyperplane_section(body, frame, z, rule):
     sides = []
     for sign, foot in ((1.0, top), (-1.0, bottom)):
         index = np.flatnonzero((sign * zs > 0.0) & ~flat)
-        summit = None
+        e = u = sign * pole
         if index.size and np.max(sign * zs[index]) >= foot:
-            summit, height = _summit(body, sign * pole, frame.basis)
+            u, height = _summit(body, e, frame.basis)
             above = sign * zs[index] >= height
             if np.any(above):
                 raise ValueError(f"the cut at z = {zs[index][above][0]:g} misses the body: "
                                  f"rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and no boundary "
                                  f"point was found above height {height:g} on its side")
-        sides.append((index, summit))
-    for index, summit in sides:
+        sides.append((index, e, u))
+    for index, e, u in sides:
         if index.size:
-            for j, r in zip(index, _side_radii(body, pole, lifted, zs[index], summit)):
+            for j, r in zip(index, _side_radii(body, e, lifted, np.abs(zs[index]), u)):
                 values[j] = float(rule.weights @ (r ** (n - 1))) / (n - 1)
     return _shaped(values, scalar)
 

@@ -345,6 +345,27 @@ def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sections_heights_past_the_unit_sphere(tmp_path, capsys):
+    # hyperplane cuts of a radius-2 ball exist up to |z| < 2, while
+    # conical heights are cosines and stop below 1
+    spec = _spec(tmp_path, {"kind": "ball", "dim": 3, "params": {"radius": 2.0}})
+    for zs in ([0.2, 1.0], [-1.5, 0.0, 1.5]):
+        text = ",".join(str(z) for z in zs)
+        out = tmp_path / text
+        assert main(["sections", "--body", spec, "--out", str(out), "--kind", "conical",
+                     f"--z={text}"]) == 2
+        assert capsys.readouterr().err == "starsym: height z must lie in (-1, 1)\n"
+        assert not out.exists()
+        assert main(["sections", "--body", spec, "--out", str(out), "--kind", "hyperplane",
+                     f"--z={text}"]) == 0
+        capsys.readouterr()
+        _, rows = _read_csv_rows(out / "curves.csv")
+        assert [float(row.split(",")[1]) for row in rows] == zs
+        for row in rows:
+            z, value = (float(x) for x in row.split(",")[1:3])
+            assert value == pytest.approx(math.pi * (4.0 - z * z), rel=1e-10)
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--body", "{ball}", "--resolution", "0"],
     ["analyze", "--body", "{disk}", "--resolution", "1"],
@@ -453,9 +474,14 @@ def test_parse_z_values():
         zs = parse_z_values(grid)
         assert 0.0 in zs
         assert math.copysign(1.0, zs[zs == 0.0][0]) == 1.0
-    for bad in ("0.5:0.1:0.1", "0:1:0", "0:1:0.5", "0.2,1.0", "", "a,b",
-                "0:0.5:0.1:2"):
+    for bad in ("0.5:0.1:0.1", "0:1:0", "", "a,b", "0:0.5:0.1:2"):
         with pytest.raises(ValueError):
+            parse_z_values(bad)
+    # the range a height must lie in is the section kind's, not the parser's
+    assert np.array_equal(parse_z_values("0:1:0.5"), [0.0, 0.5, 1.0])
+    assert np.array_equal(parse_z_values("1.5,-1.5"), [-1.5, 1.5])
+    for bad in ("nan", "0.2,inf", "-inf:0:0.1", "0:nan:0.1", "0:1:inf"):
+        with pytest.raises(ValueError, match="heights must be finite"):
             parse_z_values(bad)
 
 

@@ -428,6 +428,29 @@ def test_summit_reaches_the_support(n):
                                        rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_foot_point_solve_is_the_summit_solve_with_u_at_the_pole(n):
+    # cuts whose foot points lie inside the body, solved about the ray
+    # through the summit u, which is far from the pole, and about the
+    # foot point (u = e): two centres, one volume.  They differ only by
+    # the rule's error on each profile, which the default n = 6 rule
+    # leaves near 2e-13 on this ball, so n = 6 takes resolution 20
+    body = body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n))
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n, 20 if n == 6 else None)
+    lifted = rule.nodes @ frame.basis
+    size = np.array([0.1, 0.3, 0.5])
+    for e in (frame.pole, -frame.pole):
+        assert np.all(size < body.evaluate(e[None])[0])
+        u, _ = slice_transforms._summit(body, e, frame.basis)
+        assert u @ e < 0.99
+        foot, summit = (
+            np.array([rule.weights @ r ** (n - 1)
+                      for r in slice_transforms._side_radii(body, e, lifted, size, about)])
+            for about in (e, u))
+        assert np.all(np.abs(summit - foot) <= 1e-13 * foot), n
+
+
 def test_rule_frame_dimension_mismatch_rejected():
     body = body_ball(3, 1.0)
     with pytest.raises(ValueError):
@@ -514,32 +537,63 @@ def test_hyperplane_section_domain():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_scan_spans_the_latitudes_the_bounds_allow(n, monkeypatch):
-    # every crossing of rho sin(psi) = |z| lies in [asin(|z| / bound),
-    # asin(|z| / floor)]: each scan strictly contains those intervals for
-    # its heights, and stays inside the range [0, asin(max |z| / floor)
-    # + 0.1] that the scan used to cover, so the multi-root probe is
-    # never coarser than it was
-    scans = []
-    scan_side = slice_transforms._scan_side
+    # along node theta's arc to u, every crossing of rise sin(psi) rho =
+    # |z| lies in [asin(|z| / (bound rise)), asin(|z| / (floor rise))], or
+    # in its mirror past pi / 2 if the arc reaches it: each node's scan
+    # strictly contains those intervals for its heights up to the arc's
+    # end at u, never passes u (to rounding), and on a capped arc stays
+    # inside the range [0, asin(max |z| / floor) + 0.1] that the scan used
+    # to cover, so the multi-root probe is never coarser than it was.  The
+    # rows of a scan are the latitudes `_arc_heights` receives between
+    # the start of a side and its `_crossings` probe
+    scans, scanning = [], [False]
+    side_radii = slice_transforms._side_radii
+    arc_heights = slice_transforms._arc_heights
+    crossings = slice_transforms._crossings
 
-    def recorded(body, tiled, lifted, zs, lo, hi):
-        scans.append((body, zs, lo, hi))
-        return scan_side(body, tiled, lifted, zs, lo, hi)
+    def recorded_side(body, e, lifted, size, u):
+        scans.append((body, e, lifted, size, u, []))
+        scanning[0] = True
+        return side_radii(body, e, lifted, size, u)
 
-    monkeypatch.setattr(slice_transforms, "_scan_side", recorded)
+    def recorded_arcs(body, poles, lifted, rise, psi):
+        if scanning[0]:
+            scans[-1][-1].append(np.broadcast_to(psi, (len(psi), len(scans[-1][2]))))
+        return arc_heights(body, poles, lifted, rise, psi)
+
+    def recorded_crossings(table, zs):
+        scanning[0] = False
+        return crossings(table, zs)
+
+    monkeypatch.setattr(slice_transforms, "_side_radii", recorded_side)
+    monkeypatch.setattr(slice_transforms, "_arc_heights", recorded_arcs)
+    monkeypatch.setattr(slice_transforms, "_crossings", recorded_crossings)
     frame = _off_axis_frame(n)
     for body in _budget_bodies(n):
         hyperplane_section(body, frame, _BATCH, equator_rule(n))
         hyperplane_section(body, frame, 0.3, equator_rule(n))
-    assert len(scans) == 12
-    cap = math.pi / 2 - 1e-9
-    for body, zs, lo, hi in scans:
-        lo, hi = sorted((abs(lo), abs(hi)))
-        size = np.abs(zs)
-        assert np.all(zs > 0.0) or np.all(zs < 0.0)
-        assert 0.0 < lo < np.arcsin(size.min() / body.radius_bound)
-        assert np.arcsin(np.minimum(1.0, size.max() / body.radius_floor)) < hi or hi == cap
-        assert hi <= min(math.asin(min(1.0, size.max() / body.radius_floor)) + 0.1, cap)
+    # both sides of this ball have foot points outside it (see
+    # test_hyperplane_section_with_foot_points_outside)
+    offset = body_shifted_ball(n, 1.0, 0.8 * frame.basis[0] + 0.05 * frame.pole)
+    hyperplane_section(offset, frame, np.array([-0.9, -0.7, -0.3, 0.3, 0.7, 0.9]),
+                       equator_rule(n))
+    assert len(scans) == 14
+    assert sum(not np.array_equal(u, e) for _, e, _, _, u, _ in scans) == 2
+    for body, e, lifted, size, u, rows in scans:
+        psi = np.concatenate(rows)
+        assert psi.shape == (slice_transforms._SCAN_POINTS, len(lifted))
+        assert np.all(size > 0.0) and np.all(np.diff(psi, axis=0) > 0.0)
+        c = 0.0 if np.array_equal(u, e) else lifted @ u
+        normal = np.sqrt(1.0 - c * c)
+        rise, end = (u @ e) / normal, np.arctan2(normal, c)
+        top = np.arcsin(np.minimum(1.0, size.max() / (body.radius_floor * rise)))
+        lo, hi = psi[0], psi[-1]
+        assert np.all((0.0 < lo) & (lo < np.arcsin(size.min() / (body.radius_bound * rise))))
+        # the last row, lo + (end - lo), lands on u's latitude to rounding
+        at_u = np.abs(hi - end) <= 4e-16 * end
+        assert np.all((np.minimum(end, top) < hi) | at_u)
+        assert np.all((hi < end) | at_u)
+        assert np.all((hi <= top + 0.1) | (end >= np.pi - top))
 
 
 def test_hyperplane_section_names_broken_radius_bounds():
