@@ -236,7 +236,9 @@ def load_body_spec(path):
 def parse_z_values(text):
     """Height grid: 'start:stop:step' (inclusive) or a comma list.
 
-    Heights must be finite; each section kind checks its own range.
+    Heights must be finite; each section kind checks its own range.  A
+    range holds at most 10000 points, so a tiny step or an overflowing
+    point count is refused before any height is allocated.
     """
     text = str(text).strip()
     if ":" in text:
@@ -248,7 +250,10 @@ def parse_z_values(text):
             raise ValueError("heights must be finite")
         if step <= 0 or stop <= start:
             raise ValueError("z range needs stop > start and step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < 10000.0:
+            raise ValueError(f"z range has {steps + 1.0:.6g} points; at most 10000 are allowed")
+        count = int(math.floor(steps)) + 1
         zs = start + step * np.arange(count)
         # a grid point within roundoff of zero is +0.0, so its rows read
         # z = 0 and the sections take their exact z = 0 path

@@ -38,8 +38,10 @@ from .star_body import (
 _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
-# points per body call in `_side_radii`'s scan rows and refined heights:
-# all 64 rows and a side's heights at n = 2, one row or height at n = 5, 6
+# points per body or field call in `_side_radii`'s scan rows and refined
+# heights (all 64 rows and a side's heights at n = 2, one row or height at
+# n = 5, 6) and in the pole groups of `transform_sweep` (50 poles of the
+# n = 2 default rule per call, 16 at n = 3, 4 at n = 4, one at n = 5, 6)
 _GROUP_POINTS = 8192
 # compass search of `_summit`: first step in its chart, final step, step cap
 _SUMMIT_STEP = 0.5
@@ -472,6 +474,42 @@ class TransformValue(float):
         return float(self), self.scale
 
 
+def _pole_transforms(f, frames, rule):
+    # one TransformValue per frame.  The frames reach the field in groups
+    # of G = _GROUP_POINTS // N, at least one: each frame's own product
+    # nodes @ basis makes its own rows of one C-contiguous (G N, n)
+    # array, next to its pole repeated over them, so one evaluate or
+    # gradient call serves the group; each value and scale is read off
+    # the frame's own contiguous rows, the reductions of a group of one,
+    # bit for bit.  A group of one keeps the (n,) pole
+    size, w = rule.size, rule.weights
+    group = max(1, _GROUP_POINTS // size)
+    values = []
+    for start in range(0, len(frames), group):
+        chunk = frames[start:start + group]
+        for frame in chunk:
+            _check_rule(frame, rule)
+        if len(chunk) == 1:
+            pole, lifted = chunk[0].pole, rule.nodes @ chunk[0].basis
+        else:
+            lifted = np.concatenate([rule.nodes @ frame.basis for frame in chunk])
+            pole = np.repeat([frame.pole for frame in chunk], size, axis=0)
+        d, held = _meridian_terms(f.evaluate, f.gradient, pole, lifted)
+        for k in range(len(chunk)):
+            rows = slice(k * size, (k + 1) * size)
+            if f.gradient is not None:
+                # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
+                # to within rounding, so the noise of the whole gradient reaches d
+                g = held[rows]
+                scale = math.sqrt(float(w @ w) * float((g * g).sum()))
+            else:
+                # held is f at latitude +FD_STEP; its noise, as independent errors
+                wf = w * held[rows]
+                scale = math.sqrt(float(wf @ wf)) / FD_STEP
+            values.append(TransformValue(float(w @ d[rows]), scale))
+    return values
+
+
 def equator_transform(f, frame, rule):
     """A(xi): integral of the meridian derivative of f over the equator.
 
@@ -484,31 +522,25 @@ def equator_transform(f, frame, rule):
     `embed`'s checks are skipped.  Returns a `TransformValue`: on an
     even field A is rounding alone, of the order of eps * scale (see
     `calibrate`), and the scale is read off arrays the derivative holds.
+    This is `transform_sweep`'s kernel on a group of one pole.
     """
-    _check_rule(frame, rule)
-    lifted = rule.nodes @ frame.basis
-    d, held = _meridian_terms(f.evaluate, f.gradient, frame.pole, lifted)
-    w = rule.weights
-    if f.gradient is not None:
-        # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
-        # to within rounding, so the noise of the whole gradient reaches d
-        scale = math.sqrt(float(w @ w) * float((held * held).sum()))
-    else:
-        # held is f at latitude +FD_STEP; its noise, as independent errors
-        wf = w * held
-        scale = math.sqrt(float(wf @ wf)) / FD_STEP
-    return TransformValue(float(w @ d), scale)
+    return _pole_transforms(f, (frame,), rule)[0]
 
 
 def transform_sweep(f, frames, rule):
-    """A(xi) for a sequence of poles, one `equator_transform` each.
+    """A(xi) for a sequence of poles, equal to `equator_transform` on each.
 
     `frames` holds EquatorFrame objects or bare poles; a bare pole is
     completed with make_frame(pole), the frame every sweep in the
-    package uses.  Returns the values as a 1-d array.
+    package uses.  The poles reach the field in groups of up to
+    _GROUP_POINTS = 8192 lifted nodes per evaluate or gradient call
+    (50 poles of the n = 2 default rule in one call, one pole per call
+    for an 8192-node rule), and each value is read off its own pole's
+    rows, so the values are the per-pole ones bit for bit.  Returns the
+    values as a 1-d array.
     """
     frames = [fr if isinstance(fr, EquatorFrame) else make_frame(fr) for fr in frames]
-    return np.array([equator_transform(f, frame, rule) for frame in frames], dtype=float)
+    return np.array(_pole_transforms(f, frames, rule), dtype=float)
 
 
 _KINDS = ("slice", "conical", "hyperplane")

@@ -26,7 +26,7 @@ from .sphere_geom import (
     random_directions,
 )
 from .star_body import odd_part, to_scalar_field
-from .slice_transforms import equator_transform
+from .slice_transforms import _pole_transforms
 
 _EPS = float(np.finfo(float).eps)
 
@@ -76,8 +76,9 @@ def sample_poles(n, count, seed=0):
     m = max(1, count // 2) base poles (Fibonacci for n=3, seeded-random
     otherwise) are followed by their negatives, 2m in all:
     sample_poles(3, 1) has 2 poles and sample_poles(n, 37) has 36.
-    A(-xi) = -A(xi), so the negatives add no information; `sweep` pays
-    one transform per base pole and reads each negative's value off it.
+    A(-xi) = -A(xi), so the negatives add no information; `sweep`
+    computes the base poles alone and reads each negative's value off
+    its base pole.
     """
     n = check_dim(n)
     count = int(count)
@@ -114,8 +115,10 @@ def calibrate(gradient_path):
 
 
 # A default rule with at least this many nodes is swept on a ladder of
-# coarser rules first; below it the fixed cost per transform of the two
-# extra sweeps outweighs what a coarse level saves (n = 2, 3)
+# coarser rules first; below it the two extra sweeps cost more than a
+# coarse level saves (n = 2, 3).  Measured with grouped pole sweeps, an
+# n = 3 ladder (128, 256, 512 nodes) stopped every detect_mixed stratum
+# at 256 and still ran 9-29% slower
 _LADDER_NODES = 2048
 
 
@@ -143,14 +146,18 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
         `calibrate(f.gradient is not None)` and s the roundoff scale of
         each swept transform (`TransformValue`)
 
-    Each base pole costs one `equator_transform`, and its negative gets
-    0.0 - A: make_frame(-xi) has the basis of make_frame(xi), so both
-    frames lift the same equator nodes, every per-node derivative flips
-    sign exactly (the +-h latitude points of the finite-difference path
-    swap places) and the value is the one a fresh transform would
-    return, bit for bit; 0.0 - A keeps an exact zero at +0.0 as the
-    fresh sum does.  The negative's roundoff scale is its base pole's,
-    so the floor's max s runs over the base poles.
+    The base poles are computed by `transform_sweep`'s kernel, in groups
+    of up to 8192 lifted nodes per evaluate or gradient call (all 50
+    default base poles in one call at n = 2, 16 per call at n = 3, 4 at
+    the n = 4 default, one at the 8192-node defaults of n = 5, 6), each
+    value equal to its own `equator_transform` bit for bit.  Each
+    negative gets 0.0 - A: make_frame(-xi) has the basis of
+    make_frame(xi), so both frames lift the same equator nodes, every
+    per-node derivative flips sign exactly (the +-h latitude points of
+    the finite-difference path swap places) and the value is the one a
+    fresh transform would return, bit for bit; 0.0 - A keeps an exact
+    zero at +0.0 as the fresh sum does.  The negative's roundoff scale
+    is its base pole's, so the floor's max s runs over the base poles.
 
     Without `rule_resolution` and `threshold`, a default rule of at
     least 2048 nodes (n >= 4) is reached on a ladder: the base poles are
@@ -177,7 +184,7 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     rules = _rule_ladder(n, rule_resolution, threshold)
     ladder, base = [], None
     for rule in rules:
-        coarser, base = base, [equator_transform(f, frame, rule) for frame in frames]
+        coarser, base = base, _pole_transforms(f, frames, rule)
         floor = constant * max(value.scale for value in base)
         move = None if coarser is None else float(np.max(np.abs(np.subtract(base, coarser))))
         ladder.append((rule.resolution, rule.size, move, floor))
@@ -220,7 +227,8 @@ def detect(body, num_dirs=100, seed=0, rule_resolution=None, threshold=None):
     """Sweep a star body's section density for central asymmetry; see `sweep`.
 
     `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
-    pairs, at the cost of 18 transforms per rule it visits.  A default
+    pairs, at the cost of 18 base-pole transforms per rule it visits (in
+    ceil(18 / G) field calls, G = max(1, 8192 // nodes)).  A default
     detect in n >= 4 may stop at half the default resolution, and the
     report's `resolution` records the rule its values come from.
     """

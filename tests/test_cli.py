@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,18 @@ def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sections_refuses_a_huge_z_range(tmp_path, capsys):
+    # the point count of 0:1e300:1e-300 overflowed into a traceback and
+    # exit 1; a range past 10000 points is an input error
+    spec = _spec(tmp_path, BALL)
+    for grid, count in (("0:1e300:1e-300", "inf"), ("0:1:1e-12", "1e+12")):
+        out = tmp_path / "out"
+        assert main(["sections", "--body", spec, "--out", str(out), f"--z={grid}"]) == 2
+        assert capsys.readouterr().err == (
+            f"starsym: z range has {count} points; at most 10000 are allowed\n")
+        assert not out.exists()
+
+
 def test_sections_heights_past_the_unit_sphere(tmp_path, capsys):
     # hyperplane cuts of a radius-2 ball exist up to |z| < 2, while
     # conical heights are cosines and stop below 1
@@ -482,6 +495,13 @@ def test_parse_z_values():
     assert np.array_equal(parse_z_values("1.5,-1.5"), [-1.5, 1.5])
     for bad in ("nan", "0.2,inf", "-inf:0:0.1", "0:nan:0.1", "0:1:inf"):
         with pytest.raises(ValueError, match="heights must be finite"):
+            parse_z_values(bad)
+    # a range's point count overflowed int() or allocated every point
+    # (0:1:1e-12 asked for 7.28 TiB); at most 10000 points are taken
+    assert len(parse_z_values("0:0.9999:1e-4")) == 10000
+    for bad, count in (("0:1:1e-4", "10001"), ("0:1:1e-12", "1e+12"),
+                       ("0:1e300:1e-300", "inf"), ("-1e308:1e308:1e-308", "inf")):
+        with pytest.raises(ValueError, match=re.escape(f"z range has {count} points; at most")):
             parse_z_values(bad)
 
 

@@ -75,17 +75,58 @@ def test_sweep_equals_reference_formula(n):
         assert np.array_equal(transform_sweep(f, xis, rule), want), body.label
 
 
+@pytest.mark.parametrize("n, resolution", [
+    (2, None), (3, 256), (3, 512), (4, 16), (4, 32), (4, 64), (5, 8), (5, 16), (5, 32),
+    (6, 4), (6, 8), (6, 16)])
+def test_grouped_poles_equal_per_pole_transforms(n, resolution):
+    # 18 base poles in groups of G = _GROUP_POINTS // N poles: all in one
+    # group where G > 18 (2 nodes at n = 2, 256 at n = 3, 128 at n = 4 and
+    # n = 5, 32 at n = 6), full groups and a remainder where G < 18 (512
+    # nodes at n = 3, 4 and 6, G = 16; 1024 at n = 5, G = 8; 2048 at
+    # n = 4, G = 4) and one pole per call at 8192 nodes (n = 5, 6).
+    # Values, sign bits and scales equal the per-pole transforms on both
+    # derivative paths, and so do transform_sweep's on frames and on
+    # bare poles
+    rule = equator_rule(n, resolution)
+    xis, frames = symmetry_detector._pole_frames(n, 37, n)
+    assert len(frames) == 18
+    for body in _bodies(n):
+        f = to_scalar_field(body)
+        want = [equator_transform(f, frame, rule) for frame in frames]
+        got = slice_transforms._pole_transforms(f, frames, rule)
+        assert _same_bits(np.array(got), np.array(want)), body.label
+        assert [v.scale for v in got] == [v.scale for v in want], body.label
+        assert all(type(v) is slice_transforms.TransformValue for v in got)
+        bare = [equator_transform(f, make_frame(xi), rule) for xi in xis]
+        assert _same_bits(transform_sweep(f, frames, rule), np.array(want)), body.label
+        assert _same_bits(transform_sweep(f, xis, rule), np.array(bare)), body.label
+
+
 def _count_transforms(monkeypatch, module=symmetry_detector):
-    # every pole the sweep of `module` actually integrates, in call order
-    calls = []
-    real = slice_transforms.equator_transform
+    # every pole the sweeps of `module` actually integrate, in call order,
+    # and the points of each field call that serves a group of them
+    calls, points = [], []
+    real = slice_transforms._pole_transforms
+    terms = slice_transforms._meridian_terms
 
-    def counting(f, frame, rule):
-        calls.append(frame.pole)
-        return real(f, frame, rule)
+    def counting(f, frames, rule):
+        calls.extend(frame.pole for frame in frames)
+        return real(f, frames, rule)
 
-    monkeypatch.setattr(module, "equator_transform", counting)
-    return calls
+    def counting_terms(evaluate, gradient, pole, lifted):
+        points.append(len(lifted))
+        return terms(evaluate, gradient, pole, lifted)
+
+    monkeypatch.setattr(module, "_pole_transforms", counting)
+    monkeypatch.setattr(slice_transforms, "_meridian_terms", counting_terms)
+    return calls, points
+
+
+def _group_points(poles, size):
+    # the points of each field call in a sweep of `poles` poles on a rule
+    # of `size` nodes: groups of G = _GROUP_POINTS // size poles, at least one
+    group = max(1, slice_transforms._GROUP_POINTS // size)
+    return [size * min(group, poles - start) for start in range(0, poles, group)]
 
 
 def _same_bits(a, b):
@@ -110,13 +151,17 @@ def test_antipodal_sweep_equals_per_pole_transforms(n, resolution):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_antipodal_pair_costs_one_transform(n, monkeypatch):
     f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
-    calls = _count_transforms(monkeypatch)
+    calls, points = _count_transforms(monkeypatch)
+    size = equator_rule(n, 16).size
     for field in (f, strip_gradient(f)):
         report = sweep(field, num_dirs=24, seed=n, rule_resolution=16)
-        # the base pole of each pair is computed, its negative reused
+        # the base pole of each pair is computed, its negative reused, and
+        # the base poles share ceil(12 / G) field calls
         assert np.array_equal(calls, [make_frame(xi).pole for xi in report.xis[:12]])
         assert np.array_equal(report.xis[12:], -report.xis[:12])
+        assert points == _group_points(12, size)
         calls.clear()
+        points.clear()
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -127,17 +172,20 @@ def test_transform_sweep_computes_every_pole(n, monkeypatch):
     rule = equator_rule(n, 16)
     f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
     xis = sample_poles(n, 8, seed=2)
-    calls = _count_transforms(monkeypatch, slice_transforms)
+    calls, points = _count_transforms(monkeypatch, slice_transforms)
     transform_sweep(f, xis, rule)
     transform_sweep(f, -xis, rule)
     assert np.array_equal(calls, [make_frame(xi).pole for xi in np.vstack([xis, -xis])])
+    assert points == 2 * _group_points(len(xis), rule.size)
 
 
 def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
     body = body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05))
-    calls = _count_transforms(monkeypatch)
+    calls, points = _count_transforms(monkeypatch)
     detect(body, num_dirs=100, threshold=1.0)
     assert len(calls) == 50
+    # 512 nodes: groups of 16 poles, so four field calls, not 50
+    assert points == [16 * 512] * 3 + [2 * 512]
 
 
 def _counting(body):
@@ -166,27 +214,30 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
     # at the middle one), reads the other 50 off their negatives and
     # probes the odd part on the grid probe_directions(n, 2000) (f at u
     # and at -u): no calibration sweep, and the roundoff scale of each
-    # transform costs no evaluation
+    # transform costs no evaluation.  A level of N nodes takes
+    # ceil(50 / G) field calls, G = _GROUP_POINTS // N poles per call
     probe = len(probe_directions(n, 2000))
     for body, levels in ((body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)), 3),
                          (body_ellipsoid(n, tuple(np.linspace(1.5, 0.7, n))), 2)):
         body, counts = _counting(strip_gradient(body) if fd else body)
-        calls = _count_transforms(monkeypatch)
+        calls, points = _count_transforms(monkeypatch)
         report = detect(body)
         levels = 1 if n == 3 else levels
         assert len(report.ladder) == levels
         assert len(calls) == 50 * levels
         assert [level[1] for level in report.ladder] == [
             equator_rule(n, level[0]).size for level in report.ladder]
+        assert points == [p for level in report.ladder for p in _group_points(50, level[1])]
         nodes = sum(level[1] for level in report.ladder)
+        groups = len(points)
         if fd:
             # four latitudes per node
-            want = {"evaluate_calls": 4 * 50 * levels + 2,
+            want = {"evaluate_calls": 4 * groups + 2,
                     "evaluate_points": 4 * 50 * nodes + 2 * probe}
         else:
             # the section density's gradient evaluates rho once per call
-            want = {"gradient_calls": 50 * levels, "gradient_points": 50 * nodes,
-                    "evaluate_calls": 50 * levels + 2,
+            want = {"gradient_calls": groups, "gradient_points": 50 * nodes,
+                    "evaluate_calls": groups + 2,
                     "evaluate_points": 50 * nodes + 2 * probe}
         assert dict(counts) == want, body.label
         monkeypatch.undo()
@@ -259,9 +310,11 @@ def test_a_sweep_ending_at_the_default_equals_the_explicit_default(n, monkeypatc
     for body in _bodies(n)[1::3]:
         report = detect(body, num_dirs=24, seed=n)
         assert [level[0] for level in report.ladder] == [default // 4, default // 2, default]
-        calls = _count_transforms(monkeypatch)
+        calls, points = _count_transforms(monkeypatch)
         explicit = detect(body, num_dirs=24, seed=n, rule_resolution=default)
         assert len(calls) == 12
+        # 8192 nodes fill a field call: one pole per call
+        assert points == [equator_rule(n).size] * 12
         assert explicit.ladder == ((default, equator_rule(n).size, None, explicit.threshold),)
         assert _same_bits(report.values, explicit.values), body.label
         assert report.ladder[-1][1:] == (equator_rule(n).size, report.ladder[-1][2],
@@ -275,9 +328,11 @@ def test_a_sweep_ending_at_the_default_equals_the_explicit_default(n, monkeypatc
 def test_small_default_rules_sweep_one_level(n, monkeypatch):
     # below 2048 nodes the two coarse sweeps would cost more than they save
     for body in _bodies(n):
-        calls = _count_transforms(monkeypatch)
+        calls, points = _count_transforms(monkeypatch)
         report = detect(body, num_dirs=24, seed=n)
         assert len(calls) == 12
+        # and the 12 base poles share one field call
+        assert points == [12 * equator_rule(n).size]
         assert report.ladder == ((equator_rule(n).resolution, equator_rule(n).size,
                                   None, report.threshold),)
         monkeypatch.undo()
