@@ -297,7 +297,6 @@ def cmd_analyze(args):
         "l2_mean_transform": report.l2_mean,
         "threshold": report.threshold,
         "num_dirs": report.num_dirs,
-        "ground_truth_odd_sup": report.ground_truth_odd_sup,
     }
     jpath = _write(os.path.join(args.out, "report.json"), json_text(doc) + "\n")
     head = ",".join([f"xi_{i}" for i in range(body.dim)] + ["transform"])

@@ -50,9 +50,33 @@ def _check_body(body):
     return body
 
 
-def _binomial(scale, hits, total):
-    p = hits / total
-    return scale * p, scale * math.sqrt(p * (1.0 - p) / total)
+def _slab_estimate(body, xi, z, delta, samples, seed, scale_of, hits_in):
+    # input checks, chunks of uniform directions g on S^(n-1) and the
+    # binomial estimate.  scale_of(n, rb, z, delta) runs between the delta
+    # and sample-count checks and may refuse its inputs; hits_in(rng, g,
+    # xi, z, delta, rb) counts a chunk's hits, drawing its radii after g
+    body = _check_body(body)
+    n = body.dim
+    xi = unit_vector(xi, n)
+    z, delta, samples = float(z), float(delta), int(samples)
+    if delta <= 0.0:
+        raise ValueError("delta must be positive")
+    rb = body.radius_bound
+    scale = scale_of(n, rb, z, delta)
+    if samples < 1000:
+        raise ValueError("samples must be at least 1000")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    done = 0
+    while done < samples:
+        count = min(_CHUNK, samples - done)
+        g = rng.standard_normal((count, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        hits += hits_in(rng, g, xi, z, delta, rb)
+        done += count
+    p = hits / samples
+    return SlabEstimate(value=scale * p, std_error=scale * math.sqrt(p * (1.0 - p) / samples),
+                        samples=samples, slab_half_width=delta, seed=int(seed))
 
 
 def mc_hyperplane_section(body, xi, z, delta=0.01, samples=1_000_000, seed=0):
@@ -63,34 +87,17 @@ def mc_hyperplane_section(body, xi, z, delta=0.01, samples=1_000_000, seed=0):
     lies within delta of z, and scales by ball volume over slab
     thickness.
     """
-    body = _check_body(body)
-    n = body.dim
-    xi = unit_vector(xi, n)
-    z = float(z)
-    delta = float(delta)
-    samples = int(samples)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if samples < 1000:
-        raise ValueError("samples must be at least 1000")
-    rb = body.radius_bound
-    vol_ball = vol_sphere(n - 1) / n * rb ** n
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        g = rng.standard_normal((count, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = rb * rng.uniform(size=count) ** (1.0 / n)
+    def scale_of(n, rb, z, delta):
+        return vol_sphere(n - 1) / n * rb ** n / (2.0 * delta)
+
+    def hits_in(rng, g, xi, z, delta, rb):
+        r = rb * rng.uniform(size=g.shape[0]) ** (1.0 / g.shape[1])
         keep = np.abs(r * (g @ xi) - z) < delta
-        if np.any(keep):
-            inside = r[keep] <= body.evaluate(g[keep])
-            hits += int(np.count_nonzero(inside))
-        done += count
-    value, err = _binomial(vol_ball / (2.0 * delta), hits, samples)
-    return SlabEstimate(value=value, std_error=err, samples=samples,
-                        slab_half_width=delta, seed=int(seed))
+        if not np.any(keep):
+            return 0
+        return int(np.count_nonzero(r[keep] <= body.evaluate(g[keep])))
+
+    return _slab_estimate(body, xi, z, delta, samples, seed, scale_of, hits_in)
 
 
 def mc_cone_section(body, xi, z, delta=0.01, samples=1_000_000, seed=0):
@@ -102,34 +109,17 @@ def mc_cone_section(body, xi, z, delta=0.01, samples=1_000_000, seed=0):
     the band's section-density integral divided by the importance mass
     vol(S^(n-1)) * R_b^(n-1) / (n-1).
     """
-    body = _check_body(body)
-    n = body.dim
-    xi = unit_vector(xi, n)
-    z = float(z)
-    delta = float(delta)
-    samples = int(samples)
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if abs(z) + delta >= 1.0:
-        raise ValueError("need |z| + delta < 1 so the band stays on the sphere")
-    if samples < 1000:
-        raise ValueError("samples must be at least 1000")
-    rb = body.radius_bound
-    psi_width = math.asin(z + delta) - math.asin(z - delta)
-    scale = vol_sphere(n - 1) * rb ** (n - 1) / ((n - 1) * psi_width)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        g = rng.standard_normal((count, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        band = np.abs(g @ xi - z) < delta
-        kept = g[band]
-        if kept.shape[0]:
-            r = rb * rng.uniform(size=kept.shape[0]) ** (1.0 / (n - 1))
-            hits += int(np.count_nonzero(r <= body.evaluate(kept)))
-        done += count
-    value, err = _binomial(scale, hits, samples)
-    return SlabEstimate(value=value, std_error=err, samples=samples,
-                        slab_half_width=delta, seed=int(seed))
+    def scale_of(n, rb, z, delta):
+        if abs(z) + delta >= 1.0:
+            raise ValueError("need |z| + delta < 1 so the band stays on the sphere")
+        psi_width = math.asin(z + delta) - math.asin(z - delta)
+        return vol_sphere(n - 1) * rb ** (n - 1) / ((n - 1) * psi_width)
+
+    def hits_in(rng, g, xi, z, delta, rb):
+        kept = g[np.abs(g @ xi - z) < delta]
+        if not kept.shape[0]:
+            return 0
+        r = rb * rng.uniform(size=kept.shape[0]) ** (1.0 / (g.shape[1] - 1))
+        return int(np.count_nonzero(r <= body.evaluate(kept)))
+
+    return _slab_estimate(body, xi, z, delta, samples, seed, scale_of, hits_in)

@@ -413,11 +413,14 @@ def hyperplane_section(body, frame, z, rule):
     1e-12, and read off the final bracket's ends by one secant step.
     Only values of rho are used, so bodies with and without a gradient
     take the same path, and the body always receives C-contiguous
-    (N, n) points.  Three cuts are refused: one that misses the body
-    (|z| at or above radius_bound, or above the summit found; every
-    height is checked before any scan), one that crosses a ray more than
-    once (it is not star-shaped about the point it is solved about), and
-    one whose root refinement does not converge.
+    (N, n) points.  A cut at |z| >= radius_bound is empty, since the
+    body lies in that ball: it is 0.0 and takes no part in the summit
+    search or the scan.  Non-finite heights raise.  Three cuts are
+    refused: one above the summit found (the compass search is local, so
+    only radius_bound certifies an empty cut; every height is checked
+    before any scan), one that crosses a ray more than once (it is not
+    star-shaped about the point it is solved about), and one whose root
+    refinement does not converge.
 
     z may be a scalar or a 1-d array of heights.  The scan values do not
     depend on z, so all heights on one side of the equator share one
@@ -428,13 +431,14 @@ def hyperplane_section(body, frame, z, rule):
     zs, scalar = _heights(z)
     n = frame.dim
     pole = frame.pole
-    beyond = ~(np.abs(zs) < body.radius_bound)
-    if np.any(beyond):
-        raise ValueError(f"the cut at z = {zs[beyond][0]:g} misses the body: hyperplane "
-                         f"cuts need |z| < radius_bound = {body.radius_bound:g}")
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("heights must be finite")
+    inside = np.abs(zs) < body.radius_bound
+    values = np.zeros(zs.shape)
+    if not np.any(inside):
+        return _shaped(values, scalar)
     top, bottom = body.evaluate(np.stack([pole, -pole]))
     lifted = rule.nodes @ frame.basis
-    values = np.empty(zs.shape)
     # below the normal range V(z) equals V(0) to double precision, while
     # the scan's latitudes would lose their digits
     flat = np.abs(zs) < np.finfo(float).tiny
@@ -442,7 +446,7 @@ def hyperplane_section(body, frame, z, rule):
         values[flat] = float(rule.weights @ (body.evaluate(lifted) ** (n - 1))) / (n - 1)
     sides = []
     for sign, foot in ((1.0, top), (-1.0, bottom)):
-        index = np.flatnonzero((sign * zs > 0.0) & ~flat)
+        index = np.flatnonzero((sign * zs > 0.0) & ~flat & inside)
         e = u = sign * pole
         if index.size and np.max(sign * zs[index]) >= foot:
             u, height = _summit(body, e, frame.basis)

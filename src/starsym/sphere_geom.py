@@ -234,6 +234,17 @@ def _polar_rule(sine_power, count):
     return t, w, exact
 
 
+def _lift(points, t):
+    # points p on S^{m-1} to (p sqrt(1 - t^2), t) on S^m, for every polar
+    # value t in turn: the block of t runs over all of points
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    return np.concatenate(
+        [points[None, :, :] * s[:, None, None],
+         np.broadcast_to(t[:, None, None], (t.size, points.shape[0], 1))],
+        axis=2,
+    ).reshape(-1, points.shape[1] + 1)
+
+
 @lru_cache(maxsize=64)
 def sphere_rule(d, resolution):
     """Product quadrature on S^{d-1} subset R^d.
@@ -242,8 +253,11 @@ def sphere_rule(d, resolution):
     it.  d = 1 is the two-point counting measure on S^0.  d = 2 is the
     uniform circle rule with `resolution` nodes.  For d >= 3 the rule is
     a product of the uniform circle rule in the periodic angle with
-    Gauss rules in the polar angles (counts resolution // 2 each);
-    weights are normalized to the exact surface measure.
+    Gauss rules in the polar angles (counts max(2, resolution // 2)
+    each), so resolution * count^(d-2) nodes; weights are normalized to
+    the exact surface measure.  A rule holds at most 2^21 = 2097152
+    nodes (d = 5 at resolution 64): a larger one is refused before any
+    node is allocated.
     """
     d = int(d)
     if not (1 <= d <= DIM_MAX - 1):
@@ -251,6 +265,11 @@ def sphere_rule(d, resolution):
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    count = max(2, resolution // 2)
+    size = 2 if d == 1 else resolution * count ** (d - 2)
+    if size > 2 ** 21:
+        raise ValueError(f"resolution {resolution} on S^{d - 1} gives a rule of {size} "
+                         f"nodes; at most 2097152 are allowed")
     if d == 1:
         nodes = np.array([[1.0], [-1.0]])
         weights = np.array([1.0, 1.0])
@@ -260,16 +279,9 @@ def sphere_rule(d, resolution):
     nodes = np.column_stack([np.cos(angles), np.sin(angles)])
     weights = np.full(resolution, 2.0 * math.pi / resolution)
     degree = resolution - 1
-    count = max(2, resolution // 2)
     for j in range(1, d - 1):
         t, tw, exact = _polar_rule(j, count)
-        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        # new node = (old * sin(theta), cos(theta)) for every polar node
-        nodes = np.concatenate(
-            [nodes[None, :, :] * s[:, None, None],
-             np.broadcast_to(t[:, None, None], (count, nodes.shape[0], 1))],
-            axis=2,
-        ).reshape(-1, nodes.shape[1] + 1)
+        nodes = _lift(nodes, t)
         weights = (tw[:, None] * weights[None, :]).reshape(-1)
         degree = min(degree, exact)
     weights = weights * (vol_sphere(d - 1) / weights.sum())
@@ -285,11 +297,13 @@ def equator_rule(n, resolution=None):
     n : ambient dimension (window [2, 6])
     resolution : int, optional
         Node budget for the periodic angle, at least 2; polar angles use
-        half of it.  None means the per-dimension default of
-        `default_resolution`: 2 (n=2), 512 (n=3), 64 (n=4), 32 (n=5),
-        16 (n=6).  This is the only place that default is applied:
-        every layer above passes its resolution through unchanged and
-        reports the returned rule's `resolution`.  A default detector
+        half of it, and the rule holds at most 2^21 = 2097152 nodes
+        (n = 6 at resolution 64; see `sphere_rule`).  None means the
+        per-dimension default of `default_resolution`: 2 (n=2), 512
+        (n=3), 64 (n=4), 32 (n=5), 16 (n=6).  This is the only place
+        that default is applied: every layer above passes its
+        resolution through unchanged and reports the returned rule's
+        `resolution`.  A default detector
         sweep in n >= 4 reads its coarser ladder levels (resolution // 4
         and // 2) off this rule, and may stop at one of them; its
         report records the rule it stopped at.
@@ -346,13 +360,7 @@ def probe_directions(n, count=2000):
     ang = 2.0 * math.pi * (np.arange(2 * k) + 0.5) / (2 * k)
     pts = np.column_stack([np.cos(ang), np.sin(ang)])
     for _ in range(n - 2):
-        t = -1.0 + 2.0 * (np.arange(k) + 0.5) / k
-        s = np.sqrt(1.0 - t * t)
-        pts = np.concatenate(
-            [pts[None, :, :] * s[:, None, None],
-             np.broadcast_to(t[:, None, None], (k, pts.shape[0], 1))],
-            axis=2,
-        ).reshape(-1, pts.shape[1] + 1)
+        pts = _lift(pts, -1.0 + 2.0 * (np.arange(k) + 0.5) / k)
     return pts
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
+# probe_directions and odd_part are used by nothing here; they stay
+# imported because perfbench's tracer rebinds both names on this module
 from .sphere_geom import (
     check_dim,
     equator_rule,
@@ -36,11 +37,9 @@ class AsymmetryReport:
     """Result of a pole sweep of the equatorial transform.
 
     values[i] = A(xis[i]); verdict is 'asymmetric' iff max_abs exceeds
-    the threshold.  note spells out what a symmetric verdict does and
-    does not mean.  ground_truth_odd_sup, when present, is the probed
-    sup-norm of the odd part of the swept field (diagnostic only).
-    resolution is the rule the values come from; a default sweep in
-    n >= 4 may stop below `equator_rule(n)` (see `sweep`).  ladder holds
+    threshold, the sweep's floor C eps max s (see `sweep`).  note spells
+    out what a symmetric verdict does and does not mean.  resolution is
+    the rule the values come from; a default sweep in n >= 4 may stop below `equator_rule(n)` (see `sweep`).  ladder holds
     one (resolution, nodes, max move, floor) tuple per rule the sweep
     visited, coarsest first: max move is the largest change of a swept
     value since the level before (None on the first level) and floor is
@@ -60,7 +59,6 @@ class AsymmetryReport:
     l2_mean: float
     verdict: str
     note: str
-    ground_truth_odd_sup: Optional[float] = None
     ladder: tuple = ()
 
     def __post_init__(self):
@@ -122,18 +120,23 @@ def calibrate(gradient_path):
 _LADDER_NODES = 2048
 
 
-def _rule_ladder(n, rule_resolution, threshold):
-    # the rules a sweep may visit, coarsest first, read off the rule it
-    # ends at: resolution // 4, // 2 and equator_rule(n) itself
+def _rule_ladder(n, rule_resolution):
+    # the rules a sweep may visit, coarsest first: an explicit rule or one
+    # below _LADDER_NODES alone, else resolution // 4, // 2 and the rule
     rule = equator_rule(n, rule_resolution)
-    if rule_resolution is not None or threshold is not None or rule.size < _LADDER_NODES:
+    if rule_resolution is not None or rule.size < _LADDER_NODES:
         return (rule,)
     return (equator_rule(n, rule.resolution // 4),
             equator_rule(n, rule.resolution // 2), rule)
 
 
-def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id=None):
+def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
     """Evaluate the transform over the antipodal pole set and classify the field.
+
+    The verdict compares max |A| with the sweep's own floor C eps max s,
+    with C = `calibrate(f.gradient is not None)` and s the roundoff scale
+    of each swept transform (`TransformValue`); the report's threshold
+    is that floor.
 
     Parameters
     ----------
@@ -141,10 +144,6 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     num_dirs : poles requested; the sweep covers 2 * max(1, num_dirs // 2)
         (see `sample_poles`), and the report's num_dirs is the swept count
     rule_resolution : an explicit rule is swept once, as given
-    threshold : absolute threshold on max |A|, compared on one sweep of
-        the rule; by default C eps max s, with C =
-        `calibrate(f.gradient is not None)` and s the roundoff scale of
-        each swept transform (`TransformValue`)
 
     The base poles are computed by `transform_sweep`'s kernel, in groups
     of up to 8192 lifted nodes per evaluate or gradient call (all 50
@@ -159,10 +158,10 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     zero at +0.0 as the fresh sum does.  The negative's roundoff scale
     is its base pole's, so the floor's max s runs over the base poles.
 
-    Without `rule_resolution` and `threshold`, a default rule of at
-    least 2048 nodes (n >= 4) is reached on a ladder: the base poles are
-    swept at resolutions r // 4, r // 2 and r of `equator_rule(n)`.  The
-    sweep stops at r // 2 only when no value moved by more than that level's
+    Without `rule_resolution`, a default rule of at least 2048 nodes
+    (n >= 4) is reached on a ladder: the base poles are swept at
+    resolutions r // 4, r // 2 and r of `equator_rule(n)`.  The sweep
+    stops at r // 2 only when no value moved by more than that level's
     floor C eps max s since r // 4, and its verdict stands under the
     default rule with that move as margin: max |A| - move above twice
     the floor, or max |A| + move at most the floor times |w_r| / |w_r//2|
@@ -181,7 +180,7 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     xis, frames = _pole_frames(n, num_dirs, seed)
     xis = xis.copy()
     constant = calibrate(f.gradient is not None) * _EPS
-    rules = _rule_ladder(n, rule_resolution, threshold)
+    rules = _rule_ladder(n, rule_resolution)
     ladder, base = [], None
     for rule in rules:
         coarser, base = base, _pole_transforms(f, frames, rule)
@@ -200,30 +199,26 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, threshold=None, body_id
     values = np.array(base + [0.0 - value for value in base], dtype=float)
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
-    odd_sup = float(np.max(np.abs(odd_part(f).evaluate(probe_directions(n, 2000)))))
-    if threshold is None:
-        threshold = floor
-    if max_abs > threshold:
+    if max_abs > floor:
         verdict = "asymmetric"
         top = xis[int(np.argmax(np.abs(values)))]
         note = ("asymmetry detected: max |A| = {:.6g} exceeds threshold {:.6g} "
                 "near pole [{}]").format(
-                    max_abs, threshold, ", ".join(f"{c:.4f}" for c in top))
+                    max_abs, floor, ", ".join(f"{c:.4f}" for c in top))
     else:
         verdict = "symmetric"
         note = ("no asymmetry detected at this resolution (max |A| = {:.6g}, "
                 "threshold {:.6g}); this certifies nothing beyond the sweep, "
-                "it is not a proof of symmetry").format(max_abs, threshold)
+                "it is not a proof of symmetry").format(max_abs, floor)
     return AsymmetryReport(
         body_id=body_id or f.label or "field",
         dim=n, num_dirs=int(xis.shape[0]),
-        resolution=rule.resolution, seed=int(seed), threshold=float(threshold),
+        resolution=rule.resolution, seed=int(seed), threshold=float(floor),
         xis=xis, values=values, max_abs=max_abs, l2_mean=l2_mean,
-        verdict=verdict, note=note, ground_truth_odd_sup=odd_sup,
-        ladder=tuple(ladder))
+        verdict=verdict, note=note, ladder=tuple(ladder))
 
 
-def detect(body, num_dirs=100, seed=0, rule_resolution=None, threshold=None):
+def detect(body, num_dirs=100, seed=0, rule_resolution=None):
     """Sweep a star body's section density for central asymmetry; see `sweep`.
 
     `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
@@ -233,5 +228,4 @@ def detect(body, num_dirs=100, seed=0, rule_resolution=None, threshold=None):
     report's `resolution` records the rule its values come from.
     """
     return sweep(to_scalar_field(body), num_dirs=num_dirs, seed=seed,
-                 rule_resolution=rule_resolution, threshold=threshold,
-                 body_id=body.label)
+                 rule_resolution=rule_resolution, body_id=body.label)

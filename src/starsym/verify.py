@@ -91,7 +91,9 @@ class VerifyConfig:
     mc_samples: int = 300_000
 
     def __post_init__(self):
-        equator_rule(2, self.resolution)  # refuses a resolution below 2
+        # refuses a resolution below 2, or one whose n = 6 rule (which
+        # rule_mass builds) has more nodes than equator_rule allows
+        equator_rule(6, self.resolution)
         if self.num_xi < 1:
             raise ValueError("num_xi must be positive")
         if self.mc_samples < 1000:

@@ -95,6 +95,27 @@ def test_analyze_shifted_ball_reports_asymmetric(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_report_keys(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--body", _spec(tmp_path, SHIFTED), "--out", str(out),
+                 "--dirs", "8"]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "report.json").read_text())
+    assert list(doc) == ["parameters", "verdict", "note", "max_abs_transform",
+                         "l2_mean_transform", "threshold", "num_dirs"]
+
+
+def test_analyze_refuses_a_rule_past_the_node_cap(tmp_path, capsys):
+    # resolution 66 in n = 6 is a rule of 66 * 33^3 = 2371842 nodes
+    spec = _spec(tmp_path, {"kind": "ball", "dim": 6, "params": {"radius": 1.0}})
+    out = tmp_path / "out"
+    assert main(["analyze", "--body", spec, "--out", str(out), "--resolution", "66"]) == 2
+    assert capsys.readouterr().err == (
+        "starsym: resolution 66 on S^4 gives a rule of 2371842 nodes; "
+        "at most 2097152 are allowed\n")
+    assert not out.exists()
+
+
 def test_analyze_is_byte_deterministic(tmp_path, capsys):
     spec = _spec(tmp_path, SHIFTED)
     outs = []
@@ -337,13 +358,28 @@ def test_harmonics_failure_writes_nothing(tmp_path, capsys, dim):
 
 
 def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
-    spec = _spec(tmp_path, {"kind": "ball", "dim": 3, "params": {"radius": 0.5}})
+    # the oblate ellipsoid's cut at 0.6 lies above its summit 0.5 and
+    # below its radius_bound 1.2, so no certificate says it is empty
+    spec = _spec(tmp_path, {"kind": "ellipsoid", "dim": 3,
+                            "params": {"semiaxes": [1.2, 1.1, 0.5]}})
     out = tmp_path / "out"
     assert main(["sections", "--body", spec, "--out", str(out), "--z=0.6"]) == 2
     assert capsys.readouterr().err == (
-        "starsym: the cut at z = 0.6 misses the body: hyperplane cuts need "
-        "|z| < radius_bound = 0.5\n")
+        "starsym: the cut at z = 0.6 misses the body: rho(xi) = 0.5, rho(-xi) = 0.5, "
+        "and no boundary point was found above height 0.5 on its side\n")
     assert not out.exists()
+
+
+def test_sections_cuts_past_radius_bound_are_zero(tmp_path, capsys):
+    spec = _spec(tmp_path, {"kind": "ball", "dim": 3, "params": {"radius": 2.0}})
+    out = tmp_path / "out"
+    assert main(["sections", "--body", spec, "--out", str(out), "--kind", "hyperplane",
+                 "--z=-2.5,-2,0,2,2.5"]) == 0
+    capsys.readouterr()
+    _, rows = _read_csv_rows(out / "curves.csv")
+    values = [row.split(",")[2] for row in rows]
+    assert values[:2] == values[3:] == ["0", "0"]
+    assert float(values[2]) == pytest.approx(4.0 * math.pi, rel=1e-12)
 
 
 def test_sections_refuses_a_huge_z_range(tmp_path, capsys):

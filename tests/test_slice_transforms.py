@@ -360,19 +360,26 @@ def test_slice_integral_rejects_out_of_range_heights():
         slice_integral(f, frame, np.array([0.2, -0.3, 1.0]), _rule(3))
 
 
-def test_hyperplane_section_rejects_heights_beyond_equator():
+def test_hyperplane_section_is_zero_at_and_beyond_radius_bound():
+    # the body lies in the ball of radius radius_bound = 1, so those cuts
+    # are empty
     body = body_ball(3, 1.0)
     frame = make_frame([0.0, 0.0, 1.0])
-    for z in (1.0, -1.1, np.nan):
-        with pytest.raises(ValueError, match="misses the body"):
+    for z in (1.0, -1.0, -1.1, 7.0):
+        assert hyperplane_section(body, frame, z, _rule(3)) == 0.0
+    for z in (np.nan, np.inf, np.array([0.2, -np.inf])):
+        with pytest.raises(ValueError, match="heights must be finite"):
             hyperplane_section(body, frame, z, _rule(3))
-    # every height is checked against radius_bound before any evaluation;
-    # the message names the first height beyond it and the bound
+    # a batch of only such heights costs no evaluation, and in a mixed
+    # batch they take no part in the other heights' scans
     counted, calls = _count_evaluations(body)
-    with pytest.raises(ValueError, match=r"the cut at z = 1\.05 misses the body: hyperplane "
-                                         r"cuts need \|z\| < radius_bound = 1$"):
-        hyperplane_section(counted, frame, np.array([0.2, -0.4, 0.0, 1.05, 0.6]), _rule(3))
+    assert np.array_equal(hyperplane_section(counted, frame, np.array([-1.5, 1.0]), _rule(3)),
+                          [0.0, 0.0])
     assert not calls
+    mixed = hyperplane_section(body, frame, np.array([0.2, -0.4, 0.0, 1.05, 0.6]), _rule(3))
+    assert mixed[3] == 0.0
+    assert np.array_equal(np.delete(mixed, 3), hyperplane_section(
+        body, frame, np.array([0.2, -0.4, 0.0, 0.6]), _rule(3)))
     with pytest.raises(ValueError, match="1-d"):
         hyperplane_section(body, frame, np.zeros((2, 2)), _rule(3))
 

@@ -141,6 +141,19 @@ def test_equator_rule_owns_the_default_resolution(n):
             equator_rule(n, bad)
 
 
+def test_equator_rule_caps_its_node_count():
+    # a rule of more than 2^21 nodes is refused before any node is
+    # allocated, in every dimension; the largest rule the tests build
+    # (n = 6 at resolution 48) still builds
+    for n, resolution, size in ((6, 66, 2371842), (4, 2050, 2050 * 1025),
+                                (3, 2 ** 21 + 1, 2 ** 21 + 1)):
+        with pytest.raises(ValueError, match=rf"resolution {resolution} on S\^{n - 2} gives "
+                                             rf"a rule of {size} nodes; at most 2097152 "
+                                             rf"are allowed$"):
+            equator_rule(n, resolution)
+    assert equator_rule(6, 48).size == 663552
+
+
 def test_rules_are_antipodally_paired():
     # even resolutions must pair each node with its negative so that
     # even integrands cancel exactly

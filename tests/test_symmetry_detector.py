@@ -53,7 +53,6 @@ def test_odd_harmonic_field_reads_asymmetric():
     f = harmonic_field({(3, 1): 0.05})
     report = sweep(f, num_dirs=30, seed=1)
     assert report.verdict == "asymmetric"
-    assert report.ground_truth_odd_sup > 0.01
 
 
 def test_antipodal_sweep_shows_sign_antisymmetry():
@@ -66,9 +65,8 @@ def test_antipodal_sweep_shows_sign_antisymmetry():
         assert report.values[half + i] == -report.values[i]
 
 
-def test_threshold_override_and_symmetric_note():
-    body = body_shifted_ball(3, 1.0, (0.05, 0.0, 0.0))
-    report = detect(body, num_dirs=16, threshold=1e6)
+def test_even_body_reads_the_symmetric_note():
+    report = detect(body_ellipsoid(3, (1.5, 1.0, 0.7)), num_dirs=16)
     assert report.verdict == "symmetric"
     assert "no asymmetry detected at this resolution" in report.note
     assert "not a proof of symmetry" in report.note
@@ -204,11 +202,6 @@ def test_threshold_is_the_floor_times_the_field_size(n):
         assert report.threshold == floor == report.ladder[-1][3]
         assert report.verdict == "asymmetric"
         assert sweep(replace(field, sup_bound=None), num_dirs=12, seed=2).threshold == floor
-    # an explicit threshold stays absolute, compared on one sweep of the
-    # default rule
-    report = sweep(f, num_dirs=12, seed=2, threshold=1e9)
-    assert report.threshold == 1e9
-    assert [level[0] for level in report.ladder] == [default_resolution(n)]
 
 
 def _rotation(n, seed):

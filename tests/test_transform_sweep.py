@@ -20,7 +20,6 @@ from starsym import (
     equator_rule,
     equator_transform,
     make_frame,
-    probe_directions,
     sample_poles,
     strip_gradient,
     sweep,
@@ -182,7 +181,7 @@ def test_transform_sweep_computes_every_pole(n, monkeypatch):
 def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
     body = body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05))
     calls, points = _count_transforms(monkeypatch)
-    detect(body, num_dirs=100, threshold=1.0)
+    detect(body, num_dirs=100)
     assert len(calls) == 50
     # 512 nodes: groups of 16 poles, so four field calls, not 50
     assert points == [16 * 512] * 3 + [2 * 512]
@@ -211,12 +210,10 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
     # a default detect integrates its 50 base poles once per level it
     # visits (one in n = 3; in n = 5 three for the shifted ball, which
     # reaches the default rule, and two for the ellipsoid, which stops
-    # at the middle one), reads the other 50 off their negatives and
-    # probes the odd part on the grid probe_directions(n, 2000) (f at u
-    # and at -u): no calibration sweep, and the roundoff scale of each
-    # transform costs no evaluation.  A level of N nodes takes
+    # at the middle one) and reads the other 50 off their negatives: no
+    # calibration sweep, no probe of the odd part, and the roundoff scale
+    # of each transform costs no evaluation.  A level of N nodes takes
     # ceil(50 / G) field calls, G = _GROUP_POINTS // N poles per call
-    probe = len(probe_directions(n, 2000))
     for body, levels in ((body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)), 3),
                          (body_ellipsoid(n, tuple(np.linspace(1.5, 0.7, n))), 2)):
         body, counts = _counting(strip_gradient(body) if fd else body)
@@ -232,13 +229,11 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
         groups = len(points)
         if fd:
             # four latitudes per node
-            want = {"evaluate_calls": 4 * groups + 2,
-                    "evaluate_points": 4 * 50 * nodes + 2 * probe}
+            want = {"evaluate_calls": 4 * groups, "evaluate_points": 4 * 50 * nodes}
         else:
             # the section density's gradient evaluates rho once per call
             want = {"gradient_calls": groups, "gradient_points": 50 * nodes,
-                    "evaluate_calls": groups + 2,
-                    "evaluate_points": 50 * nodes + 2 * probe}
+                    "evaluate_calls": groups, "evaluate_points": 50 * nodes}
         assert dict(counts) == want, body.label
         monkeypatch.undo()
 

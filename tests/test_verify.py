@@ -65,6 +65,9 @@ def test_result_records_are_well_formed():
 def test_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(resolution=1)
+    # the n = 6 rule of rule_mass caps the resolution at 64
+    with pytest.raises(ValueError, match="2371842 nodes; at most 2097152"):
+        VerifyConfig(resolution=66)
     with pytest.raises(ValueError):
         VerifyConfig(num_xi=0)
     with pytest.raises(ValueError):
