@@ -20,7 +20,6 @@ from .sphere_geom import (
     default_resolution,
     embed,
     equator_rule,
-    exact_monomial_integral,
     fibonacci_sphere,
     geodesic_distance,
     make_frame,
@@ -39,7 +38,6 @@ from .star_body import (
     body_harmonic_perturbed_ball,
     body_shifted_ball,
     equator_derivative,
-    even_part,
     hyperplane_profile_field,
     linear_field,
     odd_part,
@@ -68,7 +66,6 @@ from .harmonics import (
     fourier_field,
     funk_hecke_multiplier,
     harmonic_field,
-    injectivity_probe,
     multiplier_table,
     real_harmonic,
     zonal_field,
@@ -87,20 +84,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DIM_MAX", "DIM_MIN", "FRAME_SEED", "EquatorFrame", "EquatorQuadrature",
-    "default_resolution", "embed", "equator_rule", "exact_monomial_integral",
-    "fibonacci_sphere", "geodesic_distance", "make_frame", "probe_directions",
-    "random_directions", "random_rotation", "sphere_rule", "unit_vector",
-    "vol_sphere",
+    "default_resolution", "embed", "equator_rule", "fibonacci_sphere",
+    "geodesic_distance", "make_frame", "probe_directions", "random_directions",
+    "random_rotation", "sphere_rule", "unit_vector", "vol_sphere",
     "RadialField", "ScalarField", "body_ball", "body_ellipsoid",
-    "body_harmonic_perturbed_ball", "body_shifted_ball", "equator_derivative", "even_part",
+    "body_harmonic_perturbed_ball", "body_shifted_ball", "equator_derivative",
     "hyperplane_profile_field", "linear_field", "odd_part", "rotate_body",
     "scale_body", "strip_gradient", "to_scalar_field",
     "DerivativeAtZero", "SectionCurve", "conical_section",
     "derivative_at_zero", "equator_transform", "hyperplane_section",
     "richardson_limit", "section_curve", "slice_integral", "transform_sweep",
     "LMAX", "MultiplierTable", "estimate_multiplier", "fourier_check_n2",
-    "fourier_field", "funk_hecke_multiplier", "harmonic_field", "injectivity_probe",
-    "multiplier_table", "real_harmonic", "zonal_field",
+    "fourier_field", "funk_hecke_multiplier", "harmonic_field", "multiplier_table",
+    "real_harmonic", "zonal_field",
     "AsymmetryReport", "calibrate", "detect", "sample_poles", "sweep",
     "SlabEstimate", "mc_cone_section", "mc_hyperplane_section",
     "CheckResult", "VerifyConfig", "check_names", "run_checks",

@@ -1,4 +1,4 @@
-"""Real spherical harmonics, zonal harmonics, transform multipliers, and kernel probes.
+"""Real spherical harmonics, zonal harmonics and transform multipliers.
 
 The n=3 harmonics come from the zonal recurrence.  The |m|-th derivative
 of the Legendre polynomial P_l is (l+|m|)! / (2^|m| |m|! (l-|m|)!) times
@@ -28,9 +28,7 @@ from .sphere_geom import (
     check_dim,
     fibonacci_sphere,
     make_frame,
-    probe_directions,
     random_directions,
-    sphere_rule,
     equator_rule,
     unit_vector,
     vol_sphere,
@@ -311,37 +309,3 @@ def fourier_check_n2(a0, cos_coeffs, sin_coeffs, theta0):
 
     del a0  # constant part never contributes
     return deriv(theta0 - math.pi / 2) - deriv(theta0 + math.pi / 2)
-
-
-# ---------------------------------------------------------------------------
-# kernel structure probe
-
-
-def injectivity_probe(coefficients, resolution=None, projection_resolution=64):
-    """Round-trip reconstruction error for an odd band-limited field.
-
-    Expands the transform of g over poles into harmonics, divides by the
-    Funk-Hecke multipliers (nonzero on every odd degree), reconstructs,
-    and returns the sup-norm error against the original field on a
-    probe grid.
-    """
-    coeffs = {(int(l), int(m)): float(c) for (l, m), c in dict(coefficients).items()}
-    if not coeffs:
-        raise ValueError("need at least one coefficient")
-    lmax = max(l for l, _ in coeffs)
-    for (l, m) in coeffs:
-        if l % 2 == 0:
-            raise ValueError("injectivity probe expects odd-degree content only")
-        if not (abs(m) <= l <= LMAX):
-            raise ValueError("invalid (degree, order) pair")
-    g = harmonic_field(coeffs)
-    proj = sphere_rule(3, projection_resolution)
-    t_vals = transform_sweep(g, proj.nodes, equator_rule(3, resolution))
-    recovered = {}
-    for l in range(1, lmax + 1, 2):
-        lam = funk_hecke_multiplier(3, l)
-        for m in range(-l, l + 1):
-            y = real_harmonic(l, m).evaluate(proj.nodes)
-            recovered[(l, m)] = float(proj.weights @ (t_vals * y)) / lam
-    grid = probe_directions(3, 4000)
-    return float(np.max(np.abs(g.evaluate(grid) - harmonic_field(recovered).evaluate(grid))))

@@ -415,7 +415,8 @@ def hyperplane_section(body, frame, z, rule):
     take the same path, and the body always receives C-contiguous
     (N, n) points.  A cut at |z| >= radius_bound is empty, since the
     body lies in that ball: it is 0.0 and takes no part in the summit
-    search or the scan.  Non-finite heights raise.  Three cuts are
+    search or the scan.  The cut at z = 0 is `conical_section`'s there,
+    bit for bit.  Non-finite heights raise.  Three cuts are
     refused: one above the summit found (the compass search is local, so
     only radius_bound certifies an empty cut; every height is checked
     before any scan), one that crosses a ray more than once (it is not
@@ -443,7 +444,7 @@ def hyperplane_section(body, frame, z, rule):
     # the scan's latitudes would lose their digits
     flat = np.abs(zs) < np.finfo(float).tiny
     if np.any(flat):
-        values[flat] = float(rule.weights @ (body.evaluate(lifted) ** (n - 1))) / (n - 1)
+        values[flat] = conical_section(body, frame, 0.0, rule)
     sides = []
     for sign, foot in ((1.0, top), (-1.0, bottom)):
         index = np.flatnonzero((sign * zs > 0.0) & ~flat & inside)

@@ -314,24 +314,6 @@ def equator_rule(n, resolution=None):
     return sphere_rule(n - 1, int(resolution))
 
 
-def exact_monomial_integral(d, exponents):
-    """Closed form of integral over S^{d-1} of prod_i u_i^{a_i}.
-
-    Zero when any exponent is odd; otherwise
-    2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).
-    """
-    exps = [int(a) for a in exponents]
-    if len(exps) != d:
-        raise ValueError("need one exponent per coordinate")
-    if any(a < 0 for a in exps):
-        raise ValueError("exponents must be nonnegative")
-    if any(a % 2 == 1 for a in exps):
-        return 0.0
-    betas = [(a + 1) / 2.0 for a in exps]
-    num = 2.0 * math.prod(math.gamma(b) for b in betas)
-    return num / math.gamma(sum(betas))
-
-
 def fibonacci_sphere(count):
     """Golden-angle lattice of `count` quasi-uniform points on S^2."""
     count = int(count)

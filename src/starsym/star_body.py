@@ -12,7 +12,7 @@ the equator: with a gradient it is the gradient's component along the
 pole, the meridian tangent there, so the extension's radial component
 never enters; without one it is a central difference along the
 meridian (step 1e-4, one Richardson level).  Derived fields (section
-densities, odd and even parts, dilations, rotations, linear
+densities, odd parts, dilations, rotations, linear
 combinations) are built from two helpers, a linear combination of
 pulled-back fields and a pointwise composition, which carry the
 gradient along.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -138,10 +137,12 @@ class RadialField:
     both remaining checks: a declared `lipschitz_bound` must hold on
     every pair, and a supplied `gradient` must match meridian finite
     differences at each u toward the unit tangent of v there.  No frame
-    is completed.  `radius_bound` / `radius_floor` are upper/lower bounds
-    for rho used by bracketing and Monte Carlo callers, and radius_floor
-    sizes the slope ladder of hyperplane curves; when certified bounds
-    are not supplied they fall back to inflated probe extrema.
+    is completed.  `radius_bound` / `radius_floor` are certified
+    upper/lower bounds for rho, and both are required: hyperplane cuts at
+    |z| >= radius_bound are empty, bracketing scans only the latitudes
+    they allow, Monte Carlo callers sample inside radius_bound, and
+    radius_floor sizes the slope ladder of hyperplane curves.  A probe
+    grid cannot stand in for them, since it misses narrow spikes.
     """
 
     dim: int
@@ -154,20 +155,17 @@ class RadialField:
 
     def __post_init__(self):
         check_dim(self.dim)
+        for name in ("radius_bound", "radius_floor"):
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} must be declared: a certified bound on rho")
         grid = probe_directions(self.dim, _PROBE_COUNT)
         values = np.asarray(self.evaluate(grid), dtype=float)
         if values.shape != (grid.shape[0],):
             raise ValueError("evaluate must map (N, dim) points to (N,) values")
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ValueError("radial function must be positive and finite")
-        pmin = float(values.min())
-        pmax = float(values.max())
-        if self.radius_bound is None:
-            object.__setattr__(self, "radius_bound", pmax * 1.05)
-        if self.radius_floor is None:
-            object.__setattr__(self, "radius_floor", pmin * 0.95)
-        if (pmax > self.radius_bound * (1.0 + _BOUND_SLACK)
-                or pmin < self.radius_floor * (1.0 - _BOUND_SLACK)):
+        if (values.max() > self.radius_bound * (1.0 + _BOUND_SLACK)
+                or values.min() < self.radius_floor * (1.0 - _BOUND_SLACK)):
             raise ValueError("declared radius bounds contradict probed values")
         if self.lipschitz_bound is not None and self.lipschitz_bound < 0:
             raise ValueError("lipschitz_bound must be nonnegative")
@@ -339,7 +337,6 @@ def _power(p):
     return (lambda t: t ** p / p), (lambda t: t ** (p - 1))
 
 
-@lru_cache(maxsize=256)
 def to_scalar_field(body):
     """Section density of a star body: f = rho^{n-1} / (n-1).
 
@@ -358,7 +355,6 @@ def to_scalar_field(body):
                        label=f"section_density[{body.label}]")
 
 
-@lru_cache(maxsize=256)
 def hyperplane_profile_field(body):
     """Field whose equator transform is the z=0 slope of hyperplane sections.
 
@@ -386,24 +382,13 @@ def hyperplane_profile_field(body):
                        label=f"section_slope_density[{body.label}]")
 
 
-def _parity_part(field, sign, tag):
-    # (f(x) + sign f(-x)) / 2
-    evaluate, gradient = _linear([(0.5, field, None),
-                                  (0.5 * sign, field, -np.eye(field.dim))])
+def odd_part(field):
+    """Odd component of a scalar field: (f(x) - f(-x)) / 2."""
+    evaluate, gradient = _linear([(0.5, field, None), (-0.5, field, -np.eye(field.dim))])
     return ScalarField(dim=field.dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=field.lipschitz_bound,
                        sup_bound=field.sup_bound,
-                       label=f"{tag}[{field.label}]")
-
-
-def odd_part(field):
-    """Odd component of a scalar field: (f(x) - f(-x)) / 2."""
-    return _parity_part(field, -1.0, "odd")
-
-
-def even_part(field):
-    """Even component of a scalar field: (f(x) + f(-x)) / 2."""
-    return _parity_part(field, 1.0, "even")
+                       label=f"odd[{field.label}]")
 
 
 def scale_body(body, factor):

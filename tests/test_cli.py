@@ -1,5 +1,10 @@
-"""CLI subcommands: exit codes, artifacts, and deterministic serialization."""
+"""CLI subcommands: exit codes, artifacts, and deterministic serialization.
 
+scipy is a test-only dependency, and nothing here imports it: CI also runs
+this file with scipy blocked, so a stray import on a CLI path fails it.
+"""
+
+import csv
 import json
 import math
 import re
@@ -7,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from starsym import check_names
 from starsym.cli import (
     build_body,
     json_text,
@@ -31,6 +37,12 @@ def _read_csv_rows(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# parameters:")
     return lines[1], lines[2:]
+
+
+def _csv_records(path, kind=None):
+    # the data rows as dicts, only those of one section kind if given
+    header, rows = _read_csv_rows(path)
+    return [r for r in csv.DictReader([header] + rows) if kind is None or r["kind"] == kind]
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +107,64 @@ def test_analyze_shifted_ball_reports_asymmetric(tmp_path, capsys):
     capsys.readouterr()
 
 
+_REPORT_KEYS = ["parameters", "verdict", "note", "max_abs_transform",
+                "l2_mean_transform", "threshold", "num_dirs"]
+
+
 def test_analyze_report_keys(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["analyze", "--body", _spec(tmp_path, SHIFTED), "--out", str(out),
                  "--dirs", "8"]) == 0
     capsys.readouterr()
     doc = json.loads((out / "report.json").read_text())
-    assert list(doc) == ["parameters", "verdict", "note", "max_abs_transform",
-                         "l2_mean_transform", "threshold", "num_dirs"]
+    assert list(doc) == _REPORT_KEYS
+
+
+@pytest.mark.parametrize("doc, verdict, resolution", [
+    ({"kind": "shifted_ball", "dim": 5,
+      "params": {"radius": 1.0, "center": [0.2, 0.1, 0.0, 0.0, -0.1]}}, "asymmetric", 32),
+    ({"kind": "ellipsoid", "dim": 6,
+      "params": {"semiaxes": [0.014, 0.012, 0.01, 0.009, 0.008, 0.011]}}, "symmetric", 8),
+    ({"kind": "harmonic_ball", "dim": 3,
+      "params": {"epsilon": 0.08, "degree": 3, "order": 1}}, "asymmetric", 512),
+    ({"kind": "harmonic_ball", "dim": 3,
+      "params": {"epsilon": 0.05, "degree": 2, "order": -1}}, "symmetric", 512),
+    ({"kind": "shifted_ball", "dim": 2,
+      "params": {"radius": 1.0, "center": [0.2, -0.1]}}, "asymmetric", 2),
+    ({"kind": "ellipsoid", "dim": 2, "params": {"semiaxes": [1.3, 0.7]}}, "symmetric", 2),
+], ids=["shifted_n5", "small_ellipsoid_n6", "odd_harmonic_3_1", "even_harmonic_2_-1",
+        "shifted_n2", "ellipsoid_n2"])
+def test_analyze_verdict_and_the_rule_it_records(tmp_path, capsys, doc, verdict, resolution):
+    # the detector's floor at default settings, and the rule ladder's
+    # stop: the n = 6 ellipsoid at scale 1e-2 settles at resolution 8,
+    # half its default; the shifted n = 5 ball does not settle on the
+    # coarse rules and records its default 32; n = 2, 3 sweep one level
+    # at their defaults 2 and 512.  n = 2 takes the same roundoff floor as
+    # every other dimension, and the harmonic balls read the real
+    # harmonics built on the zonal recurrence
+    out = tmp_path / "out"
+    assert main(["analyze", "--body", _spec(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert list(report) == _REPORT_KEYS
+    assert report["verdict"] == verdict
+    assert report["parameters"]["resolution"] == resolution
 
 
 def test_analyze_refuses_a_rule_past_the_node_cap(tmp_path, capsys):
-    # resolution 66 in n = 6 is a rule of 66 * 33^3 = 2371842 nodes
-    spec = _spec(tmp_path, {"kind": "ball", "dim": 6, "params": {"radius": 1.0}})
-    out = tmp_path / "out"
-    assert main(["analyze", "--body", spec, "--out", str(out), "--resolution", "66"]) == 2
-    assert capsys.readouterr().err == (
-        "starsym: resolution 66 on S^4 gives a rule of 2371842 nodes; "
-        "at most 2097152 are allowed\n")
-    assert not out.exists()
+    # resolution 66 in n = 6 is a rule of 66 * 33^3 = 2371842 nodes, refused
+    # before it is allocated, whatever the body
+    ball = {"kind": "ball", "dim": 6, "params": {"radius": 1.0}}
+    ellipsoid = {"kind": "ellipsoid", "dim": 6,
+                 "params": {"semiaxes": [0.014, 0.012, 0.01, 0.009, 0.008, 0.011]}}
+    for doc in (ball, ellipsoid):
+        out = tmp_path / "out"
+        assert main(["analyze", "--body", _spec(tmp_path, doc), "--out", str(out),
+                     "--resolution", "66"]) == 2
+        assert capsys.readouterr().err == (
+            "starsym: resolution 66 on S^4 gives a rule of 2371842 nodes; "
+            "at most 2097152 are allowed\n")
+        assert not out.exists()
 
 
 def test_analyze_is_byte_deterministic(tmp_path, capsys):
@@ -198,8 +249,57 @@ def test_sections_pole_override_and_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc, argv, count, want", [
+    # the shifted n = 6 ball: omega_5 (r^2 - (z - s)^2)^(5/2), r = 1 and
+    # s = <c, e_6> = 0.05
+    ({"kind": "shifted_ball", "dim": 6,
+      "params": {"radius": 1.0, "center": [0.2, 0.1, 0.0, 0.0, -0.1, 0.05]}},
+     ["--kind", "conical,hyperplane", "--z=-0.5:0.5:0.25", "--formats", "csv,svg"], 5,
+     lambda z: 8.0 * math.pi ** 2 / 15.0 * (1.0 - (z - 0.05) ** 2) ** 2.5),
+    # rho(+-e_3) = 0.65 and 0.55, so the cuts at z = +-0.9 have their foot
+    # points outside the body and are solved about the ray through the summit
+    ({"kind": "shifted_ball", "dim": 3, "params": {"radius": 1.0, "center": [0.8, 0.0, 0.05]}},
+     ["--z=-0.9:0.9:0.3"], 7, lambda z: math.pi * (1.0 - (z - 0.05) ** 2)),
+    # the prolate ellipsoid cut across its long axis, past its 0.6 equator radius
+    ({"kind": "ellipsoid", "dim": 3, "params": {"semiaxes": [0.6, 0.7, 1.2]}},
+     ["--z=-0.9:0.9:0.3"], 7, lambda z: math.pi * 0.6 * 0.7 * (1.0 - z * z / 1.44)),
+], ids=["shifted_n6", "off_foot_point", "prolate"])
+def test_sections_hyperplane_rows_match_closed_forms(tmp_path, capsys, doc, argv, count,
+                                                     want):
+    out = tmp_path / "out"
+    assert main(["sections", "--body", _spec(tmp_path, doc), "--out", str(out)] + argv) == 0
+    capsys.readouterr()
+    rows = _csv_records(out / "curves.csv", "hyperplane")
+    assert len(rows) == count
+    for row in rows:
+        assert abs(float(row["value"]) / want(float(row["z"])) - 1.0) <= 1e-10, row
+
+
+def test_sections_range_rows_at_zero_agree(tmp_path, capsys):
+    # a range grid whose points reach zero only up to roundoff writes a
+    # row at z = 0 exactly for both kinds, where the two values agree
+    doc = {"kind": "shifted_ball", "dim": 3,
+           "params": {"radius": 1.0, "center": [0.15, -0.1, 0.05]}}
+    out = tmp_path / "out"
+    assert main(["sections", "--body", _spec(tmp_path, doc), "--out", str(out),
+                 "--z=-0.6:0.6:0.2"]) == 0
+    capsys.readouterr()
+    rows = [r for r in _csv_records(out / "curves.csv") if r["z"] == "0"]
+    assert sorted(r["kind"] for r in rows) == ["conical", "hyperplane"]
+    assert rows[0]["value"] == rows[1]["value"]
+
+
 # ---------------------------------------------------------------------------
 # verify
+
+
+def test_verify_default_run_passes_every_check(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "verify.json").read_text())
+    assert doc["all_pass"] is True
+    assert tuple(c["name"] for c in doc["checks"]) == check_names()
 
 
 def test_verify_subset_passes_and_reports(tmp_path, capsys):
@@ -259,6 +359,23 @@ def _multiplier_rows(path):
     header, rows = _read_csv_rows(path)
     assert header == "degree,lambda,closed_form,residual"
     return [tuple(float(x) for x in row.split(",")) for row in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "3"],
+    ["--dim", "3", "--lmax", "10", "--num-xi", "12"],
+    ["--dim", "2"],
+    ["--dim", "6", "--lmax", "5", "--num-xi", "12"],
+], ids=["dim3", "dim3_top_degree_fewest_poles", "dim2", "dim6"])
+def test_harmonics_fits_match_funk_hecke(tmp_path, capsys, argv):
+    # the zonal recurrence and its multiplier fits at n = 2, 3 and 6
+    out = tmp_path / "out"
+    assert main(["harmonics", "--out", str(out)] + argv) == 0
+    capsys.readouterr()
+    rows = _multiplier_rows(out / "multipliers.csv")
+    assert rows
+    for _, value, exact, _ in rows:
+        assert abs(value - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 def test_harmonics_dim3_table(tmp_path, capsys):

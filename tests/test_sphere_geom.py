@@ -15,7 +15,6 @@ from starsym import (
     default_resolution,
     embed,
     equator_rule,
-    exact_monomial_integral,
     fibonacci_sphere,
     geodesic_distance,
     make_frame,
@@ -94,6 +93,24 @@ def test_rule_mass_and_positivity(d):
     assert np.all(rule.weights > 0)
     assert np.max(np.abs(np.linalg.norm(rule.nodes, axis=1) - 1.0)) < 1e-13
     assert float(np.sum(rule.weights)) == pytest.approx(vol_sphere(d - 1), rel=1e-13)
+
+
+def exact_monomial_integral(d, exponents):
+    """Closed form of integral over S^{d-1} of prod_i u_i^{a_i}.
+
+    Zero when any exponent is odd; otherwise
+    2 * prod Gamma((a_i+1)/2) / Gamma(sum (a_i+1)/2).
+    """
+    exps = [int(a) for a in exponents]
+    if len(exps) != d:
+        raise ValueError("need one exponent per coordinate")
+    if any(a < 0 for a in exps):
+        raise ValueError("exponents must be nonnegative")
+    if any(a % 2 == 1 for a in exps):
+        return 0.0
+    betas = [(a + 1) / 2.0 for a in exps]
+    num = 2.0 * math.prod(math.gamma(b) for b in betas)
+    return num / math.gamma(sum(betas))
 
 
 @pytest.mark.parametrize("d", (2, 3, 4, 5))

@@ -13,7 +13,6 @@ from starsym import (
     body_shifted_ball,
     embed,
     equator_derivative,
-    even_part,
     equator_rule,
     hyperplane_profile_field,
     linear_field,
@@ -102,14 +101,14 @@ def test_radial_field_rejects_nonpositive():
         u = np.asarray(u, dtype=float)
         return u[..., 0]  # negative on half the sphere
 
-    with pytest.raises(ValueError):
-        RadialField(dim=3, evaluate=evaluate)
+    with pytest.raises(ValueError, match="^radial function must be positive and finite$"):
+        RadialField(dim=3, evaluate=evaluate, radius_bound=1.0, radius_floor=0.5)
 
 
 def test_radial_field_rejects_contradicted_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^declared radius bounds contradict probed values$"):
         RadialField(dim=3, evaluate=lambda u: np.full(np.asarray(u).shape[:-1], 2.0),
-                    radius_bound=1.5)
+                    radius_bound=1.5, radius_floor=1.0)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -123,7 +122,8 @@ def test_gradient_validation_catches_wrong_gradient(n):
             with pytest.raises(ValueError, match="^gradient inconsistent with finite "
                                                  "differences"):
                 RadialField(dim=n, evaluate=body.evaluate, lipschitz_bound=lip,
-                            gradient=lambda u, g=body.gradient: scale * g(u))
+                            gradient=lambda u, g=body.gradient: scale * g(u),
+                            radius_bound=body.radius_bound, radius_floor=body.radius_floor)
 
 
 @pytest.mark.parametrize("n, worst", [(2, "7.938e-01"), (3, "7.876e-01"),
@@ -133,7 +133,8 @@ def test_lipschitz_validation_catches_small_bound(n, worst):
     body = body_shifted_ball(n, 1.0, (0.4,) + (0.0,) * (n - 1))
     with pytest.raises(ValueError, match=f"^sampled pair violates declared Lipschitz "
                                          f"bound by {worst}$"):
-        RadialField(dim=n, evaluate=body.evaluate, lipschitz_bound=1e-6)
+        RadialField(dim=n, evaluate=body.evaluate, lipschitz_bound=1e-6,
+                    radius_bound=body.radius_bound, radius_floor=body.radius_floor)
 
 
 def test_body_construction_completes_no_frame(monkeypatch):
@@ -227,9 +228,14 @@ def test_to_scalar_field_values_and_bounds():
         assert np.max(np.abs(f.evaluate(u) - want)) < 1e-14
         assert f.sup_bound >= float(np.max(np.abs(want)))
         assert f.lipschitz_bound is not None
-    # cached: same body object gives the same field object
-    body = body_ball(3, 1.0)
-    assert to_scalar_field(body) is to_scalar_field(body)
+    # two fields of one body are built alike: equal values, gradients and bounds
+    body = body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05))
+    u = _probes(3)
+    first, second = to_scalar_field(body), to_scalar_field(body)
+    assert np.array_equal(first.evaluate(u), second.evaluate(u))
+    assert np.array_equal(first.gradient(u), second.gradient(u))
+    assert (first.sup_bound, first.lipschitz_bound) == (second.sup_bound,
+                                                        second.lipschitz_bound)
 
 
 def test_hyperplane_profile_field_by_dimension():
@@ -264,11 +270,13 @@ def test_profile_field_gradient_consistency():
 def test_odd_even_split():
     body = body_shifted_ball(3, 1.0, (0.3, -0.2, 0.1))
     f = to_scalar_field(body)
-    fo, fe = odd_part(f), even_part(f)
+    fo = odd_part(f)
     u = _probes(3)
-    assert np.max(np.abs(fo.evaluate(u) + fe.evaluate(u) - f.evaluate(u))) < 1e-13
+    # the remainder f - odd part is the even part (f(x) + f(-x)) / 2
+    even = 0.5 * (f.evaluate(u) + f.evaluate(-u))
+    assert np.max(np.abs(fo.evaluate(u) + even - f.evaluate(u))) < 1e-13
     assert np.max(np.abs(fo.evaluate(-u) + fo.evaluate(u))) < 1e-13
-    assert np.max(np.abs(fe.evaluate(-u) - fe.evaluate(u))) < 1e-13
+    assert np.max(np.abs(f.evaluate(-u) - fo.evaluate(-u) - even)) < 1e-13
     # split fields keep usable gradients
     frame = make_frame([0.0, 1.0, 0.0], seed=4)
     eta = equator_rule(3, 8).nodes

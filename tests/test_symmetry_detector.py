@@ -265,7 +265,7 @@ def test_n2_floor_holds_for_fields_that_are_not_bitwise_even():
     # rho = 1 + 0.1 cos(2 theta) through arctan2 is even only to within
     # rounding; the floor follows its evaluation noise as in every n
     body = RadialField(dim=2, evaluate=lambda u: 1.0 + 0.1 * np.cos(
-        2.0 * np.arctan2(u[..., 1], u[..., 0])))
+        2.0 * np.arctan2(u[..., 1], u[..., 0])), radius_bound=1.1, radius_floor=0.9)
     report = detect(body)
     assert report.verdict == "symmetric", report.note
     assert report.max_abs <= report.threshold / 10.0
@@ -288,6 +288,7 @@ def _zonal_bump(n, degree, size):
     z = zonal_field(n, degree, np.linspace(1.0, 0.3, n))
     return RadialField(dim=n, evaluate=lambda u: 1.0 + size * z.evaluate(u),
                        gradient=lambda u: size * z.gradient(u),
+                       radius_bound=1.0 + size, radius_floor=1.0 - size,
                        label=f"zonal_bump(l={degree}, size={size:g})")
 
 
