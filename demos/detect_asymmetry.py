@@ -5,10 +5,11 @@ Detecting central asymmetry from equatorial transforms
 The transform A(xi) annihilates every centrally symmetric section
 density, and on the sphere it kills nothing odd, so sweeping poles and
 watching max |A| separates symmetric bodies from asymmetric ones.  On
-an even body A is rounding alone, so each transform also reports the
-roundoff scale s of its sum, and the detector compares max |A| with a
-fixed multiple C eps max s of its own sweep.  s grows with the body as
-A does, so the verdict does not depend on the body's scale.
+an even body A is rounding alone, so the sweep kernel returns beside
+each transform the roundoff scale s of its sum, and the detector
+compares max |A| with a fixed multiple C eps max s of its own sweep.
+s grows with the body as A does, so the verdict does not depend on the
+body's scale.
 """
 
 import numpy as np

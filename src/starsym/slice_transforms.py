@@ -52,6 +52,14 @@ _LADDER_H0 = 1e-2
 _LADDER_LEVELS = 4
 
 
+def _height_grid(zs):
+    # a curve's heights, which `section_curve` checks before it solves any cut
+    zs = np.asarray(zs, dtype=float)
+    if zs.ndim != 1 or np.any(np.diff(zs) <= 0):
+        raise ValueError("zs must be a strictly increasing 1-d array")
+    return zs
+
+
 @dataclass(frozen=True, eq=False)
 class SectionCurve:
     """Sampled section curve z -> value for one body/field and pole."""
@@ -63,12 +71,10 @@ class SectionCurve:
     label: str = ""
 
     def __post_init__(self):
-        zs = np.asarray(self.zs, dtype=float)
+        zs = _height_grid(self.zs)
         vals = np.asarray(self.values, dtype=float)
-        if zs.ndim != 1 or zs.shape != vals.shape:
+        if zs.shape != vals.shape:
             raise ValueError("zs and values must be matching 1-d arrays")
-        if np.any(np.diff(zs) <= 0):
-            raise ValueError("zs must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("curve values must be finite")
         if self.kind in ("conical", "hyperplane") and np.any(vals < -1e-12):
@@ -464,32 +470,17 @@ def hyperplane_section(body, frame, z, rule):
     return _shaped(values, scalar)
 
 
-class TransformValue(float):
-    """A(xi) as a float; `scale` is the roundoff scale s of its sum."""
-
-    __slots__ = ("scale",)
-
-    def __new__(cls, value, scale):
-        self = super().__new__(cls, value)
-        self.scale = scale
-        return self
-
-    def __getnewargs__(self):
-        # lets pickle and copy rebuild the value with its scale
-        return float(self), self.scale
-
-
 def _pole_transforms(f, frames, rule):
-    # one TransformValue per frame.  The frames reach the field in groups
-    # of G = _GROUP_POINTS // N, at least one: each frame's own product
-    # nodes @ basis makes its own rows of one C-contiguous (G N, n)
-    # array, next to its pole repeated over them, so one evaluate or
-    # gradient call serves the group; each value and scale is read off
-    # the frame's own contiguous rows, the reductions of a group of one,
-    # bit for bit.  A group of one keeps the (n,) pole
+    # A(xi) of each frame and the roundoff scale s of its sum, as two float
+    # arrays.  The frames reach the field in groups of G = _GROUP_POINTS // N,
+    # at least one: each frame's own product nodes @ basis makes its own rows
+    # of one C-contiguous (G N, n) array, next to its pole repeated over
+    # them, so one evaluate or gradient call serves the group; each value
+    # and scale is read off the frame's own contiguous rows, the reductions
+    # of a group of one, bit for bit.  A group of one keeps the (n,) pole
     size, w = rule.size, rule.weights
     group = max(1, _GROUP_POINTS // size)
-    values = []
+    values, scales = np.empty(len(frames)), np.empty(len(frames))
     for start in range(0, len(frames), group):
         chunk = frames[start:start + group]
         for frame in chunk:
@@ -506,13 +497,13 @@ def _pole_transforms(f, frames, rule):
                 # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
                 # to within rounding, so the noise of the whole gradient reaches d
                 g = held[rows]
-                scale = math.sqrt(float(w @ w) * float((g * g).sum()))
+                scales[start + k] = math.sqrt(float(w @ w) * float((g * g).sum()))
             else:
                 # held is f at latitude +FD_STEP; its noise, as independent errors
                 wf = w * held[rows]
-                scale = math.sqrt(float(wf @ wf)) / FD_STEP
-            values.append(TransformValue(float(w @ d[rows]), scale))
-    return values
+                scales[start + k] = math.sqrt(float(wf @ wf)) / FD_STEP
+            values[start + k] = float(w @ d[rows])
+    return values, scales
 
 
 def equator_transform(f, frame, rule):
@@ -524,12 +515,11 @@ def equator_transform(f, frame, rule):
     at latitudes +-FD_STEP and +-FD_STEP/2 with one Richardson level.
     Only the rule's dimension is validated against the frame; the nodes
     of an EquatorQuadrature are unit vectors by construction, so
-    `embed`'s checks are skipped.  Returns a `TransformValue`: on an
-    even field A is rounding alone, of the order of eps * scale (see
-    `calibrate`), and the scale is read off arrays the derivative holds.
-    This is `transform_sweep`'s kernel on a group of one pole.
+    `embed`'s checks are skipped.  Returns a float: the value of
+    `transform_sweep`'s kernel on a group of one pole, which also returns
+    the roundoff scale s of the sum that `sweep`'s floor reads.
     """
-    return _pole_transforms(f, (frame,), rule)[0]
+    return float(_pole_transforms(f, (frame,), rule)[0][0])
 
 
 def transform_sweep(f, frames, rule):
@@ -542,10 +532,10 @@ def transform_sweep(f, frames, rule):
     (50 poles of the n = 2 default rule in one call, one pole per call
     for an 8192-node rule), and each value is read off its own pole's
     rows, so the values are the per-pole ones bit for bit.  Returns the
-    values as a 1-d array.
+    values as a 1-d float array.
     """
     frames = [fr if isinstance(fr, EquatorFrame) else make_frame(fr) for fr in frames]
-    return np.array(_pole_transforms(f, frames, rule), dtype=float)
+    return _pole_transforms(f, frames, rule)[0]
 
 
 _KINDS = ("slice", "conical", "hyperplane")
@@ -571,11 +561,12 @@ def section_curve(kind, obj, frame, zs, rule):
     """Sample a section curve on a grid of heights.
 
     kind is one of 'slice', 'conical', 'hyperplane'; obj is a
-    ScalarField for 'slice' and a RadialField otherwise.  All heights
-    go to the section function in one call.
+    ScalarField for 'slice' and a RadialField otherwise.  zs must be a
+    strictly increasing 1-d grid; it is checked before any cut is
+    solved.  All heights go to the section function in one call.
     """
     fn, _ = _curve_function(kind, obj)
-    zs = np.asarray(zs, dtype=float)
+    zs = _height_grid(zs)
     values = fn(obj, frame, zs, rule)
     label = getattr(obj, "label", "")
     return SectionCurve(kind=kind, xi=frame.pole.copy(), zs=zs, values=values,

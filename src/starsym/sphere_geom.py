@@ -187,7 +187,6 @@ class EquatorQuadrature:
     the rule was built with.
     """
 
-    sphere_dim: int  # d: nodes are unit vectors in R^d
     nodes: np.ndarray
     weights: np.ndarray
     degree: int
@@ -208,6 +207,10 @@ class EquatorQuadrature:
     @property
     def size(self):
         return self.nodes.shape[0]
+
+    @property
+    def sphere_dim(self):  # d: nodes are unit vectors in R^d
+        return self.nodes.shape[1]
 
 
 def _polar_rule(sine_power, count):
@@ -273,7 +276,7 @@ def sphere_rule(d, resolution):
     if d == 1:
         nodes = np.array([[1.0], [-1.0]])
         weights = np.array([1.0, 1.0])
-        return EquatorQuadrature(sphere_dim=1, nodes=nodes, weights=weights,
+        return EquatorQuadrature(nodes=nodes, weights=weights,
                                  degree=10 ** 6, resolution=resolution)
     angles = 2.0 * math.pi * np.arange(resolution) / resolution
     nodes = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -285,8 +288,7 @@ def sphere_rule(d, resolution):
         weights = (tw[:, None] * weights[None, :]).reshape(-1)
         degree = min(degree, exact)
     weights = weights * (vol_sphere(d - 1) / weights.sum())
-    return EquatorQuadrature(sphere_dim=d, nodes=nodes, weights=weights,
-                             degree=degree, resolution=resolution)
+    return EquatorQuadrature(nodes=nodes, weights=weights, degree=degree, resolution=resolution)
 
 
 def equator_rule(n, resolution=None):

@@ -37,14 +37,15 @@ class AsymmetryReport:
     """Result of a pole sweep of the equatorial transform.
 
     values[i] = A(xis[i]); verdict is 'asymmetric' iff max_abs exceeds
-    threshold, the sweep's floor C eps max s (see `sweep`).  note spells
+    threshold, the sweep's floor C eps max s, s the roundoff scales the
+    sweep kernel returns beside the values (see `sweep`).  note spells
     out what a symmetric verdict does and does not mean.  resolution is
-    the rule the values come from; a default sweep in n >= 4 may stop below `equator_rule(n)` (see `sweep`).  ladder holds
-    one (resolution, nodes, max move, floor) tuple per rule the sweep
-    visited, coarsest first: max move is the largest change of a swept
-    value since the level before (None on the first level) and floor is
-    C eps max s on that level.  It is a diagnostic: the CLI's report.json
-    and values.csv leave it out.
+    the rule the values come from; a default sweep in n >= 4 may stop
+    below `equator_rule(n)`.  ladder holds one (resolution, nodes, max
+    move, floor) tuple per rule the sweep visited, coarsest first: max
+    move is the largest change of a swept value since the level before
+    (None on the first level) and floor is C eps max s on that level.
+    It is a diagnostic; the CLI's report.json and values.csv omit it.
     """
 
     body_id: str
@@ -102,12 +103,12 @@ def calibrate(gradient_path):
     """Floor constant C of `sweep` for one meridian-derivative path.
 
     On an even field A is rounding alone, and `sweep` compares max |A|
-    with C eps max s, s the roundoff scale of each `TransformValue`.  On
-    even bodies (ellipsoids, near-round too, at scales 1e-2..1e2, even
-    harmonic bumps; n = 2..6, default and coarse rules) |A| / (eps s)
-    measured at most 0.93 with a gradient and 9.7 without, so C keeps
-    them ten times below the floor.  Cached only so that
-    `calibrate.cache_info()` counts the calls.
+    with C eps max s, s the roundoff scale the sweep kernel returns
+    beside each transform value.  On even bodies (ellipsoids, near-round
+    too, at scales 1e-2..1e2, even harmonic bumps; n = 2..6, default and
+    coarse rules) |A| / (eps s) measured at most 0.93 with a gradient
+    and 9.7 without, so C keeps them ten times below the floor.  Cached
+    only so that `calibrate.cache_info()` counts the calls.
     """
     return 32.0 if gradient_path else 128.0
 
@@ -135,8 +136,8 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
 
     The verdict compares max |A| with the sweep's own floor C eps max s,
     with C = `calibrate(f.gradient is not None)` and s the roundoff scale
-    of each swept transform (`TransformValue`); the report's threshold
-    is that floor.
+    of each swept transform, an array the kernel returns beside the
+    values; the report's threshold is that floor.
 
     Parameters
     ----------
@@ -183,9 +184,9 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
     rules = _rule_ladder(n, rule_resolution)
     ladder, base = [], None
     for rule in rules:
-        coarser, base = base, _pole_transforms(f, frames, rule)
-        floor = constant * max(value.scale for value in base)
-        move = None if coarser is None else float(np.max(np.abs(np.subtract(base, coarser))))
+        coarser, (base, scales) = base, _pole_transforms(f, frames, rule)
+        floor = constant * float(scales.max())
+        move = None if coarser is None else float(np.max(np.abs(base - coarser)))
         ladder.append((rule.resolution, rule.size, move, floor))
         if move is not None and rule is not rules[-1] and move <= floor:
             # settled; a margin of `move` keeps the verdict on its side of
@@ -196,7 +197,7 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
             peak = float(np.max(np.abs(base)))
             if peak - move > 2.0 * floor or peak + move <= floor * ratio:
                 break
-    values = np.array(base + [0.0 - value for value in base], dtype=float)
+    values = np.concatenate([base, 0.0 - base])
     max_abs = float(np.max(np.abs(values)))
     l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
     if max_abs > floor:

@@ -7,7 +7,11 @@ this file with scipy blocked, so a stray import on a CLI path fails it.
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +304,20 @@ def test_verify_default_run_passes_every_check(tmp_path, capsys):
     doc = json.loads((out / "verify.json").read_text())
     assert doc["all_pass"] is True
     assert tuple(c["name"] for c in doc["checks"]) == check_names()
+
+
+def test_module_entry_point_returns_the_exit_code(tmp_path):
+    # `python -m starsym.cli` runs main() in a fresh interpreter and exits
+    # with its code: 0 for a passing check, 2 for an unknown one
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "out"
+    for only, code in (("rule_mass", 0), ("bogus", 2)):
+        proc = subprocess.run([sys.executable, "-m", "starsym.cli", "verify", "--only", only,
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+    doc = json.loads((out / "verify.json").read_text())
+    assert [c["name"] for c in doc["checks"]] == ["rule_mass"] and doc["all_pass"] is True
 
 
 def test_verify_subset_passes_and_reports(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from starsym import (
+    EquatorQuadrature,
     RadialField,
     ScalarField,
     SectionCurve,
@@ -509,6 +510,23 @@ def test_rule_frame_dimension_mismatch_rejected():
         conical_section(body, make_frame([0.0, 0.0, 1.0]), 0.2, equator_rule(2))
 
 
+def test_rule_dimension_is_read_off_its_nodes():
+    # a rule's sphere dimension is its nodes' column count, not a separate
+    # field that may disagree with them: the n = 4 rule's 3-column nodes
+    # are refused on a 3-d frame by the dimension check, before numpy
+    # meets the mismatched shapes
+    n4 = equator_rule(4, 8)
+    with pytest.raises(TypeError):
+        EquatorQuadrature(sphere_dim=2, nodes=n4.nodes, weights=n4.weights,
+                          degree=n4.degree, resolution=8)
+    rule = EquatorQuadrature(nodes=n4.nodes, weights=n4.weights, degree=n4.degree,
+                             resolution=8)
+    assert rule.sphere_dim == 3
+    f = to_scalar_field(body_ball(3, 1.0))
+    with pytest.raises(ValueError, match="quadrature rule dimension does not match the frame"):
+        equator_transform(f, make_frame([0.0, 0.6, 0.8]), rule)
+
+
 def _pinched_body():
     # rho(u) = exp(-1.5 u_z): along the meridian toward e_z the height
     # rho sin(psi) peaks near sin(psi) = 2/3 and comes back down, so
@@ -701,6 +719,21 @@ def test_section_curve_validation():
         SectionCurve("conical", xi, zs, np.array([1.0, -2.0, 1.5]))
     with pytest.raises(ValueError):
         SectionCurve("hyperplane", xi, zs, np.array([1.0, np.nan, 1.5]))
+
+
+def test_section_curve_refuses_a_bad_grid_before_any_cut():
+    # a height grid that is not strictly increasing, or not 1-d, is
+    # refused before the section function evaluates the body once
+    body = body_ellipsoid(6, tuple(np.linspace(1.5, 0.7, 6)))
+    counted, calls = _count_evaluations(body)
+    frame = make_frame(np.linspace(0.8, -0.3, 6))
+    for kind, obj in (("slice", to_scalar_field(counted)), ("conical", counted),
+                      ("hyperplane", counted)):
+        calls.clear()
+        for zs in ([0.5, 0.3, 0.1, -0.2], 0.2, [[0.1, 0.2]]):
+            with pytest.raises(ValueError, match="zs must be a strictly increasing 1-d array"):
+                section_curve(kind, obj, frame, zs, equator_rule(6))
+            assert calls == [], (kind, zs)
 
 
 @pytest.mark.parametrize("n,kind", [(2, "conical"), (2, "hyperplane"),

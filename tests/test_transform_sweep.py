@@ -1,9 +1,7 @@
 """Pole sweeps reproduce the per-pole transform bit for bit."""
 
 import collections
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -83,19 +81,20 @@ def test_grouped_poles_equal_per_pole_transforms(n, resolution):
     # n = 5, 32 at n = 6), full groups and a remainder where G < 18 (512
     # nodes at n = 3, 4 and 6, G = 16; 1024 at n = 5, G = 8; 2048 at
     # n = 4, G = 4) and one pole per call at 8192 nodes (n = 5, 6).
-    # Values, sign bits and scales equal the per-pole transforms on both
-    # derivative paths, and so do transform_sweep's on frames and on
-    # bare poles
+    # Values, sign bits and roundoff scales equal the per-pole ones on
+    # both derivative paths, and so do transform_sweep's values on frames
+    # and on bare poles
     rule = equator_rule(n, resolution)
     xis, frames = symmetry_detector._pole_frames(n, 37, n)
     assert len(frames) == 18
     for body in _bodies(n):
         f = to_scalar_field(body)
         want = [equator_transform(f, frame, rule) for frame in frames]
-        got = slice_transforms._pole_transforms(f, frames, rule)
-        assert _same_bits(np.array(got), np.array(want)), body.label
-        assert [v.scale for v in got] == [v.scale for v in want], body.label
-        assert all(type(v) is slice_transforms.TransformValue for v in got)
+        values, scales = slice_transforms._pole_transforms(f, frames, rule)
+        assert _same_bits(values, np.array(want)), body.label
+        single = [slice_transforms._pole_transforms(f, (frame,), rule)[1][0]
+                  for frame in frames]
+        assert scales.tolist() == single, body.label
         bare = [equator_transform(f, make_frame(xi), rule) for xi in xis]
         assert _same_bits(transform_sweep(f, frames, rule), np.array(want)), body.label
         assert _same_bits(transform_sweep(f, xis, rule), np.array(bare)), body.label
@@ -278,20 +277,26 @@ def test_calibrate_matches_recorded_thresholds(n):
         report = detect(body, num_dirs=8, seed=n)
         rule = equator_rule(n, report.resolution)
         frames = [make_frame(xi, seed=FRAME_SEED) for xi in report.xis[:4]]
-        scales = [equator_transform(f, fr, rule).scale for fr in frames]
-        assert scales == [_reference_scale(f, fr, rule) for fr in frames], body.label
+        _, scales = slice_transforms._pole_transforms(f, frames, rule)
+        assert scales.tolist() == [_reference_scale(f, fr, rule) for fr in frames], body.label
         floor = calibrate(body.gradient is not None) * np.finfo(float).eps
         assert report.threshold == floor * max(scales), body.label
 
 
-def test_transform_value_is_a_float_with_its_scale():
-    f = to_scalar_field(body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05)))
-    value = equator_transform(f, make_frame([0.0, 0.6, 0.8]), equator_rule(3, 16))
-    assert isinstance(value, float) and value.scale > 0.0
-    assert type(0.0 - value) is float
-    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert (copied, copied.scale) == (value, value.scale)
-
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_equator_transform_is_a_float_and_its_scale_the_reference(n):
+    # equator_transform returns a plain float, the value transform_sweep
+    # returns for the same frame and rule; the kernel's roundoff scale
+    # beside it is the reference form bit for bit, on both derivative paths
+    rule = equator_rule(n, 8 if n > 2 else None)
+    frame = make_frame(np.linspace(0.8, -0.3, n))
+    for body in _bodies(n):
+        f = to_scalar_field(body)
+        value = equator_transform(f, frame, rule)
+        assert type(value) is float, body.label
+        assert _same_bits(np.array([value]), transform_sweep(f, [frame], rule)), body.label
+        _, scales = slice_transforms._pole_transforms(f, (frame,), rule)
+        assert scales.tolist() == [_reference_scale(f, frame, rule)], body.label
 
 
 @pytest.mark.parametrize("n", [5, 6])
