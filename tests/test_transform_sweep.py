@@ -1,7 +1,9 @@
 """Pole sweeps reproduce the per-pole transform bit for bit."""
 
 import collections
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -297,6 +299,23 @@ def test_equator_transform_is_a_float_and_its_scale_the_reference(n):
         assert _same_bits(np.array([value]), transform_sweep(f, [frame], rule)), body.label
         _, scales = slice_transforms._pole_transforms(f, (frame,), rule)
         assert scales.tolist() == [_reference_scale(f, frame, rule)], body.label
+
+
+def test_transform_value_is_a_float_with_its_scale():
+    # the value is a plain float that arithmetic, copies and pickles keep
+    # a float; its roundoff scale is the positive entry the sweep kernel
+    # returns beside it, and copies of both arrays keep every bit
+    f = to_scalar_field(body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05)))
+    frame, rule = make_frame([0.0, 0.6, 0.8]), equator_rule(3, 16)
+    value = equator_transform(f, frame, rule)
+    values, scales = slice_transforms._pole_transforms(f, (frame,), rule)
+    assert type(value) is float and scales[0] > 0.0
+    assert _same_bits(np.array([value]), values)
+    assert type(0.0 - value) is float
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is float and copied == value
+    for copied in (copy.deepcopy((values, scales)), pickle.loads(pickle.dumps((values, scales)))):
+        assert _same_bits(copied[0], values) and _same_bits(copied[1], scales)
 
 
 @pytest.mark.parametrize("n", [5, 6])
