@@ -78,7 +78,7 @@ from .symmetry_detector import (
     sweep,
 )
 from .oracle import SlabEstimate, mc_cone_section, mc_hyperplane_section
-from .verify import CheckResult, VerifyConfig, check_names, run_checks
+from .verify import CheckResult, check_names, run_checks
 
 __version__ = "0.1.0"
 
@@ -99,6 +99,6 @@ __all__ = [
     "real_harmonic", "zonal_field",
     "AsymmetryReport", "calibrate", "detect", "sample_poles", "sweep",
     "SlabEstimate", "mc_cone_section", "mc_hyperplane_section",
-    "CheckResult", "VerifyConfig", "check_names", "run_checks",
+    "CheckResult", "check_names", "run_checks",
     "__version__",
 ]

@@ -36,7 +36,7 @@ from .star_body import (
 from .slice_transforms import derivative_at_zero, section_curve
 from .symmetry_detector import detect
 from .harmonics import LMAX, funk_hecke_multiplier, multiplier_table
-from .verify import REFERENCE_RESOLUTION, VerifyConfig, run_checks
+from .verify import MC_SAMPLES, NUM_XI, REFERENCE_RESOLUTION, SEED, run_checks
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +365,7 @@ def cmd_sections(args):
 def cmd_verify(args):
     only = None if args.only is None else tuple(
         p.strip() for p in str(args.only).split(",") if p.strip())
-    vcfg = VerifyConfig(resolution=args.resolution, seed=args.seed,
-                        num_xi=args.num_xi, mc_samples=args.mc_samples)
-    results = run_checks(vcfg, only=only)
+    results = run_checks(args.resolution, only=only)
     os.makedirs(args.out, exist_ok=True)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
@@ -381,11 +379,11 @@ def cmd_verify(args):
     doc = {
         "parameters": {
             "command": args.command,
-            "seed": vcfg.seed,
-            "resolution": vcfg.resolution,
+            "seed": SEED,
+            "resolution": args.resolution,
             "reference_resolution": REFERENCE_RESOLUTION,
-            "num_xi": vcfg.num_xi,
-            "mc_samples": vcfg.mc_samples,
+            "num_xi": NUM_XI,
+            "mc_samples": MC_SAMPLES,
             "only": list(only) if only else None,
         },
         "checks": [{"name": r.name, "passed": bool(r.passed),
@@ -480,13 +478,9 @@ def _build_parser():
                    help="pole as comma-separated components (default last axis)")
 
     p = sub.add_parser("verify", help="run the identity checks")
-    common(p)
+    common(p, seeded=False)
     p.add_argument("--only", default=None,
                    help="comma list of check names to run")
-    p.add_argument("--num-xi", type=_int_at_least(1), default=VerifyConfig.num_xi,
-                   dest="num_xi", help="poles per check")
-    p.add_argument("--mc-samples", type=_int_at_least(1000),
-                   default=VerifyConfig.mc_samples, dest="mc_samples")
 
     p = sub.add_parser("harmonics", help="estimate transform multipliers")
     common(p)

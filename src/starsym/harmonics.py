@@ -197,13 +197,10 @@ class MultiplierTable:
     `residuals[i]` the worst absolute deviation |T f - lambda f|.
     """
 
-    dim: int
     degrees: tuple
     multipliers: tuple
     residuals: tuple
-    num_xi: int
     resolution: int
-    seed: int
 
 
 def _zonal_table(dim, degrees, num_xi, resolution, seed):
@@ -224,9 +221,8 @@ def _zonal_table(dim, degrees, num_xi, resolution, seed):
             raise ValueError("degenerate pole sample: harmonic vanishes on all poles")
         lams.append(float(t @ v) / float(v @ v))
         residuals.append(float(np.max(np.abs(t - lams[-1] * v))))
-    return MultiplierTable(dim=int(dim), degrees=tuple(degrees), multipliers=tuple(lams),
-                           residuals=tuple(residuals), num_xi=int(num_xi),
-                           resolution=rule.resolution, seed=int(seed))
+    return MultiplierTable(degrees=tuple(degrees), multipliers=tuple(lams),
+                           residuals=tuple(residuals), resolution=rule.resolution)
 
 
 def estimate_multiplier(degree, *, dim=3, num_xi=50, resolution=None, seed=11):

@@ -34,14 +34,12 @@ class SlabEstimate:
     """A Monte Carlo section estimate with its binomial error bar.
 
     std_error covers sampling noise only; the slab geometry adds a
-    deterministic bias of order slab_half_width**2.
+    deterministic bias of order delta**2, delta the slab half-width.
     """
 
     value: float
     std_error: float
     samples: int
-    slab_half_width: float
-    seed: int
 
 
 def _check_body(body):
@@ -76,7 +74,7 @@ def _slab_estimate(body, xi, z, delta, samples, seed, scale_of, hits_in):
         done += count
     p = hits / samples
     return SlabEstimate(value=scale * p, std_error=scale * math.sqrt(p * (1.0 - p) / samples),
-                        samples=samples, slab_half_width=delta, seed=int(seed))
+                        samples=samples)
 
 
 def mc_hyperplane_section(body, xi, z, delta=0.01, samples=1_000_000, seed=0):

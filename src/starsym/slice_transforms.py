@@ -65,10 +65,8 @@ class SectionCurve:
     """Sampled section curve z -> value for one body/field and pole."""
 
     kind: str
-    xi: np.ndarray
     zs: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         zs = _height_grid(self.zs)
@@ -94,8 +92,6 @@ class DerivativeAtZero:
     diagnostic for the ladder).
     """
 
-    kind: str
-    xi: np.ndarray
     fd_value: float
     transform_value: float
     fd_steps: tuple
@@ -422,7 +418,8 @@ def hyperplane_section(body, frame, z, rule):
     (N, n) points.  A cut at |z| >= radius_bound is empty, since the
     body lies in that ball: it is 0.0 and takes no part in the summit
     search or the scan.  The cut at z = 0 is `conical_section`'s there,
-    bit for bit.  Non-finite heights raise.  Three cuts are
+    bit for bit.  Non-finite heights raise, and so does a body that
+    `to_scalar_field` refuses.  Three cuts are
     refused: one above the summit found (the compass search is local, so
     only radius_bound certifies an empty cut; every height is checked
     before any scan), one that crosses a ray more than once (it is not
@@ -444,6 +441,7 @@ def hyperplane_section(body, frame, z, rule):
     values = np.zeros(zs.shape)
     if not np.any(inside):
         return _shaped(values, scalar)
+    to_scalar_field(body)  # refuses a density outside the normal double range
     top, bottom = body.evaluate(np.stack([pole, -pole]))
     lifted = rule.nodes @ frame.basis
     # below the normal range V(z) equals V(0) to double precision, while
@@ -477,7 +475,14 @@ def _pole_transforms(f, frames, rule):
     # of one C-contiguous (G N, n) array, next to its pole repeated over
     # them, so one evaluate or gradient call serves the group; each value
     # and scale is read off the frame's own contiguous rows, the reductions
-    # of a group of one, bit for bit.  A group of one keeps the (n,) pole
+    # of a group of one, bit for bit.  A group of one keeps the (n,) pole.
+    # For a field whose sup bound lies outside [2^-400, 2^400] the squares
+    # behind s would leave the double range, so they are taken of the held
+    # terms over 2^shift, 2^shift at or above the bound, and s is multiplied
+    # back; powers of two scale exactly, so s has the bits of a wider exponent
+    shift = 0
+    if f.sup_bound and not 2.0 ** -400 <= f.sup_bound <= 2.0 ** 400:
+        shift = math.frexp(f.sup_bound)[1]
     size, w = rule.size, rule.weights
     group = max(1, _GROUP_POINTS // size)
     values, scales = np.empty(len(frames)), np.empty(len(frames))
@@ -491,6 +496,8 @@ def _pole_transforms(f, frames, rule):
             lifted = np.concatenate([rule.nodes @ frame.basis for frame in chunk])
             pole = np.repeat([frame.pole for frame in chunk], size, axis=0)
         d, held = _meridian_terms(f.evaluate, f.gradient, pole, lifted)
+        if shift:
+            held = np.ldexp(held, -shift)
         for k in range(len(chunk)):
             rows = slice(k * size, (k + 1) * size)
             if f.gradient is not None:
@@ -503,7 +510,7 @@ def _pole_transforms(f, frames, rule):
                 wf = w * held[rows]
                 scales[start + k] = math.sqrt(float(wf @ wf)) / FD_STEP
             values[start + k] = float(w @ d[rows])
-    return values, scales
+    return values, np.ldexp(scales, shift)
 
 
 def equator_transform(f, frame, rule):
@@ -567,10 +574,7 @@ def section_curve(kind, obj, frame, zs, rule):
     """
     fn, _ = _curve_function(kind, obj)
     zs = _height_grid(zs)
-    values = fn(obj, frame, zs, rule)
-    label = getattr(obj, "label", "")
-    return SectionCurve(kind=kind, xi=frame.pole.copy(), zs=zs, values=values,
-                        label=label)
+    return SectionCurve(kind=kind, zs=zs, values=fn(obj, frame, zs, rule))
 
 
 def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
@@ -596,8 +600,7 @@ def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
     corrections = [abs(b - a) for a, b in zip(diag, diag[1:])]
     monotone = all(b <= a * 1.5 + 1e-14 for a, b in zip(corrections, corrections[1:]))
     t_value = equator_transform(match, frame, transform_rule or rule)
-    return DerivativeAtZero(kind=kind, xi=frame.pole.copy(),
-                            fd_value=float(fd_value),
+    return DerivativeAtZero(fd_value=float(fd_value),
                             transform_value=float(t_value),
                             fd_steps=tuple(steps),
                             agreement_residual=float(abs(fd_value - t_value)),

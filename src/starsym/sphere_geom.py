@@ -48,20 +48,24 @@ def vol_sphere(m):
 
 
 def unit_vector(v, dim=None):
-    """Coerce an array-like v to a unit vector, validating length."""
+    """Coerce an array-like v to a unit vector, validating length.
+
+    v is first divided by the power of two above max |v|, which is exact:
+    any finite nonzero v has a direction, with the bits of v / |v|.
+    """
     out = np.asarray(v, dtype=float)
     if out.ndim != 1:
         raise ValueError("direction must be a 1-d vector")
     if not np.all(np.isfinite(out)):
         raise ValueError("direction has non-finite components")
-    norm = float(np.linalg.norm(out))
-    if norm < 1e-12:
-        raise ValueError("direction has near-zero norm")
-    out = out / norm
     if dim is not None and out.shape[0] != dim:
         raise ValueError(f"direction has dimension {out.shape[0]}, expected {dim}")
     check_dim(out.shape[0])
-    return out
+    top = float(np.max(np.abs(out)))
+    if top == 0.0:
+        raise ValueError("direction is the zero vector")
+    out = np.ldexp(out, -math.frexp(top)[1])
+    return out / float(np.linalg.norm(out))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,6 +38,7 @@ _PROBE_COUNT = 2048
 # relative slack of the declared-bounds check: a probe along an axis can
 # round rho an ulp past an exact bound such as an ellipsoid's semiaxis
 _BOUND_SLACK = 4 * np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)
 
 
 def equator_derivative(evaluate, gradient, pole, lifted):
@@ -332,9 +333,21 @@ def _compose(phi, dphi, f):
     return evaluate, gradient
 
 
-def _power(p):
-    # t^p / p and its derivative t^(p-1)
-    return (lambda t: t ** p / p), (lambda t: t ** (p - 1))
+def _power(body, p, what):
+    # t^p / p, its derivative t^(p-1) and the sup bound radius_bound^p / p,
+    # refused where rho^p / p may leave the normal double range (a floor of 0
+    # bounds nothing): past it the field overflows, below it loses bits
+    try:
+        low, high = body.radius_floor ** p / p, body.radius_bound ** p / p
+    except OverflowError:
+        high = math.inf
+    if high == math.inf:
+        raise ValueError(f"radius_bound = {body.radius_bound:g} puts the {what} rho^{p}/{p} "
+                         f"of an n = {body.dim} body past the largest double")
+    if body.radius_floor > 0.0 and low < _TINY:
+        raise ValueError(f"radius_floor = {body.radius_floor:g} puts the {what} rho^{p}/{p} "
+                         f"of an n = {body.dim} body below the smallest normal double")
+    return (lambda t: t ** p / p), (lambda t: t ** (p - 1)), high
 
 
 def to_scalar_field(body):
@@ -342,16 +355,18 @@ def to_scalar_field(body):
 
     Integrating f over a latitude sphere gives the conical section
     measure of the body at that latitude; n = 2 reduces to f = rho.
+    A body whose bounds let rho^{n-1} / (n-1) leave the normal double
+    range is refused with a ValueError that names the bound.
     """
     n = body.dim
     p = n - 1
-    evaluate, gradient = _compose(*_power(p), body)
+    phi, dphi, sup = _power(body, p, "section density")
+    evaluate, gradient = _compose(phi, dphi, body)
     lip = None
     if body.lipschitz_bound is not None:
         lip = body.radius_bound ** (p - 1) * body.lipschitz_bound
     return ScalarField(dim=n, evaluate=evaluate, gradient=gradient,
-                       lipschitz_bound=lip,
-                       sup_bound=body.radius_bound ** p / p,
+                       lipschitz_bound=lip, sup_bound=sup,
                        label=f"section_density[{body.label}]")
 
 
@@ -361,7 +376,9 @@ def hyperplane_profile_field(body):
     The flat section through z has polar profile r = rho cos(psi*) with
     rho(eta, psi*) sin(psi*) = z, and d/dz of r^{n-1}/(n-1) at z = 0 is
     rho^{n-3} drho/dpsi per meridian.  That is the meridian derivative of
-    rho^{n-2}/(n-2) for n >= 3 and of log(rho) for n = 2.
+    rho^{n-2}/(n-2) for n >= 3 and of log(rho) for n = 2.  As in
+    `to_scalar_field`, bounds that let rho^{n-2} / (n-2) leave the
+    normal double range are refused.
     """
     n = body.dim
     lip = body.lipschitz_bound
@@ -372,10 +389,9 @@ def hyperplane_profile_field(body):
         sup = max(abs(math.log(body.radius_bound)), abs(math.log(body.radius_floor)))
     else:
         p = n - 2
-        phi, dphi = _power(p)
+        phi, dphi, sup = _power(body, p, "flat-cut slope density")
         if lip is not None:
             lip = body.radius_bound ** (p - 1) * lip
-        sup = body.radius_bound ** p / p
     evaluate, gradient = _compose(phi, dphi, body)
     return ScalarField(dim=n, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip, sup_bound=sup,

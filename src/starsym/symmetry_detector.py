@@ -48,11 +48,8 @@ class AsymmetryReport:
     It is a diagnostic; the CLI's report.json and values.csv omit it.
     """
 
-    body_id: str
-    dim: int
     num_dirs: int
     resolution: int
-    seed: int
     threshold: float
     xis: np.ndarray
     values: np.ndarray
@@ -131,7 +128,7 @@ def _rule_ladder(n, rule_resolution):
             equator_rule(n, rule.resolution // 2), rule)
 
 
-def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
+def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
     """Evaluate the transform over the antipodal pole set and classify the field.
 
     The verdict compares max |A| with the sweep's own floor C eps max s,
@@ -199,7 +196,8 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
                 break
     values = np.concatenate([base, 0.0 - base])
     max_abs = float(np.max(np.abs(values)))
-    l2_mean = float(math.sqrt(float(np.mean(values ** 2))))
+    k = math.frexp(max_abs)[1]  # squares of A / 2^k, 2^k > max |A|, stay in range
+    l2_mean = math.ldexp(math.sqrt(float(np.mean(np.ldexp(values, -k) ** 2))), k)
     if max_abs > floor:
         verdict = "asymmetric"
         top = xis[int(np.argmax(np.abs(values)))]
@@ -212,9 +210,7 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None, body_id=None):
                 "threshold {:.6g}); this certifies nothing beyond the sweep, "
                 "it is not a proof of symmetry").format(max_abs, floor)
     return AsymmetryReport(
-        body_id=body_id or f.label or "field",
-        dim=n, num_dirs=int(xis.shape[0]),
-        resolution=rule.resolution, seed=int(seed), threshold=float(floor),
+        num_dirs=int(xis.shape[0]), resolution=rule.resolution, threshold=float(floor),
         xis=xis, values=values, max_abs=max_abs, l2_mean=l2_mean,
         verdict=verdict, note=note, ladder=tuple(ladder))
 
@@ -229,4 +225,4 @@ def detect(body, num_dirs=100, seed=0, rule_resolution=None):
     report's `resolution` records the rule its values come from.
     """
     return sweep(to_scalar_field(body), num_dirs=num_dirs, seed=seed,
-                 rule_resolution=rule_resolution, body_id=body.label)
+                 rule_resolution=rule_resolution)

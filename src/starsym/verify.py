@@ -11,7 +11,7 @@ formula on the circle, Monte Carlo cross-checks, and a detector round
 trip.
 
 The slope checks differentiate curves sampled at a fixed reference
-resolution and compare against the transform at the configured
+resolution and compare against the transform at the requested
 resolution, so running with a deliberately coarse resolution surfaces
 real quadrature error instead of letting the two sides alias together.
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -75,29 +74,12 @@ from . import oracle
 # the n = 3 rule resolution behind the finite-difference side of the
 # slope checks
 REFERENCE_RESOLUTION = 512
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Knobs shared by all checks.
-
-    resolution is passed unchanged to every `equator_rule` the checks
-    build, so None means each dimension's default.
-    """
-
-    resolution: Optional[int] = None
-    seed: int = 7
-    num_xi: int = 4
-    mc_samples: int = 300_000
-
-    def __post_init__(self):
-        # refuses a resolution below 2, or one whose n = 6 rule (which
-        # rule_mass builds) has more nodes than equator_rule allows
-        equator_rule(6, self.resolution)
-        if self.num_xi < 1:
-            raise ValueError("num_xi must be positive")
-        if self.mc_samples < 1000:
-            raise ValueError("mc_samples must be at least 1000")
+# the battery's sampling, which its tolerances were set at: the seed of
+# its random poles, rotations and Monte Carlo draws, the poles per check
+# and the Monte Carlo samples per section
+SEED = 7
+NUM_XI = 4
+MC_SAMPLES = 300_000
 
 
 @dataclass(frozen=True)
@@ -123,8 +105,8 @@ def _bodies(n):
     return tuple(bodies)
 
 
-def _poles(n, cfg):
-    return random_directions(n, cfg.num_xi, seed=cfg.seed)
+def _poles(n):
+    return random_directions(n, NUM_XI, seed=SEED)
 
 
 # node cap of the rules behind the pointwise checks (set_identity,
@@ -132,20 +114,20 @@ def _poles(n, cfg):
 _POINTWISE_NODES = 2048
 
 
-def _pointwise_rule(n, cfg):
-    # the configured rule, its resolution halved until it has at most
+def _pointwise_rule(n, resolution):
+    # the rule of `resolution`, its resolution halved until it has at most
     # _POINTWISE_NODES nodes; a resolution cap would leave the default
     # 8192-node rules of n = 5, 6 whole
-    rule = equator_rule(n, cfg.resolution)
+    rule = equator_rule(n, resolution)
     while rule.size > _POINTWISE_NODES:
         rule = equator_rule(n, rule.resolution // 2)
     return rule
 
 
-@lru_cache(maxsize=32)
-def _frames(n, cfg):
+@lru_cache(maxsize=None)
+def _frames(n):
     # the completed frames of the verify poles in dimension n
-    return tuple(make_frame(xi) for xi in _poles(n, cfg))
+    return tuple(make_frame(xi) for xi in _poles(n))
 
 
 def _lin_comb(alpha, f, beta, g):
@@ -155,8 +137,9 @@ def _lin_comb(alpha, f, beta, g):
 
 
 @lru_cache(maxsize=16)
-def _table(lmax, num_xi, resolution, seed):
-    return multiplier_table(lmax, num_xi=num_xi, resolution=resolution, seed=seed)
+def _table(resolution):
+    # the n = 3 table of degrees 0..7 behind the three multiplier checks
+    return multiplier_table(7, num_xi=16, resolution=resolution, seed=SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +149,14 @@ _CHECKS = {}
 
 
 def _check(name, tolerance, detail="", dims=(None,)):
-    # register fn(cfg, n), run once per n in dims, yielding residuals or
+    # register fn(resolution, n), run once per n in dims, yielding residuals or
     # (residual, detail) pairs; the check passes when the worst residual
     # is <= tolerance, and a NaN residual or none at all fails it
     def register(fn):
-        def run(cfg):
+        def run(resolution):
             worst, note = -math.inf, detail
             for n in dims:
-                for item in fn(cfg, n):
+                for item in fn(resolution, n):
                     r, d = item if isinstance(item, tuple) else (item, detail)
                     r = float(r)
                     if not math.isnan(worst) and (math.isnan(r) or r > worst):
@@ -190,17 +173,17 @@ def _check(name, tolerance, detail="", dims=(None,)):
 
 @_check("rule_mass", 1e-10, "quadrature weights sum to the equator sphere measure",
         dims=(2, 3, 4, 5, 6))
-def _check_rule_mass(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
+def _check_rule_mass(resolution, n):
+    rule = equator_rule(n, resolution)
     yield abs(float(np.sum(rule.weights)) - vol_sphere(n - 2))
 
 
 @_check("set_identity", 1e-12,
         "latitude points lie on the sphere and on the plane <u,xi> = z",
         dims=(2, 3, 4, 5, 6))
-def _check_set_identity(cfg, n):
-    rule = _pointwise_rule(n, cfg)
-    frame = _frames(n, cfg)[0]
+def _check_set_identity(resolution, n):
+    rule = _pointwise_rule(n, resolution)
+    frame = _frames(n)[0]
     for z in (-0.9, -0.3, 0.0, 0.45, 0.95):
         u = embed(frame, rule.nodes, math.asin(z))
         yield np.max(np.abs(np.linalg.norm(u, axis=-1) - 1.0))
@@ -209,9 +192,9 @@ def _check_set_identity(cfg, n):
 
 @_check("slope_decomposition", 1e-10,
         "difference quotient splits into variation and tail terms", dims=(2, 3))
-def _check_slope_decomposition(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
-    frame = _frames(n, cfg)[0]
+def _check_slope_decomposition(resolution, n):
+    rule = equator_rule(n, resolution)
+    frame = _frames(n)[0]
     for body in (_bodies(n)[1], _bodies(n)[-1]):
         f = to_scalar_field(body)
         f0 = f.evaluate(embed(frame, rule.nodes, 0.0))
@@ -227,10 +210,10 @@ def _check_slope_decomposition(cfg, n):
 
 @_check("z0_coincidence", 1e-10,
         "conical and hyperplane sections agree through the origin", dims=(2, 3))
-def _check_z0_coincidence(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
+def _check_z0_coincidence(resolution, n):
+    rule = equator_rule(n, resolution)
     for body in _bodies(n):
-        for frame in _frames(n, cfg):
+        for frame in _frames(n):
             c = conical_section(body, frame, 0.0, rule)
             h = hyperplane_section(body, frame, 0.0, rule)
             yield abs(c - h) / max(1.0, abs(c))
@@ -238,10 +221,10 @@ def _check_z0_coincidence(cfg, n):
 
 @_check("slope_agreement", 1e-6, "curve slopes at z=0 match the transform",
         dims=(2, 3))
-def _check_slope_agreement(cfg, n):
+def _check_slope_agreement(resolution, n):
     ref = equator_rule(n, REFERENCE_RESOLUTION)
-    cur = equator_rule(n, cfg.resolution)
-    frames = _frames(n, cfg)
+    cur = equator_rule(n, resolution)
+    frames = _frames(n)
     cases = [("conical", body, frame) for body in _bodies(n) for frame in frames]
     cases += [("hyperplane", body, frame)
               for body in (_bodies(n)[1], _bodies(n)[2]) for frame in frames[:2]]
@@ -262,7 +245,7 @@ def _psi_probe_grid():
 
 @_check("majorant", 1e-12,
         "sinpsi-normalized increments stay below the Lipschitz majorant")
-def _check_majorant(cfg, _):
+def _check_majorant(resolution, _):
     psis = _psi_probe_grid()
     fields = [to_scalar_field(body) for body in _bodies(2) + _bodies(3)]
     fields += [harmonic_field({(3, 1): 0.3, (4, 0): 0.2}),
@@ -271,7 +254,7 @@ def _check_majorant(cfg, _):
         c = f.lipschitz_bound * math.pi / 2.0
         nodes = equator_rule(f.dim, 16).nodes
         for k in range(4):
-            frame = make_frame(random_directions(f.dim, 1, seed=cfg.seed + k)[0])
+            frame = make_frame(random_directions(f.dim, 1, seed=SEED + k)[0])
             f0 = f.evaluate(embed(frame, nodes, np.zeros(len(nodes))))
             for psi in psis:
                 fp = f.evaluate(embed(frame, nodes, np.full(len(nodes), psi)))
@@ -280,11 +263,11 @@ def _check_majorant(cfg, _):
 
 @_check("tail_term", 1e-12, "the cos-power tail term obeys its linear-in-psi bound",
         dims=(2, 3, 4, 5, 6))
-def _check_tail_term(cfg, n):
-    rule = _pointwise_rule(n, cfg)
+def _check_tail_term(resolution, n):
+    rule = _pointwise_rule(n, resolution)
     f = to_scalar_field(_bodies(n)[1])
     cbound = vol_sphere(n - 2) * f.sup_bound * (n - 2) * math.pi / 4.0
-    frame = _frames(n, cfg)[0]
+    frame = _frames(n)[0]
     for psi in _psi_probe_grid():
         fp = f.evaluate(embed(frame, rule.nodes, psi))
         actual = abs((math.cos(psi) ** (n - 2) - 1.0) / math.sin(psi)
@@ -293,89 +276,89 @@ def _check_tail_term(cfg, n):
 
 
 @_check("xi_oddness", 1e-8, "A(-xi) = -A(xi)", dims=(2, 3))
-def _check_xi_oddness(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
+def _check_xi_oddness(resolution, n):
+    rule = equator_rule(n, resolution)
     f = to_scalar_field(_bodies(n)[1])
-    yield np.max(np.abs(transform_sweep(f, _frames(n, cfg), rule)
-                        + transform_sweep(f, -_poles(n, cfg), rule)))
+    yield np.max(np.abs(transform_sweep(f, _frames(n), rule)
+                        + transform_sweep(f, -_poles(n), rule)))
 
 
 @_check("odd_part", 1e-8, "the transform only sees the odd part of the field",
         dims=(2, 3))
-def _check_odd_part(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
+def _check_odd_part(resolution, n):
+    rule = equator_rule(n, resolution)
     f = to_scalar_field(_bodies(n)[1])
-    frames = _frames(n, cfg)
+    frames = _frames(n)
     yield np.max(np.abs(transform_sweep(f, frames, rule)
                         - transform_sweep(odd_part(f), frames, rule)))
 
 
 @_check("linearity", 1e-10, "A is linear in the field")
-def _check_linearity(cfg, _):
-    rule = equator_rule(3, cfg.resolution)
+def _check_linearity(resolution, _):
+    rule = equator_rule(3, resolution)
     f = to_scalar_field(_bodies(3)[1])
     g = harmonic_field({(1, 0): 0.4, (3, -2): 0.3})
     combo = _lin_comb(0.7, f, -1.3, g)
-    frames = _frames(3, cfg)
+    frames = _frames(3)
     lhs = transform_sweep(combo, frames, rule)
     rhs = 0.7 * transform_sweep(f, frames, rule) - 1.3 * transform_sweep(g, frames, rule)
     yield np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))
 
 
 @_check("rotation", 1e-8, "A(R K, R xi) = A(K, xi)", dims=(2, 3))
-def _check_rotation(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
+def _check_rotation(resolution, n):
+    rule = equator_rule(n, resolution)
     body = _bodies(n)[1]
-    rot = random_rotation(n, seed=cfg.seed)
-    a = transform_sweep(to_scalar_field(body), _frames(n, cfg), rule)
+    rot = random_rotation(n, seed=SEED)
+    a = transform_sweep(to_scalar_field(body), _frames(n), rule)
     b = transform_sweep(to_scalar_field(rotate_body(body, rot)),
-                        [rot @ xi for xi in _poles(n, cfg)], rule)
+                        [rot @ xi for xi in _poles(n)], rule)
     yield np.max(np.abs(a - b))
 
 
 @_check("scaling", 1e-8, "scaling the body by t scales A by t^(n-1)", dims=(2, 3))
-def _check_scaling(cfg, n):
+def _check_scaling(resolution, n):
     lam = 1.7
-    rule = equator_rule(n, cfg.resolution)
+    rule = equator_rule(n, resolution)
     body = _bodies(n)[1]
-    frames = _frames(n, cfg)
+    frames = _frames(n)
     a = lam ** (n - 1) * transform_sweep(to_scalar_field(body), frames, rule)
     b = transform_sweep(to_scalar_field(scale_body(body, lam)), frames, rule)
     yield np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-12))
 
 
 @_check("even_annihilation", 1e-8, "even fields are sent to zero", dims=(2, 3))
-def _check_even_annihilation(cfg, n):
-    rule = equator_rule(n, cfg.resolution)
+def _check_even_annihilation(resolution, n):
+    rule = equator_rule(n, resolution)
     for l in (0, 2, 4, 6):
         f = zonal_field(n, l, np.arange(1.0, n + 1.0))
-        yield np.max(np.abs(transform_sweep(f, _frames(n, cfg), rule)))
+        yield np.max(np.abs(transform_sweep(f, _frames(n), rule)))
 
 
 @_check("odd_multipliers", 1e-7, "odd harmonics are eigenfunctions up to degree 7")
-def _check_odd_multipliers(cfg, _):
-    t = _table(7, 16, cfg.resolution, cfg.seed)
+def _check_odd_multipliers(resolution, _):
+    t = _table(resolution)
     yield from (r for l, r in zip(t.degrees, t.residuals) if l % 2 == 1)
 
 
 @_check("lambda1", 1e-6)
-def _check_lambda1(cfg, _):
-    t = _table(7, 16, cfg.resolution, cfg.seed)
+def _check_lambda1(resolution, _):
+    t = _table(resolution)
     lam = dict(zip(t.degrees, t.multipliers))[1]
     yield abs(lam - 2.0 * math.pi), f"degree-1 multiplier is 2 pi (estimate {lam:.12g})"
 
 
 @_check("odd_nondegeneracy", 0.0)
-def _check_odd_nondegeneracy(cfg, _):
-    t = _table(7, 16, cfg.resolution, cfg.seed)
+def _check_odd_nondegeneracy(resolution, _):
+    t = _table(resolution)
     smallest = min(abs(m) for l, m in zip(t.degrees, t.multipliers) if l % 2 == 1)
     yield max(0.0, 1e-3 - smallest), f"no odd multiplier below 1e-3 (min {smallest:.6g})"
 
 
 @_check("n2_oracle", 1e-10, "two-point transform matches the closed Fourier form")
-def _check_n2_oracle(cfg, _):
-    rng = np.random.default_rng(cfg.seed + 5)
-    rule = equator_rule(2, cfg.resolution)
+def _check_n2_oracle(resolution, _):
+    rng = np.random.default_rng(SEED + 5)
+    rule = equator_rule(2, resolution)
     for _ in range(40):
         a0 = float(rng.uniform(-1, 1))
         a = tuple(rng.uniform(-0.5, 0.5, size=5))
@@ -387,17 +370,17 @@ def _check_n2_oracle(cfg, _):
 
 
 @_check("mc_agreement", 0.0)
-def _check_mc_agreement(cfg, _):
+def _check_mc_agreement(resolution, _):
     queries = [(_bodies(3)[1], (0.0, 0.0, 1.0), 0.25),
                (_bodies(3)[3], (0.6, 0.8, 0.0), -0.4)]
-    rule = equator_rule(3, cfg.resolution)
+    rule = equator_rule(3, resolution)
     for i, (body, xi, z) in enumerate(queries):
         frame = make_frame(np.asarray(xi))
         for kind, section, mc, seed in (
-                ("hyperplane", hyperplane_section, oracle.mc_hyperplane_section, cfg.seed + i),
-                ("cone", conical_section, oracle.mc_cone_section, cfg.seed + 10 + i)):
+                ("hyperplane", hyperplane_section, oracle.mc_hyperplane_section, SEED + i),
+                ("cone", conical_section, oracle.mc_cone_section, SEED + 10 + i)):
             q = section(body, frame, z, rule)
-            m = mc(body, xi, z, delta=0.02, samples=cfg.mc_samples, seed=seed)
+            m = mc(body, xi, z, delta=0.02, samples=MC_SAMPLES, seed=seed)
             allow = max(3.0 * m.std_error, 0.01 * abs(q))
             yield (abs(q - m.value) - allow,
                    f"quadrature sections sit inside Monte Carlo error bars "
@@ -405,7 +388,7 @@ def _check_mc_agreement(cfg, _):
 
 
 @_check("detector", 0.0)
-def _check_detector(cfg, _):
+def _check_detector(resolution, _):
     # ball, two shifted balls and an ellipsoid in n = 2, then the same
     # four and the odd harmonic ball in n = 3, then an even harmonic ball
     wanted = ("symmetric", "asymmetric", "asymmetric", "symmetric") * 2 + ("asymmetric",)
@@ -413,8 +396,8 @@ def _check_detector(cfg, _):
     cases.append((body_harmonic_perturbed_ball(0.05, 2, 1), "symmetric"))
     notes = []
     for body, want in cases:
-        rep = detect(body, num_dirs=32, seed=cfg.seed,
-                     rule_resolution=cfg.resolution)
+        rep = detect(body, num_dirs=32, seed=SEED,
+                     rule_resolution=resolution)
         if rep.verdict != want:
             notes.append(f"{body.label}: got {rep.verdict}, wanted {want}")
     yield float(len(notes)), ("; ".join(notes) if notes
@@ -425,13 +408,17 @@ def check_names():
     return tuple(_CHECKS)
 
 
-def run_checks(config=None, only=None):
+def run_checks(resolution=None, only=None):
     """Run the registry and return a list of CheckResult.
 
-    only: optional iterable of check names; an empty selection or an
-    unknown name raises ValueError.
+    resolution is passed unchanged to every `equator_rule` the checks
+    build, so None means each dimension's default; a resolution below 2,
+    or one whose n = 6 rule (which rule_mass builds) has more nodes than
+    equator_rule allows, raises ValueError before any check runs.
+    only: optional iterable of check names; an empty selection, an
+    unknown name or a repeated one raises ValueError.
     """
-    cfg = config or VerifyConfig()
+    equator_rule(6, resolution)
     if only is None:
         names = list(_CHECKS)
     else:
@@ -442,4 +429,7 @@ def run_checks(config=None, only=None):
         if unknown:
             raise ValueError(f"unknown check name(s): {', '.join(unknown)}; "
                              f"known: {', '.join(_CHECKS)}")
-    return [_CHECKS[name](cfg) for name in names]
+        repeated = [x for x in dict.fromkeys(names) if names.count(x) > 1]
+        if repeated:
+            raise ValueError(f"repeated check name(s): {', '.join(repeated)}")
+    return [_CHECKS[name](resolution) for name in names]

@@ -347,6 +347,14 @@ def test_verify_empty_selection_exits_2_and_writes_nothing(tmp_path, capsys, onl
     assert not out.exists()
 
 
+def test_verify_repeated_check_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a check named twice used to run twice and write two entries
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out), "--only", "rule_mass,rule_mass"]) == 2
+    assert capsys.readouterr().err == "starsym: repeated check name(s): rule_mass\n"
+    assert not out.exists()
+
+
 def test_verify_coarse_resolution_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["verify", "--out", str(out), "--resolution", "8",
@@ -577,15 +585,67 @@ def test_sections_refuses_non_finite_pole(tmp_path, capsys, xi):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("xi", ["1e300,0,0", "1e-13,0,0"])
+def test_sections_takes_a_pole_of_any_finite_size(tmp_path, capsys, xi):
+    # both exited 2 with "direction has near-zero norm": the square of 1e300
+    # overflowed, and 1e-13 fell below a fixed cut-off
+    spec = _spec(tmp_path, SHIFTED)
+    blobs = []
+    for name, pole in (("given", xi), ("unit", "1,0,0")):
+        out = tmp_path / name
+        assert main(["sections", "--body", spec, "--out", str(out), "--xi", pole,
+                     "--z=-0.4:0.4:0.4"]) == 0
+        blobs.append((out / "curves.csv").read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
+
+
+_SCALE_SPECS = {
+    "tiny_ellipsoid": ({"kind": "ellipsoid", "dim": 6,
+                        "params": {"semiaxes": list(1e-35 * np.linspace(1.4, 0.8, 6))}},
+                       "symmetric"),
+    "huge_shifted_ball": ({"kind": "shifted_ball", "dim": 6,
+                           "params": {"radius": 1e35, "center": [2e34, 0, 0, 0, 0, 0]}},
+                          "asymmetric"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_SPECS))
+def test_analyze_reads_the_true_verdict_at_extreme_scales(tmp_path, capsys, name):
+    # the tiny even ellipsoid read asymmetric with threshold 0, and the
+    # huge shifted ball exited 2 on an infinite l2_mean
+    doc, verdict = _SCALE_SPECS[name]
+    out = tmp_path / "out"
+    assert main(["analyze", "--body", _spec(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["verdict"] == verdict
+    assert 0.0 < report["threshold"] < math.inf
+    assert 0.0 < report["l2_mean_transform"] <= report["max_abs_transform"]
+
+
+@pytest.mark.parametrize("radius, bound", [(1e70, "radius_bound = 1e+70"),
+                                           (1e-62, "radius_floor = 1e-62")],
+                         ids=["huge", "tiny"])
+def test_analyze_refuses_a_density_outside_the_double_range(tmp_path, capsys, radius, bound):
+    # radius 1e70 ended in an OverflowError traceback with exit 1
+    out = tmp_path / "out"
+    doc = {"kind": "ball", "dim": 6, "params": {"radius": radius}}
+    assert main(["analyze", "--body", _spec(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"starsym: {bound} puts the section density "
+                                              "rho^5/5 of an n = 6 body ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, option", [
     (["analyze", "--body", "{ball}", "--dirs", "0"], "--dirs: must be at least 1"),
     (["analyze", "--body", "{ball}", "--dirs", "-4"], "--dirs: must be at least 1"),
     (["analyze", "--body", "{ball}", "--seed", "-1"], "--seed: must be at least 0"),
     (["analyze", "--body", "{disk}", "--seed", "-1"], "--seed: must be at least 0"),
-    (["verify", "--seed", "-1"], "--seed: must be at least 0"),
+    (["verify", "--seed", "7"], "unrecognized arguments: --seed 7"),
     (["harmonics", "--seed", "-1"], "--seed: must be at least 0"),
-    (["verify", "--num-xi", "0"], "--num-xi: must be at least 1"),
-    (["verify", "--mc-samples", "999"], "--mc-samples: must be at least 1000"),
+    (["verify", "--num-xi", "4"], "unrecognized arguments: --num-xi 4"),
+    (["verify", "--mc-samples", "300000"], "unrecognized arguments: --mc-samples 300000"),
     (["harmonics", "--num-xi", "11"], "--num-xi: must be at least 12"),
     (["analyze", "--body", "{ball}", "--sampler", "random"],
      "unrecognized arguments: --sampler random"),

@@ -130,8 +130,10 @@ def test_estimate_multiplier_takes_no_order():
 def test_multiplier_table_structure_and_determinism():
     t1 = multiplier_table(5, num_xi=12, seed=8)
     t2 = multiplier_table(5, num_xi=12, seed=8)
-    assert t1.dim == 3 and t1.degrees == (0, 1, 2, 3, 4, 5)
+    assert t1.degrees == (0, 1, 2, 3, 4, 5)
     assert t1.multipliers == t2.multipliers
+    # the default dimension is 3
+    assert t1.multipliers == multiplier_table(5, dim=3, num_xi=12, seed=8).multipliers
     lam = dict(zip(t1.degrees, t1.multipliers))
     assert lam[1] == pytest.approx(2.0 * math.pi, abs=1e-9)
     assert lam[3] == pytest.approx(-3.0 * math.pi, abs=1e-9)
@@ -218,7 +220,7 @@ def test_multiplier_table_matches_funk_hecke(monkeypatch, n):
     resolution = None if n <= 3 else 12
     table = multiplier_table(9, dim=n, num_xi=14, resolution=resolution, seed=n)
     assert len(calls) == 14
-    assert table.dim == n and table.degrees == tuple(range(10))
+    assert table.degrees == tuple(range(10))
     for l, lam, res in zip(table.degrees, table.multipliers, table.residuals):
         assert lam == pytest.approx(funk_hecke_multiplier(n, l), abs=1e-9), (n, l)
         assert res < 1e-9, (n, l)

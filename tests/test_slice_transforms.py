@@ -704,21 +704,36 @@ def test_section_curve_kinds_and_type_checks():
         section_curve("wedge", body, frame, zs, rule)
 
 
+def test_sections_refuse_a_density_outside_the_double_range():
+    # the n = 6 ball of radius 1e-62 has a subnormal density, and its
+    # z = 0 value came out as 5.2637890139137e-310 against the closed form
+    # 5.2637890139143e-310; at 1e-61 the density is normal
+    frame, rule = make_frame(np.eye(6)[-1]), equator_rule(6)
+    with pytest.raises(ValueError, match="^radius_floor = 1e-62 puts the section density"):
+        conical_section(body_ball(6, 1e-62), frame, 0.0, rule)
+    value = conical_section(body_ball(6, 1e-61), frame, 0.0, rule)
+    assert value == pytest.approx(vol_sphere(4) * 1e-61 ** 5 / 5, rel=1e-14)
+    # hyperplane cuts sum the same density: their subnormal values lost
+    # digits too, and at radius 1e70 they overflowed to inf
+    for radius, z in ((1e-62, 1e-63), (1e70, 1e69)):
+        with pytest.raises(ValueError, match=f"^radius_{'floor' if radius < 1 else 'bound'} = "):
+            hyperplane_section(body_ball(6, radius), frame, z, rule)
+
+
 def test_section_curve_validation():
-    xi = np.array([0.0, 0.0, 1.0])
     zs = np.array([-0.2, 0.0, 0.2])
     vals = np.array([1.0, 2.0, 1.5])
-    SectionCurve("conical", xi, zs, vals)
+    SectionCurve("conical", zs, vals)
     # slice curves may go negative, section measures may not
-    SectionCurve("slice", xi, zs, np.array([-1.0, 0.5, -0.2]))
+    SectionCurve("slice", zs, np.array([-1.0, 0.5, -0.2]))
     with pytest.raises(ValueError):
-        SectionCurve("conical", xi, zs[::-1].copy(), vals)
+        SectionCurve("conical", zs[::-1].copy(), vals)
     with pytest.raises(ValueError):
-        SectionCurve("conical", xi, zs, vals[:2])
+        SectionCurve("conical", zs, vals[:2])
     with pytest.raises(ValueError):
-        SectionCurve("conical", xi, zs, np.array([1.0, -2.0, 1.5]))
+        SectionCurve("conical", zs, np.array([1.0, -2.0, 1.5]))
     with pytest.raises(ValueError):
-        SectionCurve("hyperplane", xi, zs, np.array([1.0, np.nan, 1.5]))
+        SectionCurve("hyperplane", zs, np.array([1.0, np.nan, 1.5]))
 
 
 def test_section_curve_refuses_a_bad_grid_before_any_cut():

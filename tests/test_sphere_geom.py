@@ -51,6 +51,32 @@ def test_unit_vector_and_direction():
         unit_vector([0.0, 0.0])
 
 
+@pytest.mark.parametrize("v, want", [
+    ([1e200, 1e200, 0.0], [math.sqrt(0.5), math.sqrt(0.5), 0.0]),
+    ([1e300, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([1e-13, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([0.0, -3e-200, 4e-200], [0.0, -0.6, 0.8]),
+    ([5e-324, 0.0], [1.0, 0.0]),
+], ids=["overflowing", "huge", "tiny", "underflowing", "subnormal"])
+def test_unit_vector_of_any_finite_nonzero_vector(v, want):
+    # |v|^2 overflowed to inf (a zero vector) or fell below the old 1e-12
+    # norm cut-off; only the zero vector has no direction
+    u = unit_vector(v)
+    assert np.allclose(u, want, rtol=0.0, atol=1e-15)
+    assert make_frame(v).pole.tolist() == u.tolist()
+    with pytest.raises(ValueError, match="^direction is the zero vector$"):
+        unit_vector(np.zeros(len(v)))
+
+
+def test_unit_vector_keeps_the_bits_of_v_over_its_norm():
+    # scaling by a power of two is exact, so ordinary inputs keep every bit
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(2, 7))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+        assert unit_vector(v).tobytes() == (v / float(np.linalg.norm(v))).tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_unit_vector_refuses_non_finite_components(bad):
     with pytest.raises(ValueError, match="^direction has non-finite components$"):

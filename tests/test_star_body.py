@@ -1,5 +1,6 @@
 """Radial fields, library bodies, and derived scalar fields."""
 
+import re
 import sys
 
 import numpy as np
@@ -236,6 +237,28 @@ def test_to_scalar_field_values_and_bounds():
     assert np.array_equal(first.gradient(u), second.gradient(u))
     assert (first.sup_bound, first.lipschitz_bound) == (second.sup_bound,
                                                         second.lipschitz_bound)
+
+
+@pytest.mark.parametrize("make, radius, message", [
+    (to_scalar_field, 1e70, "radius_bound = 1e+70 puts the section density rho^5/5 of an "
+                            "n = 6 body past the largest double"),
+    (to_scalar_field, 1e-62, "radius_floor = 1e-62 puts the section density rho^5/5 of an "
+                             "n = 6 body below the smallest normal double"),
+    (hyperplane_profile_field, 1e78, "radius_bound = 1e+78 puts the flat-cut slope density "
+                                     "rho^4/4 of an n = 6 body past the largest double"),
+    (hyperplane_profile_field, 1e-78, "radius_floor = 1e-78 puts the flat-cut slope density "
+                                      "rho^4/4 of an n = 6 body below the smallest normal double"),
+], ids=["density_huge", "density_tiny", "flat_huge", "flat_tiny"])
+def test_fields_outside_the_normal_double_range_are_refused(make, radius, message):
+    # to_scalar_field raised a bare OverflowError at 1e70, and at 1e-62 its
+    # subnormal values made conical_section lose six digits
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make(body_ball(6, radius))
+    # the widest ball on each side is kept
+    for r in (1e61, 1e-61):
+        assert make(body_ball(6, r)).sup_bound > 0.0
+    # the flat field at n = 6 reaches further than the density
+    assert hyperplane_profile_field(body_ball(6, 1e70)).sup_bound == 1e70 ** 4 / 4
 
 
 def test_hyperplane_profile_field_by_dimension():

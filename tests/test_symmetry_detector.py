@@ -75,13 +75,12 @@ def test_even_body_reads_the_symmetric_note():
 def test_report_fields_are_populated():
     body = body_ball(3, 1.0)
     report = detect(body, num_dirs=10, seed=5)
-    assert report.dim == 3
     assert report.num_dirs == 10
     assert report.xis.shape == (10, 3)
     assert report.values.shape == (10,)
     assert report.resolution > 0
     assert report.l2_mean <= report.max_abs + 1e-15
-    assert report.body_id == body.label
+    assert report.xis.shape[1] == body.dim
 
 
 def test_sample_poles_errors():
@@ -183,6 +182,34 @@ def test_verdicts_hold_at_every_scale(n, path):
         assert report.verdict == "symmetric", (s, report.max_abs / report.threshold)
         report = detect(scale_body(odd, s), num_dirs=16, seed=5)
         assert report.verdict == "asymmetric", (s, report.max_abs / report.threshold)
+
+
+@pytest.mark.parametrize("n, scale", [(6, 1e-35), (5, 1e-50)])
+@pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+def test_tiny_even_bodies_read_symmetric(n, scale, path):
+    # the squares behind the floor underflowed to 0, so these even bodies
+    # read asymmetric with threshold 0.0 although rho^(n-1) is a normal double
+    report = detect(path(body_ellipsoid(n, tuple(scale * np.linspace(1.4, 0.8, n)))))
+    assert report.verdict == "symmetric"
+    assert 0.0 < report.l2_mean <= report.max_abs < report.threshold
+
+
+@pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+def test_huge_shifted_ball_reads_asymmetric(path):
+    # the squares behind the floor and l2_mean overflowed to inf, so the
+    # floor read this asymmetric body as symmetric; its values are those of
+    # the unit-scale ball times 1e35^5, to within the rounding of the scaling
+    center = np.zeros(6)
+    center[0] = 0.2
+    report = detect(path(body_shifted_ball(6, 1e35, 1e35 * center)))
+    unit = detect(path(body_shifted_ball(6, 1.0, center)))
+    assert report.verdict == unit.verdict == "asymmetric"
+    assert report.resolution == unit.resolution
+    for got, want in ((report.max_abs, unit.max_abs), (report.l2_mean, unit.l2_mean),
+                      (report.threshold, unit.threshold)):
+        assert got == pytest.approx(1e175 * want, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -11,6 +11,7 @@ import pytest
 from starsym import slice_transforms, symmetry_detector
 from starsym import (
     FRAME_SEED,
+    ScalarField,
     body_ball,
     body_ellipsoid,
     body_shifted_ball,
@@ -299,6 +300,27 @@ def test_equator_transform_is_a_float_and_its_scale_the_reference(n):
         assert _same_bits(np.array([value]), transform_sweep(f, [frame], rule)), body.label
         _, scales = slice_transforms._pole_transforms(f, (frame,), rule)
         assert scales.tolist() == [_reference_scale(f, frame, rule)], body.label
+
+
+@pytest.mark.parametrize("k", [600, -600, 100])
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
+def test_a_field_far_from_unit_size_keeps_every_bit(k, n, fd):
+    # 2^k f has the values and roundoff scales of f times 2^k, bit for bit:
+    # at 2^600 the squares behind the scale overflowed (a RuntimeWarning),
+    # and at 2^-600 the finite-difference ones underflowed to a zero floor
+    f = to_scalar_field(body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)))
+    if fd:
+        f = strip_gradient(f)
+    gradient = None if fd else (lambda u: np.ldexp(f.gradient(u), k))
+    big = ScalarField(dim=n, evaluate=lambda u: np.ldexp(f.evaluate(u), k),
+                      gradient=gradient, sup_bound=math.ldexp(f.sup_bound, k))
+    rule, frames = equator_rule(n, 8), [make_frame(xi) for xi in sample_poles(n, 6, seed=1)]
+    values, scales = slice_transforms._pole_transforms(f, frames, rule)
+    big_values, big_scales = slice_transforms._pole_transforms(big, frames, rule)
+    assert np.all(scales > 0.0)
+    assert _same_bits(big_values, np.ldexp(values, k))
+    assert _same_bits(big_scales, np.ldexp(scales, k))
 
 
 def test_transform_value_is_a_float_with_its_scale():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from starsym import VerifyConfig, check_names, equator_rule, run_checks
+from starsym import check_names, equator_rule, run_checks
 from starsym import harmonics, slice_transforms, symmetry_detector, verify
 from starsym.cli import main
 
@@ -23,7 +23,7 @@ def test_coarse_resolution_fails_exactly_the_slope_check():
     # an 8-node rule cannot integrate the strongly shifted test body's
     # equator content; the slope comparison must surface that while the
     # structural identities, which hold at any fixed rule, stay green
-    results = run_checks(VerifyConfig(resolution=8))
+    results = run_checks(resolution=8)
     failed = sorted(r.name for r in results if not r.passed)
     assert failed == ["slope_agreement"]
     bad = next(r for r in results if r.name == "slope_agreement")
@@ -39,6 +39,12 @@ def test_only_filter_runs_requested_checks_in_order():
 def test_unknown_check_name_raises():
     with pytest.raises(ValueError, match="unknown check name"):
         run_checks(only=("rule_mass", "bogus"))
+
+
+def test_repeated_check_name_raises():
+    # a name given twice would run twice and be reported twice
+    with pytest.raises(ValueError, match=r"^repeated check name\(s\): rule_mass$"):
+        run_checks(only=("rule_mass", "detector", "rule_mass"))
 
 
 @pytest.mark.parametrize("only", [(), []])
@@ -62,19 +68,22 @@ def test_result_records_are_well_formed():
         assert r.detail
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        VerifyConfig(resolution=1)
+def test_config_validation(monkeypatch):
+    # the resolution is checked before any check runs, then passed to
+    # each check unchanged; None means each dimension's default rule
+    ran = []
+    monkeypatch.setattr(verify, "_CHECKS", {
+        name: (lambda resolution, name=name: ran.append((name, resolution)))
+        for name in verify._CHECKS})
+    with pytest.raises(ValueError, match="^resolution must be at least 2$"):
+        run_checks(resolution=1)
     # the n = 6 rule of rule_mass caps the resolution at 64
     with pytest.raises(ValueError, match="2371842 nodes; at most 2097152"):
-        VerifyConfig(resolution=66)
-    with pytest.raises(ValueError):
-        VerifyConfig(num_xi=0)
-    with pytest.raises(ValueError):
-        VerifyConfig(mc_samples=100)
-    cfg = VerifyConfig(resolution=32)
-    assert equator_rule(3, cfg.resolution).resolution == 32
-    assert equator_rule(2, VerifyConfig().resolution).resolution == 2
+        run_checks(resolution=66)
+    assert ran == []
+    run_checks(resolution=32, only=("rule_mass",))
+    run_checks(only=("set_identity",))
+    assert ran == [("rule_mass", 32), ("set_identity", None)]
 
 
 def _poison_n2_sweeps(monkeypatch):
@@ -148,14 +157,13 @@ def test_pointwise_rules_cap_their_node_count(resolution):
     # set_identity and tail_term halve the resolution until the rule has
     # at most 2048 nodes; a cap of 64 on the resolution itself left the
     # default 8192-node rules of n = 5, 6 whole
-    cfg = VerifyConfig(resolution=resolution)
     for n in range(2, 7):
         full = equator_rule(n, resolution)
-        rule = verify._pointwise_rule(n, cfg)
+        rule = verify._pointwise_rule(n, resolution)
         assert rule.size <= 2048
         if full.size <= 2048:
             assert rule.resolution == full.resolution
         else:
             assert equator_rule(n, 2 * rule.resolution).size > 2048
     if resolution is None:
-        assert [verify._pointwise_rule(n, cfg).size for n in (5, 6)] == [1024, 512]
+        assert [verify._pointwise_rule(n, resolution).size for n in (5, 6)] == [1024, 512]
