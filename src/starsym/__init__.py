@@ -39,7 +39,6 @@ from .star_body import (
     body_shifted_ball,
     equator_derivative,
     hyperplane_profile_field,
-    linear_field,
     odd_part,
     rotate_body,
     scale_body,
@@ -89,8 +88,8 @@ __all__ = [
     "random_rotation", "sphere_rule", "unit_vector", "vol_sphere",
     "RadialField", "ScalarField", "body_ball", "body_ellipsoid",
     "body_harmonic_perturbed_ball", "body_shifted_ball", "equator_derivative",
-    "hyperplane_profile_field", "linear_field", "odd_part", "rotate_body",
-    "scale_body", "strip_gradient", "to_scalar_field",
+    "hyperplane_profile_field", "odd_part", "rotate_body", "scale_body",
+    "strip_gradient", "to_scalar_field",
     "DerivativeAtZero", "SectionCurve", "conical_section",
     "derivative_at_zero", "equator_transform", "hyperplane_section",
     "richardson_limit", "section_curve", "slice_integral", "transform_sweep",

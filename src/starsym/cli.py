@@ -10,9 +10,12 @@ harmonics  fit one multiplier per degree (n = 2..6), write multipliers.csv
 Each subcommand reads the parsed argparse namespace directly, so every
 option and its default is declared once, in `_build_parser`.  Exit
 codes: 0 success, 1 verification failure, 2 usage or input errors.
-All outputs are byte-deterministic for a fixed command line: floats are
-written with 17 significant digits and every artifact embeds the
-parameters that produced it.
+Each subcommand returns its exit code and its artifacts as text; `main`
+alone creates `--out` and writes them, so a run that exits 2 writes
+nothing.  All outputs are byte-deterministic for a fixed command line:
+JSON floats are written in Python's shortest round-trip form, CSV floats
+with 17 significant digits, and every artifact embeds the parameters
+that produced it.
 """
 
 from __future__ import annotations
@@ -51,35 +54,6 @@ def _fmt(x):
     return format(x, ".17g")
 
 
-def json_text(obj, indent=0):
-    """Render JSON with fixed float formatting and insertion key order."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{inner}{json.dumps(str(k))}: {json_text(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{json_text(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _param_line(params):
     parts = []
     for k, v in params.items():
@@ -90,12 +64,6 @@ def _param_line(params):
         else:
             parts.append(f"{k}={v}")
     return "# parameters: " + " ".join(parts) + "\n"
-
-
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +254,6 @@ def cmd_analyze(args):
     body, spec = load_body_spec(args.body)
     report = detect(body, num_dirs=args.dirs, seed=args.seed,
                     rule_resolution=args.resolution)
-    os.makedirs(args.out, exist_ok=True)
     doc = {
         "parameters": {"command": args.command, "seed": args.seed,
                        "resolution": report.resolution, "dim": body.dim, "body": spec,
@@ -298,20 +265,18 @@ def cmd_analyze(args):
         "threshold": report.threshold,
         "num_dirs": report.num_dirs,
     }
-    jpath = _write(os.path.join(args.out, "report.json"), json_text(doc) + "\n")
     head = ",".join([f"xi_{i}" for i in range(body.dim)] + ["transform"])
     lines = [_param_line({"command": args.command, "seed": args.seed,
                           "resolution": report.resolution}), head + "\n"]
     for xi, val in zip(report.xis, report.values):
         lines.append(",".join([_fmt(c) for c in xi] + [_fmt(val)]) + "\n")
-    cpath = _write(os.path.join(args.out, "values.csv"), "".join(lines))
+    texts = {"report.json": json.dumps(doc, indent=2, allow_nan=False) + "\n",
+             "values.csv": "".join(lines)}
     print(f"verdict: {report.verdict}")
     print(f"note: {report.note}")
     print(f"max |A| = {report.max_abs:.6g}, threshold = {report.threshold:.6g} "
           f"over {report.num_dirs} poles")
-    print(f"wrote {jpath}")
-    print(f"wrote {cpath}")
-    return 0
+    return 0, texts
 
 
 def cmd_sections(args):
@@ -350,23 +315,18 @@ def cmd_sections(args):
     if "svg" in formats:
         texts["sections.svg"] = svg_curves([(c.kind, c.zs, c.values) for c in curves],
                                            f"section curves, {body.label}")
-    os.makedirs(args.out, exist_ok=True)
-    written = [_write(os.path.join(args.out, name), text) for name, text in texts.items()]
     for kind in kinds:
         d = slopes[kind]
         print(f"{kind}: slope at z=0 = {d.transform_value:.12g} "
               f"(finite differences {d.fd_value:.12g}, "
               f"residual {d.agreement_residual:.3g})")
-    for path in written:
-        print(f"wrote {path}")
-    return 0
+    return 0, texts
 
 
 def cmd_verify(args):
     only = None if args.only is None else tuple(
         p.strip() for p in str(args.only).split(",") if p.strip())
     results = run_checks(args.resolution, only=only)
-    os.makedirs(args.out, exist_ok=True)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
         print(f"{flag} {r.name:<20} residual={r.residual:.6e} "
@@ -395,9 +355,8 @@ def cmd_verify(args):
         "num_fail": num_fail,
         "all_pass": num_fail == 0,
     }
-    jpath = _write(os.path.join(args.out, "verify.json"), json_text(doc) + "\n")
-    print(f"wrote {jpath}")
-    return 0 if num_fail == 0 else 1
+    return (0 if num_fail == 0 else 1,
+            {"verify.json": json.dumps(doc, indent=2, allow_nan=False) + "\n"})
 
 
 _MIN_FIT_POLES = 12
@@ -413,7 +372,6 @@ def cmd_harmonics(args):
                          f"got --lmax {args.lmax}")
     table = multiplier_table(args.lmax, dim=args.dim, num_xi=args.num_xi,
                              resolution=rule.resolution, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
     lines = [_param_line({"command": args.command, "dim": args.dim,
                           "lmax": args.lmax, "num_xi": args.num_xi,
                           "seed": args.seed, "resolution": table.resolution}),
@@ -423,9 +381,7 @@ def cmd_harmonics(args):
         print(f"degree {l}: lambda = {lam: .12g}, closed form {exact: .12g}  "
               f"(worst fit residual {res:.3e})")
         lines.append(f"{l},{_fmt(lam)},{_fmt(exact)},{_fmt(res)}\n")
-    cpath = _write(os.path.join(args.out, "multipliers.csv"), "".join(lines))
-    print(f"wrote {cpath}")
-    return 0
+    return 0, {"multipliers.csv": "".join(lines)}
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +463,14 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        code, texts = _DISPATCH[args.command](args)
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in texts.items():
+            path = os.path.join(args.out, name)
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            print(f"wrote {path}")
+        return code
     except (ValueError, TypeError, KeyError, OSError) as exc:
         print(f"starsym: {exc}", file=sys.stderr)
         return 2

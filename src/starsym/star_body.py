@@ -77,10 +77,13 @@ def _meridian_terms(evaluate, gradient, pole, lifted):
     return (4.0 * central(FD_STEP / 2.0)[0] - d1) / 3.0, up
 
 
-def _validate_gradient(evaluate, gradient, lipschitz, u, v):
+def _validate_gradient(evaluate, gradient, lipschitz, radius, u, v):
     # meridian derivative at each point u toward the unit tangent of v at
-    # u: psi = 0 on those poles reaches every (point, tangent) pair
-    tol = max(1e-6, 1e-4 * (lipschitz if lipschitz else 1.0))
+    # u: psi = 0 on those poles reaches every (point, tangent) pair.  The
+    # finite differences round rho to about eps * rho / FD_STEP, which the
+    # last term absorbs at every body size
+    tol = (max(1e-6, 1e-4 * (lipschitz if lipschitz else 1.0))
+           + 8.0 * np.finfo(float).eps * radius / FD_STEP)
     t = v - np.sum(u * v, axis=1, keepdims=True) * u
     t /= np.linalg.norm(t, axis=1, keepdims=True)
     ana = equator_derivative(evaluate, gradient, t, u)
@@ -176,7 +179,8 @@ class RadialField:
         if self.lipschitz_bound is not None:
             _validate_lipschitz(self.evaluate, self.lipschitz_bound, u, v)
         if self.gradient is not None:
-            _validate_gradient(self.evaluate, self.gradient, self.lipschitz_bound, u, v)
+            _validate_gradient(self.evaluate, self.gradient, self.lipschitz_bound,
+                               self.radius_bound, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +437,6 @@ def rotate_body(body, rotation):
                        radius_bound=body.radius_bound,
                        radius_floor=body.radius_floor,
                        label=f"rotated[{body.label}]")
-
-
-def linear_field(dim, direction):
-    """The restriction of x -> <x, e> to the sphere."""
-    check_dim(dim)
-    e = np.asarray(direction, dtype=float)
-    if e.shape != (dim,):
-        raise ValueError(f"direction must have shape ({dim},)")
-    norm = float(np.linalg.norm(e))
-
-    def evaluate(u):
-        return np.asarray(u, dtype=float) @ e
-
-    def gradient(u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(e, u.shape).copy()
-
-    return ScalarField(dim=dim, evaluate=evaluate, gradient=gradient,
-                       lipschitz_bound=norm, sup_bound=norm,
-                       label="linear")
 
 
 def strip_gradient(field_or_body):

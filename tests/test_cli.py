@@ -5,6 +5,7 @@ this file with scipy blocked, so a stray import on a CLI path fails it.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,10 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starsym import check_names
+from starsym import (
+    check_names,
+    derivative_at_zero,
+    detect,
+    equator_rule,
+    funk_hecke_multiplier,
+    make_frame,
+    multiplier_table,
+    run_checks,
+    section_curve,
+)
 from starsym.cli import (
     build_body,
-    json_text,
     load_body_spec,
     main,
     parse_z_values,
@@ -685,25 +695,87 @@ def test_integer_spec_fields_are_not_truncated(tmp_path, capsys, doc, field):
 # helpers
 
 
-def test_json_text_formatting():
-    doc = {"b": 1, "a": [True, None, np.float64(0.5), np.int64(3)],
-           "s": 'say "hi"'}
-    text = json_text(doc)
-    # insertion order, not sorted
-    assert text.index('"b"') < text.index('"a"')
-    assert '"say \\"hi\\""' in text
-    assert "0.5" in text and "true" in text and "null" in text
-    assert json.loads(text) == {"b": 1, "a": [True, None, 0.5, 3],
-                                "s": 'say "hi"'}
-    with pytest.raises(ValueError):
-        json_text({"x": float("nan")})
-    with pytest.raises(TypeError):
-        json_text({"x": {1, 2}})
+def _hex(values):
+    return [float(v).hex() for v in values]
 
 
-def test_json_text_float_round_trip():
-    value = math.pi * 1e-7
-    assert float(json.loads(json_text(value))) == value
+def _json_doc(path):
+    # the document, after checking that its text is the standard encoder's
+    # layout of itself: indent 2, insertion key order, shortest floats
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
+def test_artifact_floats_parse_back_to_the_library_values(tmp_path, capsys):
+    # every float an artifact holds parses back, bit for bit, to the value
+    # the library computes for the same command line
+    spec = _spec(tmp_path, SHIFTED)
+    out = tmp_path / "out"
+    body = build_body(SHIFTED["kind"], SHIFTED["dim"], SHIFTED["params"])
+
+    assert main(["analyze", "--body", spec, "--out", str(out), "--dirs", "8"]) == 0
+    report = detect(body, num_dirs=8, seed=7)
+    doc = _json_doc(out / "report.json")
+    assert list(doc) == _REPORT_KEYS
+    assert list(doc["parameters"]) == ["command", "seed", "resolution", "dim", "body",
+                                       "dirs"]
+    assert _hex([doc["max_abs_transform"], doc["l2_mean_transform"], doc["threshold"]]) \
+        == _hex([report.max_abs, report.l2_mean, report.threshold])
+    assert doc["parameters"]["body"] == SHIFTED
+    _, rows = _read_csv_rows(out / "values.csv")
+    got = np.array([[float(x) for x in row.split(",")] for row in rows])
+    want = np.column_stack([report.xis, report.values])
+    assert _hex(got.ravel()) == _hex(want.ravel())
+
+    assert main(["sections", "--body", spec, "--out", str(out), "--z=-0.4:0.4:0.2"]) == 0
+    frame, rule = make_frame(np.eye(3)[-1]), equator_rule(3)
+    zs = parse_z_values("-0.4:0.4:0.2")
+    for kind in ("conical", "hyperplane"):
+        records = _csv_records(out / "curves.csv", kind)
+        slope = derivative_at_zero(kind, body, frame, rule).transform_value
+        assert _hex(float(r["z"]) for r in records) == _hex(zs)
+        assert _hex(float(r["value"]) for r in records) \
+            == _hex(section_curve(kind, body, frame, zs, rule).values)
+        assert _hex(float(r["slope_at_zero"]) for r in records) == _hex([slope] * zs.size)
+
+    only = ("rule_mass", "z0_coincidence", "n2_oracle")
+    assert main(["verify", "--out", str(out), "--only", ",".join(only)]) == 0
+    doc = _json_doc(out / "verify.json")
+    assert list(doc) == ["parameters", "checks", "num_fail", "all_pass"]
+    assert doc["all_pass"] is True and doc["parameters"]["resolution"] is None
+    results = run_checks(only=only)
+    assert [c["name"] for c in doc["checks"]] == list(only)
+    for key in ("residual", "tolerance"):
+        assert _hex(c[key] for c in doc["checks"]) == _hex(getattr(r, key) for r in results)
+
+    assert main(["harmonics", "--out", str(out), "--dim", "4", "--lmax", "5"]) == 0
+    table = multiplier_table(5, dim=4, num_xi=24, seed=7)
+    rows = _multiplier_rows(out / "multipliers.csv")
+    assert [int(r[0]) for r in rows] == list(table.degrees)
+    for column, want in ((1, table.multipliers),
+                         (2, [funk_hecke_multiplier(4, l) for l in table.degrees]),
+                         (3, table.residuals)):
+        assert _hex(r[column] for r in rows) == _hex(want)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_analyze_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                              monkeypatch, bad):
+    # JSON has no inf or NaN: the run is refused before --out is created
+    import starsym.cli as cli
+
+    real = cli.detect
+    monkeypatch.setattr(cli, "detect",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), max_abs=bad))
+    out = tmp_path / "out"
+    assert main(["analyze", "--body", _spec(tmp_path, SHIFTED), "--out", str(out),
+                 "--dirs", "8"]) == 2
+    screen = capsys.readouterr()
+    assert screen.out == "" and screen.err.startswith("starsym: ")
+    assert not out.exists()
 
 
 def test_parse_z_values():

@@ -19,7 +19,6 @@ from starsym import (
     body_shifted_ball,
     harmonic_field,
     hyperplane_profile_field,
-    linear_field,
     odd_part,
     probe_directions,
     random_rotation,
@@ -28,6 +27,8 @@ from starsym import (
     scale_body,
     strip_gradient,
     to_scalar_field,
+    unit_vector,
+    zonal_field,
 )
 from starsym.verify import _lin_comb
 
@@ -52,7 +53,8 @@ def _cases(n, body):
     rho, grad = body.evaluate, body.gradient
     rot = random_rotation(n, seed=5)
     f = to_scalar_field(body)
-    e = np.linspace(1.0, -0.5, n)
+    axis = np.linspace(1.0, -0.5, n)
+    e = unit_vector(axis)
     if n == 2:
         profile = (lambda u: np.log(rho(u)), lambda u: grad(u) / rho(u)[..., None])
     else:
@@ -74,7 +76,7 @@ def _cases(n, body):
          lambda u: _FACTOR * rho(u), lambda u: _FACTOR * grad(u)),
         ("rotated", rotate_body(body, rot),
          lambda u: rho(u @ rot), lambda u: grad(u @ rot) @ rot.T),
-        ("combo", _lin_comb(0.7, f, -1.3, linear_field(n, e)),
+        ("combo", _lin_comb(0.7, f, -1.3, zonal_field(n, 1, axis)),
          lambda u: 0.7 * f.evaluate(u) + -1.3 * (u @ e),
          lambda u: 0.7 * f.gradient(u) + -1.3 * np.broadcast_to(e, u.shape)),
         ("composite", to_scalar_field(scale_body(rotate_body(body, rot), _FACTOR)),
@@ -142,7 +144,7 @@ def test_derived_fields_without_a_gradient(n):
     rot = random_rotation(n, seed=5)
     derived = [f, hyperplane_profile_field(body), odd_part(f),
                scale_body(body, _FACTOR), rotate_body(body, rot),
-               _lin_comb(0.7, f, -1.3, linear_field(n, np.ones(n)))]
+               _lin_comb(0.7, f, -1.3, zonal_field(n, 1, np.ones(n)))]
     assert all(d.gradient is None for d in derived)
 
 

@@ -16,7 +16,6 @@ from starsym import (
     equator_derivative,
     equator_rule,
     hyperplane_profile_field,
-    linear_field,
     make_frame,
     odd_part,
     probe_directions,
@@ -25,6 +24,8 @@ from starsym import (
     scale_body,
     strip_gradient,
     to_scalar_field,
+    unit_vector,
+    zonal_field,
 )
 from starsym.sphere_geom import _latitude_points
 from starsym.star_body import FD_STEP
@@ -331,15 +332,21 @@ def test_rotate_body_moves_the_body():
 
 
 def test_linear_field():
-    # the covector is used as given, not normalized
-    f = linear_field(3, (0.0, 0.0, 2.0))
+    # the linear field u -> <u, e> is the degree-1 zonal harmonic about the
+    # unit axis e, with the constant gradient e, bit for bit
     u = _probes(3)
-    assert np.max(np.abs(f.evaluate(u) - 2.0 * u[:, 2])) < 1e-14
-    assert f.lipschitz_bound >= 2.0
+    f = zonal_field(3, 1, (0.0, 0.0, 2.0))
+    assert np.array_equal(f.evaluate(u), u[:, 2])
+    for n in range(2, 7):
+        axis = np.linspace(1.0, -0.5, n)
+        e, u = unit_vector(axis), _probes(n)
+        f = zonal_field(n, 1, axis)
+        assert np.array_equal(f.evaluate(u), u @ e)
+        assert np.array_equal(f.gradient(u), np.broadcast_to(e, u.shape))
 
 
 def test_strip_gradient_on_field():
-    f = linear_field(3, (1.0, 0.0, 0.0))
+    f = zonal_field(3, 1, (1.0, 0.0, 0.0))
     g = strip_gradient(f)
     assert g.gradient is None
     u = _probes(3)

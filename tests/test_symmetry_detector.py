@@ -212,6 +212,18 @@ def test_huge_shifted_ball_reads_asymmetric(path):
         assert got == pytest.approx(1e175 * want, rel=1e-9)
 
 
+@pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+@pytest.mark.parametrize("n, radius, shift", [(3, 1e8, 0.1), (5, 1e35, 1e26)])
+def test_large_bodies_with_exact_gradients_construct(path, n, radius, shift):
+    # construction checks a gradient against finite differences that round
+    # rho to about eps * rho / FD_STEP; a tolerance set by the Lipschitz
+    # bound alone refused these exact gradients
+    center = np.zeros(n)
+    center[0] = shift
+    assert detect(path(body_shifted_ball(n, radius, center))).verdict == "asymmetric"
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_threshold_is_the_floor_times_the_field_size(n):
     # the field's size here is its roundoff scale s, the largest over the
