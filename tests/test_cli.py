@@ -708,7 +708,31 @@ def _json_doc(path):
     return doc
 
 
-def test_artifact_floats_parse_back_to_the_library_values(tmp_path, capsys):
+def test_json_text_formatting(tmp_path, capsys):
+    # the JSON artifacts are the standard encoder's text: indent 2, keys in
+    # insertion order (not sorted), true and null for True and None
+    spec = _spec(tmp_path, SHIFTED)
+    out = tmp_path / "out"
+
+    assert main(["analyze", "--body", spec, "--out", str(out), "--dirs", "8"]) == 0
+    doc = _json_doc(out / "report.json")
+    assert list(doc) == _REPORT_KEYS
+    assert list(doc["parameters"]) == ["command", "seed", "resolution", "dim", "body",
+                                       "dirs"]
+    assert doc["parameters"]["body"] == SHIFTED
+
+    only = ("rule_mass", "z0_coincidence", "n2_oracle")
+    assert main(["verify", "--out", str(out), "--only", ",".join(only)]) == 0
+    text = (out / "verify.json").read_text()
+    assert '"all_pass": true' in text and '"resolution": null' in text
+    doc = _json_doc(out / "verify.json")
+    assert list(doc) == ["parameters", "checks", "num_fail", "all_pass"]
+    assert doc["all_pass"] is True and doc["parameters"]["resolution"] is None
+    assert [c["name"] for c in doc["checks"]] == list(only)
+    capsys.readouterr()
+
+
+def test_json_text_float_round_trip(tmp_path, capsys):
     # every float an artifact holds parses back, bit for bit, to the value
     # the library computes for the same command line
     spec = _spec(tmp_path, SHIFTED)
@@ -718,12 +742,8 @@ def test_artifact_floats_parse_back_to_the_library_values(tmp_path, capsys):
     assert main(["analyze", "--body", spec, "--out", str(out), "--dirs", "8"]) == 0
     report = detect(body, num_dirs=8, seed=7)
     doc = _json_doc(out / "report.json")
-    assert list(doc) == _REPORT_KEYS
-    assert list(doc["parameters"]) == ["command", "seed", "resolution", "dim", "body",
-                                       "dirs"]
     assert _hex([doc["max_abs_transform"], doc["l2_mean_transform"], doc["threshold"]]) \
         == _hex([report.max_abs, report.l2_mean, report.threshold])
-    assert doc["parameters"]["body"] == SHIFTED
     _, rows = _read_csv_rows(out / "values.csv")
     got = np.array([[float(x) for x in row.split(",")] for row in rows])
     want = np.column_stack([report.xis, report.values])
@@ -743,8 +763,6 @@ def test_artifact_floats_parse_back_to_the_library_values(tmp_path, capsys):
     only = ("rule_mass", "z0_coincidence", "n2_oracle")
     assert main(["verify", "--out", str(out), "--only", ",".join(only)]) == 0
     doc = _json_doc(out / "verify.json")
-    assert list(doc) == ["parameters", "checks", "num_fail", "all_pass"]
-    assert doc["all_pass"] is True and doc["parameters"]["resolution"] is None
     results = run_checks(only=only)
     assert [c["name"] for c in doc["checks"]] == list(only)
     for key in ("residual", "tolerance"):
