@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .sphere_geom import EquatorFrame, make_frame
+from .sphere_geom import EquatorFrame, make_frame, sphere_rule
 from .star_body import (
+    _BOUND_SLACK,
     FD_STEP,
     RadialField,
     ScalarField,
@@ -38,11 +40,16 @@ from .star_body import (
 _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
-# points per body or field call in `_side_radii`'s scan rows and refined
-# heights (all 64 rows and a side's heights at n = 2, one row or height at
-# n = 5, 6) and in the pole groups of `transform_sweep` (50 poles of the
-# n = 2 default rule per call, 16 at n = 3, 4 at n = 4, one at n = 5, 6)
+# points per body or field call in `_solve` and in the pole groups of
+# `transform_sweep` (50 poles of the n = 2 default rule per call, 16 at
+# n = 3, 4 at n = 4, one at n = 5, 6)
 _GROUP_POINTS = 8192
+# centroid passes of a cut on the rule of this resolution (32, 128, 512 nodes
+# at n = 4, 5, 6; coarser circles leave the quadric's cross terms unfitted),
+# and the relative agreement of its r // 4 and r // 2 rungs that ends a cut
+_CENTROID_PASSES = 2
+_FIT_RESOLUTION = 8
+_RUNG_AGREEMENT = 1e-13
 # compass search of `_summit`: first step in its chart, final step, step cap
 _SUMMIT_STEP = 0.5
 _SUMMIT_WIDTH = 1e-9
@@ -141,26 +148,12 @@ def _shaped(values, scalar):
 
 
 def _ring_points(tiled, lifted, psi):
-    # the points at one latitude psi, or at (G, 1, 1) latitudes, one per
-    # row, sin(psi) pole + cos(psi) lifted, with the pole tiled to the
-    # (N, n) shape of `lifted`, so that both products and the sum run as
-    # whole-array loops, not as broadcasts over the n <= 6 coordinates;
-    # the sum is taken in place, which saves a temporary as large as the
-    # points; the values are `_latitude_points`' own
+    # sin(psi) pole + cos(psi) lifted, `_latitude_points`' values, with the
+    # pole tiled to the (N, n) shape of `lifted` so that both products run
+    # as whole-array loops, and the sum taken in place
     points = np.sin(psi) * tiled
     points += np.cos(psi) * lifted
     return points
-
-
-def _node_points(poles_t, lifted_t, sin, cos):
-    # the points at per-node latitudes, sin_i pole_i + cos_i lifted_i, for
-    # (N,) or (G, N) latitudes, built coordinate-major from the (n, N)
-    # transpose of the lifted nodes and the (n, 1) or (n, N) poles, so that
-    # the inner loops run over the nodes, then copied once to C order as
-    # (N, n) or (G N, n): bodies always receive C-contiguous points, since
-    # a Fortran-ordered array changes BLAS's matrix-vector rounding
-    points = sin[..., None, :] * poles_t + cos[..., None, :] * lifted_t
-    return np.ascontiguousarray(np.moveaxis(points, -2, -1)).reshape(-1, len(lifted_t))
 
 
 def slice_integral(f, frame, z, rule):
@@ -208,34 +201,11 @@ def conical_section(body, frame, z, rule):
     return slice_integral(to_scalar_field(body), frame, z, rule)
 
 
-def _crossings(table, zs):
-    # the scan's multi-root probe: per height and node, the row of the
-    # first sign change of g = table - z (uint8 holds the 63 scan
-    # intervals), and whether some node has none (missed) or more than
-    # one (multiple).  g = 0 counts as positive, and g >= 0 exactly when
-    # table >= z.  In a rising column with k rows at or above z the node
-    # has one sign change iff 0 < k < 64, at index 63 - k, and none
-    # otherwise; its first index is then 0, as argmax reads a column
-    # without one.  k <= 64 fits a uint8 sum, which is much faster than
-    # an intp one; only the other columns pay for the sign-change table.
-    rising = np.all(table[1:] >= table[:-1], axis=0)
-    other = np.flatnonzero(~rising)
-    rest = table[:, other]
-    firsts = np.empty((zs.size, table.shape[1]), dtype=np.uint8)
-    missed = multiple = False
-    for j, z in enumerate(zs):
-        k = np.add.reduce((table >= z).view(np.uint8), axis=0, dtype=np.uint8)
-        one = (k > 0) & (k < _SCAN_POINTS)
-        firsts[j] = np.where(one, _SCAN_POINTS - 1 - k, 0)
-        missed |= bool(np.any(rising & ~one))
-        if other.size:
-            above = rest >= z
-            flips = above[:-1] != above[1:]
-            counts = flips.sum(axis=0)
-            firsts[j, other] = np.argmax(flips, axis=0)
-            missed |= bool(np.any(counts == 0))
-            multiple |= bool(np.any(counts > 1))
-    return firsts, missed, multiple
+def _crossings(table):
+    # the probe of a (64, K) table of g along K rays: per ray, the row of its
+    # first sign change (0 if none) and its count of them; g = 0 is positive
+    flips = np.diff(table >= 0.0, axis=0)  # True where a row and the next differ
+    return np.argmax(flips, axis=0), np.sum(flips, axis=0)
 
 
 def _illinois(g, a, b, ga, gb):
@@ -274,36 +244,6 @@ def _illinois(g, a, b, ga, gb):
     raise RuntimeError("hyperplane root refinement did not converge")
 
 
-def _arc_heights(body, poles, lifted, rise, psi):
-    # rise sin(psi) rho(u) at the points u = sin(psi) pole + cos(psi)
-    # lifted: the height of the boundary point rho(u) u along the side's
-    # pole when <u, pole> = rise sin(psi); each sin(psi) serves both.
-    # (G, 1) latitudes, one per row for all the nodes, take the tiled
-    # (N, n) pole and nodes of `_ring_points` and give (G, N) heights;
-    # per-node (N,) or (G, N) latitudes take the (n, 1) or (n, N) poles
-    # and (n, N) nodes of `_node_points`
-    sin = np.sin(psi)
-    if psi.shape[-1] == 1:
-        points = _ring_points(poles, lifted, psi[..., None]).reshape(-1, lifted.shape[1])
-    else:
-        points = _node_points(poles, lifted, sin, np.cos(psi))
-    return body.evaluate(points).reshape(psi.shape[:-1] + (-1,)) * sin * rise
-
-
-def _profile_radii(body, poles_t, lifted_t, rise, z, a, b, ga, gb):
-    # one height's cut boundary: refine the per-node brackets, then read
-    # rho cos(psi) = (g + z) / (rise tan(psi)) off the final bracket's
-    # ends by one secant step
-    def g(psi):
-        return _arc_heights(body, poles_t, lifted_t, rise, psi) - z
-
-    a, b, ga, gb = _illinois(g, a, b, ga, gb)
-    # ga and gb differ in sign, so t lies in [0, 1]; both are 0 only at an exact root
-    t = np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga)
-    ra, rb = (ga + z) / (rise * np.tan(a)), (gb + z) / (rise * np.tan(b))
-    return ra + t * (rb - ra)
-
-
 def _summit(body, pole, basis):
     # the direction u whose boundary point rho(u) u rises highest along
     # `pole`, with that height rho(u) <u, pole>.  A compass search from
@@ -329,142 +269,201 @@ def _summit(body, pole, basis):
     return x / np.linalg.norm(x), height
 
 
-def _side_radii(body, e, lifted, size, u):
-    # profile radii of the cuts at heights size > 0 along the side's pole
-    # e = +-xi, yielded one height at a time, about the point size u /
-    # <u, e> where the ray through u meets each cut (the foot point when
-    # u = e).  Node theta's ray leaves along the great-circle arc
-    # cos(psi) theta + sin(psi) v from theta to u, v the unit part of u
-    # normal to theta; there <x, e> = rise sin(psi), rise = <u, e> / |v|,
-    # and the radius is rho cos(psi) less the offset size <u, theta> / <u, e>
-    lifted_t = np.ascontiguousarray(lifted.T)
-    cols = np.arange(lifted.shape[0])
-    if u is e:
-        # theta is normal to xi by construction, so <u, theta> = 0, v = e
-        # and every scan row is one latitude shared by all the nodes, which
-        # the scan reads with e tiled to the nodes' shape; lifted @ e would
-        # return rounding noise and make each row per-node
-        c, up, normal, poles_t = 0.0, 1.0, 1.0, e[:, None]
-        arcs = np.tile(e, (cols.size, 1)), lifted
-    else:
-        c, up = lifted @ u, u @ e
-        normal = np.sqrt(1.0 - c * c)
-        poles_t = (u[:, None] - c * lifted_t) / normal
-        arcs = poles_t, lifted_t
-    rise, end = up / normal, np.arctan2(normal, c)
-    # the boundary point rises to rise sin(psi) rho, and above every
-    # height at u, the arc's end.  radius_floor <= rho <= radius_bound
-    # puts every crossing in [asin(size / (radius_bound rise)),
-    # asin(size / (radius_floor rise))], or in its mirror about pi/2 on an
-    # arc ending past it.  Each node's scan spans those intervals for all
-    # the heights, up to u at most, each end moved out by a relative 1e-3
-    # so that a ball's equal bounds still bracket; a node it misses breaks
-    # the bounds
-    lo = np.arcsin(size.min() / (body.radius_bound * rise)) * (1.0 - 1e-3)
-    with np.errstate(divide="ignore"):
-        top = np.arcsin(np.minimum(1.0, size.max() / (body.radius_floor * rise)))
-    span = np.where(end < np.pi - top, np.minimum(end, top * (1.0 + 1e-3)), end) - lo
-    steps = np.linspace(0.0, 1.0, _SCAN_POINTS)
+def _quadric_fit(theta, t, shift):
+    # the least-squares quadric y^T A y + b^T y = 1 through the points t theta
+    # of (G, N) rays, exact on an ellipsoidal cut: the map L = A^(-1/2) (the
+    # identity where A is not positive definite), the fit's largest residual,
+    # and A and b rewritten about the ray origin moved by `shift`, (G, m)
+    m = theta.shape[2]
+    i, j = np.triu_indices(m)
+    y = theta * t[..., None]
+    terms = np.concatenate([y[..., i] * y[..., j], y], axis=2)
+    coef = np.linalg.solve(terms.transpose(0, 2, 1) @ terms, np.sum(terms, axis=1)[..., None])
+    quad = np.zeros((len(t), m, m))
+    quad[:, i, j] = quad[:, j, i] = coef[:, :i.size, 0] / np.where(i == j, 1.0, 2.0)
+    lam, vec = np.linalg.eigh(quad)
+    maps = (vec / np.sqrt(np.abs(lam))[:, None, :]) @ vec.transpose(0, 2, 1)
+    maps[~(lam[:, 0] > 0.0)] = np.eye(m)
+    lin, turn = coef[:, i.size:, 0], (quad @ shift[..., None])[..., 0]
+    level = (1.0 - np.sum((turn + lin) * shift, axis=1))[:, None]
+    residual = np.max(np.abs(terms @ coef - 1.0), axis=(1, 2))
+    return maps, residual, quad / level[..., None], (lin + 2.0 * turn) / level
 
-    def latitudes(rows):  # scan rows, computed where they are read
-        return lo + span * steps[rows]
 
-    # scan rows and heights go to the body in groups of up to
-    # _GROUP_POINTS points, so that small rules do not pay numpy's
-    # per-call overhead once per row or height
-    group = max(1, _GROUP_POINTS // cols.size)
-    table = np.empty((_SCAN_POINTS, cols.size))
-    for start in range(0, _SCAN_POINTS, group):
-        rows = np.arange(start, min(start + group, _SCAN_POINTS))
-        table[rows] = _arc_heights(body, *arcs, rise, latitudes(rows[:, None]))
-    firsts, missed, multiple = _crossings(table, size)
-    if missed:
-        raise ValueError("root bracketing failed: the cut misses some meridians between "
-                         "the latitudes the body's radius bounds allow, so its declared "
-                         f"radius_floor = {body.radius_floor:g} and radius_bound = "
-                         f"{body.radius_bound:g} do not bound rho")
-    if multiple:
-        about = ("its foot point" if u is e else
-                 "the point where the ray through its summit meets it")
-        raise ValueError(f"multiple boundary crossings: cut is not star-shaped about {about}")
-    shift = c / up
-    for start in range(0, size.size, group):
-        z, first = size[start:start + group, None], firsts[start:start + group]
-        r = _profile_radii(body, poles_t, lifted_t, rise, z, latitudes(first),
-                           latitudes(first + 1), table[first, cols] - z,
-                           table[first + 1, cols] - z)
-        yield from r - z * shift
+def _ray_bracket(heights, p, rays, floor):
+    # the radii t where |(c, p + t theta)| reaches floor (0 if past it) and 1 + 1e-3
+    along = np.sum(rays * p, axis=1)
+    rest = along * along - np.sum(p * p, axis=1) - heights ** 2
+    low = rest + floor * floor
+    lo = np.where(low > 0.0, np.maximum(0.0, np.sqrt(np.abs(low)) - along), 0.0)
+    return lo, np.sqrt(rest + (1.0 + 1e-3) ** 2) - along
+
+
+def _solve(body, frame, cuts, index, rule):
+    # (js, theta, w, t) per group of the cuts in index: the rule's nodes
+    # under each cut's map, their weights, and the radii t (in radius_bound
+    # units) where the rays x = c e + (p + t theta) @ basis leave the body.
+    # A ray's bracket, where radius_floor (1 - 1e-3) <= |x| <= radius_bound
+    # (1 + 1e-3), is probed by a 64-row scan unless the body is convex, or
+    # else narrowed to the fitted quadric's root +- 8 times its residual
+    # where that holds the root; Illinois steps refine the root of |x| -
+    # rho(x / |x|) to width 1e-12, read off the last bracket by a secant
+    bound, size = body.radius_bound, rule.size
+    floor = body.radius_floor / bound * (1.0 - 1e-3)
+    for start in range(0, len(index), max(1, _GROUP_POINTS // size)):
+        js = index[start:start + max(1, _GROUP_POINTS // size)]
+        v = rule.nodes @ cuts.maps[js]
+        norm = np.linalg.norm(v, axis=2)
+        theta = v / norm[..., None]
+        w = rule.weights * (np.linalg.det(cuts.maps[js])[:, None] / norm ** v.shape[2])
+        rays, rep = theta.reshape(-1, theta.shape[2]), np.repeat(js, size)
+        lo, hi = _ray_bracket(cuts.heights[rep], cuts.offsets[rep], rays, floor)
+        base = cuts.heights[rep, None] * cuts.poles[rep] + cuts.offsets[rep] @ frame.basis
+        dirs = rays @ frame.basis
+
+        def g(t, some=slice(None)):
+            x = (base[some] + t[..., None] * dirs[some]).reshape(-1, base.shape[1])
+            norm = np.linalg.norm(x, axis=1)
+            return (norm - body.evaluate(x / norm[:, None]) / bound).reshape(t.shape)
+
+        if not body.convex:
+            rows = lo + (hi - lo) * np.linspace(0.0, 1.0, _SCAN_POINTS)[:, None]
+            step = max(1, _GROUP_POINTS // lo.size)
+            table = np.concatenate([g(rows[k:k + step]) for k in range(0, _SCAN_POINTS, step)])
+            first, crossings = _crossings(table)
+            cols = np.arange(lo.size)
+            a, b = rows[first, cols], rows[first + 1, cols]
+            ga, gb = table[first, cols], table[first + 1, cols]
+        else:
+            a, b = lo.copy(), hi.copy()
+            if cuts.fit is not None:
+                # t^2 theta^T A theta + t b^T theta = 1 on the fitted quadric
+                residual, quad, lin = (q[js] for q in cuts.fit)
+                qa = np.sum((theta @ quad) * theta, axis=2).reshape(-1)
+                qb = (theta @ lin[..., None]).reshape(-1)
+                root = np.sqrt(qb * qb + 4.0 * qa)
+                guess = np.where(qb > 0.0, 2.0 / (qb + root), (root - qb) / (2.0 * qa))
+                width = 8.0 * np.repeat(residual, size) * guess + 1e-13
+                known = np.isfinite(guess) & np.isfinite(width)
+                a[known] = np.maximum(lo, guess - width)[known]
+                b[known] = np.minimum(hi, guess + width)[known]
+            ga, gb = g(np.stack([a, b]))
+            wrong = np.flatnonzero((ga > 0.0) | (gb < 0.0))
+            a[wrong], b[wrong] = lo[wrong], hi[wrong]
+            ga[wrong], gb[wrong] = g(np.stack([a[wrong], b[wrong]]), wrong)
+            crossings = np.where((ga > 0.0) | (gb < 0.0), 0, 1)
+        if np.any(crossings > 1):
+            raise ValueError("multiple boundary crossings: cut is not star-shaped about "
+                             f"{cuts.abouts[rep[np.argmax(crossings > 1)]]}")
+        if np.any(crossings == 0):
+            raise ValueError("root bracketing failed: the cut misses some rays between the "
+                             "radii the body's radius bounds allow, so its declared radius_floor"
+                             f" = {body.radius_floor:g} and radius_bound = {bound:g} do not "
+                             "bound rho")
+        a, b, ga, gb = _illinois(g, a, b, ga, gb)
+        t = a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
+        yield js, theta, w, t.reshape(w.shape)
+
+
+def _rungs(rule):
+    # the caller's rule, after its r // 4 and r // 2 rungs if sphere_rule's on S^2 or up
+    d, r = rule.sphere_dim, rule.resolution
+    try:
+        own = d >= 2 and r // 4 >= 2 and sphere_rule(d, r)
+    except ValueError:  # a declared resolution past sphere_rule's node cap
+        own = False
+    if own and np.array_equal(own.nodes, rule.nodes) and np.array_equal(own.weights, rule.weights):
+        return [sphere_rule(d, r // 4), sphere_rule(d, r // 2), rule]
+    return [rule]
 
 
 def hyperplane_section(body, frame, z, rule):
     """(n-1)-volume of the flat cut { x : <x, xi> = z } through the body.
 
-    The cut is solved about a point inside it, along rays in the
-    directions of the lifted equator nodes theta, and its volume is
-    sum_i w_i r_i^{n-1} / (n-1) over the profile radii r_i.  Each side of
-    the equator, mirrored onto its pole e = +-xi, is solved about the
-    point where the ray through a direction u meets each cut
-    (`_side_radii`): u = e, the foot point, while every foot point on the
-    side lies inside the body, and otherwise the side's summit, the
-    direction found by `_summit` whose boundary point rises highest along
-    e.  Node theta's ray leaves along the great-circle arc from theta to
-    u (the meridian of e when u = e); the latitude on it where the
-    boundary point rises to |z| is bracketed by a 64-point scan of the
-    latitudes where the body's radius bounds allow a crossing, which
-    doubles as a multi-root probe, refined by Illinois steps to width
-    1e-12, and read off the final bracket's ends by one secant step.
-    Only values of rho are used, so bodies with and without a gradient
-    take the same path, and the body always receives C-contiguous
-    (N, n) points.  A cut at |z| >= radius_bound is empty, since the
-    body lies in that ball: it is 0.0 and takes no part in the summit
-    search or the scan.  The cut at z = 0 is `conical_section`'s there,
-    bit for bit.  Non-finite heights raise, and so does a body that
-    `to_scalar_field` refuses.  Three cuts are
-    refused: one above the summit found (the compass search is local, so
-    only radius_bound certifies an empty cut; every height is checked
-    before any scan), one that crosses a ray more than once (it is not
-    star-shaped about the point it is solved about), and one whose root
-    refinement does not converge.
+    Its volume is sum_i w_i r_i^{n-1} / (n-1) along plane rays x = z xi
+    + p + r theta, each bracketed where radius_floor <= |x| <= radius_bound,
+    probed for more than one crossing unless the body is declared convex,
+    and refined by Illinois steps.  p starts at the foot point while |z| <
+    rho(+-xi) on its side, else where the ray through the side's summit
+    meets the cut; for n >= 3 two passes on the resolution-8 rule move it
+    to the cut's centroid and fit a quadric with quadratic part A, and the
+    rays then take the directions L theta / |L theta|, L = A^(-1/2), with
+    weights det L / |L theta|^{n-1}: an ellipsoidal cut is a ball there.
+    The value is the r // 2 rung's of the caller's `sphere_rule` family
+    when it agrees with the r // 4 rung's to 1e-13 of it, else the
+    caller's rule's, the finest any cut uses (the only one at n = 2 or for
+    a rule not built by `sphere_rule`).  Only rho is used.
 
-    z may be a scalar or a 1-d array of heights.  The scan values do not
-    depend on z, so all heights on one side of the equator share one
-    scan.  Returns a float for a scalar z and an array shaped like z
-    otherwise.
+    rho(+-xi) is checked against radius_bound first.  Cuts at |z| >=
+    radius_bound are 0.0, and on a convex body so are those at or above
+    the summit found, its support; z = 0 is `conical_section`'s value, bit
+    for bit.  Refused: non-finite heights, bodies `to_scalar_field`
+    refuses, a cut above the summit of a body not declared convex, a ray
+    crossing the boundary twice, bounds a ray contradicts, and a root that
+    does not converge.  z is a scalar (returns a float) or a 1-d array.
     """
     _check_rule(frame, rule)
     zs, scalar = _heights(z)
-    n = frame.dim
-    pole = frame.pole
+    n, pole, bound = frame.dim, frame.pole, body.radius_bound
     if not np.all(np.isfinite(zs)):
         raise ValueError("heights must be finite")
-    inside = np.abs(zs) < body.radius_bound
-    values = np.zeros(zs.shape)
+    top, bottom = body.evaluate(np.stack([pole, -pole]))
+    if max(top, bottom) > bound * (1.0 + _BOUND_SLACK):
+        raise ValueError(f"rho(xi) = {top:g} and rho(-xi) = {bottom:g} exceed the declared "
+                         f"radius_bound = {bound:g}")
+    values, inside = np.zeros(zs.shape), np.abs(zs) < bound
     if not np.any(inside):
         return _shaped(values, scalar)
     to_scalar_field(body)  # refuses a density outside the normal double range
-    top, bottom = body.evaluate(np.stack([pole, -pole]))
-    lifted = rule.nodes @ frame.basis
-    # below the normal range V(z) equals V(0) to double precision, while
-    # the scan's latitudes would lose their digits
+    # below the normal range V(z) equals V(0) to double precision
     flat = np.abs(zs) < np.finfo(float).tiny
     if np.any(flat):
         values[flat] = conical_section(body, frame, 0.0, rule)
-    sides = []
+    starts = []
     for sign, foot in ((1.0, top), (-1.0, bottom)):
-        index = np.flatnonzero((sign * zs > 0.0) & ~flat & inside)
-        e = u = sign * pole
-        if index.size and np.max(sign * zs[index]) >= foot:
+        side = np.flatnonzero((sign * zs > 0.0) & ~flat & inside)
+        e, size = sign * pole, sign * zs[side]
+        if np.any(size >= foot):
             u, height = _summit(body, e, frame.basis)
-            above = sign * zs[index] >= height
-            if np.any(above):
-                raise ValueError(f"the cut at z = {zs[index][above][0]:g} misses the body: "
+            above = size >= height
+            if np.any(above) and not body.convex:
+                raise ValueError(f"the cut at z = {zs[side][above][0]:g} misses the body: "
                                  f"rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and no boundary "
                                  f"point was found above height {height:g} on its side")
-        sides.append((index, e, u))
-    for index, e, u in sides:
-        if index.size:
-            for j, r in zip(index, _side_radii(body, e, lifted, np.abs(zs[index]), u)):
-                values[j] = float(rule.weights @ (r ** (n - 1))) / (n - 1)
+            side, size = side[~above], size[~above]
+        starts += [(j, e, s / bound, np.zeros(n - 1), "its foot point") if s < foot else
+                   (j, e, s / bound, s / bound * frame.basis @ u / (u @ e),
+                    "the point where the ray through its summit meets it")
+                   for j, s in zip(side, size)]
+    if not starts:
+        return _shaped(values, scalar)
+    index, poles, heights, offsets, abouts = zip(*starts)
+    count, cuts = len(index), SimpleNamespace(fit=None, abouts=list(abouts))
+    cuts.maps = np.tile(np.eye(n - 1), (count, 1, 1))
+    cuts.heights, cuts.poles, cuts.offsets = map(np.array, (heights, poles, offsets))
+    if n > 2:
+        # centroid passes, each under the map fitted in the pass before
+        fit = sphere_rule(n - 1, _FIT_RESOLUTION)
+        for _ in range(_CENTROID_PASSES):
+            fits = []
+            for group, theta, w, t in list(_solve(body, frame, cuts, np.arange(count), fit)):
+                moment = w * t ** (n - 1)
+                shift = ((moment * t)[:, None, :] @ theta)[:, 0]
+                shift *= ((n - 1) / (n * np.sum(moment, axis=1)))[:, None]
+                cuts.offsets[group] += shift
+                fits.append(_quadric_fit(theta, t, shift))
+            cuts.maps, *cuts.fit = map(np.concatenate, zip(*fits))
+            cuts.abouts = ["its centroid"] * count
+    todo, previous = np.arange(count), None
+    for rung in _rungs(rule):
+        current = {}
+        for group, _, w, t in _solve(body, frame, cuts, todo, rung):
+            for j, wj, tj in zip(group, w, t):
+                current[j] = values[index[j]] = float(wj @ (bound * tj) ** (n - 1)) / (n - 1)
+        if previous is not None:
+            todo = np.array([j for j in todo if abs(current[j] - previous[j])
+                             > _RUNG_AGREEMENT * abs(current[j])], dtype=int)
+        previous = current
     return _shaped(values, scalar)
 
 

@@ -93,8 +93,8 @@ def _validate_gradient(evaluate, gradient, lipschitz, radius, u, v):
         raise ValueError(f"gradient inconsistent with finite differences ({err:.3e} > {tol:.3e})")
 
 
-def _validate_lipschitz(evaluate, bound, u, v):
-    gap = np.abs(evaluate(u) - evaluate(v))
+def _validate_lipschitz(ru, rv, bound, u, v):
+    gap = np.abs(ru - rv)
     dist = geodesic_distance(u, v)
     slack = bound * dist * (1.0 + 1e-9) + 1e-12
     if np.any(gap > slack):
@@ -143,10 +143,15 @@ class RadialField:
     differences at each u toward the unit tangent of v there.  No frame
     is completed.  `radius_bound` / `radius_floor` are certified
     upper/lower bounds for rho, and both are required: hyperplane cuts at
-    |z| >= radius_bound are empty, bracketing scans only the latitudes
-    they allow, Monte Carlo callers sample inside radius_bound, and
-    radius_floor sizes the slope ladder of hyperplane curves.  A probe
-    grid cannot stand in for them, since it misses narrow spikes.
+    |z| >= radius_bound are empty, their rays are bracketed only where
+    the bounds allow a crossing, Monte Carlo callers sample inside
+    radius_bound, and radius_floor sizes the slope ladder of hyperplane
+    curves.  A probe grid cannot stand in for them, since it misses
+    narrow spikes.
+    `convex=True` declares the body convex: the random pairs then also
+    check that the midpoint of their boundary points lies in the body, and
+    hyperplane cuts skip their multi-crossing probe and read a cut at or
+    above the summit found as empty.
     """
 
     dim: int
@@ -156,6 +161,7 @@ class RadialField:
     radius_bound: Optional[float] = None
     radius_floor: Optional[float] = None
     label: str = ""
+    convex: bool = False
 
     def __post_init__(self):
         check_dim(self.dim)
@@ -176,8 +182,19 @@ class RadialField:
         rng = np.random.default_rng(1234 + 7 * self.dim)
         u = random_directions(self.dim, 256, seed=rng)
         v = random_directions(self.dim, 256, seed=rng)
+        if self.lipschitz_bound is not None or self.convex:
+            ru, rv = self.evaluate(u), self.evaluate(v)
         if self.lipschitz_bound is not None:
-            _validate_lipschitz(self.evaluate, self.lipschitz_bound, u, v)
+            _validate_lipschitz(ru, rv, self.lipschitz_bound, u, v)
+        if self.convex:
+            # the midpoint of two boundary points lies in a convex body
+            mid = 0.5 * (ru[:, None] * u + rv[:, None] * v)
+            norm = np.linalg.norm(mid, axis=1)
+            keep = norm > 0.0
+            mid = mid[keep] / norm[keep, None]
+            if np.any(norm[keep] > self.evaluate(mid) * (1.0 + _BOUND_SLACK)):
+                raise ValueError("declared convex=True contradicted: the midpoint of two "
+                                 "boundary points lies outside the body")
         if self.gradient is not None:
             _validate_gradient(self.evaluate, self.gradient, self.lipschitz_bound,
                                self.radius_bound, u, v)
@@ -204,7 +221,7 @@ def body_ball(dim, radius=1.0):
 
     return RadialField(dim=dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=0.0, radius_bound=radius,
-                       radius_floor=radius, label=f"ball(r={radius:g})")
+                       radius_floor=radius, label=f"ball(r={radius:g})", convex=True)
 
 
 def body_shifted_ball(dim, radius=1.0, center=None):
@@ -240,7 +257,7 @@ def body_shifted_ball(dim, radius=1.0, center=None):
     return RadialField(dim=dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip, radius_bound=radius + cnorm,
                        radius_floor=radius - cnorm,
-                       label=f"shifted_ball(r={radius:g}, |c|={cnorm:g})")
+                       label=f"shifted_ball(r={radius:g}, |c|={cnorm:g})", convex=True)
 
 
 def body_ellipsoid(dim, semiaxes):
@@ -268,7 +285,7 @@ def body_ellipsoid(dim, semiaxes):
     axes = ",".join(f"{x:g}" for x in a)
     return RadialField(dim=dim, evaluate=evaluate, gradient=gradient,
                        lipschitz_bound=lip, radius_bound=amax,
-                       radius_floor=amin, label=f"ellipsoid({axes})")
+                       radius_floor=amin, label=f"ellipsoid({axes})", convex=True)
 
 
 def body_harmonic_perturbed_ball(epsilon, degree, order):
@@ -422,7 +439,7 @@ def scale_body(body, factor):
                        lipschitz_bound=lip,
                        radius_bound=factor * body.radius_bound,
                        radius_floor=factor * body.radius_floor,
-                       label=f"scaled({factor:g})[{body.label}]")
+                       label=f"scaled({factor:g})[{body.label}]", convex=body.convex)
 
 
 def rotate_body(body, rotation):
@@ -436,7 +453,7 @@ def rotate_body(body, rotation):
                        lipschitz_bound=body.lipschitz_bound,
                        radius_bound=body.radius_bound,
                        radius_floor=body.radius_floor,
-                       label=f"rotated[{body.label}]")
+                       label=f"rotated[{body.label}]", convex=body.convex)
 
 
 def strip_gradient(field_or_body):

@@ -289,6 +289,49 @@ def test_sections_hyperplane_rows_match_closed_forms(tmp_path, capsys, doc, argv
         assert abs(float(row["value"]) / want(float(row["z"])) - 1.0) <= 1e-10, row
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "ellipsoid", "dim": 5, "params": {"semiaxes": [1.5, 1.3, 1.1, 0.9, 0.7]}},
+    {"kind": "ellipsoid", "dim": 6, "params": {"semiaxes": [1.5, 1.34, 1.18, 1.02, 0.86, 0.7]}},
+    {"kind": "shifted_ball", "dim": 5, "params": {"radius": 1.0,
+                                                  "center": [0.3, -0.2, 0.1, 0.15, -0.1]}},
+    {"kind": "shifted_ball", "dim": 6, "params": {"radius": 1.0,
+                                                  "center": [0.2, 0.1, 0.0, 0.3, -0.1, 0.05]}},
+], ids=["ellipsoid_n5", "ellipsoid_n6", "shifted_n5", "shifted_n6"])
+def test_sections_n5_n6_rows_match_closed_forms(tmp_path, capsys, doc):
+    # every nonzero row of the CLI's default grid, about an off-axis pole,
+    # within 1e-12 of omega_{n-1} prod(a) / h (1 - z^2 / h^2)^((n-1)/2), h =
+    # |diag(a) xi|, or omega_{n-1} (1 - (z - <c, xi>)^2)^((n-1)/2), normalised
+    # by omega_{n-1} times the largest semiaxis or radius to the n - 1; the
+    # row at z = 0 is conical_section's value
+    n = doc["dim"]
+    out = tmp_path / "out"
+    xi = np.arange(1.0, n + 1.0)
+    assert main(["sections", "--body", _spec(tmp_path, doc), "--out", str(out), "--kind",
+                 "hyperplane", "--xi", ",".join(str(c) for c in xi)]) == 0
+    capsys.readouterr()
+    xi /= np.linalg.norm(xi)
+    omega = math.pi ** ((n - 1) / 2) / math.gamma((n + 1) / 2)
+    params = doc["params"]
+    if doc["kind"] == "ellipsoid":
+        a = np.array(params["semiaxes"])
+        h = float(np.linalg.norm(a * xi))
+        scale = omega * a.max() ** (n - 1)
+
+        def want(z):
+            return omega * float(np.prod(a)) / h * max(0.0, 1.0 - (z / h) ** 2) ** ((n - 1) / 2)
+    else:
+        s = float(np.array(params["center"]) @ xi)
+        scale = omega
+
+        def want(z):
+            return omega * max(0.0, 1.0 - (z - s) ** 2) ** ((n - 1) / 2)
+    rows = _csv_records(out / "curves.csv", "hyperplane")
+    assert len(rows) == 17
+    errors = [abs(float(r["value"]) - want(float(r["z"]))) / scale
+              for r in rows if float(r["z"]) != 0.0]
+    assert max(errors) <= 1e-12
+
+
 def test_sections_range_rows_at_zero_agree(tmp_path, capsys):
     # a range grid whose points reach zero only up to roundoff writes a
     # row at z = 0 exactly for both kinds, where the two values agree
@@ -511,16 +554,32 @@ def test_harmonics_failure_writes_nothing(tmp_path, capsys, dim):
 
 
 def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
-    # the oblate ellipsoid's cut at 0.6 lies above its summit 0.5 and
-    # below its radius_bound 1.2, so no certificate says it is empty
+    # rho = 1 + 0.1 Y_1^0 peaks at 1.049 on the pole -e_3 and dips to its
+    # summit 0.951 on e_3, so the cut at 0.97 along -e_3 (height 0.97 over
+    # e_3's side) lies above the summit found and below radius_bound 1.051;
+    # a harmonic ball is not declared convex, so no certificate says it is
+    # empty
+    spec = _spec(tmp_path, {"kind": "harmonic_ball", "dim": 3,
+                            "params": {"epsilon": 0.1, "degree": 1, "order": 0}})
+    out = tmp_path / "out"
+    assert main(["sections", "--body", spec, "--out", str(out), "--xi", "0,0,-1",
+                 "--z=0.97"]) == 2
+    assert capsys.readouterr().err == (
+        "starsym: the cut at z = 0.97 misses the body: rho(xi) = 0.95114, rho(-xi) = 1.04886, "
+        "and no boundary point was found above height 0.95114 on its side\n")
+    assert not out.exists()
+
+
+def test_sections_cut_above_a_convex_summit_is_zero(tmp_path, capsys):
+    # the oblate ellipsoid is convex, so its summit 0.5 is its support: the
+    # cut at 0.6, below its radius_bound 1.2, is empty (this run exited 2)
     spec = _spec(tmp_path, {"kind": "ellipsoid", "dim": 3,
                             "params": {"semiaxes": [1.2, 1.1, 0.5]}})
     out = tmp_path / "out"
-    assert main(["sections", "--body", spec, "--out", str(out), "--z=0.6"]) == 2
-    assert capsys.readouterr().err == (
-        "starsym: the cut at z = 0.6 misses the body: rho(xi) = 0.5, rho(-xi) = 0.5, "
-        "and no boundary point was found above height 0.5 on its side\n")
-    assert not out.exists()
+    assert main(["sections", "--body", spec, "--out", str(out), "--kind", "hyperplane",
+                 "--z=-0.6,0.5,0.6"]) == 0
+    capsys.readouterr()
+    assert [r["value"] for r in _csv_records(out / "curves.csv", "hyperplane")] == ["0"] * 3
 
 
 def test_sections_cuts_past_radius_bound_are_zero(tmp_path, capsys):

@@ -139,6 +139,38 @@ def test_lipschitz_validation_catches_small_bound(n, worst):
                     radius_bound=body.radius_bound, radius_floor=body.radius_floor)
 
 
+def test_convexity_is_declared_kept_and_checked():
+    # the library's balls, shifted balls and ellipsoids declare convex=True,
+    # scaled, rotated and gradient-free copies keep the declaration, and a
+    # RadialField defaults to False, as do harmonic balls
+    for n in range(2, 7):
+        for body in (body_ball(n, 0.7), body_shifted_ball(n, 1.0, (0.3,) + (-0.1,) * (n - 1)),
+                     body_ellipsoid(n, np.linspace(1.5, 0.7, n))):
+            assert body.convex is True
+            for derived in (scale_body(body, 2.5), rotate_body(body, random_rotation(n, seed=n)),
+                            strip_gradient(body)):
+                assert derived.convex is True
+    assert body_harmonic_perturbed_ball(0.08, 3, 1).convex is False
+    calls = []
+
+    def dent(u):
+        # rho = 1 - 0.6 u_z^2: the waist of this body pinches the midpoints
+        # of boundary points above and below it out of the body
+        calls.append(len(u))
+        return 1.0 - 0.6 * np.asarray(u, dtype=float)[..., 2] ** 2
+
+    RadialField(dim=3, evaluate=dent, radius_bound=1.0, radius_floor=0.4, lipschitz_bound=1.2)
+    plain = list(calls)
+    assert plain == [2048, 256, 256]
+    calls.clear()
+    with pytest.raises(ValueError, match="^declared convex=True contradicted: the midpoint of "
+                                         "two boundary points lies outside the body$"):
+        RadialField(dim=3, evaluate=dent, radius_bound=1.0, radius_floor=0.4,
+                    lipschitz_bound=1.2, convex=True)
+    # the check costs one 256-point call on the pairs the Lipschitz check draws
+    assert calls == plain + [256]
+
+
 def test_body_construction_completes_no_frame(monkeypatch):
     import starsym
 
