@@ -347,10 +347,10 @@ def _solve(body, frame, cuts, index, rule):
                 known = np.isfinite(guess) & np.isfinite(width)
                 a[known] = np.maximum(lo, guess - width)[known]
                 b[known] = np.minimum(hi, guess + width)[known]
-            ga, gb = g(np.stack([a, b]))
+            ga, gb = g(a), g(b)
             wrong = np.flatnonzero((ga > 0.0) | (gb < 0.0))
             a[wrong], b[wrong] = lo[wrong], hi[wrong]
-            ga[wrong], gb[wrong] = g(np.stack([a[wrong], b[wrong]]), wrong)
+            ga[wrong], gb[wrong] = g(a[wrong], wrong), g(b[wrong], wrong)
             crossings = np.where((ga > 0.0) | (gb < 0.0), 0, 1)
         if np.any(crossings > 1):
             raise ValueError("multiple boundary crossings: cut is not star-shaped about "

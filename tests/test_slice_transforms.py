@@ -295,6 +295,7 @@ def test_section_curve_and_ladder_evaluation_budget(n):
         curve = section_curve("hyperplane", counted, frame, zs, rule)
         assert np.array_equal(curve.values, hyperplane_section(body, frame, zs, rule))
         assert sum(calls) <= budget * np.count_nonzero(zs) + rule.size, (body.label, sum(calls))
+        assert max(calls) <= slice_transforms._GROUP_POINTS
         assert sum(calls) < {2: 400, 3: 101890, 4: 387074, 5: 1548290, 6: 1548290}[n]
         calls.clear()
         derivative_at_zero("hyperplane", counted, frame, rule)
