@@ -201,11 +201,96 @@ def conical_section(body, frame, z, rule):
     return slice_integral(to_scalar_field(body), frame, z, rule)
 
 
-def _crossings(table):
-    # the probe of a (64, K) table of g along K rays: per ray, the row of its
-    # first sign change (0 if none) and its count of them; g = 0 is positive
-    flips = np.diff(table >= 0.0, axis=0)  # True where a row and the next differ
-    return np.argmax(flips, axis=0), np.sum(flips, axis=0)
+def _crossings(table, zs):
+    # the scan's multi-root probe: per height and node, the row of the
+    # first sign change of g = table - z (uint8 holds the 63 scan
+    # intervals), and whether some node has none (missed) or more than
+    # one (multiple).  g = 0 counts as positive, and g >= 0 exactly when
+    # table >= z.  In a rising column with k rows at or above z the node
+    # has one sign change iff 0 < k < 64, at index 63 - k, and none
+    # otherwise; its first index is then 0, as argmax reads a column
+    # without one.  k <= 64 fits a uint8 sum, which is much faster than
+    # an intp one; only the other columns pay for the sign-change table.
+    rising = np.all(table[1:] >= table[:-1], axis=0)
+    other = np.flatnonzero(~rising)
+    rest = table[:, other]
+    firsts = np.empty((zs.size, table.shape[1]), dtype=np.uint8)
+    missed = multiple = False
+    for j, z in enumerate(zs):
+        k = np.add.reduce((table >= z).view(np.uint8), axis=0, dtype=np.uint8)
+        one = (k > 0) & (k < _SCAN_POINTS)
+        firsts[j] = np.where(one, _SCAN_POINTS - 1 - k, 0)
+        missed |= bool(np.any(rising & ~one))
+        if other.size:
+            above = rest >= z
+            flips = above[:-1] != above[1:]
+            counts = flips.sum(axis=0)
+            firsts[j, other] = np.argmax(flips, axis=0)
+            missed |= bool(np.any(counts == 0))
+            multiple |= bool(np.any(counts > 1))
+    return firsts, missed, multiple
+
+
+def _bounds_error(body):
+    return ValueError("root bracketing failed: the cut misses some rays between the radii the "
+                      "body's radius bounds allow, so its declared radius_floor = "
+                      f"{body.radius_floor:g} and radius_bound = {body.radius_bound:g} do not "
+                      "bound rho")
+
+
+def _scan(body, lifted, e, u, size, about):
+    # the profile radii of a body not declared convex at heights size > 0
+    # along e = +-xi, about the points where the ray through u meets the
+    # cuts (u is e: their foot points), one height at a time.  Node theta's
+    # ray at height s lies on the arc cos(psi) theta + sin(psi) v toward u,
+    # v the unit part of u normal to theta, at radius s (cot(psi) / rise -
+    # <u, theta> / <u, e>), rise = <u, e> / |v|, where the boundary point
+    # rises to rise sin(psi) rho whatever s is.  So one 64-row table of
+    # latitudes probes every height's rays; it spans the latitudes where
+    # radius_floor <= rho <= radius_bound allows a crossing, up to u, each
+    # end moved out by 1e-3 so that a ball's equal bounds still bracket
+    foot = u is e  # theta is normal to e, so <u, theta> = 0 and v = e
+    c = 0.0 if foot else lifted @ u
+    normal = np.sqrt(1.0 - c * c)
+    lifted_t = np.ascontiguousarray(lifted.T)  # (n, N): the inner loops run over nodes
+    arcs_t = e[:, None] if foot else (u[:, None] - c * lifted_t) / normal
+    rise, end = u @ e / normal, np.arctan2(normal, c)
+    lo = np.arcsin(size.min() / (body.radius_bound * rise)) * (1.0 - 1e-3)
+    with np.errstate(divide="ignore"):
+        top = np.arcsin(np.minimum(1.0, size.max() / (body.radius_floor * rise)))
+    span = np.where(end < np.pi - top, np.minimum(end, top * (1.0 + 1e-3)), end) - lo
+    psi = lo + span * np.linspace(0.0, 1.0, _SCAN_POINTS)[:, None]  # one row per latitude
+    group = max(1, _GROUP_POINTS // len(lifted))
+
+    tiled = np.tile(e, (len(lifted), 1)) if foot else None
+
+    def heights(psi):  # rise sin(psi) rho along the arcs, for (G, N) or (G, 1) latitudes
+        if psi.shape[1] == 1:  # a foot scan row's one latitude: whole-array products
+            points = np.sin(psi)[..., None] * tiled
+            points += np.cos(psi)[..., None] * lifted
+        else:  # coordinate-major, so the loops run over nodes, then in the C order bodies get
+            points = np.cos(psi)[:, None] * lifted_t
+            points += np.sin(psi)[:, None] * arcs_t
+            points = np.ascontiguousarray(points.transpose(0, 2, 1))
+        return rise * np.sin(psi) * body.evaluate(points.reshape(-1, len(e))).reshape(len(psi), -1)
+
+    # filled in place: a list of row groups, joined, would grow the heap by a
+    # table's size and let glibc trim it again on every call
+    table = np.empty((_SCAN_POINTS, len(lifted)))
+    for k in range(0, _SCAN_POINTS, group):
+        table[k:k + group] = heights(psi[k:k + group])
+    firsts, missed, multiple = _crossings(table, size)
+    if missed:
+        raise _bounds_error(body)
+    if multiple:
+        raise ValueError(f"multiple boundary crossings: cut is not star-shaped about {about}")
+    psi, cols = np.broadcast_to(psi, table.shape), np.arange(len(lifted))
+    for start in range(0, size.size, group):
+        s, first = size[start:start + group, None], firsts[start:start + group]
+        a, b, ga, gb = _illinois(lambda p: heights(p) - s, psi[first, cols], psi[first + 1, cols],
+                                 table[first, cols] - s, table[first + 1, cols] - s)
+        p = a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
+        yield from s * (1.0 / np.tan(p) / rise - c / (u @ e))
 
 
 def _illinois(g, a, b, ga, gb):
@@ -303,11 +388,11 @@ def _solve(body, frame, cuts, index, rule):
     # (js, theta, w, t) per group of the cuts in index: the rule's nodes
     # under each cut's map, their weights, and the radii t (in radius_bound
     # units) where the rays x = c e + (p + t theta) @ basis leave the body.
-    # A ray's bracket, where radius_floor (1 - 1e-3) <= |x| <= radius_bound
-    # (1 + 1e-3), is probed by a 64-row scan unless the body is convex, or
-    # else narrowed to the fitted quadric's root +- 8 times its residual
-    # where that holds the root; Illinois steps refine the root of |x| -
-    # rho(x / |x|) to width 1e-12, read off the last bracket by a secant
+    # The rays of a convex body cross its boundary once, bracketed where
+    # radius_floor (1 - 1e-3) <= |x| <= radius_bound (1 + 1e-3) and narrowed
+    # to the fitted quadric's root +- 8 times its residual where that holds
+    # the root.  Illinois steps refine the root of |x| - rho(x / |x|) to
+    # width 1e-12, read off the last bracket by a secant
     bound, size = body.radius_bound, rule.size
     floor = body.radius_floor / bound * (1.0 - 1e-3)
     for start in range(0, len(index), max(1, _GROUP_POINTS // size)):
@@ -317,7 +402,6 @@ def _solve(body, frame, cuts, index, rule):
         theta = v / norm[..., None]
         w = rule.weights * (np.linalg.det(cuts.maps[js])[:, None] / norm ** v.shape[2])
         rays, rep = theta.reshape(-1, theta.shape[2]), np.repeat(js, size)
-        lo, hi = _ray_bracket(cuts.heights[rep], cuts.offsets[rep], rays, floor)
         base = cuts.heights[rep, None] * cuts.poles[rep] + cuts.offsets[rep] @ frame.basis
         dirs = rays @ frame.basis
 
@@ -326,51 +410,38 @@ def _solve(body, frame, cuts, index, rule):
             norm = np.linalg.norm(x, axis=1)
             return (norm - body.evaluate(x / norm[:, None]) / bound).reshape(t.shape)
 
-        if not body.convex:
-            rows = lo + (hi - lo) * np.linspace(0.0, 1.0, _SCAN_POINTS)[:, None]
-            step = max(1, _GROUP_POINTS // lo.size)
-            table = np.concatenate([g(rows[k:k + step]) for k in range(0, _SCAN_POINTS, step)])
-            first, crossings = _crossings(table)
-            cols = np.arange(lo.size)
-            a, b = rows[first, cols], rows[first + 1, cols]
-            ga, gb = table[first, cols], table[first + 1, cols]
-        else:
-            a, b = lo.copy(), hi.copy()
-            if cuts.fit is not None:
-                # t^2 theta^T A theta + t b^T theta = 1 on the fitted quadric
-                residual, quad, lin = (q[js] for q in cuts.fit)
-                qa = np.sum((theta @ quad) * theta, axis=2).reshape(-1)
-                qb = (theta @ lin[..., None]).reshape(-1)
-                root = np.sqrt(qb * qb + 4.0 * qa)
-                guess = np.where(qb > 0.0, 2.0 / (qb + root), (root - qb) / (2.0 * qa))
-                width = 8.0 * np.repeat(residual, size) * guess + 1e-13
-                known = np.isfinite(guess) & np.isfinite(width)
-                a[known] = np.maximum(lo, guess - width)[known]
-                b[known] = np.minimum(hi, guess + width)[known]
-            ga, gb = g(a), g(b)
-            wrong = np.flatnonzero((ga > 0.0) | (gb < 0.0))
-            a[wrong], b[wrong] = lo[wrong], hi[wrong]
-            ga[wrong], gb[wrong] = g(a[wrong], wrong), g(b[wrong], wrong)
-            crossings = np.where((ga > 0.0) | (gb < 0.0), 0, 1)
-        if np.any(crossings > 1):
-            raise ValueError("multiple boundary crossings: cut is not star-shaped about "
-                             f"{cuts.abouts[rep[np.argmax(crossings > 1)]]}")
-        if np.any(crossings == 0):
-            raise ValueError("root bracketing failed: the cut misses some rays between the "
-                             "radii the body's radius bounds allow, so its declared radius_floor"
-                             f" = {body.radius_floor:g} and radius_bound = {bound:g} do not "
-                             "bound rho")
+        lo, hi = _ray_bracket(cuts.heights[rep], cuts.offsets[rep], rays, floor)
+        a, b = lo.copy(), hi.copy()
+        if cuts.fit is not None:
+            # t^2 theta^T A theta + t b^T theta = 1 on the fitted quadric
+            residual, quad, lin = (q[js] for q in cuts.fit)
+            qa = np.sum((theta @ quad) * theta, axis=2).reshape(-1)
+            qb = (theta @ lin[..., None]).reshape(-1)
+            root = np.sqrt(qb * qb + 4.0 * qa)
+            guess = np.where(qb > 0.0, 2.0 / (qb + root), (root - qb) / (2.0 * qa))
+            width = 8.0 * np.repeat(residual, size) * guess + 1e-13
+            known = np.isfinite(guess) & np.isfinite(width)
+            a[known] = np.maximum(lo, guess - width)[known]
+            b[known] = np.minimum(hi, guess + width)[known]
+        ga, gb = g(a), g(b)
+        wrong = np.flatnonzero((ga > 0.0) | (gb < 0.0))
+        a[wrong], b[wrong] = lo[wrong], hi[wrong]
+        ga[wrong], gb[wrong] = g(a[wrong], wrong), g(b[wrong], wrong)
+        if np.any((ga > 0.0) | (gb < 0.0)):
+            raise _bounds_error(body)
         a, b, ga, gb = _illinois(g, a, b, ga, gb)
         t = a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
         yield js, theta, w, t.reshape(w.shape)
 
 
 def _rungs(rule):
-    # the caller's rule, after its r // 4 and r // 2 rungs if sphere_rule's on S^2 or up
+    # the caller's rule, after its r // 4 and r // 2 rungs if sphere_rule's on S^2 or
+    # up; its size is checked first, so a declared resolution builds no larger rule
     d, r = rule.sphere_dim, rule.resolution
     try:
-        own = d >= 2 and r // 4 >= 2 and sphere_rule(d, r)
-    except ValueError:  # a declared resolution past sphere_rule's node cap
+        own = (d >= 2 and r // 4 >= 2 and rule.size == r * max(2, r // 2) ** (d - 2)
+               and sphere_rule(d, r))
+    except ValueError:  # a rule past sphere_rule's node cap
         own = False
     if own and np.array_equal(own.nodes, rule.nodes) and np.array_equal(own.weights, rule.weights):
         return [sphere_rule(d, r // 4), sphere_rule(d, r // 2), rule]
@@ -381,18 +452,19 @@ def hyperplane_section(body, frame, z, rule):
     """(n-1)-volume of the flat cut { x : <x, xi> = z } through the body.
 
     Its volume is sum_i w_i r_i^{n-1} / (n-1) along plane rays x = z xi
-    + p + r theta, each bracketed where radius_floor <= |x| <= radius_bound,
-    probed for more than one crossing unless the body is declared convex,
-    and refined by Illinois steps.  p starts at the foot point while |z| <
-    rho(+-xi) on its side, else where the ray through the side's summit
-    meets the cut; for n >= 3 two passes on the resolution-8 rule move it
-    to the cut's centroid and fit a quadric with quadratic part A, and the
-    rays then take the directions L theta / |L theta|, L = A^(-1/2), with
-    weights det L / |L theta|^{n-1}: an ellipsoidal cut is a ball there.
-    The value is the r // 2 rung's of the caller's `sphere_rule` family
-    when it agrees with the r // 4 rung's to 1e-13 of it, else the
-    caller's rule's, the finest any cut uses (the only one at n = 2 or for
-    a rule not built by `sphere_rule`).  Only rho is used.
+    + p + r theta, whose roots Illinois steps refine.  p starts at the
+    foot point while |z| < rho(+-xi) on its side, else where the ray
+    through the side's summit meets the cut.  On a body declared convex,
+    for n >= 3, two passes on the resolution-8 rule move p to the cut's
+    centroid and fit a quadric with quadratic part A; the rays then take
+    the directions L theta / |L theta|, L = A^(-1/2), with weights det L /
+    |L theta|^{n-1}, so an ellipsoidal cut is a ball there.  The value is
+    the r // 2 rung's of the caller's `sphere_rule` family when it agrees
+    with the r // 4 rung's to 1e-13 of it, else the caller's rule's, the
+    finest any cut uses (the only one at n = 2 or for a rule not built by
+    `sphere_rule`).  A body not declared convex keeps p where it starts and
+    the caller's rule, and every ray is probed for a second crossing by a
+    64-row scan that all the heights of a side share.  Only rho is used.
 
     rho(+-xi) is checked against radius_bound first.  Cuts at |z| >=
     radius_bound are 0.0, and on a convex body so are those at or above
@@ -419,10 +491,10 @@ def hyperplane_section(body, frame, z, rule):
     flat = np.abs(zs) < np.finfo(float).tiny
     if np.any(flat):
         values[flat] = conical_section(body, frame, 0.0, rule)
-    starts = []
+    starts, scans = [], []
     for sign, foot in ((1.0, top), (-1.0, bottom)):
         side = np.flatnonzero((sign * zs > 0.0) & ~flat & inside)
-        e, size = sign * pole, sign * zs[side]
+        e, size, u = sign * pole, sign * zs[side], None
         if np.any(size >= foot):
             u, height = _summit(body, e, frame.basis)
             above = size >= height
@@ -431,14 +503,25 @@ def hyperplane_section(body, frame, z, rule):
                                  f"rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and no boundary "
                                  f"point was found above height {height:g} on its side")
             side, size = side[~above], size[~above]
-        starts += [(j, e, s / bound, np.zeros(n - 1), "its foot point") if s < foot else
-                   (j, e, s / bound, s / bound * frame.basis @ u / (u @ e),
-                    "the point where the ray through its summit meets it")
-                   for j, s in zip(side, size)]
+        if not body.convex:
+            low = size < foot
+            scans += [(side[low], e, e, size[low], "its foot point"),
+                      (side[~low], e, u, size[~low],
+                       "the point where the ray through its summit meets it")]
+            continue
+        starts += [(j, e, s / bound, np.zeros(n - 1) if s < foot else
+                    s / bound * frame.basis @ u / (u @ e)) for j, s in zip(side, size)]
+    if not body.convex:
+        # every ray probed, by one shared scan per side and start point
+        lifted = rule.nodes @ frame.basis
+        for side, e, u, size, about in scans:
+            for j, r in zip(side, _scan(body, lifted, e, u, size, about) if side.size else ()):
+                values[j] = float(rule.weights @ r ** (n - 1)) / (n - 1)
+        return _shaped(values, scalar)
     if not starts:
         return _shaped(values, scalar)
-    index, poles, heights, offsets, abouts = zip(*starts)
-    count, cuts = len(index), SimpleNamespace(fit=None, abouts=list(abouts))
+    index, poles, heights, offsets = zip(*starts)
+    count, cuts = len(index), SimpleNamespace(fit=None)
     cuts.maps = np.tile(np.eye(n - 1), (count, 1, 1))
     cuts.heights, cuts.poles, cuts.offsets = map(np.array, (heights, poles, offsets))
     if n > 2:
@@ -453,7 +536,6 @@ def hyperplane_section(body, frame, z, rule):
                 cuts.offsets[group] += shift
                 fits.append(_quadric_fit(theta, t, shift))
             cuts.maps, *cuts.fit = map(np.concatenate, zip(*fits))
-            cuts.abouts = ["its centroid"] * count
     todo, previous = np.arange(count), None
     for rung in _rungs(rule):
         current = {}

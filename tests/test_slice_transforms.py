@@ -212,8 +212,8 @@ def _points_per_height(n, rule):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_section_evaluation_budget(n):
-    # evaluated points, where the parent's meridian scan of 64 rows per side
-    # took 135 170 at n = 4 and 540 674 at n = 5, 6 for one height
+    # evaluated points, where the meridian scan of 64 rows per side took
+    # 135 170 at n = 4 and 540 674 at n = 5, 6 for one height
     bodies = (body_ball(n, 1.1),
               body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n)),
               body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
@@ -282,7 +282,7 @@ def test_slice_and_conical_batches_equal_scalar_calls(n):
 def test_section_curve_and_ladder_evaluation_budget(n):
     # evaluated points of a curve and of its slope ladder, each within the
     # budget of its nonzero heights, plus the equator radii when z = 0 is
-    # on the grid; the parent's scans took 387 074 to 428 034 points per
+    # on the grid; the meridian scans took 387 074 to 428 034 points per
     # curve at n = 4 and 1.5-1.7 million at n = 5, 6
     grid = -0.8 + 0.1 * np.arange(17)
     frame = _off_axis_frame(n)
@@ -302,6 +302,30 @@ def test_section_curve_and_ladder_evaluation_budget(n):
         # eight ladder heights, and rho once per node on the transform side
         assert sum(calls) <= budget * 8 + rule.size, (body.label, sum(calls))
         assert sum(calls) < {2: 308, 3: 78338, 4: 313346, 5: 1204226, 6: 1204226}[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bodies_not_declared_convex_share_one_scan_per_side(n):
+    # a body not declared convex is probed by one 64-row scan per side,
+    # shared by every height on that side, and then takes at most 8
+    # evaluations per node for each height's root, plus rho(+-xi) and the
+    # z = 0 cut: a curve or a slope ladder costs what the meridian scan
+    # did, where a scan per height would cost 64 rows for each height
+    grid = -0.8 + 0.1 * np.arange(17)
+    ladder = 1e-2 * 2.0 ** -np.arange(4)
+    frame = _off_axis_frame(n)
+    rule = equator_rule(n)
+    for body in _budget_bodies(n):
+        body = replace(body, convex=False)
+        rho_min = float(body.evaluate(rule.nodes @ frame.basis).min())
+        for zs in (grid[np.abs(grid) < rho_min], np.concatenate([-ladder, ladder]) * rho_min):
+            counted, calls = _count_evaluations(body)
+            got = hyperplane_section(counted, frame, zs, rule)
+            assert np.array_equal(got, hyperplane_section(body, frame, zs, rule))
+            nonzero = np.count_nonzero(zs)
+            budget = 2 + rule.size * (2 * 64 + 8 * nonzero + (nonzero < zs.size))
+            assert sum(calls) <= budget, (body.label, sum(calls))
+            assert max(calls) <= slice_transforms._GROUP_POINTS
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -512,14 +536,19 @@ def test_summit_reaches_the_support(n):
                                        rel=1e-15)
 
 
-def _ray_volumes(body, frame, rule, e, size, offsets):
-    # the cut volumes sum_i w_i r_i^(n-1) / (n-1) of `_solve`'s rays about
-    # the given offsets in the cut planes at heights size along e, under the
-    # identity map
+def _ray_volumes(body, frame, rule, e, size, u):
+    # the cut volumes sum_i w_i r_i^(n-1) / (n-1) along plane rays about
+    # the points where the ray through u meets the cut planes at heights
+    # size along e: `_solve`'s under the identity map on a convex body,
+    # and `_scan`'s on one not declared convex
     n = frame.dim
+    if not body.convex:
+        radii = slice_transforms._scan(body, rule.nodes @ frame.basis, e, u, size, "the point")
+        return np.array([rule.weights @ r ** (n - 1) / (n - 1) for r in radii])
+    offsets = np.outer(size / body.radius_bound, frame.basis @ u / (u @ e))
     cuts = SimpleNamespace(heights=size / body.radius_bound, poles=np.tile(e, (size.size, 1)),
-                           offsets=offsets, abouts=["the given point"] * size.size,
-                           maps=np.tile(np.eye(n - 1), (size.size, 1, 1)), fit=None)
+                           offsets=offsets, maps=np.tile(np.eye(n - 1), (size.size, 1, 1)),
+                           fit=None)
     volumes = np.empty(size.size)
     for js, _, w, t in slice_transforms._solve(body, frame, cuts, np.arange(size.size), rule):
         for j, wj, tj in zip(js, w, t):
@@ -531,10 +560,11 @@ def _ray_volumes(body, frame, rule, e, size, offsets):
 def test_foot_point_solve_is_the_summit_solve_with_u_at_the_pole(n):
     # cuts whose foot points lie inside the body, solved along plane rays
     # about the point where the ray through the summit u meets them, which
-    # is far from the pole, and about the foot point: two centres, one
-    # volume.  They differ only by the rule's error on each profile, which
-    # the default n = 6 rule leaves near 2e-13 on this ball, so n = 6 takes
-    # resolution 20; the probe runs too, as on a body not declared convex
+    # is far from the pole, and about the foot point (u = e): two centres,
+    # one volume.  They differ only by the rule's error on each profile,
+    # which the default n = 6 rule leaves near 2e-13 on this ball, so n = 6
+    # takes resolution 20; a convex body brackets each ray by its radius
+    # bounds, one not declared convex by the shared scan
     body = body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n))
     frame = _off_axis_frame(n)
     rule = equator_rule(n, 20 if n == 6 else None)
@@ -543,11 +573,10 @@ def test_foot_point_solve_is_the_summit_solve_with_u_at_the_pole(n):
         assert np.all(size < body.evaluate(e[None])[0])
         u, _ = slice_transforms._summit(body, e, frame.basis)
         assert u @ e < 0.99
-        summit = np.outer(size / body.radius_bound, frame.basis @ u / (u @ e))
         for convex in (True, False):
             shape = replace(body, convex=convex)
-            foot = _ray_volumes(shape, frame, rule, e, size, np.zeros((3, n - 1)))
-            about = _ray_volumes(shape, frame, rule, e, size, summit)
+            foot = _ray_volumes(shape, frame, rule, e, size, e)
+            about = _ray_volumes(shape, frame, rule, e, size, u)
             assert np.all(np.abs(about - foot) <= 1e-13 * foot), n
 
 
@@ -604,6 +633,18 @@ def test_rungs_are_never_finer_than_the_callers_rule(n, monkeypatch):
     sizes.clear()
     hyperplane_section(body, frame, 0.3, past_cap)
     assert sizes == [fit, fit, rule.size]
+    # a rule's size is checked before sphere_rule is asked for its declared
+    # resolution: a few nodes declaring resolution 64 (2 097 152 nodes at
+    # n = 6) build no rule of that resolution
+    asked, build = [], slice_transforms.sphere_rule
+    monkeypatch.setattr(slice_transforms, "sphere_rule",
+                        lambda d, r: asked.append(r) or build(d, r))
+    few = equator_rule(n, 4)
+    declared = EquatorQuadrature(nodes=few.nodes, weights=few.weights, degree=few.degree,
+                                 resolution=64)
+    sizes.clear()
+    hyperplane_section(body, frame, 0.3, declared)
+    assert sizes == [fit, fit, few.size] and 64 not in asked
 
 
 def _superellipsoid(n, convex):
@@ -622,19 +663,45 @@ def _superellipsoid(n, convex):
 def test_non_quadric_cut_climbs_to_the_callers_rule(convex, monkeypatch):
     # no fitted quadric makes these cuts exact, so the rungs disagree and
     # every off-axis cut is solved on the caller's n = 5 rule, where it is
-    # closer to the value on a finer rule (27 648 nodes) than the meridian
-    # scan about the foot point was: 1.9e-6 there, 2.9e-7 here
+    # closer to the value on a finer rule (27 648 nodes) than a solve about
+    # the foot point: 2.9e-7 against 1.9e-6.  Not declared convex, the body
+    # is scanned about its foot points, once per side, on the caller's rule
+    # alone, with no `_solve` call, and keeps that 1.9e-6
     n = 5
     frame = _off_axis_frame(n)
     zs = np.array([-0.6, -0.3, 0.2, 0.5])
     sizes = _rule_sizes(monkeypatch)
     rule = equator_rule(n)
     got = hyperplane_section(_superellipsoid(n, convex), frame, zs, rule)
-    assert sizes.count(rule.size) == zs.size
+    assert sizes.count(rule.size) == (zs.size if convex else 0)
+    assert convex or sizes == []
     fine = hyperplane_section(_superellipsoid(n, True), frame, zs, equator_rule(n, 48))
-    assert np.max(np.abs(got - fine)) <= 5e-7
+    assert np.max(np.abs(got - fine)) <= (5e-7 if convex else 2e-6)
     # and the cut is no quadric in disguise: those read at rounding
     assert np.max(np.abs(got - fine)) >= 1e-9
+
+
+def test_cut_star_shaped_about_its_foot_point_only_is_solved_there():
+    # a shifted ball notched along e_1 and e_2: near z = 0 its cut about
+    # e_3 is star-shaped about the foot point, at the notches' apex, but
+    # not about its centroid, which lies off both notch axes, so rays from
+    # there cross a notch wall twice.  A body not declared convex is solved
+    # about its foot points, and the cut's area matches an 8192-node rule
+    c = np.array([-0.3, -0.3, 0.0])
+
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        cu = u @ c
+        dents = sum(np.exp(-np.sum((u - a) ** 2, axis=-1) / 0.01) for a in np.eye(3)[:2])
+        return (cu + np.sqrt(1.0 - c @ c + cu * cu)) * (1.0 - 0.5 * dents)
+
+    body = RadialField(dim=3, evaluate=evaluate, radius_bound=1.43, radius_floor=0.25,
+                       label="notched")
+    frame = make_frame([0.0, 0.0, 1.0])
+    zs = np.array([-0.02, 0.02])
+    got = hyperplane_section(body, frame, zs, equator_rule(3))
+    fine = hyperplane_section(body, frame, zs, equator_rule(3, 8192))
+    assert np.all(np.abs(got - fine) <= 1e-14 * fine)
 
 
 def test_rule_frame_dimension_mismatch_rejected():
@@ -758,39 +825,88 @@ def test_hyperplane_section_domain():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_hyperplane_scan_spans_the_latitudes_the_bounds_allow(n, monkeypatch):
-    # the plane rays' brackets, which replaced the meridian scan's latitude
-    # span: on the ray x = (c, p + t theta), in units of radius_bound, every
-    # crossing has radius_floor <= |x| <= radius_bound, so the bracket runs
-    # from where |x| reaches radius_floor (1 - 1e-3), or from t = 0 where
-    # the ray starts beyond it, up to |x| = 1 + 1e-3.  On a body not
-    # declared convex the probe's 64 rows span exactly that bracket
-    brackets, tables = [], []
+    # a body not declared convex is probed by one scan per side and start
+    # point u (u = e for foot points).  Along node theta's arc cos(psi)
+    # theta + sin(psi) v to u, every crossing of rise sin(psi) rho = |z|
+    # lies in [asin(|z| / (bound rise)), asin(|z| / (floor rise))], or in
+    # its mirror past pi / 2 if the arc reaches it: each node's 64 rows
+    # strictly contain those intervals for the scan's heights up to the
+    # arc's end at u, never pass u (to rounding), and on a capped arc stay
+    # inside [0, asin(max |z| / floor) + 0.1].  The rows are read back off
+    # the first points the scan evaluates
+    scans = []
+    scan = slice_transforms._scan
+
+    def recorded_scan(body, lifted, e, u, size, about):
+        rows = []
+
+        def evaluate(x):
+            rows.append(x.reshape(-1, len(lifted), x.shape[1]))
+            return body.evaluate(x)
+
+        scans.append((body, lifted, e, u, size, rows))
+        counted = SimpleNamespace(evaluate=evaluate, radius_bound=body.radius_bound,
+                                  radius_floor=body.radius_floor)
+        return scan(counted, lifted, e, u, size, about)
+
+    monkeypatch.setattr(slice_transforms, "_scan", recorded_scan)
+    frame = _off_axis_frame(n)
+    for body in _budget_bodies(n):
+        body = replace(body, convex=False)
+        assert np.all(hyperplane_section(body, frame, _BATCH, equator_rule(n)) > 0.0)
+        hyperplane_section(body, frame, 0.3, equator_rule(n))
+    # this ball's heights 0.7 and 0.9 pass rho(+-xi) on both sides, so
+    # they are scanned about the summits' rays, and +-0.3 about their foot
+    # points (see test_hyperplane_section_with_foot_points_outside)
+    offset = body_shifted_ball(n, 1.0, 0.8 * frame.basis[0] + 0.05 * frame.pole)
+    hyperplane_section(replace(offset, convex=False), frame,
+                       np.array([-0.9, -0.7, -0.3, 0.3, 0.7, 0.9]), equator_rule(n))
+    assert len(scans) == 16
+    assert sum(u is not e for _, _, e, u, _, _ in scans) == 2
+    for body, lifted, e, u, size, rows in scans:
+        x = np.concatenate(rows)[:slice_transforms._SCAN_POINTS]  # then Illinois steps
+        along = np.sum(x * lifted, axis=2)
+        psi = np.arctan2(np.linalg.norm(x - along[..., None] * lifted, axis=2), along)
+        assert psi.shape == (slice_transforms._SCAN_POINTS, len(lifted))
+        assert np.all(size > 0.0) and np.all(np.diff(psi, axis=0) > 0.0)
+        c = 0.0 if u is e else lifted @ u
+        normal = np.sqrt(1.0 - c * c)
+        rise, end = (u @ e) / normal, np.arctan2(normal, c)
+        top = np.arcsin(np.minimum(1.0, size.max() / (body.radius_floor * rise)))
+        lo, hi = psi[0], psi[-1]
+        assert np.all((0.0 < lo) & (lo < np.arcsin(size.min() / (body.radius_bound * rise))))
+        # the last row, lo + (end - lo), lands on u's latitude to the
+        # rounding of its points
+        at_u = np.abs(hi - end) <= 2e-15 * end
+        assert np.all((np.minimum(end, top) < hi) | at_u)
+        assert np.all((hi < end) | at_u)
+        assert np.all((hi <= top + 0.1) | (end >= np.pi - top))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ray_brackets_span_the_radii_the_bounds_allow(n, monkeypatch):
+    # on a convex body's plane ray x = (c, p + t theta), in units of
+    # radius_bound, every crossing has radius_floor <= |x| <= radius_bound,
+    # so the bracket runs from where |x| reaches radius_floor (1 - 1e-3),
+    # or from t = 0 where the ray starts beyond it, up to |x| = 1 + 1e-3
+    brackets = []
     ray_bracket = slice_transforms._ray_bracket
-    crossings = slice_transforms._crossings
 
     def recorded_bracket(heights, p, rays, floor):
         lo, hi = ray_bracket(heights, p, rays, floor)
         brackets.append((heights, p, rays, floor, lo, hi))
         return lo, hi
 
-    def recorded_crossings(table):
-        tables.append(table)
-        return crossings(table)
-
     monkeypatch.setattr(slice_transforms, "_ray_bracket", recorded_bracket)
-    monkeypatch.setattr(slice_transforms, "_crossings", recorded_crossings)
     frame = _off_axis_frame(n)
     bodies = list(_budget_bodies(n))
-    bodies.append(replace(bodies[1], convex=False))
-    # both sides of this ball have foot points outside it (see
-    # test_hyperplane_section_with_foot_points_outside)
+    # both sides of this ball have foot points outside it
     bodies.append(body_shifted_ball(n, 1.0, 0.8 * frame.basis[0] + 0.05 * frame.pole))
     for body in bodies:
         brackets.clear()
-        tables.clear()
         hyperplane_section(body, frame, np.array([-0.9, -0.7, -0.3, -0.1, 0.2, 0.7, 0.9]),
                            equator_rule(n))
-        assert brackets and len(tables) == (0 if body.convex else len(brackets))
+        assert brackets
         floor = body.radius_floor / body.radius_bound * (1.0 - 1e-3)
         for heights, p, rays, level, lo, hi in brackets:
             assert level == floor and np.all(heights > 0.0)
@@ -803,9 +919,6 @@ def test_hyperplane_scan_spans_the_latitudes_the_bounds_allow(n, monkeypatch):
             inner = lo > 0.0
             assert np.allclose(reach(lo)[inner], floor, rtol=1e-13, atol=0.0)
             assert np.all(reach(lo)[~inner] >= floor * (1.0 - 1e-13))
-        for table, (_, _, _, _, lo, hi) in zip(tables, brackets):
-            assert table.shape == (slice_transforms._SCAN_POINTS, lo.size)
-            assert table[0].max() < 0.0 < table[-1].min()
 
 
 def test_hyperplane_section_names_broken_radius_bounds():
@@ -1162,16 +1275,13 @@ def test_crossings_equal_the_per_height_scan():
     mixed = np.concatenate(list(columns.values()), axis=1)
     tables = dict(columns, mixed=mixed,
                   shuffled=mixed[:, np.random.default_rng(1).permutation(mixed.shape[1])])
-    # the ray probe reads one level, 0, off a table of g: the per-height
-    # scan's first sign change at z and its flags are those of table - z,
-    # since table - z >= 0 exactly when table >= z
     for name, table in tables.items():
-        for z in zs:
-            first, count = slice_transforms._crossings(table - z)
-            old_firsts, old_missed, old_multiple = _old_crossings(table, np.array([z]))
-            assert np.array_equal(first, old_firsts[0]), (name, z)
-            assert (bool(np.any(count == 0)), bool(np.any(count > 1))) == (
-                old_missed, old_multiple), (name, z)
+        for heights in (zs, zs[:1], zs[5:6]):
+            new_firsts, new_missed, new_multiple = slice_transforms._crossings(table, heights)
+            old_firsts, old_missed, old_multiple = _old_crossings(table, heights)
+            assert new_firsts.dtype == np.uint8
+            assert np.array_equal(new_firsts, old_firsts), (name, heights)
+            assert (new_missed, new_multiple) == (old_missed, old_multiple), (name, heights)
     # the flags the scan raises on: rising columns cross once between
     # their ends, a dip or a rise and fall more than once
     assert _old_crossings(columns["rising"], np.array([0.0]))[1:] == (False, False)
