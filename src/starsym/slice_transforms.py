@@ -44,10 +44,14 @@ _MAX_REFINE = 100
 # `transform_sweep` (50 poles of the n = 2 default rule per call, 16 at
 # n = 3, 4 at n = 4, one at n = 5, 6)
 _GROUP_POINTS = 8192
-# centroid passes of a cut on the rule of this resolution (32, 128, 512 nodes
-# at n = 4, 5, 6; coarser circles leave the quadric's cross terms unfitted),
-# and the relative agreement of its r // 4 and r // 2 rungs that ends a cut
-_CENTROID_PASSES = 2
+# the two centroid passes of a cut: the first on the rule of resolution 6
+# (6, 18, 54, 162 nodes at n = 3..6), the coarsest whose boundary points
+# identify every coefficient of the quadric (at n = 4, 5, 6 the fit's design
+# matrix has rank 7/9, 11/14, 16/20 at resolution 4 and 8/9, 12/14, 17/20 at
+# 5), the second on resolution 8 (32, 128, 512 nodes), whose fit gives the
+# map and root predictions of the rungs; and the relative agreement of the
+# r // 4 and r // 2 rungs that ends a cut
+_FIRST_RESOLUTION = 6
 _FIT_RESOLUTION = 8
 _RUNG_AGREEMENT = 1e-13
 # compass search of `_summit`: first step in its chart, final step, step cap
@@ -375,10 +379,10 @@ def _quadric_fit(theta, t, shift):
     return maps, residual, quad / level[..., None], (lin + 2.0 * turn) / level
 
 
-def _ray_bracket(heights, p, rays, floor):
-    # the radii t where |(c, p + t theta)| reaches floor (0 if past it) and 1 + 1e-3
-    along = np.sum(rays * p, axis=1)
-    rest = along * along - np.sum(p * p, axis=1) - heights ** 2
+def _ray_bracket(along, rest, floor):
+    # the radii t where |x| = sqrt((t + along)^2 - rest) reaches floor (0 if
+    # past it) and 1 + 1e-3, on rays x = (c, p + t theta) with along = <p,
+    # theta> and rest = along^2 - |p|^2 - c^2
     low = rest + floor * floor
     lo = np.where(low > 0.0, np.maximum(0.0, np.sqrt(np.abs(low)) - along), 0.0)
     return lo, np.sqrt(rest + (1.0 + 1e-3) ** 2) - along
@@ -388,50 +392,72 @@ def _solve(body, frame, cuts, index, rule):
     # (js, theta, w, t) per group of the cuts in index: the rule's nodes
     # under each cut's map, their weights, and the radii t (in radius_bound
     # units) where the rays x = c e + (p + t theta) @ basis leave the body.
+    # A group keeps one origin row c e + p @ basis per cut, built column by
+    # column so that its bits do not depend on the group, and every root
+    # step refills one buffer of points that the groups share; |x| comes
+    # from the rays' scalars, |x|^2 = (t + <p, theta>)^2 + |p|^2 - <p,
+    # theta>^2 + c^2.
     # The rays of a convex body cross its boundary once, bracketed where
     # radius_floor (1 - 1e-3) <= |x| <= radius_bound (1 + 1e-3) and narrowed
     # to the fitted quadric's root +- 8 times its residual where that holds
     # the root.  Illinois steps refine the root of |x| - rho(x / |x|) to
     # width 1e-12, read off the last bracket by a secant
-    bound, size = body.radius_bound, rule.size
+    bound, size, m = body.radius_bound, rule.size, rule.sphere_dim
     floor = body.radius_floor / bound * (1.0 - 1e-3)
-    for start in range(0, len(index), max(1, _GROUP_POINTS // size)):
-        js = index[start:start + max(1, _GROUP_POINTS // size)]
+    group = max(1, _GROUP_POINTS // size)
+    buffer = np.empty((min(group, len(index)) * size, frame.dim))
+    for start in range(0, len(index), group):
+        js = index[start:start + group]
         v = rule.nodes @ cuts.maps[js]
         norm = np.linalg.norm(v, axis=2)
         theta = v / norm[..., None]
-        w = rule.weights * (np.linalg.det(cuts.maps[js])[:, None] / norm ** v.shape[2])
-        rays, rep = theta.reshape(-1, theta.shape[2]), np.repeat(js, size)
-        base = cuts.heights[rep, None] * cuts.poles[rep] + cuts.offsets[rep] @ frame.basis
-        dirs = rays @ frame.basis
+        w = rule.weights * (np.linalg.det(cuts.maps[js])[:, None] / norm ** m)
+        p, heights = cuts.offsets[js], cuts.heights[js]
+        origin = heights[:, None] * cuts.poles[js]
+        for k in range(m):
+            origin += p[:, k, None] * frame.basis[k]
+        dirs = (theta.reshape(-1, m) @ frame.basis).reshape(len(js), size, -1)
+        along = np.sum(theta * p[:, None, :], axis=2)
+        rest = along * along - np.sum(p * p, axis=1)[:, None] - (heights ** 2)[:, None]
+        points = buffer[:len(js) * size]
 
-        def g(t, some=slice(None)):
-            x = (base[some] + t[..., None] * dirs[some]).reshape(-1, base.shape[1])
-            norm = np.linalg.norm(x, axis=1)
-            return (norm - body.evaluate(x / norm[:, None]) / bound).reshape(t.shape)
+        def g(t, some=None):
+            # |x| - rho(x / |x|) on every ray, or on the rays `some` marks
+            x = points[:t.size]
+            if some is None:
+                per_cut = np.multiply(t[..., None], dirs, out=x.reshape(dirs.shape))
+                per_cut += origin[:, None]
+                reach = np.sqrt((t + along) ** 2 - rest)
+            else:
+                np.multiply(t[:, None], dirs[some], out=x)
+                x += origin[np.nonzero(some)[0]]
+                reach = np.sqrt((t + along[some]) ** 2 - rest[some])
+            x /= reach.reshape(-1, 1)
+            return reach - body.evaluate(x).reshape(reach.shape) / bound
 
-        lo, hi = _ray_bracket(cuts.heights[rep], cuts.offsets[rep], rays, floor)
+        lo, hi = _ray_bracket(along, rest, floor)
         a, b = lo.copy(), hi.copy()
         if cuts.fit is not None:
             # t^2 theta^T A theta + t b^T theta = 1 on the fitted quadric
             residual, quad, lin = (q[js] for q in cuts.fit)
-            qa = np.sum((theta @ quad) * theta, axis=2).reshape(-1)
-            qb = (theta @ lin[..., None]).reshape(-1)
+            qa = np.sum((theta @ quad) * theta, axis=2)
+            qb = (theta @ lin[..., None])[..., 0]
             root = np.sqrt(qb * qb + 4.0 * qa)
             guess = np.where(qb > 0.0, 2.0 / (qb + root), (root - qb) / (2.0 * qa))
-            width = 8.0 * np.repeat(residual, size) * guess + 1e-13
+            width = 8.0 * residual[:, None] * guess + 1e-13
             known = np.isfinite(guess) & np.isfinite(width)
             a[known] = np.maximum(lo, guess - width)[known]
             b[known] = np.minimum(hi, guess + width)[known]
         ga, gb = g(a), g(b)
-        wrong = np.flatnonzero((ga > 0.0) | (gb < 0.0))
-        a[wrong], b[wrong] = lo[wrong], hi[wrong]
-        ga[wrong], gb[wrong] = g(a[wrong], wrong), g(b[wrong], wrong)
-        if np.any((ga > 0.0) | (gb < 0.0)):
-            raise _bounds_error(body)
+        wrong = (ga > 0.0) | (gb < 0.0)
+        if np.any(wrong):
+            a[wrong], b[wrong] = lo[wrong], hi[wrong]
+            ga[wrong], gb[wrong] = g(a[wrong], wrong), g(b[wrong], wrong)
+            if np.any((ga > 0.0) | (gb < 0.0)):
+                raise _bounds_error(body)
         a, b, ga, gb = _illinois(g, a, b, ga, gb)
         t = a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
-        yield js, theta, w, t.reshape(w.shape)
+        yield js, theta, w, t
 
 
 def _rungs(rule):
@@ -455,8 +481,10 @@ def hyperplane_section(body, frame, z, rule):
     + p + r theta, whose roots Illinois steps refine.  p starts at the
     foot point while |z| < rho(+-xi) on its side, else where the ray
     through the side's summit meets the cut.  On a body declared convex,
-    for n >= 3, two passes on the resolution-8 rule move p to the cut's
-    centroid and fit a quadric with quadratic part A; the rays then take
+    for n >= 3, two passes move p to the cut's centroid and fit a quadric
+    with quadratic part A: the first on the resolution-6 rule, the
+    coarsest whose boundary points identify the quadric, the second on the
+    resolution-8 rule, whose fit the later solves use.  The rays then take
     the directions L theta / |L theta|, L = A^(-1/2), with weights det L /
     |L theta|^{n-1}, so an ellipsoidal cut is a ball there.  The value is
     the r // 2 rung's of the caller's `sphere_rule` family when it agrees
@@ -520,15 +548,14 @@ def hyperplane_section(body, frame, z, rule):
         return _shaped(values, scalar)
     if not starts:
         return _shaped(values, scalar)
-    index, poles, heights, offsets = zip(*starts)
-    count, cuts = len(index), SimpleNamespace(fit=None)
-    cuts.maps = np.tile(np.eye(n - 1), (count, 1, 1))
-    cuts.heights, cuts.poles, cuts.offsets = map(np.array, (heights, poles, offsets))
+    index, poles, heights, offsets = map(np.array, zip(*starts))
+    count = len(index)
+    cuts = SimpleNamespace(heights=heights, poles=poles, offsets=offsets, fit=None,
+                           maps=np.tile(np.eye(n - 1), (count, 1, 1)))
     if n > 2:
         # centroid passes, each under the map fitted in the pass before
-        fit = sphere_rule(n - 1, _FIT_RESOLUTION)
-        for _ in range(_CENTROID_PASSES):
-            fits = []
+        for resolution in (_FIRST_RESOLUTION, _FIT_RESOLUTION):
+            fits, fit = [], sphere_rule(n - 1, resolution)
             for group, theta, w, t in list(_solve(body, frame, cuts, np.arange(count), fit)):
                 moment = w * t ** (n - 1)
                 shift = ((moment * t)[:, None, :] @ theta)[:, 0]
@@ -538,13 +565,13 @@ def hyperplane_section(body, frame, z, rule):
             cuts.maps, *cuts.fit = map(np.concatenate, zip(*fits))
     todo, previous = np.arange(count), None
     for rung in _rungs(rule):
-        current = {}
+        current = np.empty(count)
         for group, _, w, t in _solve(body, frame, cuts, todo, rung):
-            for j, wj, tj in zip(group, w, t):
-                current[j] = values[index[j]] = float(wj @ (bound * tj) ** (n - 1)) / (n - 1)
+            current[group] = np.sum(w * (bound * t) ** (n - 1), axis=1) / (n - 1)
+        values[index[todo]] = current[todo]
         if previous is not None:
-            todo = np.array([j for j in todo if abs(current[j] - previous[j])
-                             > _RUNG_AGREEMENT * abs(current[j])], dtype=int)
+            change = np.abs(current[todo] - previous[todo])
+            todo = todo[change > _RUNG_AGREEMENT * np.abs(current[todo])]
         previous = current
     return _shaped(values, scalar)
 

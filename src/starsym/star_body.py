@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,6 +94,19 @@ def _validate_gradient(evaluate, gradient, lipschitz, radius, u, v):
         raise ValueError(f"gradient inconsistent with finite differences ({err:.3e} > {tol:.3e})")
 
 
+@lru_cache(maxsize=None)
+def _probe_set(dim):
+    # the validation inputs of every dim-dimensional body, drawn on the first
+    # body of that dimension: the probe grid, then two seeded batches of 256
+    # random directions.  Read-only; each body's checks get fresh copies
+    rng = np.random.default_rng(1234 + 7 * dim)
+    probes = (probe_directions(dim, _PROBE_COUNT), random_directions(dim, 256, seed=rng),
+              random_directions(dim, 256, seed=rng))
+    for a in probes:
+        a.setflags(write=False)
+    return probes
+
+
 def _validate_lipschitz(ru, rv, bound, u, v):
     gap = np.abs(ru - rv)
     dist = geodesic_distance(u, v)
@@ -140,14 +154,15 @@ class RadialField:
     error.  One seeded batch of 256 random point pairs (u, v) serves
     both remaining checks: a declared `lipschitz_bound` must hold on
     every pair, and a supplied `gradient` must match meridian finite
-    differences at each u toward the unit tangent of v there.  No frame
-    is completed.  `radius_bound` / `radius_floor` are certified
-    upper/lower bounds for rho, and both are required: hyperplane cuts at
-    |z| >= radius_bound are empty, their rays are bracketed only where
-    the bounds allow a crossing, Monte Carlo callers sample inside
-    radius_bound, and radius_floor sizes the slope ladder of hyperplane
-    curves.  A probe grid cannot stand in for them, since it misses
-    narrow spikes.
+    differences at each u toward the unit tangent of v there.  Grid and
+    pairs are drawn once per dimension, and each body's checks get fresh
+    copies of them.  No frame is completed.  `radius_bound` /
+    `radius_floor` are certified upper/lower bounds for rho, and both are
+    required: hyperplane cuts at |z| >= radius_bound are empty, their rays
+    are bracketed only where the bounds allow a crossing, Monte Carlo
+    callers sample inside radius_bound, and radius_floor sizes the slope
+    ladder of hyperplane curves.  A probe grid cannot stand in for them,
+    since it misses narrow spikes.
     `convex=True` declares the body convex: the random pairs then also
     check that the midpoint of their boundary points lies in the body, and
     hyperplane cuts skip their multi-crossing probe and read a cut at or
@@ -164,11 +179,11 @@ class RadialField:
     convex: bool = False
 
     def __post_init__(self):
-        check_dim(self.dim)
+        dim = check_dim(self.dim)
         for name in ("radius_bound", "radius_floor"):
             if getattr(self, name) is None:
                 raise ValueError(f"{name} must be declared: a certified bound on rho")
-        grid = probe_directions(self.dim, _PROBE_COUNT)
+        grid, u, v = (a.copy() for a in _probe_set(dim))
         values = np.asarray(self.evaluate(grid), dtype=float)
         if values.shape != (grid.shape[0],):
             raise ValueError("evaluate must map (N, dim) points to (N,) values")
@@ -179,9 +194,6 @@ class RadialField:
             raise ValueError("declared radius bounds contradict probed values")
         if self.lipschitz_bound is not None and self.lipschitz_bound < 0:
             raise ValueError("lipschitz_bound must be nonnegative")
-        rng = np.random.default_rng(1234 + 7 * self.dim)
-        u = random_directions(self.dim, 256, seed=rng)
-        v = random_directions(self.dim, 256, seed=rng)
         if self.lipschitz_bound is not None or self.convex:
             ru, rv = self.evaluate(u), self.evaluate(v)
         if self.lipschitz_bound is not None:

@@ -200,14 +200,20 @@ def _count_evaluations(body):
 
 def _points_per_height(n, rule):
     # a cut's budget of evaluated points: rho(+-xi), then up to 12
-    # evaluations per ray on the two centroid passes over the fit rule and
-    # on the r // 4 and r // 2 rungs, and up to 4 on the caller's rule if
-    # the rungs disagree; at n = 2 the caller's rule alone, up to 12
+    # evaluations per ray on the first centroid pass, on the second over
+    # the fit rule and on the r // 4 and r // 2 rungs, and up to 4 on the
+    # caller's rule if the rungs disagree; at n = 2 the caller's rule
+    # alone, up to 12
     if n == 2:
         return 2 + 12 * rule.size
-    fit = slice_transforms.sphere_rule(n - 1, slice_transforms._FIT_RESOLUTION).size
+    first, fit = (slice_transforms.sphere_rule(n - 1, r).size
+                  for r in (slice_transforms._FIRST_RESOLUTION, slice_transforms._FIT_RESOLUTION))
     rungs = sum(r.size for r in slice_transforms._rungs(rule)[:-1])
-    return 2 + 12 * (2 * fit + rungs) + 4 * rule.size
+    return 2 + 12 * (first + fit + rungs) + 4 * rule.size
+
+
+# the budget of the default rules when both centroid passes took the fit rule
+_BOTH_PASSES_ON_THE_FIT_RULE = {3: 6850, 4: 16642, 5: 49666, 6: 51586}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -222,6 +228,7 @@ def test_hyperplane_section_evaluation_budget(n):
     rule = equator_rule(n)
     budget = _points_per_height(n, rule)
     assert budget < {2: 134, 3: 33794, 4: 135170, 5: 540674, 6: 540674}[n]
+    assert n == 2 or budget < _BOTH_PASSES_ON_THE_FIT_RULE[n]
     for body in bodies:
         counted, calls = _count_evaluations(body)
         for z in _HEIGHTS:
@@ -288,6 +295,7 @@ def test_section_curve_and_ladder_evaluation_budget(n):
     frame = _off_axis_frame(n)
     rule = equator_rule(n)
     budget = _points_per_height(n, rule)
+    assert n == 2 or budget < _BOTH_PASSES_ON_THE_FIT_RULE[n]
     for body in _budget_bodies(n):
         rho_min = float(body.evaluate(rule.nodes @ frame.basis).min())
         zs = grid[np.abs(grid) < rho_min]
@@ -595,14 +603,14 @@ def _rule_sizes(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_rungs_are_never_finer_than_the_callers_rule(n, monkeypatch):
-    # each cut is fitted on the resolution-8 rule, then solved on the r // 4
-    # and r // 2 rungs of the caller's rule and on that rule only if they
-    # disagree; a rule too coarse for rungs, or not sphere_rule's own, is
-    # used alone
+    # each cut is fitted on the resolution-6 rule, then on the resolution-8
+    # rule, then solved on the r // 4 and r // 2 rungs of the caller's rule
+    # and on that rule only if they disagree; a rule too coarse for rungs,
+    # or not sphere_rule's own, is used alone
     sizes = _rule_sizes(monkeypatch)
     frame = _off_axis_frame(n)
     body = body_ellipsoid(n, np.linspace(1.2, 0.9, n))
-    fit = slice_transforms.sphere_rule(n - 1, 8).size
+    first, fit = (slice_transforms.sphere_rule(n - 1, r).size for r in (6, 8))
     for resolution in (2, 4, 6, 8, 12, None):
         rule = equator_rule(n, resolution)
         own = EquatorQuadrature(nodes=rule.nodes, weights=rule.weights, degree=rule.degree,
@@ -611,7 +619,7 @@ def test_rungs_are_never_finer_than_the_callers_rule(n, monkeypatch):
             sizes.clear()
             hyperplane_section(body, frame, np.array([-0.4, 0.3]), caller)
             rungs = sizes[4:]
-            assert sizes[:4] == [fit] * 4
+            assert sizes[:4] == [first, first, fit, fit]
             assert max(rungs) <= caller.size
             if caller.resolution // 4 < 2:
                 assert rungs == [caller.size] * 2
@@ -626,13 +634,13 @@ def test_rungs_are_never_finer_than_the_callers_rule(n, monkeypatch):
                                 degree=rule.degree, resolution=rule.resolution)
     sizes.clear()
     hyperplane_section(body, frame, 0.3, changed)
-    assert sizes == [fit, fit, rule.size]
+    assert sizes == [first, fit, rule.size]
     # as is one whose declared resolution sphere_rule would refuse
     past_cap = EquatorQuadrature(nodes=rule.nodes, weights=rule.weights, degree=rule.degree,
                                  resolution=10 ** 6)
     sizes.clear()
     hyperplane_section(body, frame, 0.3, past_cap)
-    assert sizes == [fit, fit, rule.size]
+    assert sizes == [first, fit, rule.size]
     # a rule's size is checked before sphere_rule is asked for its declared
     # resolution: a few nodes declaring resolution 64 (2 097 152 nodes at
     # n = 6) build no rule of that resolution
@@ -644,7 +652,37 @@ def test_rungs_are_never_finer_than_the_callers_rule(n, monkeypatch):
                                  resolution=64)
     sizes.clear()
     hyperplane_section(body, frame, 0.3, declared)
-    assert sizes == [fit, fit, few.size] and 64 not in asked
+    assert sizes == [first, fit, few.size] and 64 not in asked
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_first_pass_rule_identifies_the_quadric(n):
+    # the quadric y^T A y + b^T y = 1 of a cut has m (m + 3) / 2 coefficients,
+    # m = n - 1.  The boundary points along the nodes of the first pass's
+    # resolution-6 rule (18, 54, 162 nodes) identify all of them, and the
+    # fit's design matrix is well conditioned there; on the circles of
+    # resolutions 4 and 5 its cross terms are left unfitted
+    assert slice_transforms._FIRST_RESOLUTION == 6
+    frame = _off_axis_frame(n)
+    m = n - 1
+    i, j = np.triu_indices(m)
+    for body in (body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
+                 body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n))):
+        cuts = SimpleNamespace(heights=np.array([0.3 / body.radius_bound]),
+                               poles=frame.pole[None], offsets=np.zeros((1, m)),
+                               maps=np.eye(m)[None], fit=None)
+        ranks = {}
+        for resolution in (4, 5, 6):
+            rule = slice_transforms.sphere_rule(m, resolution)
+            (_, theta, _, t), = slice_transforms._solve(body, frame, cuts, np.arange(1), rule)
+            y = theta[0] * t[0][:, None]
+            terms = np.concatenate([y[:, i] * y[:, j], y], axis=1)
+            ranks[resolution] = np.linalg.matrix_rank(terms)
+        full = m * (m + 3) // 2
+        assert full == {4: 9, 5: 14, 6: 20}[n]
+        assert ranks == {4: {4: 7, 5: 8, 6: 9}, 5: {4: 11, 5: 12, 6: 14},
+                         6: {4: 16, 5: 17, 6: 20}}[n], (n, body.label)
+        assert np.linalg.cond(terms) < 10.0, (n, body.label)
 
 
 def _superellipsoid(n, convex):
@@ -888,31 +926,42 @@ def test_ray_brackets_span_the_radii_the_bounds_allow(n, monkeypatch):
     # on a convex body's plane ray x = (c, p + t theta), in units of
     # radius_bound, every crossing has radius_floor <= |x| <= radius_bound,
     # so the bracket runs from where |x| reaches radius_floor (1 - 1e-3),
-    # or from t = 0 where the ray starts beyond it, up to |x| = 1 + 1e-3
-    brackets = []
-    ray_bracket = slice_transforms._ray_bracket
+    # or from t = 0 where the ray starts beyond it, up to |x| = 1 + 1e-3.
+    # Each group of a `_solve` call takes one bracket, paired here with the
+    # heights, start points and ray directions that the group yields
+    brackets, groups = [], []
+    ray_bracket, solve = slice_transforms._ray_bracket, slice_transforms._solve
 
-    def recorded_bracket(heights, p, rays, floor):
-        lo, hi = ray_bracket(heights, p, rays, floor)
-        brackets.append((heights, p, rays, floor, lo, hi))
+    def recorded_bracket(along, rest, floor):
+        lo, hi = ray_bracket(along, rest, floor)
+        brackets.append((floor, lo, hi))
         return lo, hi
 
+    def recorded_solve(body, frame, cuts, index, rule):
+        for js, theta, w, t in solve(body, frame, cuts, index, rule):
+            groups.append((cuts.heights[js].copy(), cuts.offsets[js].copy(), theta))
+            yield js, theta, w, t
+
     monkeypatch.setattr(slice_transforms, "_ray_bracket", recorded_bracket)
+    monkeypatch.setattr(slice_transforms, "_solve", recorded_solve)
     frame = _off_axis_frame(n)
     bodies = list(_budget_bodies(n))
     # both sides of this ball have foot points outside it
     bodies.append(body_shifted_ball(n, 1.0, 0.8 * frame.basis[0] + 0.05 * frame.pole))
     for body in bodies:
         brackets.clear()
+        groups.clear()
         hyperplane_section(body, frame, np.array([-0.9, -0.7, -0.3, -0.1, 0.2, 0.7, 0.9]),
                            equator_rule(n))
-        assert brackets
+        assert brackets and len(brackets) == len(groups)
         floor = body.radius_floor / body.radius_bound * (1.0 - 1e-3)
-        for heights, p, rays, level, lo, hi in brackets:
+        for (level, lo, hi), (heights, p, theta) in zip(brackets, groups):
             assert level == floor and np.all(heights > 0.0)
+            assert lo.shape == hi.shape == theta.shape[:2]
 
             def reach(t):
-                return np.sqrt(heights ** 2 + np.sum((p + t[:, None] * rays) ** 2, axis=1))
+                x = p[:, None, :] + t[..., None] * theta
+                return np.sqrt(heights[:, None] ** 2 + np.sum(x * x, axis=2))
 
             assert np.all(lo < hi)
             assert np.allclose(reach(hi), 1.0 + 1e-3, rtol=1e-14, atol=0.0)

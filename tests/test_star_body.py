@@ -19,6 +19,7 @@ from starsym import (
     make_frame,
     odd_part,
     probe_directions,
+    random_directions,
     random_rotation,
     rotate_body,
     scale_body,
@@ -169,6 +170,42 @@ def test_convexity_is_declared_kept_and_checked():
                     lipschitz_bound=1.2, convex=True)
     # the check costs one 256-point call on the pairs the Lipschitz check draws
     assert calls == plain + [256]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_validation_inputs_are_a_fresh_draw_no_body_can_change(n):
+    # construction checks a body on the probe grid and two seeded batches of
+    # 256 directions, drawn once per dimension; evaluate and gradient get
+    # copies equal to a fresh draw, so a body that writes into its input
+    # leaves the next body's checks as they were
+    rng = np.random.default_rng(1234 + 7 * n)
+    fresh = (probe_directions(n, 2048), random_directions(n, 256, seed=rng),
+             random_directions(n, 256, seed=rng))
+    ball = body_ball(n, 0.9)
+
+    def inputs(scribble):
+        seen = {"evaluate": [], "gradient": []}
+
+        def recorded(name, fn):
+            def call(u):
+                seen[name].append(u.copy())
+                out = fn(u)
+                if scribble:  # the antipodes, which a centred ball's checks accept
+                    u *= -1.0
+                return out
+            return call
+
+        RadialField(dim=n, evaluate=recorded("evaluate", ball.evaluate),
+                    gradient=recorded("gradient", ball.gradient), lipschitz_bound=0.0,
+                    radius_bound=0.9, radius_floor=0.9, convex=True)
+        return seen
+
+    for scribble in (False, True, False):
+        seen = inputs(scribble)
+        if not scribble:
+            for got, want in zip(seen["evaluate"], fresh):
+                assert np.array_equal(got, want)
+            assert np.array_equal(seen["gradient"][0], fresh[1])
 
 
 def test_body_construction_completes_no_frame(monkeypatch):
