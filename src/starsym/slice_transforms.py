@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sphere_geom import EquatorFrame, make_frame, sphere_rule
+from .sphere_geom import EquatorFrame, _latitude_points, make_frame, sphere_rule
 from .star_body import (
     _BOUND_SLACK,
     FD_STEP,
@@ -151,15 +151,6 @@ def _shaped(values, scalar):
     return float(values[0]) if scalar else values
 
 
-def _ring_points(tiled, lifted, psi):
-    # sin(psi) pole + cos(psi) lifted, `_latitude_points`' values, with the
-    # pole tiled to the (N, n) shape of `lifted` so that both products run
-    # as whole-array loops, and the sum taken in place
-    points = np.sin(psi) * tiled
-    points += np.cos(psi) * lifted
-    return points
-
-
 def slice_integral(f, frame, z, rule):
     """Integral of a field over the latitude sphere at height z.
 
@@ -189,7 +180,7 @@ def slice_integral(f, frame, z, rule):
     values = np.empty(zs.shape)
     for j, z in enumerate(zs):
         psi = math.asin(z)
-        vals = f.evaluate(_ring_points(tiled, lifted, psi))
+        vals = f.evaluate(_latitude_points(tiled, lifted, psi))
         values[j] = math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
     return _shaped(values, scalar)
 
@@ -242,7 +233,7 @@ def _bounds_error(body):
                       "bound rho")
 
 
-def _scan(body, lifted, e, u, size, about):
+def _scan(body, lifted, e, u, size):
     # the profile radii of a body not declared convex at heights size > 0
     # along e = +-xi, about the points where the ray through u meets the
     # cuts (u is e: their foot points), one height at a time.  Node theta's
@@ -265,13 +256,11 @@ def _scan(body, lifted, e, u, size, about):
     span = np.where(end < np.pi - top, np.minimum(end, top * (1.0 + 1e-3)), end) - lo
     psi = lo + span * np.linspace(0.0, 1.0, _SCAN_POINTS)[:, None]  # one row per latitude
     group = max(1, _GROUP_POINTS // len(lifted))
-
     tiled = np.tile(e, (len(lifted), 1)) if foot else None
 
     def heights(psi):  # rise sin(psi) rho along the arcs, for (G, N) or (G, 1) latitudes
         if psi.shape[1] == 1:  # a foot scan row's one latitude: whole-array products
-            points = np.sin(psi)[..., None] * tiled
-            points += np.cos(psi)[..., None] * lifted
+            points = _latitude_points(tiled, lifted, psi)
         else:  # coordinate-major, so the loops run over nodes, then in the C order bodies get
             points = np.cos(psi)[:, None] * lifted_t
             points += np.sin(psi)[:, None] * arcs_t
@@ -287,13 +276,13 @@ def _scan(body, lifted, e, u, size, about):
     if missed:
         raise _bounds_error(body)
     if multiple:
+        about = "its foot point" if foot else "the point where the ray through its summit meets it"
         raise ValueError(f"multiple boundary crossings: cut is not star-shaped about {about}")
     psi, cols = np.broadcast_to(psi, table.shape), np.arange(len(lifted))
     for start in range(0, size.size, group):
         s, first = size[start:start + group, None], firsts[start:start + group]
-        a, b, ga, gb = _illinois(lambda p: heights(p) - s, psi[first, cols], psi[first + 1, cols],
-                                 table[first, cols] - s, table[first + 1, cols] - s)
-        p = a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
+        p = _illinois(lambda p: heights(p) - s, psi[first, cols], psi[first + 1, cols],
+                      table[first, cols] - s, table[first + 1, cols] - s)
         yield from s * (1.0 / np.tan(p) / rise - c / (u @ e))
 
 
@@ -301,14 +290,15 @@ def _illinois(g, a, b, ga, gb):
     # Vectorised Illinois (modified regula falsi, Dowell & Jarratt 1971)
     # on per-node brackets [a, b] with ga * gb <= 0: an end kept twice in
     # a row has its value halved.  Stops when every bracket is narrower
-    # than _ROOT_WIDTH or has hit an exact zero, and returns the brackets
-    # with their unscaled end values; raises at the iteration cap.
+    # than _ROOT_WIDTH or has hit an exact zero, and returns the roots, read
+    # off the last brackets by a secant through the unscaled end values (the
+    # midpoint where they are equal); raises at the iteration cap.
     fa, fb = ga, gb
     kept_a = kept_b = np.zeros(a.shape, dtype=bool)  # that end was kept last
     done = (b - a <= _ROOT_WIDTH) | (ga == 0.0) | (gb == 0.0)
     for _ in range(_MAX_REFINE):
         if done.all():
-            return a, b, ga, gb
+            return a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
         with np.errstate(divide="ignore", invalid="ignore"):
             c = b - fb * (b - a) / (fb - fa)
         # a false-position point outside the bracket (or undefined) is
@@ -391,17 +381,18 @@ def _ray_bracket(along, rest, floor):
 def _solve(body, frame, cuts, index, rule):
     # (js, theta, w, t) per group of the cuts in index: the rule's nodes
     # under each cut's map, their weights, and the radii t (in radius_bound
-    # units) where the rays x = c e + (p + t theta) @ basis leave the body.
-    # A group keeps one origin row c e + p @ basis per cut, built column by
-    # column so that its bits do not depend on the group, and every root
-    # step refills one buffer of points that the groups share; |x| comes
-    # from the rays' scalars, |x|^2 = (t + <p, theta>)^2 + |p|^2 - <p,
-    # theta>^2 + c^2.
+    # units) where the rays x = h xi + (p + t theta) @ basis leave the body,
+    # h the cut's signed height.  A group keeps one origin row h xi + p @
+    # basis per cut, built column by column so that its bits do not depend
+    # on the group, and every root step refills one buffer of points that
+    # the groups share; |x| comes from the rays' scalars, |x|^2 = (t + <p,
+    # theta>)^2 + |p|^2 - <p, theta>^2 + h^2.
     # The rays of a convex body cross its boundary once, bracketed where
     # radius_floor (1 - 1e-3) <= |x| <= radius_bound (1 + 1e-3) and narrowed
     # to the fitted quadric's root +- 8 times its residual where that holds
-    # the root.  Illinois steps refine the root of |x| - rho(x / |x|) to
-    # width 1e-12, read off the last bracket by a secant
+    # the root; where a prediction misses, its ray goes back to the bounds'
+    # bracket and g, deterministic, runs on the whole group again.  Illinois
+    # steps refine the root of |x| - rho(x / |x|) to width 1e-12
     bound, size, m = body.radius_bound, rule.size, rule.sphere_dim
     floor = body.radius_floor / bound * (1.0 - 1e-3)
     group = max(1, _GROUP_POINTS // size)
@@ -413,7 +404,7 @@ def _solve(body, frame, cuts, index, rule):
         theta = v / norm[..., None]
         w = rule.weights * (np.linalg.det(cuts.maps[js])[:, None] / norm ** m)
         p, heights = cuts.offsets[js], cuts.heights[js]
-        origin = heights[:, None] * cuts.poles[js]
+        origin = heights[:, None] * frame.pole
         for k in range(m):
             origin += p[:, k, None] * frame.basis[k]
         dirs = (theta.reshape(-1, m) @ frame.basis).reshape(len(js), size, -1)
@@ -421,19 +412,12 @@ def _solve(body, frame, cuts, index, rule):
         rest = along * along - np.sum(p * p, axis=1)[:, None] - (heights ** 2)[:, None]
         points = buffer[:len(js) * size]
 
-        def g(t, some=None):
-            # |x| - rho(x / |x|) on every ray, or on the rays `some` marks
-            x = points[:t.size]
-            if some is None:
-                per_cut = np.multiply(t[..., None], dirs, out=x.reshape(dirs.shape))
-                per_cut += origin[:, None]
-                reach = np.sqrt((t + along) ** 2 - rest)
-            else:
-                np.multiply(t[:, None], dirs[some], out=x)
-                x += origin[np.nonzero(some)[0]]
-                reach = np.sqrt((t + along[some]) ** 2 - rest[some])
-            x /= reach.reshape(-1, 1)
-            return reach - body.evaluate(x).reshape(reach.shape) / bound
+        def g(t):  # |x| - rho(x / |x|) on every ray of the group
+            rays = np.multiply(t[..., None], dirs, out=points.reshape(dirs.shape))
+            rays += origin[:, None]
+            reach = np.sqrt((t + along) ** 2 - rest)
+            rays /= reach[..., None]
+            return reach - body.evaluate(points).reshape(reach.shape) / bound
 
         lo, hi = _ray_bracket(along, rest, floor)
         a, b = lo.copy(), hi.copy()
@@ -452,12 +436,10 @@ def _solve(body, frame, cuts, index, rule):
         wrong = (ga > 0.0) | (gb < 0.0)
         if np.any(wrong):
             a[wrong], b[wrong] = lo[wrong], hi[wrong]
-            ga[wrong], gb[wrong] = g(a[wrong], wrong), g(b[wrong], wrong)
+            ga, gb = g(a), g(b)
             if np.any((ga > 0.0) | (gb < 0.0)):
                 raise _bounds_error(body)
-        a, b, ga, gb = _illinois(g, a, b, ga, gb)
-        t = a + np.divide(-ga, gb - ga, out=np.full(a.shape, 0.5), where=gb != ga) * (b - a)
-        yield js, theta, w, t
+        yield js, theta, w, _illinois(g, a, b, ga, gb)
 
 
 def _rungs(rule):
@@ -491,8 +473,8 @@ def hyperplane_section(body, frame, z, rule):
     with the r // 4 rung's to 1e-13 of it, else the caller's rule's, the
     finest any cut uses (the only one at n = 2 or for a rule not built by
     `sphere_rule`).  A body not declared convex keeps p where it starts and
-    the caller's rule, and every ray is probed for a second crossing by a
-    64-row scan that all the heights of a side share.  Only rho is used.
+    the caller's rule, and its rays are probed for a second crossing by one
+    64-row scan per side and start point.  Only rho is used.
 
     rho(+-xi) is checked against radius_bound first.  Cuts at |z| >=
     radius_bound are 0.0, and on a convex body so are those at or above
@@ -519,7 +501,7 @@ def hyperplane_section(body, frame, z, rule):
     flat = np.abs(zs) < np.finfo(float).tiny
     if np.any(flat):
         values[flat] = conical_section(body, frame, 0.0, rule)
-    starts, scans = [], []
+    starts, lifted = [], None if body.convex else rule.nodes @ frame.basis
     for sign, foot in ((1.0, top), (-1.0, bottom)):
         side = np.flatnonzero((sign * zs > 0.0) & ~flat & inside)
         e, size, u = sign * pole, sign * zs[side], None
@@ -527,33 +509,29 @@ def hyperplane_section(body, frame, z, rule):
             u, height = _summit(body, e, frame.basis)
             above = size >= height
             if np.any(above) and not body.convex:
-                raise ValueError(f"the cut at z = {zs[side][above][0]:g} misses the body: "
-                                 f"rho(xi) = {top:g}, rho(-xi) = {bottom:g}, and no boundary "
-                                 f"point was found above height {height:g} on its side")
+                raise ValueError(f"the cut at z = {zs[side][above][0]:g} is refused: rho(xi) = "
+                                 f"{top:g}, rho(-xi) = {bottom:g}, and the compass search found "
+                                 f"no boundary point above height {height:g} on its side, but a "
+                                 "peak too narrow for the search may still reach the cut")
             side, size = side[~above], size[~above]
-        if not body.convex:
-            low = size < foot
-            scans += [(side[low], e, e, size[low], "its foot point"),
-                      (side[~low], e, u, size[~low],
-                       "the point where the ray through its summit meets it")]
+        if body.convex:
+            starts += [(j, np.zeros(n - 1) if s < foot else s / bound * frame.basis @ u / (u @ e))
+                       for j, s in zip(side, size)]
             continue
-        starts += [(j, e, s / bound, np.zeros(n - 1) if s < foot else
-                    s / bound * frame.basis @ u / (u @ e)) for j, s in zip(side, size)]
-    if not body.convex:
-        # every ray probed, by one shared scan per side and start point
-        lifted = rule.nodes @ frame.basis
-        for side, e, u, size, about in scans:
-            for j, r in zip(side, _scan(body, lifted, e, u, size, about) if side.size else ()):
+        # every ray probed, by one shared scan per start point
+        low = size < foot
+        for side, u, size in ((side[low], e, size[low]), (side[~low], u, size[~low])):
+            for j, r in zip(side, _scan(body, lifted, e, u, size) if side.size else ()):
                 values[j] = float(rule.weights @ r ** (n - 1)) / (n - 1)
-        return _shaped(values, scalar)
     if not starts:
         return _shaped(values, scalar)
-    index, poles, heights, offsets = map(np.array, zip(*starts))
+    index, offsets = map(np.array, zip(*starts))
     count = len(index)
-    cuts = SimpleNamespace(heights=heights, poles=poles, offsets=offsets, fit=None,
+    cuts = SimpleNamespace(heights=zs[index] / bound, offsets=offsets, fit=None,
                            maps=np.tile(np.eye(n - 1), (count, 1, 1)))
     if n > 2:
-        # centroid passes, each under the map fitted in the pass before
+        # centroid passes, each under the map fitted in the pass before; list()
+        # frees `_solve`'s ray arrays before any fit (2 MB of an n = 6 peak)
         for resolution in (_FIRST_RESOLUTION, _FIT_RESOLUTION):
             fits, fit = [], sphere_rule(n - 1, resolution)
             for group, theta, w, t in list(_solve(body, frame, cuts, np.arange(count), fit)):

@@ -149,9 +149,8 @@ def embed(frame, eta, psi):
     The internal callers (`equator_derivative` and so every pole sweep,
     the section functions in `slice_transforms`) lift the trusted rule
     nodes once and skip these checks; their points are bit-identical to
-    the private `_latitude_points`, the expression this function
-    returns.  The section functions compute the same products and sum
-    in layouts whose inner loops run over the nodes.
+    those of the private `_latitude_points`, which this function returns
+    (the latitude scan of a flat cut also sums them coordinate-major).
 
     Parameters
     ----------
@@ -175,9 +174,13 @@ def embed(frame, eta, psi):
 
 def _latitude_points(pole, lifted, psi):
     # embed() without its checks, for equator points already lifted into
-    # the frame (lifted = eta @ basis)
+    # the frame (lifted = eta @ basis).  A pole tiled to the shape of lifted
+    # makes both products whole-array loops; the sum, taken in place, has
+    # the bits of sin(psi) pole + cos(psi) lifted, as addition commutes
     psi = np.asarray(psi, dtype=float)
-    return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
+    points = np.cos(psi)[..., None] * lifted
+    points += np.sin(psi)[..., None] * pole
+    return points
 
 
 @dataclass(frozen=True, eq=False)

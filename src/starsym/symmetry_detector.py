@@ -27,7 +27,7 @@ from .sphere_geom import (
     random_directions,
 )
 from .star_body import odd_part, to_scalar_field
-from .slice_transforms import _pole_transforms
+from .slice_transforms import _pole_transforms, _rungs
 
 _EPS = float(np.finfo(float).eps)
 
@@ -120,12 +120,11 @@ _LADDER_NODES = 2048
 
 def _rule_ladder(n, rule_resolution):
     # the rules a sweep may visit, coarsest first: an explicit rule or one
-    # below _LADDER_NODES alone, else resolution // 4, // 2 and the rule
+    # below _LADDER_NODES alone, else its `_rungs` (resolution // 4, // 2)
     rule = equator_rule(n, rule_resolution)
     if rule_resolution is not None or rule.size < _LADDER_NODES:
         return (rule,)
-    return (equator_rule(n, rule.resolution // 4),
-            equator_rule(n, rule.resolution // 2), rule)
+    return tuple(_rungs(rule))
 
 
 def sweep(f, num_dirs=100, seed=0, rule_resolution=None):

@@ -558,15 +558,16 @@ def test_sections_refused_cut_writes_nothing(tmp_path, capsys):
     # summit 0.951 on e_3, so the cut at 0.97 along -e_3 (height 0.97 over
     # e_3's side) lies above the summit found and below radius_bound 1.051;
     # a harmonic ball is not declared convex, so no certificate says it is
-    # empty
+    # empty, and the refusal names the failed search
     spec = _spec(tmp_path, {"kind": "harmonic_ball", "dim": 3,
                             "params": {"epsilon": 0.1, "degree": 1, "order": 0}})
     out = tmp_path / "out"
     assert main(["sections", "--body", spec, "--out", str(out), "--xi", "0,0,-1",
                  "--z=0.97"]) == 2
     assert capsys.readouterr().err == (
-        "starsym: the cut at z = 0.97 misses the body: rho(xi) = 0.95114, rho(-xi) = 1.04886, "
-        "and no boundary point was found above height 0.95114 on its side\n")
+        "starsym: the cut at z = 0.97 is refused: rho(xi) = 0.95114, rho(-xi) = 1.04886, and "
+        "the compass search found no boundary point above height 0.95114 on its side, but a "
+        "peak too narrow for the search may still reach the cut\n")
     assert not out.exists()
 
 

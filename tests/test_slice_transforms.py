@@ -356,31 +356,33 @@ def _run_illinois(g, a, b):
         return g(psi)
 
     a, b = np.array([a]), np.array([b])
-    result = slice_transforms._illinois(counted, a, b, g(a), g(b))
-    return (len(calls),) + result
+    root = slice_transforms._illinois(counted, a, b, g(a), g(b))
+    assert root.shape == (1,)
+    return len(calls), root[0]
 
 
 def test_illinois_stops_on_exact_zero():
-    calls, a, b, ga, gb = _run_illinois(lambda x: x - 0.5, 0.0, 1.0)
+    # the bracket closes on the zero, and the read-off of two equal end
+    # values is its midpoint
+    calls, root = _run_illinois(lambda x: x - 0.5, 0.0, 1.0)
     assert calls == 1
-    assert a[0] == b[0] == 0.5 and ga[0] == gb[0] == 0.0
+    assert root == 0.5
 
 
 def test_illinois_closes_bracket_when_an_end_sits_on_the_root():
     # every false-position point rounds onto a = 0.25, where g is -1e-18;
-    # one step half the target width inside closes the bracket
-    calls, a, b, ga, gb = _run_illinois(lambda x: x - 0.25 - 1e-18, 0.25, 0.75)
+    # one step half the target width inside closes the bracket, and the
+    # secant through its ends reads off 0.25 + 1e-18, which rounds to 0.25
+    calls, root = _run_illinois(lambda x: x - 0.25 - 1e-18, 0.25, 0.75)
     assert calls == 1
-    assert a[0] == 0.25 and 0.0 < b[0] - a[0] <= 1e-12
-    assert ga[0] < 0.0 < gb[0]
+    assert root == 0.25
 
 
 def test_illinois_halving_beats_plain_false_position():
     # plain regula falsi keeps the end b = 1 and needs about 25 steps here
-    root = 0.5 ** 0.1
-    calls, a, b, ga, gb = _run_illinois(lambda x: x ** 10 - 0.5, 0.0, 1.0)
+    calls, root = _run_illinois(lambda x: x ** 10 - 0.5, 0.0, 1.0)
     assert calls <= 16
-    assert a[0] <= root <= b[0] and b[0] - a[0] <= 1e-12
+    assert abs(root - 0.5 ** 0.1) <= 1e-12
 
 
 def test_hyperplane_section_raises_at_refinement_cap(monkeypatch):
@@ -454,6 +456,31 @@ def test_spike_past_the_probe_maximum_is_cut():
         with pytest.raises(ValueError, match=r"^rho\(xi\) = 1\.5 and rho\(-xi\) = 1 exceed "
                                              r"the declared radius_bound = 1\.06$"):
             hyperplane_section(low, frame, z, equator_rule(3))
+
+
+def test_refusal_above_the_summit_found_names_the_search():
+    # the spike rho = 1 + 0.5 exp(-|u - e_3|^2 / 0.02^2) rises to height
+    # 1.477 along a pole 10 degrees from e_3, so the cuts at 1.02 and 1.2
+    # are not empty; the compass search from that pole finds only the unit
+    # sphere around it, and the refusal names the failed search, not a
+    # cut that misses the body
+    e3 = np.array([0.0, 0.0, 1.0])
+
+    def spike(u):
+        u = np.asarray(u, dtype=float)
+        return 1.0 + 0.5 * np.exp(-np.sum((u - e3) ** 2, axis=-1) / 0.02 ** 2)
+
+    body = RadialField(dim=3, evaluate=spike, radius_bound=1.5, radius_floor=1.0)
+    assert not body.convex
+    frame = make_frame([math.sin(math.radians(10.0)), 0.0, math.cos(math.radians(10.0))])
+    assert float(spike(e3[None])[0]) * (e3 @ frame.pole) > 1.47
+    for z, cut in ((1.02, "1\\.02"), (1.2, "1\\.2"), (np.array([0.5, 1.2]), "1\\.2")):
+        with pytest.raises(ValueError, match=rf"^the cut at z = {cut} is refused: rho\(xi\) = 1, "
+                                             r"rho\(-xi\) = 1, and the compass search found no "
+                                             r"boundary point above height 1 on its side, but a "
+                                             r"peak too narrow for the search may still reach "
+                                             r"the cut$"):
+            hyperplane_section(body, frame, z, equator_rule(3))
 
 
 def test_slice_integral_rejects_out_of_range_heights():
@@ -548,13 +575,14 @@ def _ray_volumes(body, frame, rule, e, size, u):
     # the cut volumes sum_i w_i r_i^(n-1) / (n-1) along plane rays about
     # the points where the ray through u meets the cut planes at heights
     # size along e: `_solve`'s under the identity map on a convex body,
-    # and `_scan`'s on one not declared convex
+    # and `_scan`'s on one not declared convex.  `_solve` takes the cuts'
+    # signed heights z / radius_bound along xi, negative for e = -xi
     n = frame.dim
     if not body.convex:
-        radii = slice_transforms._scan(body, rule.nodes @ frame.basis, e, u, size, "the point")
+        radii = slice_transforms._scan(body, rule.nodes @ frame.basis, e, u, size)
         return np.array([rule.weights @ r ** (n - 1) / (n - 1) for r in radii])
     offsets = np.outer(size / body.radius_bound, frame.basis @ u / (u @ e))
-    cuts = SimpleNamespace(heights=size / body.radius_bound, poles=np.tile(e, (size.size, 1)),
+    cuts = SimpleNamespace(heights=(e @ frame.pole) * size / body.radius_bound,
                            offsets=offsets, maps=np.tile(np.eye(n - 1), (size.size, 1, 1)),
                            fit=None)
     volumes = np.empty(size.size)
@@ -669,8 +697,7 @@ def test_first_pass_rule_identifies_the_quadric(n):
     for body in (body_ellipsoid(n, np.linspace(1.2, 0.9, n)),
                  body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n))):
         cuts = SimpleNamespace(heights=np.array([0.3 / body.radius_bound]),
-                               poles=frame.pole[None], offsets=np.zeros((1, m)),
-                               maps=np.eye(m)[None], fit=None)
+                               offsets=np.zeros((1, m)), maps=np.eye(m)[None], fit=None)
         ranks = {}
         for resolution in (4, 5, 6):
             rule = slice_transforms.sphere_rule(m, resolution)
@@ -825,11 +852,12 @@ def test_hyperplane_section_detects_multiple_crossings():
         with pytest.raises(ValueError, match="multiple boundary crossings: cut is not "
                                              "star-shaped about the point where the ray"):
             hyperplane_section(body, frame, z, rule)
-    # above the summit the cut misses the body, before any scan
+    # above the summit found the cut is refused, before any scan
     counted, calls = _count_evaluations(body)
-    with pytest.raises(ValueError, match=r"the cut at z = 0\.25 misses the body: rho\(xi\) "
-                                         r"= 0\.22313, rho\(-xi\) = 4\.48169, and no "
-                                         r"boundary point was found above height 0\.245253"):
+    with pytest.raises(ValueError, match=r"the cut at z = 0\.25 is refused: rho\(xi\) = "
+                                         r"0\.22313, rho\(-xi\) = 4\.48169, and the compass "
+                                         r"search found no boundary point above height "
+                                         r"0\.245253 on its side"):
         hyperplane_section(counted, frame, np.array([-0.3, 0.1, 0.25]), rule)
     scans = slice_transforms._SCAN_POINTS
     assert len(calls) < scans
@@ -875,7 +903,7 @@ def test_hyperplane_scan_spans_the_latitudes_the_bounds_allow(n, monkeypatch):
     scans = []
     scan = slice_transforms._scan
 
-    def recorded_scan(body, lifted, e, u, size, about):
+    def recorded_scan(body, lifted, e, u, size):
         rows = []
 
         def evaluate(x):
@@ -885,7 +913,7 @@ def test_hyperplane_scan_spans_the_latitudes_the_bounds_allow(n, monkeypatch):
         scans.append((body, lifted, e, u, size, rows))
         counted = SimpleNamespace(evaluate=evaluate, radius_bound=body.radius_bound,
                                   radius_floor=body.radius_floor)
-        return scan(counted, lifted, e, u, size, about)
+        return scan(counted, lifted, e, u, size)
 
     monkeypatch.setattr(slice_transforms, "_scan", recorded_scan)
     frame = _off_axis_frame(n)
@@ -928,7 +956,8 @@ def test_ray_brackets_span_the_radii_the_bounds_allow(n, monkeypatch):
     # so the bracket runs from where |x| reaches radius_floor (1 - 1e-3),
     # or from t = 0 where the ray starts beyond it, up to |x| = 1 + 1e-3.
     # Each group of a `_solve` call takes one bracket, paired here with the
-    # heights, start points and ray directions that the group yields
+    # |heights| (they are signed along xi), start points and ray directions
+    # that the group yields
     brackets, groups = [], []
     ray_bracket, solve = slice_transforms._ray_bracket, slice_transforms._solve
 
@@ -939,7 +968,7 @@ def test_ray_brackets_span_the_radii_the_bounds_allow(n, monkeypatch):
 
     def recorded_solve(body, frame, cuts, index, rule):
         for js, theta, w, t in solve(body, frame, cuts, index, rule):
-            groups.append((cuts.heights[js].copy(), cuts.offsets[js].copy(), theta))
+            groups.append((np.abs(cuts.heights[js]), cuts.offsets[js].copy(), theta))
             yield js, theta, w, t
 
     monkeypatch.setattr(slice_transforms, "_ray_bracket", recorded_bracket)
@@ -985,6 +1014,80 @@ def test_hyperplane_section_names_broken_radius_bounds():
     object.__setattr__(body, "radius_floor", 0.0)
     got = hyperplane_section(body, frame, np.array([-0.5, 0.5]), _rule(3))
     assert np.allclose(got, math.pi * 1.2 * (1.0 - 0.25 / 0.64), rtol=1e-12, atol=0.0)
+
+
+def _missed_predictions(monkeypatch):
+    # every fitted root prediction made to miss: the quadratic part of each
+    # fit, not its map, is scaled by 4, which halves the predicted radius.
+    # Returns the (bracket, Illinois start) pairs of every `_solve` group
+    # that had a prediction
+    fit, bracket, illinois = (slice_transforms._quadric_fit, slice_transforms._ray_bracket,
+                              slice_transforms._illinois)
+    starts, pairs = [], []
+
+    def scaled(theta, t, shift):
+        maps, residual, quad, lin = fit(theta, t, shift)
+        return maps, residual, 4.0 * quad, lin
+
+    def recorded_bracket(along, rest, floor):
+        starts.append(bracket(along, rest, floor))
+        return starts[-1]
+
+    def recorded_illinois(g, a, b, ga, gb):
+        pairs.append((starts.pop(), a, b))
+        return illinois(g, a, b, ga, gb)
+
+    monkeypatch.setattr(slice_transforms, "_quadric_fit", scaled)
+    monkeypatch.setattr(slice_transforms, "_ray_bracket", recorded_bracket)
+    monkeypatch.setattr(slice_transforms, "_illinois", recorded_illinois)
+    return pairs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_missed_predictions_fall_back_to_the_bounds_bracket(n, monkeypatch):
+    # a group where a prediction misses its root puts those rays back on
+    # the radius bounds' bracket and evaluates every ray again; with every
+    # prediction missed, each Illinois run starts from the bounds' brackets
+    # and the values stay within 1e-14 of the solve whose predictions hold
+    frame = _off_axis_frame(n)
+    for body in _budget_bodies(n):
+        want = hyperplane_section(body, frame, _BATCH, equator_rule(n))
+        with monkeypatch.context() as patch:
+            pairs = _missed_predictions(patch)
+            got = hyperplane_section(body, frame, _BATCH, equator_rule(n))
+        # two centroid passes, then at least the r // 4 and r // 2 rungs
+        assert len(pairs) >= 4, body.label
+        for (lo, hi), a, b in pairs:
+            assert np.array_equal(a, lo) and np.array_equal(b, hi), body.label
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), body.label
+
+
+def test_a_contradicted_bound_raises_through_the_fallback(monkeypatch):
+    # the ellipsoid's cut at z = 0.5 along e_3 reaches |x| = 0.927 on the
+    # rays across its 1.0 semiaxis, below the radius_floor of 0.93 declared
+    # here.  The 6 and 8 rays of the centroid passes pass between those;
+    # the r // 4 rung's 128 rays, predicted by the second pass's fit, meet
+    # them, and the raise names the bounds whether the predictions hold or
+    # all miss
+    body = body_ellipsoid(3, (1.2, 1.0, 0.8))
+    object.__setattr__(body, "radius_floor", 0.93)
+    frame = make_frame([0.0, 0.0, 1.0])
+    fitted, solve = [], slice_transforms._solve
+
+    def recorded(body, frame, cuts, index, rule):
+        fitted.append(cuts.fit is not None)
+        return solve(body, frame, cuts, index, rule)
+
+    monkeypatch.setattr(slice_transforms, "_solve", recorded)
+    broken = r"radius_floor = 0\.93 and radius_bound = 1\.2 do not bound rho"
+    with pytest.raises(ValueError, match=broken):
+        hyperplane_section(body, frame, 0.5, equator_rule(3))
+    assert fitted == [False, True, True]
+    fitted.clear()
+    _missed_predictions(monkeypatch)
+    with pytest.raises(ValueError, match=broken):
+        hyperplane_section(body, frame, 0.5, equator_rule(3))
+    assert fitted == [False, True, True]
 
 
 def test_section_curve_kinds_and_type_checks():
@@ -1127,6 +1230,35 @@ def _old_points(pole, lifted, psi):
     return np.sin(psi)[..., None] * pole + np.cos(psi)[..., None] * lifted
 
 
+def _old_illinois(g, a, b, ga, gb):
+    # `_illinois` as it stood: it returned the last brackets and their end
+    # values, and each caller read the root off them
+    fa, fb = ga, gb
+    kept_a = kept_b = np.zeros(a.shape, dtype=bool)  # that end was kept last
+    done = (b - a <= slice_transforms._ROOT_WIDTH) | (ga == 0.0) | (gb == 0.0)
+    for _ in range(slice_transforms._MAX_REFINE):
+        if done.all():
+            return a, b, ga, gb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = b - fb * (b - a) / (fb - fa)
+        c = np.where((c >= a) & (c <= b), c, 0.5 * (a + b))
+        c = np.clip(c, a + slice_transforms._ROOT_WIDTH / 2, b - slice_transforms._ROOT_WIDTH / 2)
+        gc = g(c)
+        zero = gc == 0.0
+        left = (gc < 0.0) == (ga < 0.0)  # c replaces a
+        left &= ~(zero | done)
+        right = ~(left | zero | done)    # c replaces b
+        zero &= ~done
+        fa = np.where(right & kept_a, 0.5 * fa, fa)
+        fb = np.where(left & kept_b, 0.5 * fb, fb)
+        kept_a, kept_b = right | (kept_a & ~left), left | (kept_b & ~right)
+        to_a, to_b = left | zero, right | zero
+        a, ga, fa = np.where(to_a, c, a), np.where(to_a, gc, ga), np.where(to_a, gc, fa)
+        b, gb, fb = np.where(to_b, c, b), np.where(to_b, gc, gb), np.where(to_b, gc, fb)
+        done |= zero | (b - a <= slice_transforms._ROOT_WIDTH)
+    raise RuntimeError("hyperplane root refinement did not converge")
+
+
 def _old_crossings(table, zs):
     firsts = np.empty((len(zs), table.shape[1]), dtype=np.uint8)
     missed = multiple = False
@@ -1165,7 +1297,7 @@ def _old_side_radii(body, pole, lifted, zs, cap):
         def g(psi):
             return body.evaluate(_old_points(pole, lifted, psi)) * np.sin(psi) - z
 
-        a, b, ga, gb = slice_transforms._illinois(
+        a, b, ga, gb = _old_illinois(
             g, grid[first], grid[first + 1], table[first, cols] - z, table[first + 1, cols] - z)
         denom = gb - ga
         safe = np.abs(denom) > 1e-300
