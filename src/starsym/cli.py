@@ -407,23 +407,24 @@ def _build_parser():
                     "and symmetry detection for star bodies.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p, seed_help=None):
         p.add_argument("--out", default=".", help="output directory")
-        if seeded:
-            p.add_argument("--seed", type=_int_at_least(0), default=7)
+        if seed_help:
+            p.add_argument("--seed", type=_int_at_least(0), default=7, help=seed_help)
         p.add_argument("--resolution", type=int, default=None,
                        help="equator quadrature resolution, at least 2 "
                             "(default per dimension)")
 
     p = sub.add_parser("analyze", help="sweep a body for central asymmetry")
-    common(p)
+    common(p, "seed of the random poles; at n = 3 the poles are a Fibonacci lattice and "
+              "the seed changes nothing, though report.json records it")
     p.add_argument("--body", required=True, help="body spec JSON file")
     p.add_argument("--dirs", type=_int_at_least(1), default=100,
                    help="poles requested; 2 * max(1, dirs // 2) are swept in "
                         "antipodal pairs")
 
     p = sub.add_parser("sections", help="sample section curves over heights")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--body", required=True, help="body spec JSON file")
     p.add_argument("--kind", default="conical,hyperplane",
                    help="comma list from {conical, hyperplane}")
@@ -434,12 +435,12 @@ def _build_parser():
                    help="pole as comma-separated components (default last axis)")
 
     p = sub.add_parser("verify", help="run the identity checks")
-    common(p, seeded=False)
+    common(p)
     p.add_argument("--only", default=None,
                    help="comma list of check names to run")
 
     p = sub.add_parser("harmonics", help="estimate transform multipliers")
-    common(p)
+    common(p, "seed of the poles of each fit")
     p.add_argument("--dim", type=int, default=3, choices=range(DIM_MIN, DIM_MAX + 1))
     p.add_argument("--lmax", type=int, default=8,
                    help=f"largest degree l (0 to {LMAX})")

@@ -116,9 +116,11 @@ def richardson_limit(pairs):
     pairs: sequence of (h, estimate) with each h half the previous one.
     Error orders are even powers of h, so each level multiplies the
     elimination factor by 4.  Returns (limit, diagonal) where diagonal
-    holds the successive extrapants.
+    holds the successive extrapants.  An empty ladder is refused.
     """
     hs = [h for h, _ in pairs]
+    if not hs:
+        raise ValueError("the Richardson ladder is empty: it needs one (h, estimate) pair or more")
     for a, b in zip(hs, hs[1:]):
         if abs(b - a / 2.0) > 1e-12 * a:
             raise ValueError("ladder steps must halve")
@@ -160,7 +162,7 @@ def slice_integral(f, frame, z, rule):
     rule.  The rule nodes are lifted once, without `embed`'s checks, the
     pole is tiled once to the nodes' (N, n) shape, and the heights are
     integrated one at a time; the field receives C-contiguous points
-    bit-identical to `embed`'s.
+    bit-identical to `embed`'s, and each sum is a pairwise np.sum.
 
     Parameters
     ----------
@@ -177,11 +179,11 @@ def slice_integral(f, frame, z, rule):
         raise ValueError("height z must lie in (-1, 1)")
     lifted = rule.nodes @ frame.basis
     tiled = np.tile(frame.pole, (lifted.shape[0], 1))
-    values = np.empty(zs.shape)
+    values, terms = np.empty(zs.shape), np.empty(rule.size)
     for j, z in enumerate(zs):
         psi = math.asin(z)
-        vals = f.evaluate(_latitude_points(tiled, lifted, psi))
-        values[j] = math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
+        np.multiply(f.evaluate(_latitude_points(tiled, lifted, psi)), rule.weights, out=terms)
+        values[j] = math.cos(psi) ** (frame.dim - 2) * float(np.sum(terms))
     return _shaped(values, scalar)
 
 
@@ -522,7 +524,7 @@ def hyperplane_section(body, frame, z, rule):
         low = size < foot
         for side, u, size in ((side[low], e, size[low]), (side[~low], u, size[~low])):
             for j, r in zip(side, _scan(body, lifted, e, u, size) if side.size else ()):
-                values[j] = float(rule.weights @ r ** (n - 1)) / (n - 1)
+                values[j] = float(np.sum(rule.weights * r ** (n - 1))) / (n - 1)
     if not starts:
         return _shaped(values, scalar)
     index, offsets = map(np.array, zip(*starts))
@@ -559,9 +561,9 @@ def _pole_transforms(f, frames, rule):
     # arrays.  The frames reach the field in groups of G = _GROUP_POINTS // N,
     # at least one: each frame's own product nodes @ basis makes its own rows
     # of one C-contiguous (G N, n) array, next to its pole repeated over
-    # them, so one evaluate or gradient call serves the group; each value
-    # and scale is read off the frame's own contiguous rows, the reductions
-    # of a group of one, bit for bit.  A group of one keeps the (n,) pole.
+    # them, so one evaluate or gradient call serves the group; one pairwise
+    # np.sum along the frames' rows gives each quantity, the sum of a group
+    # of one, bit for bit.  A group of one keeps the (n,) pole.
     # For a field whose sup bound lies outside [2^-400, 2^400] the squares
     # behind s would leave the double range, so they are taken of the held
     # terms over 2^shift, 2^shift at or above the bound, and s is multiplied
@@ -570,7 +572,7 @@ def _pole_transforms(f, frames, rule):
     if f.sup_bound and not 2.0 ** -400 <= f.sup_bound <= 2.0 ** 400:
         shift = math.frexp(f.sup_bound)[1]
     size, w = rule.size, rule.weights
-    group = max(1, _GROUP_POINTS // size)
+    group, norm2 = max(1, _GROUP_POINTS // size), np.sum(w * w)
     values, scales = np.empty(len(frames)), np.empty(len(frames))
     for start in range(0, len(frames), group):
         chunk = frames[start:start + group]
@@ -584,18 +586,17 @@ def _pole_transforms(f, frames, rule):
         d, held = _meridian_terms(f.evaluate, f.gradient, pole, lifted)
         if shift:
             held = np.ldexp(held, -shift)
-        for k in range(len(chunk)):
-            rows = slice(k * size, (k + 1) * size)
-            if f.gradient is not None:
-                # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
-                # to within rounding, so the noise of the whole gradient reaches d
-                g = held[rows]
-                scales[start + k] = math.sqrt(float(w @ w) * float((g * g).sum()))
-            else:
-                # held is f at latitude +FD_STEP; its noise, as independent errors
-                wf = w * held[rows]
-                scales[start + k] = math.sqrt(float(wf @ wf)) / FD_STEP
-            values[start + k] = float(w @ d[rows])
+        rows = slice(start, start + len(chunk))
+        if f.gradient is not None:
+            # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
+            # to within rounding, so the noise of the whole gradient reaches d
+            squares = np.sum((held * held).reshape(len(chunk), -1), axis=1)
+            scales[rows] = np.sqrt(norm2 * squares)
+        else:
+            # held is f at latitude +FD_STEP; its noise, as independent errors
+            wf = held.reshape(len(chunk), size) * w
+            scales[rows] = np.sqrt(np.sum(wf * wf, axis=1)) / FD_STEP
+        values[rows] = np.sum(d.reshape(len(chunk), size) * w, axis=1)
     return values, np.ldexp(scales, shift)
 
 
@@ -623,9 +624,9 @@ def transform_sweep(f, frames, rule):
     package uses.  The poles reach the field in groups of up to
     _GROUP_POINTS = 8192 lifted nodes per evaluate or gradient call
     (50 poles of the n = 2 default rule in one call, one pole per call
-    for an 8192-node rule), and each value is read off its own pole's
-    rows, so the values are the per-pole ones bit for bit.  Returns the
-    values as a 1-d float array.
+    for an 8192-node rule), and each value is a pairwise np.sum over its
+    own pole's rows, so the values are the per-pole ones bit for bit,
+    at any BLAS thread count.  Returns the values as a 1-d float array.
     """
     frames = [fr if isinstance(fr, EquatorFrame) else make_frame(fr) for fr in frames]
     return _pole_transforms(f, frames, rule)[0]

@@ -259,19 +259,21 @@ def _lift(points, t):
 def sphere_rule(d, resolution):
     """Product quadrature on S^{d-1} subset R^d.
 
-    `resolution` must be at least 2 for every d, and the rule records
-    it.  d = 1 is the two-point counting measure on S^0.  d = 2 is the
-    uniform circle rule with `resolution` nodes.  For d >= 3 the rule is
-    a product of the uniform circle rule in the periodic angle with
-    Gauss rules in the polar angles (counts max(2, resolution // 2)
-    each), so resolution * count^(d-2) nodes; weights are normalized to
-    the exact surface measure.  A rule holds at most 2^21 = 2097152
-    nodes (d = 5 at resolution 64): a larger one is refused before any
-    node is allocated.
+    `resolution` must be an integer (a numpy one too), at least 2 for
+    every d, and the rule records it.  d = 1 is the two-point counting
+    measure on S^0.  d = 2 is the uniform circle rule with `resolution`
+    nodes.  For d >= 3 the rule is a product of the uniform circle rule
+    in the periodic angle with Gauss rules in the polar angles (counts
+    max(2, resolution // 2) each), so resolution * count^(d-2) nodes;
+    weights are normalized to the exact surface measure.  A rule holds
+    at most 2^21 = 2097152 nodes (d = 5 at resolution 64): a larger one
+    is refused before any node is allocated.
     """
     d = int(d)
     if not (1 <= d <= DIM_MAX - 1):
         raise ValueError(f"sphere_rule supports 1 <= d <= {DIM_MAX - 1}, got {d}")
+    if int(resolution) != resolution:
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -320,7 +322,7 @@ def equator_rule(n, resolution=None):
     n = check_dim(n)
     if resolution is None:
         resolution = default_resolution(n)
-    return sphere_rule(n - 1, int(resolution))
+    return sphere_rule(n - 1, resolution)
 
 
 def fibonacci_sphere(count):

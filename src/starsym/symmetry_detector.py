@@ -72,6 +72,7 @@ def sample_poles(n, count, seed=0):
     m = max(1, count // 2) base poles (Fibonacci for n=3, seeded-random
     otherwise) are followed by their negatives, 2m in all:
     sample_poles(3, 1) has 2 poles and sample_poles(n, 37) has 36.
+    At n = 3 `seed` is unused: every seed gives the same poles.
     A(-xi) = -A(xi), so the negatives add no information; `sweep`
     computes the base poles alone and reads each negative's value off
     its base pole.
@@ -103,7 +104,7 @@ def calibrate(gradient_path):
     with C eps max s, s the roundoff scale the sweep kernel returns
     beside each transform value.  On even bodies (ellipsoids, near-round
     too, at scales 1e-2..1e2, even harmonic bumps; n = 2..6, default and
-    coarse rules) |A| / (eps s) measured at most 0.93 with a gradient
+    coarse rules) |A| / (eps s) measured at most 0.84 with a gradient
     and 9.7 without, so C keeps them ten times below the floor.  Cached
     only so that `calibrate.cache_info()` counts the calls.
     """
@@ -146,9 +147,9 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
     of up to 8192 lifted nodes per evaluate or gradient call (all 50
     default base poles in one call at n = 2, 16 per call at n = 3, 4 at
     the n = 4 default, one at the 8192-node defaults of n = 5, 6), each
-    value equal to its own `equator_transform` bit for bit.  Each
-    negative gets 0.0 - A: make_frame(-xi) has the basis of
-    make_frame(xi), so both frames lift the same equator nodes, every
+    value equal to its own `equator_transform` bit for bit at any BLAS
+    thread count.  Each negative gets 0.0 - A: make_frame(-xi) has the
+    basis of make_frame(xi), so both frames lift the same equator nodes, every
     per-node derivative flips sign exactly (the +-h latitude points of
     the finite-difference path swap places) and the value is the one a
     fresh transform would return, bit for bit; 0.0 - A keeps an exact
@@ -189,7 +190,7 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
             # the default rule's floor, taken as twice this one above and
             # as this one times |w_default| / |w_level| below
             finest = rules[-1].weights
-            ratio = math.sqrt(float(finest @ finest) / float(rule.weights @ rule.weights))
+            ratio = math.sqrt(float(np.sum(finest * finest) / np.sum(rule.weights * rule.weights)))
             peak = float(np.max(np.abs(base)))
             if peak - move > 2.0 * floor or peak + move <= floor * ratio:
                 break

@@ -202,8 +202,8 @@ def _check_slope_decomposition(resolution, n):
             fp = f.evaluate(embed(frame, rule.nodes, psi))
             lhs = (slice_integral(f, frame, z, rule)
                    - slice_integral(f, frame, 0.0, rule)) / z
-            t1 = float(rule.weights @ (fp - f0)) / z
-            t2 = (math.cos(psi) ** (n - 2) - 1.0) / z * float(rule.weights @ fp)
+            t1 = float(np.sum(rule.weights * (fp - f0))) / z
+            t2 = (math.cos(psi) ** (n - 2) - 1.0) / z * float(np.sum(rule.weights * fp))
             yield abs(lhs - t1 - t2) / max(1.0, abs(lhs))
 
 
@@ -270,7 +270,7 @@ def _check_tail_term(resolution, n):
     for psi in _psi_probe_grid():
         fp = f.evaluate(embed(frame, rule.nodes, psi))
         actual = abs((math.cos(psi) ** (n - 2) - 1.0) / math.sin(psi)
-                     * float(rule.weights @ fp))
+                     * float(np.sum(rule.weights * fp)))
         yield actual if cbound == 0.0 else actual / (cbound * abs(psi)) - 1.0
 
 

@@ -53,6 +53,11 @@ def test_richardson_limit_rejects_non_halving_steps():
         richardson_limit([(0.1, 1.0), (0.06, 1.0)])
 
 
+def test_richardson_limit_names_an_empty_ladder():
+    with pytest.raises(ValueError, match="the Richardson ladder is empty"):
+        richardson_limit([])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_conical_section_of_ball_closed_form(n):
     # sections of a ball along a cone: cos^{n-2}(psi) vol(S^{n-2}) R^{n-1}/(n-1)
@@ -1331,7 +1336,7 @@ def _old_slice_integral(f, frame, z, rule):
     for j, z in enumerate(zs):
         psi = math.asin(z)
         vals = f.evaluate(_old_points(frame.pole, lifted, psi))
-        values[j] = math.cos(psi) ** (frame.dim - 2) * float(rule.weights @ vals)
+        values[j] = math.cos(psi) ** (frame.dim - 2) * float(np.sum(rule.weights * vals))
     return slice_transforms._shaped(values, scalar)
 
 

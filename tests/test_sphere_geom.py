@@ -184,6 +184,19 @@ def test_equator_rule_owns_the_default_resolution(n):
             equator_rule(n, bad)
 
 
+def test_equator_rule_refuses_a_non_integral_resolution():
+    # 256.9 is not truncated to 256; integral values of any type build the
+    # one cached rule of that resolution
+    with pytest.raises(ValueError, match=r"resolution must be an integer, got 256\.9$"):
+        equator_rule(3, 256.9)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        sphere_rule(2, 256.9)
+    rule = equator_rule(3, 256)
+    for same in (np.int64(256), np.int32(256), 256.0):
+        assert equator_rule(3, same) is rule
+    assert type(rule.resolution) is int
+
+
 def test_equator_rule_caps_its_node_count():
     # a rule of more than 2^21 nodes is refused before any node is
     # allocated, in every dimension; the largest rule the tests build

@@ -273,7 +273,7 @@ def _even_bodies(n):
 @pytest.mark.parametrize("coarse", [False, True], ids=["default", "coarse"])
 def test_even_bodies_stay_ten_times_below_the_floor(n, path, coarse):
     # the recorded floor constants; on even bodies max |A| measured at
-    # most 0.93 eps s with a gradient and 9.7 eps s without
+    # most 0.84 eps s with a gradient and 9.7 eps s without
     assert (calibrate(True), calibrate(False)) == (32.0, 128.0)
     resolution = (16 if n == 3 else 8) if coarse else None
     for body in _even_bodies(n):

@@ -16,6 +16,7 @@ from starsym import (
     body_ellipsoid,
     body_shifted_ball,
     calibrate,
+    conical_section,
     detect,
     embed,
     equator_rule,
@@ -31,7 +32,7 @@ from starsym.star_body import FD_STEP
 
 
 def _reference_transform(f, frame, rule):
-    return float(rule.weights @ _reference_derivative(f, frame, rule))
+    return float(np.sum(rule.weights * _reference_derivative(f, frame, rule)))
 
 
 def _reference_derivative(f, frame, rule):
@@ -60,6 +61,24 @@ def _bodies(n):
     bodies = [body_ball(n, 1.3), body_shifted_ball(n, 1.0, center),
               body_ellipsoid(n, tuple(np.linspace(1.5, 0.7, n)))]
     return bodies + [strip_gradient(b) for b in bodies]
+
+
+def test_rule_sums_are_pairwise_past_the_blas_split():
+    # a rule of 131 072 nodes: a BLAS dot would split each sum across threads
+    # and round in its own order; every conical value and transform is the
+    # pairwise np.sum of its weighted terms, bit for bit
+    rule = equator_rule(6, 32)
+    assert rule.size == 131072
+    body = body_ellipsoid(6, tuple(np.linspace(1.5, 0.7, 6)))
+    frame = make_frame(np.linspace(0.8, -0.3, 6), seed=FRAME_SEED)
+    f = to_scalar_field(body)
+    zs = np.array([-0.3, 0.0, 0.45])
+    want = [math.cos(math.asin(z)) ** 4
+            * float(np.sum(rule.weights * f.evaluate(embed(frame, rule.nodes, math.asin(z)))))
+            for z in zs]
+    assert conical_section(body, frame, zs, rule).tolist() == want
+    for field in (f, strip_gradient(f)):
+        assert equator_transform(field, frame, rule) == _reference_transform(field, frame, rule)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -263,9 +282,9 @@ def _reference_scale(f, frame, rule):
     w = rule.weights
     if f.gradient is None:
         wf = w * f.evaluate(embed(frame, eta, psi + FD_STEP))
-        return math.sqrt(float(wf @ wf)) / FD_STEP
+        return math.sqrt(float(np.sum(wf * wf))) / FD_STEP
     g = f.gradient(embed(frame, eta, psi))
-    return math.sqrt(float(w @ w) * float((g * g).sum()))
+    return math.sqrt(float(np.sum(w * w)) * float((g * g).sum()))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
