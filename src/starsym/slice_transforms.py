@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sphere_geom import EquatorFrame, _latitude_points, make_frame, sphere_rule
+from .sphere_geom import EquatorFrame, _latitude_points, _rungs, make_frame, sphere_rule
 from .star_body import (
     _BOUND_SLACK,
     FD_STEP,
@@ -444,20 +444,6 @@ def _solve(body, frame, cuts, index, rule):
         yield js, theta, w, _illinois(g, a, b, ga, gb)
 
 
-def _rungs(rule):
-    # the caller's rule, after its r // 4 and r // 2 rungs if sphere_rule's on S^2 or
-    # up; its size is checked first, so a declared resolution builds no larger rule
-    d, r = rule.sphere_dim, rule.resolution
-    try:
-        own = (d >= 2 and r // 4 >= 2 and rule.size == r * max(2, r // 2) ** (d - 2)
-               and sphere_rule(d, r))
-    except ValueError:  # a rule past sphere_rule's node cap
-        own = False
-    if own and np.array_equal(own.nodes, rule.nodes) and np.array_equal(own.weights, rule.weights):
-        return [sphere_rule(d, r // 4), sphere_rule(d, r // 2), rule]
-    return [rule]
-
-
 def hyperplane_section(body, frame, z, rule):
     """(n-1)-volume of the flat cut { x : <x, xi> = z } through the body.
 
@@ -471,12 +457,13 @@ def hyperplane_section(body, frame, z, rule):
     resolution-8 rule, whose fit the later solves use.  The rays then take
     the directions L theta / |L theta|, L = A^(-1/2), with weights det L /
     |L theta|^{n-1}, so an ellipsoidal cut is a ball there.  The value is
-    the r // 2 rung's of the caller's `sphere_rule` family when it agrees
-    with the r // 4 rung's to 1e-13 of it, else the caller's rule's, the
-    finest any cut uses (the only one at n = 2 or for a rule not built by
-    `sphere_rule`).  A body not declared convex keeps p where it starts and
-    the caller's rule, and its rays are probed for a second crossing by one
-    64-row scan per side and start point.  Only rho is used.
+    the r // 2 rung's of the caller's rule family (`sphere_geom._family`)
+    when it agrees with the r // 4 rung's to 1e-13 of it, else the caller's
+    rule's, the finest any cut uses (the only one where the family is the
+    rule alone: at n = 2, or for a rule not built by `sphere_rule`).  A
+    body not declared convex keeps p where it starts and the caller's rule,
+    and its rays are probed for a second crossing by one 64-row scan per
+    side and start point.  Only rho is used.
 
     rho(+-xi) is checked against radius_bound first.  Cuts at |z| >=
     radius_bound are 0.0, and on a convex body so are those at or above

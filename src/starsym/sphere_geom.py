@@ -13,6 +13,7 @@ coordinates and reused across frames.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -300,6 +301,30 @@ def sphere_rule(d, resolution):
     return EquatorQuadrature(nodes=nodes, weights=weights, degree=degree, resolution=resolution)
 
 
+def _family(rule):
+    # The one walk over a rule's sphere_rule family: rule, then the cached
+    # rules at r // 2, r // 4, ... down to resolution 2, each built as the
+    # walk reaches it; a rule sphere_rule did not build (n = 2, other nodes
+    # or weights, a size or resolution it would not give) walks alone.  Cuts
+    # and default sweeps take its `_rungs`; verify's pointwise checks its first
+    # rule of at most 2048 nodes, as a resolution cap leaves n = 5, 6 defaults whole.
+    yield rule
+    d, r = rule.sphere_dim, rule.resolution
+    try:  # the size first, so that a declared resolution builds no larger rule
+        own = d > 1 and r >= 4 and rule.size == r * max(2, r // 2) ** (d - 2) and sphere_rule(d, r)
+    except ValueError:  # a rule past sphere_rule's node cap
+        return
+    if own and np.array_equal(own.nodes, rule.nodes) and np.array_equal(own.weights, rule.weights):
+        for k in range(1, int(r).bit_length() - 1):
+            yield sphere_rule(d, r // 2 ** k)
+
+
+def _rungs(rule):
+    # the r // 4 and r // 2 rungs of rule's family, then rule; rule alone without them
+    rungs = list(itertools.islice(_family(rule), 3))
+    return rungs[::-1] if len(rungs) == 3 else [rule]
+
+
 def equator_rule(n, resolution=None):
     """Quadrature on the equator S^{n-2} of S^{n-1}, in frame coordinates.
 
@@ -314,10 +339,10 @@ def equator_rule(n, resolution=None):
         (n=3), 64 (n=4), 32 (n=5), 16 (n=6).  This is the only place
         that default is applied: every layer above passes its
         resolution through unchanged and reports the returned rule's
-        `resolution`.  A default detector
-        sweep in n >= 4 reads its coarser ladder levels (resolution // 4
-        and // 2) off this rule, and may stop at one of them; its
-        report records the rule it stopped at.
+        `resolution`.  Coarser rules come from this rule's family
+        (`_family`): a default detector sweep in n >= 4 reads its ladder
+        levels (resolution // 4 and // 2) off it, and may stop at one of
+        them; its report records the rule it stopped at.
     """
     n = check_dim(n)
     if resolution is None:

@@ -199,12 +199,14 @@ class RadialField:
         if self.lipschitz_bound is not None:
             _validate_lipschitz(ru, rv, self.lipschitz_bound, u, v)
         if self.convex:
-            # the midpoint of two boundary points lies in a convex body
-            mid = 0.5 * (ru[:, None] * u + rv[:, None] * v)
+            # the midpoint of two boundary points lies in a convex body; its
+            # norm is taken over 2^k > radius_bound, whose squares stay in range
+            k = math.frexp(self.radius_bound)[1]
+            mid = np.ldexp(0.5 * (ru[:, None] * u + rv[:, None] * v), -k)
             norm = np.linalg.norm(mid, axis=1)
             keep = norm > 0.0
             mid = mid[keep] / norm[keep, None]
-            if np.any(norm[keep] > self.evaluate(mid) * (1.0 + _BOUND_SLACK)):
+            if np.any(np.ldexp(norm[keep], k) > self.evaluate(mid) * (1.0 + _BOUND_SLACK)):
                 raise ValueError("declared convex=True contradicted: the midpoint of two "
                                  "boundary points lies outside the body")
         if self.gradient is not None:

@@ -19,6 +19,7 @@ import numpy as np
 # probe_directions and odd_part are used by nothing here; they stay
 # imported because perfbench's tracer rebinds both names on this module
 from .sphere_geom import (
+    _rungs,
     check_dim,
     equator_rule,
     fibonacci_sphere,
@@ -27,7 +28,7 @@ from .sphere_geom import (
     random_directions,
 )
 from .star_body import odd_part, to_scalar_field
-from .slice_transforms import _pole_transforms, _rungs
+from .slice_transforms import _pole_transforms
 
 _EPS = float(np.finfo(float).eps)
 
@@ -119,15 +120,6 @@ def calibrate(gradient_path):
 _LADDER_NODES = 2048
 
 
-def _rule_ladder(n, rule_resolution):
-    # the rules a sweep may visit, coarsest first: an explicit rule or one
-    # below _LADDER_NODES alone, else its `_rungs` (resolution // 4, // 2)
-    rule = equator_rule(n, rule_resolution)
-    if rule_resolution is not None or rule.size < _LADDER_NODES:
-        return (rule,)
-    return tuple(_rungs(rule))
-
-
 def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
     """Evaluate the transform over the antipodal pole set and classify the field.
 
@@ -158,7 +150,8 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
 
     Without `rule_resolution`, a default rule of at least 2048 nodes
     (n >= 4) is reached on a ladder: the base poles are swept at
-    resolutions r // 4, r // 2 and r of `equator_rule(n)`.  The sweep
+    resolutions r // 4, r // 2 and r of `equator_rule(n)`'s family
+    (`sphere_geom._family`).  The sweep
     stops at r // 2 only when no value moved by more than that level's
     floor C eps max s since r // 4, and its verdict stands under the
     default rule with that move as margin: max |A| - move above twice
@@ -178,7 +171,8 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
     xis, frames = _pole_frames(n, num_dirs, seed)
     xis = xis.copy()
     constant = calibrate(f.gradient is not None) * _EPS
-    rules = _rule_ladder(n, rule_resolution)
+    rule = equator_rule(n, rule_resolution)
+    rules = [rule] if rule_resolution is not None or rule.size < _LADDER_NODES else _rungs(rule)
     ladder, base = [], None
     for rule in rules:
         coarser, (base, scales) = base, _pole_transforms(f, frames, rule)

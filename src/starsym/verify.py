@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .sphere_geom import (
+    _family,
     check_dim,
     embed,
     equator_rule,
@@ -114,13 +115,8 @@ _POINTWISE_NODES = 2048
 
 
 def _pointwise_rule(n, resolution):
-    # the rule of `resolution`, its resolution halved until it has at most
-    # _POINTWISE_NODES nodes; a resolution cap would leave the default
-    # 8192-node rules of n = 5, 6 whole
-    rule = equator_rule(n, resolution)
-    while rule.size > _POINTWISE_NODES:
-        rule = equator_rule(n, rule.resolution // 2)
-    return rule
+    return next(rule for rule in _family(equator_rule(n, resolution))
+                if rule.size <= _POINTWISE_NODES)
 
 
 @lru_cache(maxsize=None)
@@ -410,10 +406,14 @@ def check_names():
 def run_checks(resolution=None, only=None):
     """Run the registry and return a list of CheckResult.
 
-    resolution is passed unchanged to every `equator_rule` the checks
-    build, so None means each dimension's default; a resolution below 2,
-    or one whose n = 6 rule (which rule_mass builds) has more nodes than
-    equator_rule allows, raises ValueError before any check runs.
+    resolution is passed unchanged to the `equator_rule` of each check,
+    so None means each dimension's default, except in four checks:
+    `majorant` always uses the resolution-16 rule, `set_identity` and
+    `tail_term` the largest rule of the resolution's family with at most
+    2048 nodes (`sphere_geom._family`), and `slope_agreement` takes its
+    curve slopes on the REFERENCE_RESOLUTION = 512 rule.  A resolution
+    below 2, or one whose n = 6 rule (which rule_mass builds) has more
+    nodes than equator_rule allows, raises ValueError before any check runs.
     only: optional iterable of check names; an empty selection, an
     unknown name or a repeated one raises ValueError.
     """

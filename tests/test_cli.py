@@ -694,6 +694,15 @@ def test_analyze_reads_the_true_verdict_at_extreme_scales(tmp_path, capsys, name
     assert 0.0 < report["l2_mean_transform"] <= report["max_abs_transform"]
 
 
+def test_analyze_reads_a_disk_of_radius_1e300_as_symmetric(tmp_path, capsys):
+    # its convexity check squared raw boundary midpoints, which overflowed
+    out = tmp_path / "out"
+    doc = {"kind": "ball", "dim": 2, "params": {"radius": 1e300}}
+    assert main(["analyze", "--body", _spec(tmp_path, doc), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "report.json").read_text())["verdict"] == "symmetric"
+
+
 @pytest.mark.parametrize("radius, bound", [(1e70, "radius_bound = 1e+70"),
                                            (1e-62, "radius_floor = 1e-62")],
                          ids=["huge", "tiny"])

@@ -31,7 +31,7 @@ from starsym import (
     to_scalar_field,
     vol_sphere,
 )
-from starsym import slice_transforms
+from starsym import slice_transforms, sphere_geom
 
 
 def _rule(n):
@@ -213,7 +213,7 @@ def _points_per_height(n, rule):
         return 2 + 12 * rule.size
     first, fit = (slice_transforms.sphere_rule(n - 1, r).size
                   for r in (slice_transforms._FIRST_RESOLUTION, slice_transforms._FIT_RESOLUTION))
-    rungs = sum(r.size for r in slice_transforms._rungs(rule)[:-1])
+    rungs = sum(r.size for r in sphere_geom._rungs(rule)[:-1])
     return 2 + 12 * (first + fit + rungs) + 4 * rule.size
 
 
@@ -676,16 +676,19 @@ def test_rungs_are_never_finer_than_the_callers_rule(n, monkeypatch):
     assert sizes == [first, fit, rule.size]
     # a rule's size is checked before sphere_rule is asked for its declared
     # resolution: a few nodes declaring resolution 64 (2 097 152 nodes at
-    # n = 6) build no rule of that resolution
-    asked, build = [], slice_transforms.sphere_rule
-    monkeypatch.setattr(slice_transforms, "sphere_rule",
-                        lambda d, r: asked.append(r) or build(d, r))
-    few = equator_rule(n, 4)
+    # n = 6) build no rule of that resolution, and ask for no rule at all;
+    # a family rule's walk asks for the rule itself, then its r // 2 and
+    # r // 4 rungs
+    few, family = equator_rule(n, 4), equator_rule(n, 16)
+    asked, build = [], sphere_geom.sphere_rule
+    monkeypatch.setattr(sphere_geom, "sphere_rule", lambda d, r: asked.append(r) or build(d, r))
     declared = EquatorQuadrature(nodes=few.nodes, weights=few.weights, degree=few.degree,
                                  resolution=64)
     sizes.clear()
     hyperplane_section(body, frame, 0.3, declared)
-    assert sizes == [first, fit, few.size] and 64 not in asked
+    assert sizes == [first, fit, few.size] and asked == []
+    hyperplane_section(body, frame, 0.3, family)
+    assert asked == [16, 8, 4]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from starsym import (
     DIM_MAX,
     DIM_MIN,
     FRAME_SEED,
+    body_shifted_ball,
     default_resolution,
+    detect,
     embed,
     equator_rule,
     fibonacci_sphere,
     geodesic_distance,
+    hyperplane_section,
     make_frame,
     probe_directions,
     random_directions,
@@ -25,6 +29,7 @@ from starsym import (
     unit_vector,
     vol_sphere,
 )
+from starsym import slice_transforms, symmetry_detector, verify
 from starsym.sphere_geom import _polar_rule, check_dim
 
 
@@ -353,3 +358,42 @@ def test_rules_build_without_scipy():
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_rule_site_takes_the_cached_rules_it_always_took(n, monkeypatch):
+    # hyperplane cuts, detector sweeps and verify's pointwise checks take
+    # their coarser rules from one family walk; each gets sphere_rule's
+    # cached objects at the resolutions below.  A cut solves on the
+    # resolution-6 and -8 fit rules (n >= 3), then on r // 4, r // 2 and r,
+    # or on r alone below resolution 8 and at n = 2.  A default sweep of at
+    # least 2048 nodes visits r // 4, r // 2 and maybe r, any other sweep r.
+    # The pointwise rule halves r until it has at most 2048 nodes
+    solved, swept = [], []
+    solve, transforms = slice_transforms._solve, symmetry_detector._pole_transforms
+    monkeypatch.setattr(slice_transforms, "_solve", lambda body, frame, cuts, index, rule:
+                        solved.append(rule) or solve(body, frame, cuts, index, rule))
+    monkeypatch.setattr(symmetry_detector, "_pole_transforms", lambda f, frames, rule:
+                        swept.append(rule) or transforms(f, frames, rule))
+    body = body_shifted_ball(n, 1.0, np.linspace(0.25, -0.15, n))
+    frame = make_frame(np.arange(1.0, n + 1.0))
+    pointwise = {(5, None): 16, (6, None): 8, (6, 12): 6}
+    at = partial(sphere_rule, n - 1)
+    for resolution in (None, 4, 8, 12):
+        r = default_resolution(n) if resolution is None else resolution
+        solved.clear()
+        swept.clear()
+        rule = equator_rule(n, resolution)
+        hyperplane_section(body, frame, np.array([-0.4, 0.3]), rule)
+        detect(body, num_dirs=8, rule_resolution=resolution)
+        rungs = [at(r // 4), at(r // 2), at(r)] if n > 2 and r >= 8 else [at(r)]
+        assert _same(solved, ([at(6), at(8)] if n > 2 else []) + rungs), (n, resolution)
+        if resolution is None and at(r).size >= 2048:
+            assert _same(swept, rungs) or _same(swept, rungs[:2]), n
+        else:
+            assert _same(swept, [at(r)]), (n, resolution)
+        assert verify._pointwise_rule(n, resolution) is at(pointwise.get((n, resolution), r))

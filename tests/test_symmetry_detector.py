@@ -1,5 +1,6 @@
 """Detector sweeps: verdicts on known bodies and the antipodal pole set."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,29 @@ def test_huge_shifted_ball_reads_asymmetric(path):
     for got, want in ((report.max_abs, unit.max_abs), (report.l2_mean, unit.l2_mean),
                       (report.threshold, unit.threshold)):
         assert got == pytest.approx(1e175 * want, rel=1e-9)
+
+
+@pytest.mark.parametrize("size", [1e160, 1e300])
+def test_huge_balls_pass_their_convexity_check(size):
+    # the check took the norms of raw boundary midpoints, whose squares
+    # overflowed: the n = 2 ball was refused as "declared convex=True
+    # contradicted", and the n = 6 ball never reached its density refusal
+    assert detect(body_ball(2, size), num_dirs=20).verdict == "symmetric"
+    with pytest.raises(ValueError, match=re.escape(f"radius_bound = {size:g} puts the section "
+                       "density rho^5/5 of an n = 6 body past the largest double")):
+        detect(body_ball(6, size), num_dirs=20)
+
+
+@pytest.mark.parametrize("kind, size", [("ellipsoid", 1e160), ("ellipsoid", 1e300),
+                                        ("shifted_ball", 1e-160), ("shifted_ball", 1e160),
+                                        ("shifted_ball", 1e300)])
+def test_scaled_convex_disks_keep_their_verdicts(kind, size):
+    # unit n = 2 bodies declared convex, dilated to sizes whose squares leave
+    # the double range; the convexity check refused the tiny shifted ball,
+    # its midpoint norms lost in the subnormals, and overflowed on the rest
+    unit, verdict = {"ellipsoid": (body_ellipsoid(2, (1.5, 0.7)), "symmetric"),
+                     "shifted_ball": (body_shifted_ball(2, 1.0, [0.3, 0.0]), "asymmetric")}[kind]
+    assert detect(scale_body(unit, size), num_dirs=20).verdict == verdict
 
 
 @pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
