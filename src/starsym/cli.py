@@ -232,7 +232,10 @@ def parse_z_values(text):
             raise ValueError("empty z list")
     if not np.all(np.isfinite(zs)):
         raise ValueError("heights must be finite")
-    return np.unique(zs)
+    # np.unique's own sort and first-of-equal mask, without the lazy
+    # import of numpy.ma that np.unique costs a cold process
+    zs = np.sort(zs)
+    return zs[np.concatenate([[True], zs[1:] != zs[:-1]])]
 
 
 def _parse_csv_list(text, allowed, what):

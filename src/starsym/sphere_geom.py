@@ -116,7 +116,8 @@ def make_frame(pole, seed=FRAME_SEED):
     ----------
     pole : array-like
     seed : int, default FRAME_SEED, the completion that every pole
-        sweep, CLI artifact and verify check uses
+        sweep, CLI artifact and verify check uses; a default detector
+        sweep's r // 2 check adds a second one (see `sweep`)
 
     Returns
     -------

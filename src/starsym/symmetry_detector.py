@@ -19,6 +19,7 @@ import numpy as np
 # probe_directions and odd_part are used by nothing here; they stay
 # imported because perfbench's tracer rebinds both names on this module
 from .sphere_geom import (
+    FRAME_SEED,
     _rungs,
     check_dim,
     equator_rule,
@@ -46,6 +47,9 @@ class AsymmetryReport:
     move, floor) tuple per rule the sweep visited, coarsest first: max
     move is the largest change of a swept value since the level before
     (None on the first level) and floor is C eps max s on that level.
+    A second-completion check of the r // 2 level (see `sweep`) is an
+    entry of its own after that level's: its move is the largest
+    difference of the two r // 2 readings and its floor the level's.
     It is a diagnostic; the CLI's report.json and values.csv omit it.
     """
 
@@ -87,14 +91,19 @@ def sample_poles(n, count, seed=0):
     return np.vstack([base, -base])
 
 
+# the frame seed of the second completion that can confirm an r // 2
+# ladder level when the r // 4 level cannot (see `sweep`)
+_CHECK_SEED = 202
+
+
 @lru_cache(maxsize=64)
-def _pole_frames(n, num_dirs, seed):
+def _pole_frames(n, num_dirs, seed, frame_seed=FRAME_SEED):
     # sample_poles is deterministic, so each pole set and the seeded
     # frames of its base half are built once per process and shared by
-    # every sweep
+    # every sweep; the _CHECK_SEED frames only by sweeps that run the check
     xis = sample_poles(n, num_dirs, seed=seed)
     xis.setflags(write=False)
-    return xis, tuple(make_frame(xi) for xi in xis[:len(xis) // 2])
+    return xis, tuple(make_frame(xi, seed=frame_seed) for xi in xis[:len(xis) // 2])
 
 
 @lru_cache(maxsize=2)
@@ -158,10 +167,16 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
     the floor, or max |A| + move at most the floor times |w_r| / |w_r//2|
     (the default rule's floor on the finite-difference path; on the
     gradient path the scale does not fall with the nodes, so there the
-    bound is conservative).  A sweep that reaches r returns what a
-    one-level sweep of equator_rule(n) returns, bit for bit.  The
-    report's `resolution` is the rule the values come from, and its
-    `ladder` lists every level visited.
+    bound is conservative).  A move from r // 4 above the floor may only
+    mean that r // 4 is too coarse to confirm r // 2 (32 nodes at n = 6),
+    so the r // 2 rule is then swept once more on a second completion
+    of each base pole's frame, `make_frame(xi, seed=202)`; with the
+    largest difference of the two readings as the move, the same two
+    conditions stop the sweep at r // 2.  A sweep that stops at r // 2
+    returns what `sweep(f, rule_resolution=r // 2)` returns, and one that
+    reaches r what a one-level sweep of equator_rule(n) returns, bit for
+    bit.  The report's `resolution` is the rule the values come from,
+    and its `ladder` lists every level visited and the check.
 
     Returns
     -------
@@ -179,7 +194,16 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
         floor = constant * float(scales.max())
         move = None if coarser is None else float(np.max(np.abs(base - coarser)))
         ladder.append((rule.resolution, rule.size, move, floor))
-        if move is not None and rule is not rules[-1] and move <= floor:
+        if move is None or rule is rules[-1]:
+            continue
+        if move > floor:
+            # the r // 4 level may just be too coarse to confirm this one;
+            # the same rule on a second completion of each frame can
+            _, second = _pole_frames(n, num_dirs, seed, _CHECK_SEED)
+            check, _ = _pole_transforms(f, second, rule)
+            move = float(np.max(np.abs(base - check)))
+            ladder.append((rule.resolution, rule.size, move, floor))
+        if move <= floor:
             # settled; a margin of `move` keeps the verdict on its side of
             # the default rule's floor, taken as twice this one above and
             # as this one times |w_default| / |w_level| below
@@ -214,7 +238,8 @@ def detect(body, num_dirs=100, seed=0, rule_resolution=None):
 
     `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
     pairs, at the cost of 18 base-pole transforms per rule it visits (in
-    ceil(18 / G) field calls, G = max(1, 8192 // nodes)).  A default
+    ceil(18 / G) field calls, G = max(1, 8192 // nodes)); the check of
+    `sweep`'s ladder costs 18 more on the r // 2 rule.  A default
     detect in n >= 4 may stop at half the default resolution, and the
     report's `resolution` records the rule its values come from.
     """

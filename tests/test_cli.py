@@ -136,7 +136,7 @@ def test_analyze_report_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc, verdict, resolution", [
     ({"kind": "shifted_ball", "dim": 5,
-      "params": {"radius": 1.0, "center": [0.2, 0.1, 0.0, 0.0, -0.1]}}, "asymmetric", 32),
+      "params": {"radius": 1.0, "center": [0.2, 0.1, 0.0, 0.0, -0.1]}}, "asymmetric", 16),
     ({"kind": "ellipsoid", "dim": 6,
       "params": {"semiaxes": [0.014, 0.012, 0.01, 0.009, 0.008, 0.011]}}, "symmetric", 8),
     ({"kind": "harmonic_ball", "dim": 3,
@@ -152,7 +152,8 @@ def test_analyze_verdict_and_the_rule_it_records(tmp_path, capsys, doc, verdict,
     # the detector's floor at default settings, and the rule ladder's
     # stop: the n = 6 ellipsoid at scale 1e-2 settles at resolution 8,
     # half its default; the shifted n = 5 ball does not settle on the
-    # coarse rules and records its default 32; n = 2, 3 sweep one level
+    # r // 4 rung, the second frame completion confirms its r // 2 rung,
+    # and it records 16, half its default 32; n = 2, 3 sweep one level
     # at their defaults 2 and 512.  n = 2 takes the same roundoff floor as
     # every other dimension, and the harmonic balls read the real
     # harmonics built on the zonal recurrence
@@ -872,6 +873,11 @@ def test_parse_z_values():
     assert zs[-1] == pytest.approx(0.8)
     assert np.all(np.diff(zs) > 0)
     assert np.allclose(parse_z_values("0.5,-0.2,0.1"), [-0.2, 0.1, 0.5])
+    # sorted, one height per value: a repeated height, and -0.0 beside
+    # +0.0, keep the height np.unique would keep, bit for bit
+    for text in ("0.5,-0.2,0.5,0.1,-0.2", "-0.0,0.0", "0.0,-0.0,0.3,-0.0"):
+        want = np.unique([float(p) for p in text.split(",")])
+        assert parse_z_values(text).tobytes() == want.tobytes(), text
     # range points that miss z = 0 by roundoff are exactly +0.0
     for grid in ("-0.6:0.6:0.2", "-0.9:0.9:0.3"):
         zs = parse_z_values(grid)
@@ -893,6 +899,19 @@ def test_parse_z_values():
                        ("0:1e300:1e-300", "inf"), ("-1e308:1e308:1e-308", "inf")):
         with pytest.raises(ValueError, match=re.escape(f"z range has {count} points; at most")):
             parse_z_values(bad)
+
+
+def test_sections_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, which a cold sections
+    # process would pay for its height grid alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from starsym.cli import main; "
+            f"assert main(['sections', '--body', {_spec(tmp_path, BALL)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}, '--z=0.5,-0.25,0.0,-0.0,0.5']) == 0; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_build_body_kinds_and_errors():

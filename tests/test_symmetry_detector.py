@@ -31,7 +31,7 @@ from starsym import (
     to_scalar_field,
     zonal_field,
 )
-from starsym import slice_transforms
+from starsym import slice_transforms, symmetry_detector
 
 
 def test_even_bodies_read_symmetric():
@@ -380,7 +380,9 @@ def test_default_ladder_keeps_the_default_rule_verdict(n, path):
         want = detect(body, rule_resolution=default)
         assert report.verdict == want.verdict, (body.label, report.ladder)
         levels = [level[0] for level in report.ladder]
-        assert levels in ([default // 4, default // 2], [default // 4, default // 2, default])
+        coarse = [default // 4, default // 2]
+        assert levels in (coarse, coarse + [default], coarse + [default // 2],
+                          coarse + [default // 2, default])
         resolution, nodes, move, floor = report.ladder[-1]
         assert (resolution, nodes) == (report.resolution, equator_rule(n, resolution).size)
         if resolution == default:
@@ -388,3 +390,51 @@ def test_default_ladder_keeps_the_default_rule_verdict(n, path):
             assert report.threshold == want.threshold
         else:
             assert move <= floor == report.threshold
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("path", [lambda b: b, strip_gradient],
+                         ids=["gradient", "finite_difference"])
+def test_a_level_the_second_frames_confirm_is_the_half_rule_sweep(n, path):
+    # the r // 4 level is too coarse to confirm the r // 2 level of a
+    # shifted ball; the same rule on the second frame completion does, and
+    # the sweep stops there with what an explicit sweep of that rule
+    # returns, bit for bit.  The check is its own ladder entry, compared
+    # with the r // 2 level's floor
+    half = default_resolution(n) // 2
+    f = to_scalar_field(path(body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n))))
+    report = sweep(f)
+    want = sweep(f, rule_resolution=half)
+    size = equator_rule(n, half).size
+    assert [level[:2] for level in report.ladder] == [
+        (half // 2, equator_rule(n, half // 2).size), (half, size), (half, size)]
+    (_, _, move, floor), (_, _, check, check_floor) = report.ladder[1:]
+    assert move > floor and check <= check_floor == floor == want.threshold
+    assert np.array_equal(report.values, want.values)
+    assert np.array_equal(np.signbit(report.values), np.signbit(want.values))
+    for name in ("resolution", "threshold", "max_abs", "l2_mean", "verdict", "note"):
+        assert getattr(report, name) == getattr(want, name), name
+    assert report.verdict == "asymmetric"
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_the_second_frames_complete_each_pole_another_way(n):
+    # the check's frames span the same equator as the sweep's, in bases
+    # that are not a signed permutation of the first ones, so the same
+    # rule lands on other equator points; they are built only by a sweep
+    # that runs the check, as the shifted ball's does and the ball's not
+    frames_of = symmetry_detector._pole_frames
+    frames_of.cache_clear()
+    detect(body_ball(n, 1.0), num_dirs=8, seed=3)
+    assert frames_of.cache_info().currsize == 1
+    detect(body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)), num_dirs=8, seed=3)
+    assert frames_of.cache_info().currsize == 2
+    xis, frames = frames_of(n, 8, 3)
+    second = frames_of(n, 8, 3, symmetry_detector._CHECK_SEED)[1]
+    assert len(second) == len(frames) == 4
+    for xi, first, other in zip(xis, frames, second):
+        assert np.array_equal(other.pole, first.pole)
+        assert np.allclose(other.basis @ other.basis.T, np.eye(n - 1), atol=1e-12)
+        assert np.allclose(other.basis @ xi, 0.0, atol=1e-12)
+        turn = np.abs(first.basis @ other.basis.T)
+        assert not np.allclose(np.max(turn, axis=1), 1.0)

@@ -11,6 +11,7 @@ import pytest
 from starsym import slice_transforms, symmetry_detector
 from starsym import (
     FRAME_SEED,
+    RadialField,
     ScalarField,
     body_ball,
     body_ellipsoid,
@@ -27,6 +28,7 @@ from starsym import (
     sweep,
     to_scalar_field,
     transform_sweep,
+    zonal_field,
 )
 from starsym.star_body import FD_STEP
 
@@ -229,9 +231,10 @@ def _counting(body):
 @pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
 def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
     # a default detect integrates its 50 base poles once per level it
-    # visits (one in n = 3; in n = 5 three for the shifted ball, which
-    # reaches the default rule, and two for the ellipsoid, which stops
-    # at the middle one) and reads the other 50 off their negatives: no
+    # visits (one in n = 3; in n = 5 three for the shifted ball, whose
+    # r // 2 level is swept again on the second frame completion and
+    # stops there, and two for the ellipsoid, which stops at the middle
+    # one without that check) and reads the other 50 off their negatives: no
     # calibration sweep, no probe of the odd part, and the roundoff scale
     # of each transform costs no evaluation.  A level of N nodes takes
     # ceil(50 / G) field calls, G = _GROUP_POINTS // N poles per call
@@ -242,6 +245,8 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
         report = detect(body)
         levels = 1 if n == 3 else levels
         assert len(report.ladder) == levels
+        if n == 5:
+            assert [level[0] for level in report.ladder] == [8, 16, 16][:levels]
         assert len(calls) == 50 * levels
         assert [level[1] for level in report.ladder] == [
             equator_rule(n, level[0]).size for level in report.ladder]
@@ -257,6 +262,16 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
                     "evaluate_calls": groups, "evaluate_points": 50 * nodes}
         assert dict(counts) == want, body.label
         monkeypatch.undo()
+
+
+def test_a_default_n6_shifted_ball_skips_the_default_rule():
+    # the second frame completion confirms the 512-node level, so the
+    # 8192-node default rule is never swept: at most 50 base poles on the
+    # 32-node level and twice on the 512-node one
+    body, counts = _counting(body_shifted_ball(6, 1.0, np.linspace(0.25, -0.15, 6)))
+    report = detect(body)
+    assert report.verdict == "asymmetric"
+    assert counts["gradient_points"] <= 50 * (32 + 512 + 512), report.ladder
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -359,17 +374,32 @@ def test_transform_value_is_a_float_with_its_scale():
         assert _same_bits(copied[0], values) and _same_bits(copied[1], scales)
 
 
+def _climbing(n):
+    # bodies whose default sweeps climb past the r // 2 check to the
+    # default rule: the n = 5 shifted ball of verify, and at n = 6, where
+    # shifted balls stop at r // 2, a ball with an odd degree-3 zonal bump
+    if n == 5:
+        body = body_shifted_ball(5, 1.0, (0.6, 0.0, 0.0, 0.0, 0.0))
+    else:
+        z = zonal_field(n, 3, np.linspace(1.0, 0.3, n))
+        body = RadialField(dim=n, evaluate=lambda u: 1.0 + 0.05 * z.evaluate(u),
+                           gradient=lambda u: 0.05 * z.gradient(u),
+                           radius_bound=1.05, radius_floor=0.95, label="zonal_bump(l=3)")
+    return [body, strip_gradient(body)]
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_a_sweep_ending_at_the_default_equals_the_explicit_default(n, monkeypatch):
-    # a shifted ball does not settle on the coarse levels of n = 5, 6
-    # (in n = 4 it settles at resolution 32), so its default
-    # sweep climbs the whole ladder and returns what the explicit
-    # default rule returns, bit for bit; the explicit sweep visits one
-    # level and integrates each base pole once
+    # neither the r // 4 level nor the second frame completion confirms
+    # the r // 2 level of these bodies, so their default sweeps climb the
+    # whole ladder and return what the explicit default rule returns, bit
+    # for bit; the explicit sweep visits one level and integrates each
+    # base pole once
     default = equator_rule(n).resolution
-    for body in _bodies(n)[1::3]:
+    for body in _climbing(n):
         report = detect(body, num_dirs=24, seed=n)
-        assert [level[0] for level in report.ladder] == [default // 4, default // 2, default]
+        assert [level[0] for level in report.ladder] == [
+            default // 4, default // 2, default // 2, default]
         calls, points = _count_transforms(monkeypatch)
         explicit = detect(body, num_dirs=24, seed=n, rule_resolution=default)
         assert len(calls) == 12
