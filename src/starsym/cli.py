@@ -55,14 +55,8 @@ def _fmt(x):
 
 
 def _param_line(params):
-    parts = []
-    for k, v in params.items():
-        if isinstance(v, float):
-            parts.append(f"{k}={_fmt(v)}")
-        elif isinstance(v, (list, tuple)):
-            parts.append(f"{k}={','.join(str(x) for x in v)}")
-        else:
-            parts.append(f"{k}={v}")
+    # values are strings, ints or a list of strings
+    parts = (f"{k}={','.join(v) if isinstance(v, list) else v}" for k, v in params.items())
     return "# parameters: " + " ".join(parts) + "\n"
 
 

@@ -41,8 +41,8 @@ _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
 # points per body or field call in `_solve` and in the pole groups of
-# `transform_sweep` (50 poles of the n = 2 default rule per call, 16 at
-# n = 3, 4 at n = 4, one at n = 5, 6)
+# `transform_sweep`: on the default rules 50 poles per call at n = 2, 16 at
+# n = 3, 4 at n = 4 and one at n = 5, 6
 _GROUP_POINTS = 8192
 # the two centroid passes of a cut: the first on the rule of resolution 6
 # (6, 18, 54, 162 nodes at n = 3..6), the coarsest whose boundary points
@@ -609,9 +609,8 @@ def transform_sweep(f, frames, rule):
     `frames` holds EquatorFrame objects or bare poles; a bare pole is
     completed with make_frame(pole), the frame every sweep in the
     package uses.  The poles reach the field in groups of up to
-    _GROUP_POINTS = 8192 lifted nodes per evaluate or gradient call
-    (50 poles of the n = 2 default rule in one call, one pole per call
-    for an 8192-node rule), and each value is a pairwise np.sum over its
+    _GROUP_POINTS lifted nodes per evaluate or gradient call (its comment
+    gives the group sizes), and each value is a pairwise np.sum over its
     own pole's rows, so the values are the per-pole ones bit for bit,
     at any BLAS thread count.  Returns the values as a 1-d float array.
     """
@@ -651,7 +650,7 @@ def section_curve(kind, obj, frame, zs, rule):
     return SectionCurve(kind=kind, zs=zs, values=fn(obj, frame, zs, rule))
 
 
-def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
+def derivative_at_zero(kind, obj, frame, rule):
     """Slope of a section curve at z = 0, checked against the transform.
 
     The finite-difference side differentiates the sampled curve with a
@@ -661,8 +660,7 @@ def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
     ladder heights going to the section function in one call;
     the transform side applies the equatorial transform to the curve's
     matching field (the section density for slice/conical curves, the
-    flat-cut slope density for hyperplane curves).  `transform_rule`
-    overrides the rule used on the transform side only.
+    flat-cut slope density for hyperplane curves).  Both sides use `rule`.
     """
     fn, match = _curve_function(kind, obj)
     h0 = _LADDER_H0 * obj.radius_floor if kind == "hyperplane" else _LADDER_H0
@@ -673,7 +671,7 @@ def derivative_at_zero(kind, obj, frame, rule, transform_rule=None):
     fd_value, diag = richardson_limit(steps)
     corrections = [abs(b - a) for a, b in zip(diag, diag[1:])]
     monotone = all(b <= a * 1.5 + 1e-14 for a, b in zip(corrections, corrections[1:]))
-    t_value = equator_transform(match, frame, transform_rule or rule)
+    t_value = equator_transform(match, frame, rule)
     return DerivativeAtZero(fd_value=float(fd_value),
                             transform_value=float(t_value),
                             fd_steps=tuple(steps),

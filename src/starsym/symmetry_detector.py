@@ -145,12 +145,11 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
     rule_resolution : an explicit rule is swept once, as given
 
     The base poles are computed by `transform_sweep`'s kernel, in groups
-    of up to 8192 lifted nodes per evaluate or gradient call (all 50
-    default base poles in one call at n = 2, 16 per call at n = 3, 4 at
-    the n = 4 default, one at the 8192-node defaults of n = 5, 6), each
-    value equal to its own `equator_transform` bit for bit at any BLAS
-    thread count.  Each negative gets 0.0 - A: make_frame(-xi) has the
-    basis of make_frame(xi), so both frames lift the same equator nodes, every
+    of up to `slice_transforms._GROUP_POINTS` lifted nodes per evaluate or
+    gradient call (its comment gives the group sizes), each value equal
+    to its own `equator_transform` bit for bit at any BLAS thread count.
+    Each negative gets 0.0 - A: make_frame(-xi) has the basis of
+    make_frame(xi), so both frames lift the same equator nodes, every
     per-node derivative flips sign exactly (the +-h latitude points of
     the finite-difference path swap places) and the value is the one a
     fresh transform would return, bit for bit; 0.0 - A keeps an exact
@@ -238,8 +237,8 @@ def detect(body, num_dirs=100, seed=0, rule_resolution=None):
 
     `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
     pairs, at the cost of 18 base-pole transforms per rule it visits (in
-    ceil(18 / G) field calls, G = max(1, 8192 // nodes)); the check of
-    `sweep`'s ladder costs 18 more on the r // 2 rule.  A default
+    ceil(18 / G) field calls, G = max(1, `_GROUP_POINTS` // nodes)); the
+    check of `sweep`'s ladder costs 18 more on the r // 2 rule.  A default
     detect in n >= 4 may stop at half the default resolution, and the
     report's `resolution` records the rule its values come from.
     """

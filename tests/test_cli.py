@@ -729,12 +729,18 @@ def test_analyze_refuses_a_density_outside_the_double_range(tmp_path, capsys, ra
     (["harmonics", "--num-xi", "11"], "--num-xi: must be at least 12"),
     (["analyze", "--body", "{ball}", "--sampler", "random"],
      "unrecognized arguments: --sampler random"),
+    (["analyze", "--body", "{listed}"], "starsym: body spec field 'params' must be an object"),
+    (["sections", "--body", "{ball}", "--kind", ","], "starsym: empty section kind list"),
+    (["sections", "--body", "{ball}", "--formats", ","], "starsym: empty format list"),
+    (["sections", "--body", "{ball}", "--xi", ","], "starsym: empty --xi"),
 ], ids=["dirs_zero", "dirs_negative", "seed_n3", "seed_n2", "seed_verify",
-        "seed_harmonics", "num_xi_verify", "mc_samples", "num_xi_harmonics", "sampler"])
+        "seed_harmonics", "num_xi_verify", "mc_samples", "num_xi_harmonics", "sampler",
+        "params_not_object", "kind_empty", "formats_empty", "xi_empty"])
 def test_refused_option_is_named_and_writes_nothing(tmp_path, capsys, argv, option):
     specs = {"ball": _spec(tmp_path, BALL),
              "disk": _spec(tmp_path, {"kind": "ball", "dim": 2,
-                                      "params": {"radius": 1.0}}, "disk.json")}
+                                      "params": {"radius": 1.0}}, "disk.json"),
+             "listed": _spec(tmp_path, dict(BALL, params=[1.0]), "listed.json")}
     out = tmp_path / "out"
     assert main([a.format(**specs) for a in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.rstrip().endswith(option)

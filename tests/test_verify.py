@@ -30,6 +30,33 @@ def test_coarse_resolution_fails_exactly_the_slope_check():
     assert bad.residual > bad.tolerance
 
 
+def test_z0_coincidence_compares_the_cone_with_the_latitude_scan(monkeypatch):
+    # below the normal range hyperplane_section returns the conical value
+    # itself, so the check's flat cut is solved by the latitude scan at a
+    # normal height, and scan radii off by 1e-8 fail it
+    scan = slice_transforms._scan
+
+    def stretched(*args):
+        for radii in scan(*args):
+            yield radii * (1.0 + 1e-8)
+
+    (good,) = run_checks(only=("z0_coincidence",))
+    assert good.passed and good.residual > 0.0
+    monkeypatch.setattr(slice_transforms, "_scan", stretched)
+    (bad,) = run_checks(only=("z0_coincidence",))
+    assert not bad.passed and bad.residual > 1e-9
+
+
+def test_xi_oddness_negates_each_pole_on_a_second_completion():
+    # make_frame(-xi) shares xi's basis, on which A(-xi) + A(xi) is 0.0 node
+    # by node; on a second completion the sum reads the rule's quadrature
+    # error, which the default and resolution-8 rules keep within the
+    # tolerance and a resolution-4 rule does not
+    for resolution, passed in ((None, True), (8, True), (4, False)):
+        (r,) = run_checks(resolution=resolution, only=("xi_oddness",))
+        assert r.residual > 0.0 and r.passed is passed, resolution
+
+
 def test_only_filter_runs_requested_checks_in_order():
     results = run_checks(only=("detector", "rule_mass"))
     assert [r.name for r in results] == ["detector", "rule_mass"]
