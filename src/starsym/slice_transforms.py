@@ -40,10 +40,17 @@ from .star_body import (
 _SCAN_POINTS = 64
 _ROOT_WIDTH = 1e-12
 _MAX_REFINE = 100
-# points per body or field call in `_solve` and in the pole groups of
-# `transform_sweep`: on the default rules 50 poles per call at n = 2, 16 at
-# n = 3, 4 at n = 4 and one at n = 5, 6
+# points per body call in `_solve` and in `_scan`'s row groups
 _GROUP_POINTS = 8192
+# 128 KiB in doubles, where glibc's mmap threshold starts: each (points, n)
+# array of a field call of `_pole_transforms` stays below it, since larger
+# ones are mmapped, or trimmed off the heap after each call, and fault back
+# in on the next.  A call takes P points, the largest power of two with P n
+# below it (4096 at n = 2, 3 and 2048 at n = 4, 5, 6): floor(P / N) whole
+# frames of an N-node rule, or one frame in ceil(N / P) node slices.  Each
+# frame's terms fill a row of a buffer that one pairwise np.sum reads, so
+# its value has the bits of a one-frame call
+_CALL_DOUBLES = 16384
 # the two centroid passes of a cut: the first on the rule of resolution 6
 # (6, 18, 54, 162 nodes at n = 3..6), the coarsest whose boundary points
 # identify every coefficient of the quadric (at n = 4, 5, 6 the fit's design
@@ -135,8 +142,8 @@ def richardson_limit(pairs):
     return col[0], diag
 
 
-def _check_rule(frame, rule):
-    if rule.sphere_dim != frame.dim - 1:
+def _check_rule(frames, rule):
+    if any(frame.dim != rule.sphere_dim + 1 for frame in frames):
         raise ValueError("quadrature rule dimension does not match the frame")
 
 
@@ -161,8 +168,9 @@ def slice_integral(f, frame, z, rule):
     latitude sphere of radius cos(psi) and the unit equator carrying the
     rule.  The rule nodes are lifted once, without `embed`'s checks, the
     pole is tiled once to the nodes' (N, n) shape, and the heights are
-    integrated one at a time; the field receives C-contiguous points
-    bit-identical to `embed`'s, and each sum is a pairwise np.sum.
+    integrated one at a time, each refilling one (N, n) point buffer; the
+    field receives C-contiguous points bit-identical to `embed`'s, and
+    each sum is a pairwise np.sum.
 
     Parameters
     ----------
@@ -173,16 +181,17 @@ def slice_integral(f, frame, z, rule):
 
     Returns a float for a scalar z and an array shaped like z otherwise.
     """
-    _check_rule(frame, rule)
+    _check_rule((frame,), rule)
     zs, scalar = _heights(z)
     if not np.all(np.abs(zs) < 1.0):
         raise ValueError("height z must lie in (-1, 1)")
     lifted = rule.nodes @ frame.basis
     tiled = np.tile(frame.pole, (lifted.shape[0], 1))
-    values, terms = np.empty(zs.shape), np.empty(rule.size)
+    values, terms, points = np.empty(zs.shape), np.empty(rule.size), np.empty_like(lifted)
     for j, z in enumerate(zs):
         psi = math.asin(z)
-        np.multiply(f.evaluate(_latitude_points(tiled, lifted, psi)), rule.weights, out=terms)
+        _latitude_points(tiled, lifted, psi, out=points)
+        np.multiply(f.evaluate(points), rule.weights, out=terms)
         values[j] = math.cos(psi) ** (frame.dim - 2) * float(np.sum(terms))
     return _shaped(values, scalar)
 
@@ -473,7 +482,7 @@ def hyperplane_section(body, frame, z, rule):
     crossing the boundary twice, bounds a ray contradicts, and a root that
     does not converge.  z is a scalar (returns a float) or a 1-d array.
     """
-    _check_rule(frame, rule)
+    _check_rule((frame,), rule)
     zs, scalar = _heights(z)
     n, pole, bound = frame.dim, frame.pole, body.radius_bound
     if not np.all(np.isfinite(zs)):
@@ -545,45 +554,54 @@ def hyperplane_section(body, frame, z, rule):
 
 def _pole_transforms(f, frames, rule):
     # A(xi) of each frame and the roundoff scale s of its sum, as two float
-    # arrays.  The frames reach the field in groups of G = _GROUP_POINTS // N,
-    # at least one: each frame's own product nodes @ basis makes its own rows
-    # of one C-contiguous (G N, n) array, next to its pole repeated over
-    # them, so one evaluate or gradient call serves the group; one pairwise
-    # np.sum along the frames' rows gives each quantity, the sum of a group
-    # of one, bit for bit.  A group of one keeps the (n,) pole.
+    # arrays, in field calls whose arrays stay below _CALL_DOUBLES (its
+    # comment gives the layout).  One stacked product nodes @ bases lifts a
+    # call's frames into their own rows of one C-contiguous (points, n)
+    # array, each frame's rows the bits of its own nodes @ basis, next to
+    # their poles repeated over them; a call of one frame keeps the (n,)
+    # pole and a 2-d product.  Each frame's weighted terms and squared held
+    # values fill its rows of `terms` and `squares`, and one pairwise np.sum
+    # along each row gives each quantity, the sum of a one-frame call.
     # For a field whose sup bound lies outside [2^-400, 2^400] the squares
     # behind s would leave the double range, so they are taken of the held
     # terms over 2^shift, 2^shift at or above the bound, and s is multiplied
     # back; powers of two scale exactly, so s has the bits of a wider exponent
+    _check_rule(frames, rule)
     shift = 0
     if f.sup_bound and not 2.0 ** -400 <= f.sup_bound <= 2.0 ** 400:
         shift = math.frexp(f.sup_bound)[1]
-    size, w = rule.size, rule.weights
-    group, norm2 = max(1, _GROUP_POINTS // size), np.sum(w * w)
+    size, w, n = rule.size, rule.weights, rule.sphere_dim + 1
+    points = 1 << (((_CALL_DOUBLES - 1) // n).bit_length() - 1)
+    group, step, norm2 = max(1, points // size), min(size, points), np.sum(w * w)
+    wide = 1 if f.gradient is None else n  # squares per node
+    most = min(group, len(frames))  # rows of a call
+    terms, squares = np.empty((most, size)), np.empty((most, size * wide))
     values, scales = np.empty(len(frames)), np.empty(len(frames))
+    poles, bases = np.array([fr.pole for fr in frames]), np.array([fr.basis for fr in frames])
     for start in range(0, len(frames), group):
-        chunk = frames[start:start + group]
-        for frame in chunk:
-            _check_rule(frame, rule)
-        if len(chunk) == 1:
-            pole, lifted = chunk[0].pole, rule.nodes @ chunk[0].basis
-        else:
-            lifted = np.concatenate([rule.nodes @ frame.basis for frame in chunk])
-            pole = np.repeat([frame.pole for frame in chunk], size, axis=0)
-        d, held = _meridian_terms(f.evaluate, f.gradient, pole, lifted)
-        if shift:
-            held = np.ldexp(held, -shift)
-        rows = slice(start, start + len(chunk))
-        if f.gradient is not None:
-            # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only
-            # to within rounding, so the noise of the whole gradient reaches d
-            squares = np.sum((held * held).reshape(len(chunk), -1), axis=1)
-            scales[rows] = np.sqrt(norm2 * squares)
-        else:
-            # held is f at latitude +FD_STEP; its noise, as independent errors
-            wf = held.reshape(len(chunk), size) * w
-            scales[rows] = np.sqrt(np.sum(wf * wf, axis=1)) / FD_STEP
-        values[rows] = np.sum(d.reshape(len(chunk), size) * w, axis=1)
+        rows = min(group, len(frames) - start)
+        for lo in range(0, size, step):
+            nodes, cols = rule.nodes[lo:lo + step], slice(lo, lo + step)
+            if rows == 1:
+                pole, lifted = poles[start], nodes @ bases[start]
+            else:
+                lifted = (nodes @ bases[start:start + rows]).reshape(-1, n)
+                pole = np.repeat(poles[start:start + rows], len(nodes), axis=0)
+            d, held = _meridian_terms(f.evaluate, f.gradient, pole, lifted)
+            if shift:
+                held = np.ldexp(held, -shift)
+            np.multiply(d.reshape(rows, -1), w[cols], out=terms[:rows, cols])
+            held = held.reshape(rows, -1)
+            if f.gradient is None:
+                # held is f at latitude +FD_STEP; its noise, as independent errors
+                held = held * w[cols]
+            np.multiply(held, held, out=squares[:rows, lo * wide:(lo + step) * wide])
+        sums = np.sum(squares[:rows], axis=1)
+        # |w| |g| >= sum_i w_i |g_i|: antipodal nodes are negatives only to
+        # within rounding, so the noise of the whole gradient reaches d
+        scales[start:start + rows] = (np.sqrt(sums) / FD_STEP if f.gradient is None
+                                      else np.sqrt(norm2 * sums))
+        values[start:start + rows] = np.sum(terms[:rows], axis=1)
     return values, np.ldexp(scales, shift)
 
 
@@ -608,11 +626,12 @@ def transform_sweep(f, frames, rule):
 
     `frames` holds EquatorFrame objects or bare poles; a bare pole is
     completed with make_frame(pole), the frame every sweep in the
-    package uses.  The poles reach the field in groups of up to
-    _GROUP_POINTS lifted nodes per evaluate or gradient call (its comment
-    gives the group sizes), and each value is a pairwise np.sum over its
-    own pole's rows, so the values are the per-pole ones bit for bit,
-    at any BLAS thread count.  Returns the values as a 1-d float array.
+    package uses.  The poles reach the field in evaluate or gradient
+    calls whose arrays stay below 128 KiB (`_CALL_DOUBLES`, whose comment
+    gives the poles or node slices per call), and each value is a
+    pairwise np.sum over its own pole's row, so the values are the
+    per-pole ones bit for bit, at any BLAS thread count.  Returns the
+    values as a 1-d float array.
     """
     frames = [fr if isinstance(fr, EquatorFrame) else make_frame(fr) for fr in frames]
     return _pole_transforms(f, frames, rule)[0]

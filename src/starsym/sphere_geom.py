@@ -174,13 +174,14 @@ def embed(frame, eta, psi):
     return _latitude_points(frame.pole, eta @ frame.basis, psi)
 
 
-def _latitude_points(pole, lifted, psi):
+def _latitude_points(pole, lifted, psi, out=None):
     # embed() without its checks, for equator points already lifted into
     # the frame (lifted = eta @ basis).  A pole tiled to the shape of lifted
     # makes both products whole-array loops; the sum, taken in place, has
-    # the bits of sin(psi) pole + cos(psi) lifted, as addition commutes
+    # the bits of sin(psi) pole + cos(psi) lifted, as addition commutes.
+    # `out`, an array of the points' shape, receives them
     psi = np.asarray(psi, dtype=float)
-    points = np.cos(psi)[..., None] * lifted
+    points = np.multiply(np.cos(psi)[..., None], lifted, out=out)
     points += np.sin(psi)[..., None] * pole
     return points
 

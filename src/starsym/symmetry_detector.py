@@ -144,10 +144,10 @@ def sweep(f, num_dirs=100, seed=0, rule_resolution=None):
         (see `sample_poles`), and the report's num_dirs is the swept count
     rule_resolution : an explicit rule is swept once, as given
 
-    The base poles are computed by `transform_sweep`'s kernel, in groups
-    of up to `slice_transforms._GROUP_POINTS` lifted nodes per evaluate or
-    gradient call (its comment gives the group sizes), each value equal
-    to its own `equator_transform` bit for bit at any BLAS thread count.
+    The base poles are computed by `transform_sweep`'s kernel, in
+    evaluate or gradient calls laid out at `slice_transforms._CALL_DOUBLES`,
+    each value equal to its own `equator_transform` bit for bit at any
+    BLAS thread count.
     Each negative gets 0.0 - A: make_frame(-xi) has the basis of
     make_frame(xi), so both frames lift the same equator nodes, every
     per-node derivative flips sign exactly (the +-h latitude points of
@@ -237,8 +237,8 @@ def detect(body, num_dirs=100, seed=0, rule_resolution=None):
 
     `detect(body, num_dirs=37)` sweeps and reports 36 poles, 18 antipodal
     pairs, at the cost of 18 base-pole transforms per rule it visits (in
-    ceil(18 / G) field calls, G = max(1, `_GROUP_POINTS` // nodes)); the
-    check of `sweep`'s ladder costs 18 more on the r // 2 rule.  A default
+    the field calls `slice_transforms._CALL_DOUBLES` lays out); the check
+    of `sweep`'s ladder costs 18 more on the r // 2 rule.  A default
     detect in n >= 4 may stop at half the default resolution, and the
     report's `resolution` records the rule its values come from.
     """

@@ -291,6 +291,27 @@ def test_slice_and_conical_batches_equal_scalar_calls(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_slice_integral_refills_one_point_buffer(n):
+    # every height's points reach the field in one (N, n) buffer, with the
+    # bits of embed's points
+    frame, rule = _off_axis_frame(n), equator_rule(n)
+    f = to_scalar_field(body_ellipsoid(n, np.linspace(0.8, 1.5, n)))
+    seen, copies = [], []
+
+    def evaluate(u):
+        seen.append(u)  # kept alive, so a fresh array per height is a new one
+        copies.append(u.copy())
+        return f.evaluate(u)
+
+    values = slice_integral(replace(f, evaluate=evaluate), frame, _BATCH, rule)
+    assert np.array_equal(values, slice_integral(f, frame, _BATCH, rule))
+    assert len(seen) == _BATCH.size
+    assert all(np.shares_memory(u, seen[0]) for u in seen)
+    for points, z in zip(copies, _BATCH):
+        assert np.array_equal(points, sphere_geom.embed(frame, rule.nodes, math.asin(z)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_section_curve_and_ladder_evaluation_budget(n):
     # evaluated points of a curve and of its slope ladder, each within the
     # budget of its nonzero heights, plus the equator radii when z = 0 is

@@ -97,14 +97,15 @@ def test_sweep_equals_reference_formula(n):
 
 
 @pytest.mark.parametrize("n, resolution", [
-    (2, None), (3, 256), (3, 512), (4, 16), (4, 32), (4, 64), (5, 8), (5, 16), (5, 32),
-    (6, 4), (6, 8), (6, 16)])
+    (2, None), (3, 256), (3, 512), (3, 8192), (4, 16), (4, 32), (4, 64), (4, 128), (5, 8),
+    (5, 16), (5, 32), (6, 4), (6, 8), (6, 16)])
 def test_grouped_poles_equal_per_pole_transforms(n, resolution):
-    # 18 base poles in groups of G = _GROUP_POINTS // N poles: all in one
-    # group where G > 18 (2 nodes at n = 2, 256 at n = 3, 128 at n = 4 and
-    # n = 5, 32 at n = 6), full groups and a remainder where G < 18 (512
-    # nodes at n = 3, 4 and 6, G = 16; 1024 at n = 5, G = 8; 2048 at
-    # n = 4, G = 4) and one pole per call at 8192 nodes (n = 5, 6).
+    # 18 base poles in calls of P points (4096 at n = 2, 3, 2048 at n = 4..6)
+    # and groups of G = P // N poles: all in one group where G > 18 (2 nodes
+    # at n = 2, 32 at n = 6), full groups and a remainder where G < 18 (256
+    # nodes at n = 3, G = 16; 128 at n = 4, 5, G = 16; 512 at n = 3, G = 8,
+    # and at n = 4, 6, G = 4; 1024 at n = 5, G = 2), one pole per call at 2048
+    # nodes (n = 4) and one pole in P-node slices at 8192 nodes (n = 3..6).
     # Values, sign bits and roundoff scales equal the per-pole ones on
     # both derivative paths, and so do transform_sweep's values on frames
     # and on bare poles
@@ -144,10 +145,19 @@ def _count_transforms(monkeypatch, module=symmetry_detector):
     return calls, points
 
 
-def _group_points(poles, size):
+# the points of one sweep field call: P = 2^k, the largest with P n below
+# 16 384 doubles, so that each (P, n) array stays below 128 KiB
+_CALL_POINTS = {2: 4096, 3: 4096, 4: 2048, 5: 2048, 6: 2048}
+
+
+def _group_points(poles, size, n):
     # the points of each field call in a sweep of `poles` poles on a rule
-    # of `size` nodes: groups of G = _GROUP_POINTS // size poles, at least one
-    group = max(1, slice_transforms._GROUP_POINTS // size)
+    # of `size` nodes: groups of G = P // size poles, or where size > P each
+    # pole in slices of P nodes
+    points = _CALL_POINTS[n]
+    if size > points:
+        return [min(points, size - lo) for _ in range(poles) for lo in range(0, size, points)]
+    group = points // size
     return [size * min(group, poles - start) for start in range(0, poles, group)]
 
 
@@ -181,7 +191,7 @@ def test_antipodal_pair_costs_one_transform(n, monkeypatch):
         # the base poles share ceil(12 / G) field calls
         assert np.array_equal(calls, [make_frame(xi).pole for xi in report.xis[:12]])
         assert np.array_equal(report.xis[12:], -report.xis[:12])
-        assert points == _group_points(12, size)
+        assert points == _group_points(12, size, n)
         calls.clear()
         points.clear()
 
@@ -198,7 +208,7 @@ def test_transform_sweep_computes_every_pole(n, monkeypatch):
     transform_sweep(f, xis, rule)
     transform_sweep(f, -xis, rule)
     assert np.array_equal(calls, [make_frame(xi).pole for xi in np.vstack([xis, -xis])])
-    assert points == 2 * _group_points(len(xis), rule.size)
+    assert points == 2 * _group_points(len(xis), rule.size, n)
 
 
 def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
@@ -206,8 +216,8 @@ def test_detect_sweeps_half_of_an_antipodal_set(monkeypatch):
     calls, points = _count_transforms(monkeypatch)
     detect(body, num_dirs=100)
     assert len(calls) == 50
-    # 512 nodes: groups of 16 poles, so four field calls, not 50
-    assert points == [16 * 512] * 3 + [2 * 512]
+    # 512 nodes: groups of 8 poles, so seven field calls, not 50
+    assert points == [8 * 512] * 6 + [2 * 512]
 
 
 def _counting(body):
@@ -237,7 +247,7 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
     # one without that check) and reads the other 50 off their negatives: no
     # calibration sweep, no probe of the odd part, and the roundoff scale
     # of each transform costs no evaluation.  A level of N nodes takes
-    # ceil(50 / G) field calls, G = _GROUP_POINTS // N poles per call
+    # ceil(50 / G) field calls, G = P // N poles per call (see _group_points)
     for body, levels in ((body_shifted_ball(n, 1.0, np.linspace(0.2, -0.1, n)), 3),
                          (body_ellipsoid(n, tuple(np.linspace(1.5, 0.7, n))), 2)):
         body, counts = _counting(strip_gradient(body) if fd else body)
@@ -250,7 +260,7 @@ def test_default_detect_evaluates_only_its_own_poles(n, fd, monkeypatch):
         assert len(calls) == 50 * levels
         assert [level[1] for level in report.ladder] == [
             equator_rule(n, level[0]).size for level in report.ladder]
-        assert points == [p for level in report.ladder for p in _group_points(50, level[1])]
+        assert points == [p for level in report.ladder for p in _group_points(50, level[1], n)]
         nodes = sum(level[1] for level in report.ladder)
         groups = len(points)
         if fd:
@@ -403,8 +413,8 @@ def test_a_sweep_ending_at_the_default_equals_the_explicit_default(n, monkeypatc
         calls, points = _count_transforms(monkeypatch)
         explicit = detect(body, num_dirs=24, seed=n, rule_resolution=default)
         assert len(calls) == 12
-        # 8192 nodes fill a field call: one pole per call
-        assert points == [equator_rule(n).size] * 12
+        # 8192 nodes fill four field calls: each pole in slices of 2048
+        assert points == [2048] * 4 * 12
         assert explicit.ladder == ((default, equator_rule(n).size, None, explicit.threshold),)
         assert _same_bits(report.values, explicit.values), body.label
         assert report.ladder[-1][1:] == (equator_rule(n).size, report.ladder[-1][2],
@@ -421,8 +431,69 @@ def test_small_default_rules_sweep_one_level(n, monkeypatch):
         calls, points = _count_transforms(monkeypatch)
         report = detect(body, num_dirs=24, seed=n)
         assert len(calls) == 12
-        # and the 12 base poles share one field call
-        assert points == [12 * equator_rule(n).size]
+        # and the 12 base poles share one field call of 24 points at
+        # n = 2, and two of 8 and 4 poles of 512 nodes at n = 3
+        assert points == {2: [12 * 2], 3: [8 * 512, 4 * 512]}[n]
         assert report.ladder == ((equator_rule(n).resolution, equator_rule(n).size,
                                   None, report.threshold),)
         monkeypatch.undo()
+
+
+def _recording(body):
+    # the body with its evaluate/gradient wrapped to record the doubles
+    # each call receives
+    sizes = []
+
+    def wrap(name, fn):
+        def wrapped(u):
+            sizes.append(np.asarray(u).size)
+            return fn(u)
+        object.__setattr__(body, name, wrapped)
+
+    wrap("evaluate", body.evaluate)
+    if body.gradient is not None:
+        wrap("gradient", body.gradient)
+    return body, sizes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
+def test_every_sweep_field_call_stays_below_128_kib(n, fd):
+    # glibc's mmap threshold starts at 128 KiB, 16 384 doubles: larger
+    # field arrays are mmapped, or trimmed off the heap after each call,
+    # and fault back in on the next.  Every call of a default detect, on
+    # each level of its ladder at n >= 4 and in the second frame
+    # completion where it runs, stays below the threshold
+    for body in _bodies(n)[:3]:
+        body, sizes = _recording(strip_gradient(body) if fd else body)
+        detect(body)
+        assert sizes and max(sizes) < 16384, (body.label, max(sizes))
+
+
+@pytest.mark.parametrize("fd", [False, True], ids=["gradient", "finite_difference"])
+def test_a_large_rule_reaches_the_field_in_node_slices(fd):
+    # 131 072 nodes at n = 6: each pole in 64 slices of 2048 nodes, each
+    # value the one-call transform bit for bit
+    rule = equator_rule(6, 32)
+    body, sizes = _recording(body_ellipsoid(6, tuple(np.linspace(1.5, 0.7, 6))))
+    f = to_scalar_field(strip_gradient(body) if fd else body)
+    frames = [make_frame(xi) for xi in sample_poles(6, 4, seed=1)]
+    sizes.clear()  # calls made while the fields were built
+    values = transform_sweep(f, frames, rule)
+    assert max(sizes) == 2048 * 6
+    assert sum(sizes) == (4 if fd else 2) * len(frames) * rule.size * 6
+    want = [_reference_transform(f, frame, rule) for frame in frames]
+    assert _same_bits(values, np.array(want))
+
+
+def test_a_frame_of_the_wrong_dimension_is_refused_before_any_field_call():
+    # the frames' dimension is checked once per sweep, before it evaluates
+    # anything, so a bad frame last in the list costs no field call
+    body, sizes = _recording(body_shifted_ball(3, 1.0, (0.2, -0.1, 0.05)))
+    f = to_scalar_field(body)
+    frames = [make_frame(xi) for xi in sample_poles(3, 40, seed=1)]
+    frames.append(make_frame([0.0, 0.0, 0.6, 0.8]))
+    for sweep_of in (transform_sweep, slice_transforms._pole_transforms):
+        with pytest.raises(ValueError, match="quadrature rule dimension does not match the frame"):
+            sweep_of(f, frames, equator_rule(3))
+    assert not sizes
