@@ -240,6 +240,9 @@ def _parse_csv_list(text, allowed, what):
     if bad:
         raise ValueError(f"unknown {what} {', '.join(bad)!s}; "
                          f"expected subset of {{{', '.join(sorted(allowed))}}}")
+    repeated = [x for x in dict.fromkeys(items) if items.count(x) > 1]
+    if repeated:
+        raise ValueError(f"repeated {what} {', '.join(repeated)}")
     return items
 
 

@@ -555,13 +555,12 @@ def hyperplane_section(body, frame, z, rule):
 def _pole_transforms(f, frames, rule):
     # A(xi) of each frame and the roundoff scale s of its sum, as two float
     # arrays, in field calls whose arrays stay below _CALL_DOUBLES (its
-    # comment gives the layout).  One stacked product nodes @ bases lifts a
-    # call's frames into their own rows of one C-contiguous (points, n)
-    # array, each frame's rows the bits of its own nodes @ basis, next to
-    # their poles repeated over them; a call of one frame keeps the (n,)
-    # pole and a 2-d product.  Each frame's weighted terms and squared held
-    # values fill its rows of `terms` and `squares`, and one pairwise np.sum
-    # along each row gives each quantity, the sum of a one-frame call.
+    # comment gives the layout).  One stacked product nodes @ bases lifts
+    # every call's frames, one or many, into their own rows of one
+    # C-contiguous (points, n) array, each frame's rows the bits of its own
+    # nodes @ basis, next to their poles repeated over them.  Each frame's
+    # weighted terms and squared held values fill its rows of `terms` and
+    # `squares`, and one pairwise np.sum along each row gives each quantity.
     # For a field whose sup bound lies outside [2^-400, 2^400] the squares
     # behind s would leave the double range, so they are taken of the held
     # terms over 2^shift, 2^shift at or above the bound, and s is multiplied
@@ -582,11 +581,8 @@ def _pole_transforms(f, frames, rule):
         rows = min(group, len(frames) - start)
         for lo in range(0, size, step):
             nodes, cols = rule.nodes[lo:lo + step], slice(lo, lo + step)
-            if rows == 1:
-                pole, lifted = poles[start], nodes @ bases[start]
-            else:
-                lifted = (nodes @ bases[start:start + rows]).reshape(-1, n)
-                pole = np.repeat(poles[start:start + rows], len(nodes), axis=0)
+            lifted = (nodes @ bases[start:start + rows]).reshape(-1, n)
+            pole = np.repeat(poles[start:start + rows], len(nodes), axis=0)
             d, held = _meridian_terms(f.evaluate, f.gradient, pole, lifted)
             if shift:
                 held = np.ldexp(held, -shift)

@@ -733,9 +733,17 @@ def test_analyze_refuses_a_density_outside_the_double_range(tmp_path, capsys, ra
     (["sections", "--body", "{ball}", "--kind", ","], "starsym: empty section kind list"),
     (["sections", "--body", "{ball}", "--formats", ","], "starsym: empty format list"),
     (["sections", "--body", "{ball}", "--xi", ","], "starsym: empty --xi"),
+    (["sections", "--body", "{ball}", "--kind", "conical,conical"],
+     "starsym: repeated section kind conical"),
+    (["sections", "--body", "{ball}", "--kind", "hyperplane,conical,hyperplane"],
+     "starsym: repeated section kind hyperplane"),
+    (["sections", "--body", "{ball}", "--formats", "csv,csv"], "starsym: repeated format csv"),
+    (["sections", "--body", "{ball}", "--formats", "svg,csv,svg,csv"],
+     "starsym: repeated format svg, csv"),
 ], ids=["dirs_zero", "dirs_negative", "seed_n3", "seed_n2", "seed_verify",
         "seed_harmonics", "num_xi_verify", "mc_samples", "num_xi_harmonics", "sampler",
-        "params_not_object", "kind_empty", "formats_empty", "xi_empty"])
+        "params_not_object", "kind_empty", "formats_empty", "xi_empty", "kind_repeated",
+        "kind_repeated_apart", "formats_repeated", "formats_both_repeated"])
 def test_refused_option_is_named_and_writes_nothing(tmp_path, capsys, argv, option):
     specs = {"ball": _spec(tmp_path, BALL),
              "disk": _spec(tmp_path, {"kind": "ball", "dim": 2,

@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import itertools
 import math
 import pickle
 
@@ -171,13 +172,16 @@ def test_antipodal_sweep_equals_per_pole_transforms(n, resolution):
     # the negative half of the sweep is A(-xi) = -A(xi) read off its base
     # pole; every one of the 2m values must match an independent per-pole
     # transform on the rule the report records bit for bit, signed zeros
-    # included
-    for body in _bodies(n):
+    # included.  Two directions are one base pole, so every field call of
+    # that sweep holds one frame, and at n = 5, 6 a climbing sweep sends its
+    # 8192-node level in node slices
+    bodies = _bodies(n) + (_climbing(n) if n >= 5 else [])
+    for body, num_dirs in itertools.product(bodies, (24, 2)):
         f = to_scalar_field(body)
-        report = detect(body, num_dirs=24, seed=n, rule_resolution=resolution)
+        report = detect(body, num_dirs=num_dirs, seed=n, rule_resolution=resolution)
         rule = equator_rule(n, report.resolution)
         want = np.array([equator_transform(f, make_frame(xi), rule) for xi in report.xis])
-        assert _same_bits(report.values, want), body.label
+        assert _same_bits(report.values, want), (body.label, num_dirs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
